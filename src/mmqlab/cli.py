@@ -201,8 +201,16 @@ def load_config(path: str) -> Config:
         )
     output_dir = _expect(raw.get("output_dir", "."), str, "output_dir")
     workers = _expect(raw.get("workers", 1), int, "workers")
+    if workers < 1:
+        raise ConfigError(f"config error at workers: must be >= 1, got {workers}")
     if "MMQ_WORKERS" in os.environ:
-        workers = int(os.environ["MMQ_WORKERS"])
+        value = os.environ["MMQ_WORKERS"]
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"environment variable MMQ_WORKERS must be an integer >= 1, got {value!r}")
     return Config(
         pipeline=pipeline, grid=grid, probes=probes, output_dir=output_dir, workers=workers,
         grid_bits_specified="bits" in raw.get("grid", {}),

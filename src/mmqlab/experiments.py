@@ -8,8 +8,12 @@ Two sweep styles:
   the baseline.
 * ``run_sota_grid``    - calibrated methods (GPTQ/AWQ) over the full
   per-component bit cross product, where 16 encodes "leave unquantized".
-  Calibration is collected once per seed and per-component quantizations are
-  shared across cells.
+  Calibration is collected once per seed, per-component quantizations are
+  shared across cells, and the vision->connector prefix is computed once per
+  (vision, connector) bits.
+
+Both engines compute the full-precision reference outputs once per seed and
+task, not once per cell.
 
 Results are plain records with a stable content-addressed ``run_id``;
 persistence is a fixed-schema CSV whose save/load round-trips exactly.
@@ -42,9 +46,9 @@ from .pipeline import (
     collect_calibration,
     enumerate_layers,
 )
-from .pipeline import image_embeddings, text_embeddings
+from .pipeline import image_embeddings, text_embeddings, vision_prefix
 from .quantizers import GridScheme, Method
-from .tasks import ProbeSet, retrieval_agreement, score_task
+from .tasks import ProbeSet, agreement, task_outputs
 
 CSV_HEADER = (
     "run_id,method,task,vision_bits,connector_bits,language_bits,"
@@ -238,10 +242,6 @@ def compute_bpw(ledger: QuantizationLedger, weights: ModelWeights) -> float:
     return bits / total_params
 
 
-def _score(q_weights: ModelWeights, fp_weights: ModelWeights, probes: ProbeSet, task: TaskKind) -> float:
-    return score_task(q_weights, fp_weights, probes, task).score
-
-
 def _seeded_model(spec: PipelineSpec, run_seed: int) -> ModelWeights:
     return build_model(replace(spec, seed=derive_seed(run_seed, "model")))
 
@@ -291,31 +291,41 @@ def run_uniform_grid(
             if pending:
                 cells.append((k, per_comp, groups, lts, sel, pending))
 
+        # full-precision outputs every cell is scored against, once per task
+        reference = {
+            task: task_outputs(fp, eval_probes, task)
+            for task in grid.tasks
+            if any(task in cell[-1] for cell in cells)
+        }
+
         def run_cell(cell):
             k, per_comp, groups, lts, sel, pending = cell
             rows, fails = [], []
             try:
                 qw, ledger = apply_quantization(fp, sel, Method.UNIFORM, k)
                 bpw = compute_bpw(ledger, fp)
-                for task, run_id in pending.items():
-                    rows.append(
-                        RunRecord(
-                            run_id=run_id, method=Method.UNIFORM, task=task,
-                            vision_bits=per_comp[ComponentId.VISION],
-                            connector_bits=per_comp[ComponentId.CONNECTOR],
-                            language_bits=per_comp[ComponentId.LANGUAGE],
-                            groups=frozenset(groups), layer_types=frozenset(lts),
-                            group_size=0, bpw=bpw,
-                            score=_score(qw, fp, eval_probes, task),
-                            seed=run_seed, wall_ms=0,
-                        )
-                    )
+                scores = {
+                    task: agreement(task, task_outputs(qw, eval_probes, task), reference[task])
+                    for task in pending
+                }
             except Exception as exc:  # record, don't abort the grid
                 for task, run_id in pending.items():
                     rows.append(
                         _failed_record(run_id, Method.UNIFORM, task, per_comp, groups, lts, 0, run_seed)
                     )
                     fails.append((run_id, str(exc)))
+                return rows, fails
+            for task, run_id in pending.items():
+                rows.append(
+                    RunRecord(
+                        run_id=run_id, method=Method.UNIFORM, task=task,
+                        vision_bits=per_comp[ComponentId.VISION],
+                        connector_bits=per_comp[ComponentId.CONNECTOR],
+                        language_bits=per_comp[ComponentId.LANGUAGE],
+                        groups=frozenset(groups), layer_types=frozenset(lts),
+                        group_size=0, bpw=bpw, score=scores[task], seed=run_seed, wall_ms=0,
+                    )
+                )
             return rows, fails
 
         if workers > 1:
@@ -352,6 +362,14 @@ def _failed_record(run_id, method, task, bits_of, groups, lts, group_size, seed)
     )
 
 
+def _prefix_key(assignment: dict[ComponentId, int]) -> tuple[int, int]:
+    """The bits the vision->connector prefix depends on."""
+    return (
+        assignment.get(ComponentId.VISION, FP_BITS),
+        assignment.get(ComponentId.CONNECTOR, FP_BITS),
+    )
+
+
 def run_sota_grid(
     spec: PipelineSpec,
     probes: ProbeSet,
@@ -383,7 +401,10 @@ def run_sota_grid(
         fp = _seeded_model(spec, run_seed)
         active = fp.spec.active_components()
         eval_probes = probes.take(eval_pairs) if eval_pairs else probes
+        images = eval_probes.images
         calib = None
+        fp_prefix = None
+        reference: dict[TaskKind, object] = {}
 
         for method in methods:
             cells = []
@@ -405,6 +426,12 @@ def run_sota_grid(
                 continue
             if calib is None:
                 calib = collect_calibration(fp, probes, n=calibration_pairs)
+            if fp_prefix is None:
+                fp_prefix = vision_prefix(fp, images)
+            # full-precision outputs the cells are scored against, once per seed and task
+            for task in tasks:
+                if task not in reference and any(task in pending for _, _, pending in cells):
+                    reference[task] = task_outputs(fp, eval_probes, task, prefix=fp_prefix)
 
             # stage 1: quantize each needed (component, bits) fragment once
             fragments: dict[tuple[ComponentId, int], tuple[dict, list] | Exception] = {}
@@ -435,25 +462,20 @@ def run_sota_grid(
                     ledger.entries.extend(entries)
                 return ModelWeights(spec=fp.spec, layers=layers, extras=fp.extras, addresses=fp.addresses), ledger, None
 
-            # stage 2: retrieval embedding caches, shared across the cross product
-            img_cache: dict[tuple[int, ...], np.ndarray] = {}
-            txt_cache: dict[int, np.ndarray] = {}
-            if TaskKind.RETRIEVAL in tasks:
-                non_lang = tuple(c for c in active if c is not ComponentId.LANGUAGE)
-                img_cache[tuple(FP_BITS for _ in non_lang)] = image_embeddings(fp, eval_probes.images)
-                txt_cache[FP_BITS] = text_embeddings(fp, eval_probes.texts)
-                for assignment, _, pending in cells:
-                    if TaskKind.RETRIEVAL not in pending:
-                        continue
-                    qw, _, failure = assemble(assignment)
-                    if failure is not None:
-                        continue
-                    vis_key = tuple(assignment.get(c, FP_BITS) for c in non_lang)
-                    lang_key = assignment.get(ComponentId.LANGUAGE, FP_BITS)
-                    if vis_key not in img_cache:
-                        img_cache[vis_key] = image_embeddings(qw, eval_probes.images)
-                    if lang_key not in txt_cache:
-                        txt_cache[lang_key] = text_embeddings(qw, eval_probes.texts)
+            # stage 2: prefixes per (vision, connector) bits and retrieval text
+            # embeddings per language bits, shared across the cross product
+            prefixes = {(FP_BITS, FP_BITS): fp_prefix}
+            txt_cache = {FP_BITS: reference[TaskKind.RETRIEVAL][1]} if TaskKind.RETRIEVAL in reference else {}
+            for assignment, _, pending in cells:
+                qw, _, failure = assemble(assignment)
+                if failure is not None:
+                    continue
+                key = _prefix_key(assignment)
+                if key not in prefixes:
+                    prefixes[key] = vision_prefix(qw, images)
+                lang_key = assignment.get(ComponentId.LANGUAGE, FP_BITS)
+                if TaskKind.RETRIEVAL in pending and lang_key not in txt_cache:
+                    txt_cache[lang_key] = text_embeddings(qw, eval_probes.texts)
 
             # stage 3: score cells (independent jobs over immutable state)
             def run_cell(cell):
@@ -470,16 +492,16 @@ def run_sota_grid(
                         )
                         fails.append((run_id, str(failure)))
                         continue
-                    if task is TaskKind.RETRIEVAL:
-                        non_lang = tuple(c for c in active if c is not ComponentId.LANGUAGE)
-                        score = retrieval_agreement(
-                            img_cache[tuple(assignment.get(c, FP_BITS) for c in non_lang)],
+                    prefix = prefixes[_prefix_key(assignment)]
+                    if all(k == FP_BITS for k in assignment.values()):
+                        outputs = reference[task]
+                    elif task is TaskKind.RETRIEVAL:
+                        outputs = (
+                            image_embeddings(qw, images, prefix),
                             txt_cache[assignment.get(ComponentId.LANGUAGE, FP_BITS)],
-                            img_cache[tuple(FP_BITS for _ in non_lang)],
-                            txt_cache[FP_BITS],
                         )
                     else:
-                        score = _score(qw, fp, eval_probes, task)
+                        outputs = task_outputs(qw, eval_probes, task, prefix=prefix)
                     rows.append(
                         RunRecord(
                             run_id=run_id, method=method, task=task,
@@ -490,7 +512,8 @@ def run_sota_grid(
                             layer_types=frozenset(LAYER_TYPE_ORDER),
                             group_size=group_size,
                             bpw=compute_bpw(ledger, fp),
-                            score=float(score), seed=run_seed, wall_ms=0,
+                            score=agreement(task, outputs, reference[task]),
+                            seed=run_seed, wall_ms=0,
                         )
                     )
                 return rows, fails

@@ -38,7 +38,7 @@ from .quantizers import (
 )
 
 if TYPE_CHECKING:
-    from .tasks import ProbePair, ProbeSet
+    from .tasks import ProbeSet
 
 NUM_QUERIES = 8
 MAX_SEQ = 64
@@ -312,6 +312,8 @@ def enumerate_layers(weights: ModelWeights, sel: Selector) -> list[LayerAddress]
 # --- forward pass -----------------------------------------------------------
 
 Recorder = Callable[[str, np.ndarray], None]
+# Decoder keys and values per block name, each (batch, heads, positions, head_dim).
+KVCache = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -337,6 +339,7 @@ def _attention(
     x_kv: np.ndarray,
     causal: bool,
     recorder: Recorder | None,
+    cache: KVCache | None = None,
 ) -> np.ndarray:
     spec = weights.spec
     heads, d = spec.heads, spec.d_model
@@ -349,13 +352,19 @@ def _attention(
     v = x_kv @ weights.layers[f"{base}.attn.v_proj"].T
 
     b, sq, _ = q.shape
-    sk = k.shape[1]
     q = q.reshape(b, sq, heads, head_dim).transpose(0, 2, 1, 3)
-    k = k.reshape(b, sk, heads, head_dim).transpose(0, 2, 1, 3)
-    v = v.reshape(b, sk, heads, head_dim).transpose(0, 2, 1, 3)
+    k = k.reshape(b, k.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+    v = v.reshape(b, v.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+    if cache is not None:
+        if base in cache:
+            k = np.concatenate([cache[base][0], k], axis=2)
+            v = np.concatenate([cache[base][1], v], axis=2)
+        cache[base] = (k, v)
+    sk = k.shape[2]
     scores = (q @ k.transpose(0, 1, 3, 2)) / np.float32(math.sqrt(head_dim))
     if causal:
-        mask = np.triu(np.full((sq, sk), np.float32(-1e9)), k=1)
+        # queries are the last sq of the sk positions
+        mask = np.triu(np.full((sq, sk), np.float32(-1e9)), k=1 + sk - sq)
         scores = scores + mask
     scores = scores - scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
@@ -379,10 +388,11 @@ def _block(
     kv: np.ndarray | None,
     causal: bool,
     recorder: Recorder | None,
+    cache: KVCache | None = None,
 ) -> np.ndarray:
     extras = weights.extras
     normed = _layer_norm(x, extras[f"{base}.norm1.scale"], extras[f"{base}.norm1.bias"])
-    x = x + _attention(weights, base, normed, normed if kv is None else kv, causal, recorder)
+    x = x + _attention(weights, base, normed, normed if kv is None else kv, causal, recorder, cache)
     normed = _layer_norm(x, extras[f"{base}.norm2.scale"], extras[f"{base}.norm2.bias"])
     return x + _feed_forward(weights, base, normed, recorder)
 
@@ -421,8 +431,15 @@ def decode_hidden(
     prefix: np.ndarray,
     token_ids: np.ndarray,
     recorder: Recorder | None = None,
+    cache: KVCache | None = None,
+    start: int = 0,
 ) -> np.ndarray:
-    """Causal decoder over [prefix tokens, embedded token ids]; returns final hidden states."""
+    """Causal decoder over [prefix tokens, embedded token ids]; returns final hidden states.
+
+    With a ``cache``, the call continues a sequence whose first ``start``
+    positions are held in it: it returns the hidden states of the new
+    positions only and appends their keys and values to the cache.
+    """
     spec = weights.spec
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
@@ -431,12 +448,12 @@ def decode_hidden(
         raise ValueError("token id out of vocabulary range")
     tok = weights.extras["language.token_embedding"][token_ids]
     x = np.concatenate([prefix.astype(np.float32), tok], axis=1)
-    seq = x.shape[1]
-    if seq > MAX_SEQ:
-        raise ValueError(f"sequence length {seq} exceeds maximum {MAX_SEQ}")
-    x = x + weights.extras["language.pos_embedding"][:seq]
+    end = start + x.shape[1]
+    if end > MAX_SEQ:
+        raise ValueError(f"sequence length {end} exceeds maximum {MAX_SEQ}")
+    x = x + weights.extras["language.pos_embedding"][start:end]
     for i in range(spec.language_blocks):
-        x = _block(weights, f"language.block{i}", x, kv=None, causal=True, recorder=recorder)
+        x = _block(weights, f"language.block{i}", x, kv=None, causal=True, recorder=recorder, cache=cache)
     return _layer_norm(
         x, weights.extras["language.final_norm.scale"], weights.extras["language.final_norm.bias"]
     )
@@ -449,25 +466,50 @@ def _empty_prefix(batch: int, d_model: int) -> np.ndarray:
 def greedy_generate(
     weights: ModelWeights, prefix: np.ndarray, prompt_ids: np.ndarray, horizon: int
 ) -> np.ndarray:
-    """Greedy decode `horizon` tokens; argmax breaks ties toward the lower id."""
+    """Greedy decode `horizon` tokens; argmax breaks ties toward the lower id.
+
+    [prefix, prompt] is decoded once into a key/value cache, then each step
+    decodes only the token the previous step chose.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     ids = np.asarray(prompt_ids, dtype=np.int64)
+    start = prefix.shape[1] + ids.shape[1]
+    if start + horizon - 1 > MAX_SEQ:
+        raise ValueError(
+            f"prefix length {prefix.shape[1]} + prompt length {ids.shape[1]} + horizon {horizon} - 1 "
+            f"exceeds maximum sequence length {MAX_SEQ}"
+        )
     head = weights.extras["language.output_head"]
+    step_prefix = _empty_prefix(ids.shape[0], weights.spec.d_model)
+    cache: KVCache = {}
+    hidden = decode_hidden(weights, prefix, ids, cache=cache)
     generated = np.empty((ids.shape[0], horizon), dtype=np.int64)
     for step in range(horizon):
-        hidden = decode_hidden(weights, prefix, ids)
-        logits = hidden[:, -1, :] @ head.T
-        nxt = np.argmax(logits, axis=-1)
+        nxt = np.argmax(hidden[:, -1, :] @ head.T, axis=-1)
         generated[:, step] = nxt
-        ids = np.concatenate([ids, nxt[:, None]], axis=1)
+        if step + 1 < horizon:
+            hidden = decode_hidden(weights, step_prefix, nxt[:, None], cache=cache, start=start + step)
     return generated
 
 
-def image_embeddings(weights: ModelWeights, images: np.ndarray) -> np.ndarray:
-    """Unit-norm pooled connector output, one row per image."""
-    pooled = run_connector(weights, encode_vision(weights, images)).mean(axis=1)
+def vision_prefix(weights: ModelWeights, images: np.ndarray) -> np.ndarray:
+    """Connector output for an image batch: the soft prefix the decoder reads."""
+    return run_connector(weights, encode_vision(weights, images))
+
+
+def _unit_mean(x: np.ndarray) -> np.ndarray:
+    pooled = x.mean(axis=1)
     return pooled / np.linalg.norm(pooled, axis=-1, keepdims=True)
+
+
+def image_embeddings(weights: ModelWeights, images: np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
+    """Unit-norm pooled connector output, one row per image.
+
+    A ``prefix`` already computed by ``vision_prefix`` for these images is
+    pooled as it is.
+    """
+    return _unit_mean(vision_prefix(weights, images) if prefix is None else prefix)
 
 
 def text_embeddings(weights: ModelWeights, text_ids: np.ndarray) -> np.ndarray:
@@ -475,9 +517,7 @@ def text_embeddings(weights: ModelWeights, text_ids: np.ndarray) -> np.ndarray:
     text_ids = np.asarray(text_ids, dtype=np.int64)
     bos = np.full((text_ids.shape[0], 1), BOS_ID, dtype=np.int64)
     prompt = np.concatenate([bos, text_ids], axis=1)
-    hidden = decode_hidden(weights, _empty_prefix(text_ids.shape[0], weights.spec.d_model), prompt)
-    pooled = hidden.mean(axis=1)
-    return pooled / np.linalg.norm(pooled, axis=-1, keepdims=True)
+    return _unit_mean(decode_hidden(weights, _empty_prefix(text_ids.shape[0], weights.spec.d_model), prompt))
 
 
 def generation_prompt(probe_text: np.ndarray, mode: TaskKind) -> np.ndarray:
@@ -493,9 +533,13 @@ def generate_tokens(
     mode: TaskKind,
     horizon: int,
     question_ids: np.ndarray | None = None,
+    prefix: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched conditional generation for caption (image only) or VQA (image + question)."""
-    prefix = run_connector(weights, encode_vision(weights, images))
+    """Batched conditional generation for caption (image only) or VQA (image + question).
+
+    A ``prefix`` already computed by ``vision_prefix`` for these images is
+    decoded from as it is.
+    """
     if mode is TaskKind.CAPTION:
         prompt = generation_prompt(np.empty((images.shape[0], 0)), TaskKind.CAPTION)
     elif mode is TaskKind.VQA:
@@ -504,30 +548,9 @@ def generate_tokens(
         prompt = generation_prompt(question_ids, TaskKind.VQA)
     else:
         raise ValueError(f"not a generation task: {mode}")
+    if prefix is None:
+        prefix = vision_prefix(weights, images)
     return greedy_generate(weights, prefix, prompt, horizon)
-
-
-@dataclass
-class RetrievalOutput:
-    image_embedding: np.ndarray
-    text_embedding: np.ndarray
-
-
-def forward(
-    weights: ModelWeights, probe: "ProbePair", mode: TaskKind, horizon: int | None = None
-) -> RetrievalOutput | np.ndarray:
-    """Single-probe forward: embeddings for retrieval, generated ids otherwise."""
-    images = probe.image_like[None, :, :]
-    if mode is TaskKind.RETRIEVAL:
-        return RetrievalOutput(
-            image_embedding=image_embeddings(weights, images)[0],
-            text_embedding=text_embeddings(weights, probe.text_ids[None, :])[0],
-        )
-    if mode is TaskKind.CAPTION:
-        return generate_tokens(weights, images, mode, horizon or CAPTION_HORIZON)[0]
-    return generate_tokens(
-        weights, images, mode, horizon or VQA_HORIZON, question_ids=probe.question_ids[None, :]
-    )[0]
 
 
 # --- calibration ------------------------------------------------------------

@@ -121,17 +121,40 @@ def retrieval_agreement(
     return 0.5 * (t2i + i2t)
 
 
+def task_outputs(
+    weights: ModelWeights,
+    probes: ProbeSet,
+    task: TaskKind,
+    horizon: int | None = None,
+    prefix: np.ndarray | None = None,
+):
+    """A model's outputs on the probes, the operand of ``agreement``.
+
+    Retrieval gives the unit-norm (image, text) embedding pair; caption and
+    VQA give greedy token ids, (probes, horizon), at the task's default
+    horizon unless one is given. ``prefix`` is ``vision_prefix(weights,
+    probes.images)`` when the caller already holds it.
+    """
+    if task is TaskKind.RETRIEVAL:
+        if len(probes) < 2:
+            raise ValueError("retrieval scoring needs at least 2 probe pairs")
+        return image_embeddings(weights, probes.images, prefix), text_embeddings(weights, probes.texts)
+    if horizon is None:
+        horizon = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
+    questions = probes.questions if task is TaskKind.VQA else None
+    return generate_tokens(weights, probes.images, task, horizon, question_ids=questions, prefix=prefix)
+
+
+def agreement(task: TaskKind, outputs, reference) -> float:
+    """Fidelity of ``task_outputs`` to the reference model's: top-1 retrieval
+    agreement, or the positionwise exact-match fraction of generated tokens."""
+    if task is TaskKind.RETRIEVAL:
+        return retrieval_agreement(*outputs, *reference)
+    return float(np.mean(outputs == reference))
+
+
 def score_retrieval(q_weights: ModelWeights, fp_weights: ModelWeights, probes: ProbeSet) -> ScoreRecord:
-    if len(probes) < 2:
-        raise ValueError("retrieval scoring needs at least 2 probe pairs")
-    images, texts = probes.images, probes.texts
-    score = retrieval_agreement(
-        image_embeddings(q_weights, images),
-        text_embeddings(q_weights, texts),
-        image_embeddings(fp_weights, images),
-        text_embeddings(fp_weights, texts),
-    )
-    return ScoreRecord(task=TaskKind.RETRIEVAL, score=score, n_probes=len(probes))
+    return score_task(q_weights, fp_weights, probes, TaskKind.RETRIEVAL)
 
 
 def score_generation(
@@ -144,18 +167,15 @@ def score_generation(
     """Positionwise exact-match fraction of greedy decodes over the horizon."""
     if mode not in (TaskKind.CAPTION, TaskKind.VQA):
         raise ValueError(f"not a generation task: {mode}")
-    if horizon is None:
-        horizon = CAPTION_HORIZON if mode is TaskKind.CAPTION else VQA_HORIZON
-    questions = probes.questions if mode is TaskKind.VQA else None
-    gen_q = generate_tokens(q_weights, probes.images, mode, horizon, question_ids=questions)
-    gen_fp = generate_tokens(fp_weights, probes.images, mode, horizon, question_ids=questions)
-    return ScoreRecord(task=mode, score=float(np.mean(gen_q == gen_fp)), n_probes=len(probes))
+    gen_q = task_outputs(q_weights, probes, mode, horizon)
+    gen_fp = task_outputs(fp_weights, probes, mode, horizon)
+    return ScoreRecord(task=mode, score=agreement(mode, gen_q, gen_fp), n_probes=len(probes))
 
 
 def score_task(
     q_weights: ModelWeights, fp_weights: ModelWeights, probes: ProbeSet, task: TaskKind
 ) -> ScoreRecord:
-    """Dispatch to the task's scorer with its default horizon."""
-    if task is TaskKind.RETRIEVAL:
-        return score_retrieval(q_weights, fp_weights, probes)
-    return score_generation(q_weights, fp_weights, probes, mode=task)
+    """Agreement of the quantized model's outputs with the full-precision
+    model's, at the task's default horizon."""
+    score = agreement(task, task_outputs(q_weights, probes, task), task_outputs(fp_weights, probes, task))
+    return ScoreRecord(task=task, score=score, n_probes=len(probes))

@@ -85,6 +85,21 @@ class TestConfig:
         monkeypatch.setenv("MMQ_WORKERS", "3")
         assert load_config(str(path)).workers == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_workers_env_exits_one(self, tmp_path, monkeypatch, capsys, value):
+        path = write_config(tmp_path)
+        monkeypatch.setenv("MMQ_WORKERS", value)
+        code = main(["grid", "--config", str(path), "--method", "uniform", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "MMQ_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_bad_workers_config_names_key(self, tmp_path, value):
+        path = write_config(tmp_path, workers=value)
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(str(path))
+
     def test_defaults(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")

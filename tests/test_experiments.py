@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import mmqlab.experiments as experiments
+import mmqlab.pipeline as pipeline
+import mmqlab.tasks as tasks
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
@@ -219,6 +222,64 @@ class TestSotaGrid:
         serial = run_sota_grid(tiny_spec, tiny_probes, workers=1, **kwargs)
         pooled = run_sota_grid(tiny_spec, tiny_probes, workers=4, **kwargs)
         assert [(r.run_id, r.score) for r in serial.rows] == [(r.run_id, r.score) for r in pooled.rows]
+
+
+class TestMemo:
+    """Stage calls are counted by wrapping the names the grid engines look up."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        def record(module, name):
+            calls = []
+            original = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls.append((args, result))
+                return result
+
+            monkeypatch.setattr(module, name, recorded)
+            return calls
+
+        return record
+
+    def test_sota_reference_once_per_seed_and_task_prefix_once_per_bits(self, tiny_spec, tiny_probes, record):
+        models = record(experiments, "_seeded_model")
+        generated = record(tasks, "generate_tokens")
+        texts = record(tasks, "text_embeddings")
+        visions = record(pipeline, "encode_vision")
+        run_sota_grid(
+            tiny_spec, tiny_probes, methods=(Method.GPTQ, Method.AWQ), bits=(4,),
+            tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3, 4),
+            calibration_pairs=8, eval_pairs=4,
+        )
+        assert len(models) == 2
+        for _, fp in models:
+            for mode in (TaskKind.CAPTION, TaskKind.VQA):
+                assert sum(args[0] is fp and args[2] is mode for args, _ in generated) == 1
+            assert sum(args[0] is fp for args, _ in texts) == 1
+        # besides the reference, each of the 7 quantized cells of both methods
+        # decodes once per generation task and seed
+        assert len(generated) == 2 * 2 * (1 + 2 * 7)
+        # per seed: calibration, the full-precision prefix, and the 3 quantized
+        # (vision, connector) bit pairs of each method
+        assert len(visions) == 2 * (1 + 1 + 2 * 3)
+
+    def test_uniform_reference_once_per_seed_and_task(self, tiny_spec, tiny_probes, record):
+        models = record(experiments, "_seeded_model")
+        outputs = record(experiments, "task_outputs")
+        grid = GridSpec(
+            bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
+            group_subsets=((BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END),),
+            layer_type_subsets=((LayerType.ATTN, LayerType.FF),),
+        )
+        table = run_uniform_grid(tiny_spec, tiny_probes, grid)
+        assert len(models) == 2
+        for _, fp in models:
+            for task in grid.tasks:
+                assert sum(args[0] is fp and args[2] is task for args, _ in outputs) == 1
+        quantized_rows = len(table.rows) - 2 * 2  # less one baseline row per seed and task
+        assert len(outputs) == quantized_rows + 2 * 2
 
 
 class TestPersistence:

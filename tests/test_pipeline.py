@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from mmqlab.pipeline import (
+    BOS_ID,
+    CAPTION_HORIZON,
+    MAX_SEQ,
+    VQA_HORIZON,
     BlockGroup,
     ComponentId,
     ConnectorKind,
@@ -12,12 +16,18 @@ from mmqlab.pipeline import (
     apply_quantization,
     build_model,
     collect_calibration,
+    decode_hidden,
     encode_vision,
     enumerate_layers,
-    forward,
+    generate_tokens,
+    generation_prompt,
+    greedy_generate,
     group_of,
+    image_embeddings,
     load_weights,
     save_weights,
+    text_embeddings,
+    vision_prefix,
 )
 from mmqlab.quantizers import Method
 
@@ -118,24 +128,110 @@ class TestAddressing:
         assert not any("norm" in n or "embed" in n or "queries" in n or "head" in n for n in names)
 
 
+def _caption(weights, probe, horizon=CAPTION_HORIZON):
+    return generate_tokens(weights, probe.image_like[None], TaskKind.CAPTION, horizon)[0]
+
+
+def _vqa(weights, probe):
+    return generate_tokens(
+        weights, probe.image_like[None], TaskKind.VQA, VQA_HORIZON, question_ids=probe.question_ids[None]
+    )[0]
+
+
+def _embeddings(weights, probe):
+    return image_embeddings(weights, probe.image_like[None])[0], text_embeddings(weights, probe.text_ids[None])[0]
+
+
 class TestForward:
     def test_golden_caption_tokens(self, default_model, probe_set):
-        out = forward(default_model, probe_set.pairs[0], TaskKind.CAPTION)
-        assert out.tolist() == GOLDEN_CAPTION_SEED7_PROBE11
+        assert _caption(default_model, probe_set.pairs[0]).tolist() == GOLDEN_CAPTION_SEED7_PROBE11
 
     def test_identical_probes_identical_outputs(self, default_model, probe_set):
-        a = forward(default_model, probe_set.pairs[3], TaskKind.VQA)
-        b = forward(default_model, probe_set.pairs[3], TaskKind.VQA)
+        a = _vqa(default_model, probe_set.pairs[3])
+        b = _vqa(default_model, probe_set.pairs[3])
         assert np.array_equal(a, b)
 
     def test_retrieval_embeddings_unit_norm(self, default_model, probe_set):
-        out = forward(default_model, probe_set.pairs[1], TaskKind.RETRIEVAL)
-        assert abs(np.linalg.norm(out.image_embedding) - 1.0) < 1e-5
-        assert abs(np.linalg.norm(out.text_embedding) - 1.0) < 1e-5
+        image, text = _embeddings(default_model, probe_set.pairs[1])
+        assert abs(np.linalg.norm(image) - 1.0) < 1e-5
+        assert abs(np.linalg.norm(text) - 1.0) < 1e-5
 
     def test_bad_image_shape_rejected(self, default_model):
         with pytest.raises(ValueError, match="image batch shape"):
             encode_vision(default_model, np.zeros((1, 3, 64), dtype=np.float32))
+
+    def test_given_prefix_matches_computed(self, default_model, probe_set):
+        images = probe_set.images[:4]
+        prefix = vision_prefix(default_model, images)
+        assert np.array_equal(
+            image_embeddings(default_model, images, prefix), image_embeddings(default_model, images)
+        )
+        questions = probe_set.questions[:4]
+        assert np.array_equal(
+            generate_tokens(default_model, images, TaskKind.VQA, 4, question_ids=questions, prefix=prefix),
+            generate_tokens(default_model, images, TaskKind.VQA, 4, question_ids=questions),
+        )
+
+
+def full_recompute_generate(weights, prefix, prompt_ids, horizon):
+    """Greedy decode that runs the whole sequence through the decoder at every step."""
+    ids = np.asarray(prompt_ids, dtype=np.int64)
+    head = weights.extras["language.output_head"]
+    generated = []
+    for _ in range(horizon):
+        nxt = np.argmax(decode_hidden(weights, prefix, ids)[:, -1, :] @ head.T, axis=-1)
+        generated.append(nxt)
+        ids = np.concatenate([ids, nxt[:, None]], axis=1)
+    return np.stack(generated, axis=1)
+
+
+class TestCachedDecode:
+    @pytest.fixture(scope="class")
+    def models(self, default_model, calibration):
+        uniform2, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 2)
+        gptq, _ = apply_quantization(default_model, Selector.everything(), Method.GPTQ, 3, calib=calibration)
+        return {"random": default_model, "uniform2": uniform2, "gptq3": gptq}
+
+    @pytest.mark.parametrize("name", ["random", "uniform2", "gptq3"])
+    @pytest.mark.parametrize("mode", [TaskKind.CAPTION, TaskKind.VQA])
+    def test_matches_full_recompute(self, models, probe_set, name, mode):
+        weights = models[name]
+        probes = probe_set.take(16)
+        prefix = vision_prefix(weights, probes.images)
+        prompt = generation_prompt(probes.questions, mode)
+        horizon = CAPTION_HORIZON if mode is TaskKind.CAPTION else VQA_HORIZON
+        cached = greedy_generate(weights, prefix, prompt, horizon)
+        assert cached.shape == (16, horizon)
+        assert np.array_equal(cached, full_recompute_generate(weights, prefix, prompt, horizon))
+
+    def test_sequence_ending_at_max_seq(self, models, probe_set):
+        weights = models["uniform2"]
+        probes = probe_set.take(4)
+        prefix = vision_prefix(weights, probes.images)
+        prompt = generation_prompt(probes.questions, TaskKind.VQA)
+        horizon = MAX_SEQ - prefix.shape[1] - prompt.shape[1] + 1
+        cached = greedy_generate(weights, prefix, prompt, horizon)
+        assert np.array_equal(cached, full_recompute_generate(weights, prefix, prompt, horizon))
+
+    def test_empty_cache_bit_identical(self, default_model, probe_set):
+        prefix = vision_prefix(default_model, probe_set.images[:4])
+        ids = np.concatenate([np.full((4, 1), BOS_ID), probe_set.texts[:4]], axis=1)
+        cache = {}
+        cached = decode_hidden(default_model, prefix, ids, cache=cache)
+        assert np.array_equal(cached, decode_hidden(default_model, prefix, ids))
+        assert len(cache) == default_model.spec.language_blocks
+
+    def test_too_long_rejected_before_decoding(self, default_model, probe_set, monkeypatch):
+        import mmqlab.pipeline as pl
+
+        calls = []
+        monkeypatch.setattr(pl, "decode_hidden", lambda *a, **k: calls.append(1))
+        prefix = np.zeros((2, 8, default_model.spec.d_model), dtype=np.float32)
+        prompt = np.zeros((2, 5), dtype=np.int64)
+        horizon = MAX_SEQ - 8 - 5 + 2  # one position past MAX_SEQ
+        with pytest.raises(ValueError, match=rf"prefix length 8 \+ prompt length 5 \+ horizon {horizon}"):
+            greedy_generate(default_model, prefix, prompt, horizon)
+        assert calls == []
 
 
 class TestCalibration:
@@ -179,13 +275,11 @@ class TestApplyQuantization:
 
     def test_sixteen_bit_outputs_close_to_fp(self, default_model, probe_set):
         qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 16)
-        fp = forward(default_model, probe_set.pairs[0], TaskKind.RETRIEVAL)
-        q = forward(qw, probe_set.pairs[0], TaskKind.RETRIEVAL)
-        assert np.linalg.norm(q.image_embedding - fp.image_embedding) <= 1e-3
-        assert np.linalg.norm(q.text_embedding - fp.text_embedding) <= 1e-3
-        cap_fp = forward(default_model, probe_set.pairs[0], TaskKind.CAPTION)
-        cap_q = forward(qw, probe_set.pairs[0], TaskKind.CAPTION)
-        assert np.array_equal(cap_fp, cap_q)
+        fp_image, fp_text = _embeddings(default_model, probe_set.pairs[0])
+        q_image, q_text = _embeddings(qw, probe_set.pairs[0])
+        assert np.linalg.norm(q_image - fp_image) <= 1e-3
+        assert np.linalg.norm(q_text - fp_text) <= 1e-3
+        assert np.array_equal(_caption(default_model, probe_set.pairs[0]), _caption(qw, probe_set.pairs[0]))
 
     def test_language_only_gptq_isolates_vision(self, default_model, probe_set, calibration):
         sel = Selector.make(components=(ComponentId.LANGUAGE,))
@@ -247,5 +341,5 @@ class TestProjectorPipeline:
         weights = build_model(spec)
         assert len(weights.addresses) == 6 * 6
         assert "connector.proj" in weights.extras
-        out = forward(weights, tiny_probes.pairs[0], TaskKind.CAPTION, horizon=4)
+        out = _caption(weights, tiny_probes.pairs[0], horizon=4)
         assert out.shape == (4,)
