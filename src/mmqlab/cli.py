@@ -26,12 +26,10 @@ from . import __version__
 from .experiments import (
     GridSpec,
     ResultsTable,
-    SOTA_BITS_DEFAULT,
     compute_bpw,
     load_results,
     pareto_frontier,
-    run_sota_grid,
-    run_uniform_grid,
+    run_grid,
     save_results,
 )
 from .importance import (
@@ -96,9 +94,6 @@ class Config:
     probes: ProbeConfig | None
     output_dir: str
     workers: int
-    # an omitted grid.bits means "per-method default": Algorithm-1 bits for
-    # uniform (already GridSpec's default), the wider sota set for gptq/awq
-    grid_bits_specified: bool = True
 
 
 def _expect(value, kind, path):
@@ -211,10 +206,7 @@ def load_config(path: str) -> Config:
             workers = 0
         if workers < 1:
             raise ConfigError(f"environment variable MMQ_WORKERS must be an integer >= 1, got {value!r}")
-    return Config(
-        pipeline=pipeline, grid=grid, probes=probes, output_dir=output_dir, workers=workers,
-        grid_bits_specified="bits" in raw.get("grid", {}),
-    )
+    return Config(pipeline=pipeline, grid=grid, probes=probes, output_dir=output_dir, workers=workers)
 
 
 def _build_probes(config: Config, require_calibration: bool):
@@ -249,8 +241,10 @@ def _resumable_rows(args, config_hash: str):
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return []
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot resume {args.out}: cannot read manifest {manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"cannot resume {args.out}: manifest {manifest_path} is not a JSON object")
     if manifest.get("config_sha256") != config_hash:
         raise ConfigError(f"cannot resume {args.out}: config hash changed")
     previous = load_results(args.out)
@@ -264,25 +258,10 @@ def cmd_grid(args) -> int:
     done_rows = _resumable_rows(args, config_hash)
     skip = frozenset(r.run_id for r in done_rows)
     probes = _build_probes(config, require_calibration=method in (Method.GPTQ, Method.AWQ))
-    if method is Method.UNIFORM:
-        table = run_uniform_grid(
-            config.pipeline, probes, config.grid, workers=config.workers, skip_run_ids=skip
-        )
-    else:
-        bits = config.grid.bits if config.grid_bits_specified else SOTA_BITS_DEFAULT
-        table = run_sota_grid(
-            config.pipeline,
-            probes,
-            methods=(method,),
-            bits=bits,
-            tasks=config.grid.tasks,
-            seeds=config.grid.seeds,
-            group_size=config.grid.group_size,
-            calibration_pairs=min(CALIBRATION_PAIRS, len(probes)),
-            eval_pairs=config.grid.eval_pairs,
-            workers=config.workers,
-            skip_run_ids=skip,
-        )
+    table = run_grid(
+        config.pipeline, probes, config.grid, method,
+        calibration_pairs=min(CALIBRATION_PAIRS, len(probes)), workers=config.workers, skip_run_ids=skip,
+    )
     if done_rows:
         table.rows = sorted(done_rows + table.rows, key=lambda r: r.run_id)
     try:
@@ -297,7 +276,7 @@ def cmd_grid(args) -> int:
             "method": method.value,
             "seeds": list(config.grid.seeds),
             "rows": len(table.rows),
-            "failed_run_ids": sorted({run_id for run_id, _ in table.failures}),
+            "failures": dict(sorted(table.failures)),
         }
         with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -1,19 +1,18 @@
 """Grid execution over bit widths and pipeline axes, with bpw accounting.
 
-Two sweep styles:
+``run_grid`` is the one sweep engine. A cell is a bit width per component
+plus the block groups and layer types it quantizes:
 
-* ``run_uniform_grid`` - per-tensor uniform quantization over every non-empty
-  (bits, components, block groups, layer types) cell, plus one full-precision
-  baseline row per task. Cells whose selector matches no layer collapse into
-  the baseline.
-* ``run_sota_grid``    - calibrated methods (GPTQ/AWQ) over the full
-  per-component bit cross product, where 16 encodes "leave unquantized".
-  Calibration is collected once per seed, per-component quantizations are
-  shared across cells, and the vision->connector prefix is computed once per
-  (vision, connector) bits.
+* uniform  - one per-tensor bit width over every non-empty (components,
+  block groups, layer types) subset, plus the full-precision baseline.
+  Cells whose selector matches no layer collapse into the baseline.
+* GPTQ/AWQ - the full per-component bit cross product over all groups and
+  layer types, where 16 encodes "leave unquantized".
 
-Both engines compute the full-precision reference outputs once per seed and
-task, not once per cell.
+Calibration runs once per seed and each component is quantized once per bit
+width; a cell takes the layers its selector picks from those fragments. The
+vision tower, the connector, the retrieval text embeddings and the
+full-precision reference are each memoised on the fragments they read.
 
 Results are plain records with a stable content-addressed ``run_id``;
 persistence is a fixed-schema CSV whose save/load round-trips exactly.
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import pipeline
 from .numerics import derive_seed
 from .pipeline import (
     COMPONENT_ORDER,
@@ -46,7 +46,7 @@ from .pipeline import (
     collect_calibration,
     enumerate_layers,
 )
-from .pipeline import image_embeddings, text_embeddings, vision_prefix
+from .pipeline import image_embeddings, text_embeddings
 from .quantizers import GridScheme, Method
 from .tasks import ProbeSet, agreement, task_outputs
 
@@ -167,9 +167,10 @@ def make_run_id(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep configuration; None subset lists mean "all non-empty subsets"."""
+    """Sweep configuration; None bits mean the method's default bits, and None
+    subset lists mean "all non-empty subsets"."""
 
-    bits: tuple[int, ...] = UNIFORM_BITS_DEFAULT
+    bits: tuple[int, ...] | None = None
     tasks: tuple[TaskKind, ...] = (TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA)
     seeds: tuple[int, ...] = (7,)
     group_size: int = 128
@@ -179,7 +180,7 @@ class GridSpec:
     eval_pairs: int | None = None
 
     def __post_init__(self):
-        for k in self.bits:
+        for k in self.bits or ():
             if not (2 <= k <= 16):
                 raise ValueError(f"grid bits must be in [2, 16], got {k}")
         if self.group_size < 1:
@@ -205,9 +206,6 @@ class ResultsTable:
 
     def for_task(self, task: TaskKind) -> "ResultsTable":
         return ResultsTable(rows=[r for r in self.rows if r.task is task])
-
-    def for_method(self, method: Method) -> "ResultsTable":
-        return ResultsTable(rows=[r for r in self.rows if r.method is method])
 
     def single_component_slice(self) -> "ResultsTable":
         """Rows quantizing exactly one component (per-component ablation view)."""
@@ -246,286 +244,222 @@ def _seeded_model(spec: PipelineSpec, run_seed: int) -> ModelWeights:
     return build_model(replace(spec, seed=derive_seed(run_seed, "model")))
 
 
-def run_uniform_grid(
+# A component's share of a cell: (component, bits, names of the layers the
+# cell quantizes in it), or None when the cell leaves it at full precision.
+_Part = tuple[ComponentId, int, tuple[str, ...]] | None
+
+
+@dataclass(frozen=True)
+class _Cell:
+    bits: dict[ComponentId, int]
+    groups: tuple[BlockGroup, ...]
+    layer_types: tuple[LayerType, ...]
+    parts: tuple[_Part, _Part, _Part]  # vision, connector, language
+
+
+def _cell(fp: ModelWeights, bits: dict[ComponentId, int], groups, layer_types) -> _Cell:
+    parts = []
+    for comp in COMPONENT_ORDER:
+        names = ()
+        if bits[comp] < FP_BITS:
+            sel = Selector.make((comp,), groups, layer_types)
+            names = tuple(addr.name for addr in enumerate_layers(fp, sel))
+        parts.append((comp, bits[comp], names) if names else None)
+    return _Cell(bits, tuple(groups), tuple(layer_types), tuple(parts))
+
+
+def _plan(fp: ModelWeights, grid: GridSpec, method: Method) -> list[_Cell]:
+    """The baseline cell, then every cell that quantizes at least one layer.
+
+    A cell whose selector matches no layer collapses into the baseline.
+    """
+    fp_bits = {c: FP_BITS for c in COMPONENT_ORDER}
+    if method is Method.UNIFORM:
+        shapes = [
+            ({c: k if c in comps else FP_BITS for c in COMPONENT_ORDER}, groups, lts)
+            for k, comps, groups, lts in itertools.product(
+                UNIFORM_BITS_DEFAULT if grid.bits is None else grid.bits,
+                grid.component_subsets or _nonempty_subsets(COMPONENT_ORDER),
+                grid.group_subsets or _nonempty_subsets(GROUP_ORDER),
+                grid.layer_type_subsets or _nonempty_subsets(LAYER_TYPE_ORDER),
+            )
+        ]
+    else:
+        active = fp.spec.active_components()
+        choices = sorted(set(SOTA_BITS_DEFAULT if grid.bits is None else grid.bits) | {FP_BITS})
+        shapes = [
+            ({**fp_bits, **dict(zip(active, combo))}, GROUP_ORDER, LAYER_TYPE_ORDER)
+            for combo in itertools.product(choices, repeat=len(active))
+        ]
+    cells = (_cell(fp, *shape) for shape in shapes)
+    return [_cell(fp, fp_bits, GROUP_ORDER, LAYER_TYPE_ORDER)] + [c for c in cells if any(c.parts)]
+
+
+def _map(fn, items, workers: int) -> list:
+    """fn over items, on a thread pool when workers > 1; results in item order."""
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _memo(fn, keys, workers: int) -> dict:
+    """fn once per distinct key; a key whose call raised maps to the exception."""
+
+    def guarded(key):
+        try:
+            return fn(key)
+        except Exception as exc:  # recorded against the cells that read this entry
+            return exc
+
+    keys = list(dict.fromkeys(keys))
+    return dict(zip(keys, _map(guarded, keys, workers)))
+
+
+def _ok(entry):
+    """A memo entry's value; raises the error the entry recorded instead."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def run_grid(
     spec: PipelineSpec,
     probes: ProbeSet,
     grid: GridSpec,
+    method: Method,
+    calibration_pairs: int = 128,
     workers: int = 1,
     skip_run_ids: frozenset[str] = frozenset(),
 ) -> ResultsTable:
-    """Per-tensor uniform quantization over every non-empty-effect cell.
+    """Score every cell of a uniform subset grid or a GPTQ/AWQ cross product.
 
-    With three active components and default axes this yields
-    4 bits x 7 component subsets x 7 group subsets x 3 layer-type subsets
-    cells plus one baseline row per task and seed. Cells whose run_id is in
-    ``skip_run_ids`` are not re-executed (resume support).
+    Uniform sweeps one bit width over every (components, block groups, layer
+    types) subset, plus one full-precision baseline row per task and seed;
+    with three active components and default axes that is 4 x 7 x 7 x 3
+    cells. GPTQ/AWQ give each active component a bit width from bits + {16}
+    over all groups and layer types. ``grid.bits`` None means the method's
+    default bits.
+
+    Each component is quantized once per bit width and each stage output is
+    memoised on the quantized layers it reads. An error fails exactly the
+    cells that depend on it, as NaN rows listed in ``failures``; a failing
+    full-precision reference raises. Cells whose run_id is in
+    ``skip_run_ids`` are not run (resume support).
     """
-    comp_subsets = grid.component_subsets or _nonempty_subsets(COMPONENT_ORDER)
-    group_subsets = grid.group_subsets or _nonempty_subsets(GROUP_ORDER)
-    lt_subsets = grid.layer_type_subsets or _nonempty_subsets(LAYER_TYPE_ORDER)
+    if method not in (Method.UNIFORM, Method.GPTQ, Method.AWQ):
+        raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
+    group_size = 0 if method is Method.UNIFORM else grid.group_size
     eval_probes = probes.take(grid.eval_pairs) if grid.eval_pairs else probes
+    images, texts = eval_probes.images, eval_probes.texts
 
     table = ResultsTable()
     for run_seed in grid.seeds:
         fp = _seeded_model(spec, run_seed)
-        for task in grid.tasks:
-            baseline = _baseline_record(Method.UNIFORM, task, run_seed, group_size=0)
-            if baseline.run_id not in skip_run_ids:
-                table.rows.append(baseline)
 
-        cells = []
-        for k, comps, groups, lts in itertools.product(grid.bits, comp_subsets, group_subsets, lt_subsets):
-            sel = Selector.make(comps, groups, lts)
-            if not enumerate_layers(fp, sel):
-                continue  # empty-effect cell, collapsed into the baseline row
-            per_comp = {c: (k if c in comps else FP_BITS) for c in COMPONENT_ORDER}
-            run_ids = {
+        def run_ids(cell: _Cell) -> dict[TaskKind, str]:
+            b = cell.bits
+            ids = {
                 task: make_run_id(
-                    Method.UNIFORM, task, per_comp[ComponentId.VISION],
-                    per_comp[ComponentId.CONNECTOR], per_comp[ComponentId.LANGUAGE],
-                    groups, lts, 0, run_seed,
+                    method, task, b[ComponentId.VISION], b[ComponentId.CONNECTOR],
+                    b[ComponentId.LANGUAGE], cell.groups, cell.layer_types, group_size, run_seed,
                 )
                 for task in grid.tasks
             }
-            pending = {t: rid for t, rid in run_ids.items() if rid not in skip_run_ids}
-            if pending:
-                cells.append((k, per_comp, groups, lts, sel, pending))
+            return {task: rid for task, rid in ids.items() if rid not in skip_run_ids}
 
-        # full-precision outputs every cell is scored against, once per task
-        reference = {
-            task: task_outputs(fp, eval_probes, task)
-            for task in grid.tasks
-            if any(task in cell[-1] for cell in cells)
-        }
+        cells = [(cell, pending) for cell in _plan(fp, grid, method) if (pending := run_ids(cell))]
+        if not cells:
+            continue
 
-        def run_cell(cell):
-            k, per_comp, groups, lts, sel, pending = cell
-            rows, fails = [], []
-            try:
-                qw, ledger = apply_quantization(fp, sel, Method.UNIFORM, k)
-                bpw = compute_bpw(ledger, fp)
-                scores = {
-                    task: agreement(task, task_outputs(qw, eval_probes, task), reference[task])
-                    for task in pending
-                }
-            except Exception as exc:  # record, don't abort the grid
-                for task, run_id in pending.items():
-                    rows.append(
-                        _failed_record(run_id, Method.UNIFORM, task, per_comp, groups, lts, 0, run_seed)
-                    )
-                    fails.append((run_id, str(exc)))
-                return rows, fails
-            for task, run_id in pending.items():
-                rows.append(
-                    RunRecord(
-                        run_id=run_id, method=Method.UNIFORM, task=task,
-                        vision_bits=per_comp[ComponentId.VISION],
-                        connector_bits=per_comp[ComponentId.CONNECTOR],
-                        language_bits=per_comp[ComponentId.LANGUAGE],
-                        groups=frozenset(groups), layer_types=frozenset(lts),
-                        group_size=0, bpw=bpw, score=scores[task], seed=run_seed, wall_ms=0,
-                    )
-                )
-            return rows, fails
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_cell, cells))
-        else:
-            results = [run_cell(c) for c in cells]
-        for rows, fails in results:
-            table.rows.extend(rows)
-            table.failures.extend(fails)
-    return table.sorted_by_run_id()
-
-
-def _baseline_record(method: Method, task: TaskKind, seed: int, group_size: int) -> RunRecord:
-    run_id = make_run_id(
-        method, task, FP_BITS, FP_BITS, FP_BITS, GROUP_ORDER, LAYER_TYPE_ORDER, group_size, seed
-    )
-    return RunRecord(
-        run_id=run_id, method=method, task=task,
-        vision_bits=FP_BITS, connector_bits=FP_BITS, language_bits=FP_BITS,
-        groups=frozenset(GROUP_ORDER), layer_types=frozenset(LAYER_TYPE_ORDER),
-        group_size=group_size, bpw=16.0, score=1.0, seed=seed, wall_ms=0,
-    )
-
-
-def _failed_record(run_id, method, task, bits_of, groups, lts, group_size, seed) -> RunRecord:
-    return RunRecord(
-        run_id=run_id, method=method, task=task,
-        vision_bits=bits_of[ComponentId.VISION],
-        connector_bits=bits_of[ComponentId.CONNECTOR],
-        language_bits=bits_of[ComponentId.LANGUAGE],
-        groups=frozenset(groups), layer_types=frozenset(lts),
-        group_size=group_size, bpw=float("nan"), score=float("nan"), seed=seed, wall_ms=0,
-    )
-
-
-def _prefix_key(assignment: dict[ComponentId, int]) -> tuple[int, int]:
-    """The bits the vision->connector prefix depends on."""
-    return (
-        assignment.get(ComponentId.VISION, FP_BITS),
-        assignment.get(ComponentId.CONNECTOR, FP_BITS),
-    )
-
-
-def run_sota_grid(
-    spec: PipelineSpec,
-    probes: ProbeSet,
-    methods: tuple[Method, ...] = (Method.GPTQ, Method.AWQ),
-    bits: tuple[int, ...] = SOTA_BITS_DEFAULT,
-    tasks: tuple[TaskKind, ...] = (TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA),
-    seeds: tuple[int, ...] = (7,),
-    group_size: int = 128,
-    calibration_pairs: int = 128,
-    eval_pairs: int | None = None,
-    workers: int = 1,
-    skip_run_ids: frozenset[str] = frozenset(),
-) -> ResultsTable:
-    """Full per-component bit cross product for the calibrated methods.
-
-    Each active component independently takes a bit width from bits+{16};
-    per-component quantizations are computed once per (method, component,
-    bits) and shared across the cross product. The (16, 16, ..) combo is the
-    full-precision baseline. Cells that fail are recorded with NaN scores;
-    cells listed in ``skip_run_ids`` are not re-executed.
-    """
-    for m in methods:
-        if m not in (Method.GPTQ, Method.AWQ):
-            raise ValueError(f"SOTA grid supports GPTQ/AWQ, got {m}")
-    table = ResultsTable()
-    choices = tuple(sorted(set(bits) | {FP_BITS}))
-
-    for run_seed in seeds:
-        fp = _seeded_model(spec, run_seed)
-        active = fp.spec.active_components()
-        eval_probes = probes.take(eval_pairs) if eval_pairs else probes
-        images = eval_probes.images
+        # fragments: each component quantized once per bit width; a cell takes
+        # the layers it selects, which is exact as every quantizer is per layer
+        fragment_keys = [part[:2] for cell, _ in cells for part in cell.parts if part]
         calib = None
-        fp_prefix = None
-        reference: dict[TaskKind, object] = {}
+        if fragment_keys and method is not Method.UNIFORM:
+            calib = collect_calibration(fp, probes, n=calibration_pairs)
 
-        for method in methods:
-            cells = []
-            for combo in itertools.product(choices, repeat=len(active)):
-                assignment = dict(zip(active, combo))
-                bits_of = {c: assignment.get(c, FP_BITS) for c in COMPONENT_ORDER}
-                run_ids = {
-                    task: make_run_id(
-                        method, task, bits_of[ComponentId.VISION],
-                        bits_of[ComponentId.CONNECTOR], bits_of[ComponentId.LANGUAGE],
-                        GROUP_ORDER, LAYER_TYPE_ORDER, group_size, run_seed,
-                    )
-                    for task in tasks
-                }
-                pending = {t: rid for t, rid in run_ids.items() if rid not in skip_run_ids}
-                if pending:
-                    cells.append((assignment, bits_of, pending))
-            if not cells:
-                continue
-            if calib is None:
-                calib = collect_calibration(fp, probes, n=calibration_pairs)
-            if fp_prefix is None:
-                fp_prefix = vision_prefix(fp, images)
-            # full-precision outputs the cells are scored against, once per seed and task
-            for task in tasks:
-                if task not in reference and any(task in pending for _, _, pending in cells):
-                    reference[task] = task_outputs(fp, eval_probes, task, prefix=fp_prefix)
+        def quantize(key):
+            comp, k = key
+            qw, ledger = apply_quantization(
+                fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size
+            )
+            return {e.layer: (qw.layers[e.layer], e) for e in ledger.entries}
 
-            # stage 1: quantize each needed (component, bits) fragment once
-            fragments: dict[tuple[ComponentId, int], tuple[dict, list] | Exception] = {}
-            for assignment, _, _ in cells:
-                for comp, k in assignment.items():
-                    if k == FP_BITS or (comp, k) in fragments:
-                        continue
-                    try:
-                        qw, ledger = apply_quantization(
-                            fp, Selector.make(components=(comp,)), method, k, calib, group_size
-                        )
-                        updates = {e.layer: qw.layers[e.layer] for e in ledger.entries}
-                        fragments[(comp, k)] = (updates, ledger.entries)
-                    except Exception as exc:
-                        fragments[(comp, k)] = exc
+        fragments = _memo(quantize, fragment_keys, workers)
 
-            def assemble(assignment):
-                layers = dict(fp.layers)
-                ledger = QuantizationLedger()
-                for comp, k in assignment.items():
-                    if k == FP_BITS:
-                        continue
-                    frag = fragments[(comp, k)]
-                    if isinstance(frag, Exception):
-                        return None, None, frag
-                    updates, entries = frag
-                    layers.update(updates)
-                    ledger.entries.extend(entries)
-                return ModelWeights(spec=fp.spec, layers=layers, extras=fp.extras, addresses=fp.addresses), ledger, None
-
-            # stage 2: prefixes per (vision, connector) bits and retrieval text
-            # embeddings per language bits, shared across the cross product
-            prefixes = {(FP_BITS, FP_BITS): fp_prefix}
-            txt_cache = {FP_BITS: reference[TaskKind.RETRIEVAL][1]} if TaskKind.RETRIEVAL in reference else {}
-            for assignment, _, pending in cells:
-                qw, _, failure = assemble(assignment)
-                if failure is not None:
+        def assemble(parts) -> tuple[ModelWeights, QuantizationLedger]:
+            layers, ledger = dict(fp.layers), QuantizationLedger()
+            for part in parts:
+                if part is None:
                     continue
-                key = _prefix_key(assignment)
-                if key not in prefixes:
-                    prefixes[key] = vision_prefix(qw, images)
-                lang_key = assignment.get(ComponentId.LANGUAGE, FP_BITS)
-                if TaskKind.RETRIEVAL in pending and lang_key not in txt_cache:
-                    txt_cache[lang_key] = text_embeddings(qw, eval_probes.texts)
+                comp, k, names = part
+                fragment = _ok(fragments[(comp, k)])
+                for name in names:
+                    layers[name], entry = fragment[name]
+                    ledger.entries.append(entry)
+            return replace(fp, layers=layers), ledger
 
-            # stage 3: score cells (independent jobs over immutable state)
-            def run_cell(cell):
-                assignment, bits_of, pending = cell
-                rows, fails = [], []
-                qw, ledger, failure = assemble(assignment)
-                for task, run_id in pending.items():
-                    if failure is not None:
-                        rows.append(
-                            _failed_record(
-                                run_id, method, task, bits_of, GROUP_ORDER, LAYER_TYPE_ORDER,
-                                group_size, run_seed,
-                            )
-                        )
-                        fails.append((run_id, str(failure)))
-                        continue
-                    prefix = prefixes[_prefix_key(assignment)]
-                    if all(k == FP_BITS for k in assignment.values()):
+        # stage memos, each keyed on the parts its stage reads
+        visions = _memo(
+            lambda v: pipeline.encode_vision(assemble((v, None, None))[0], images),
+            [None] + [cell.parts[0] for cell, _ in cells],
+            workers,
+        )
+        prefixes = _memo(
+            lambda vc: pipeline.run_connector(assemble((*vc, None))[0], _ok(visions[vc[0]])),
+            [(None, None)] + [cell.parts[:2] for cell, _ in cells],
+            workers,
+        )
+        fp_prefix = _ok(prefixes[(None, None)])
+        ref_tasks = [task for task in grid.tasks if any(task in pending for _, pending in cells)]
+        reference = dict(
+            zip(ref_tasks, _map(lambda t: task_outputs(fp, eval_probes, t, prefix=fp_prefix), ref_tasks, workers))
+        )
+        text_parts = [cell.parts[2] for cell, pending in cells if TaskKind.RETRIEVAL in pending]
+        text_memo = _memo(
+            lambda lang: text_embeddings(assemble((None, None, lang))[0], texts),
+            [part for part in text_parts if part is not None],
+            workers,
+        )
+        if TaskKind.RETRIEVAL in reference:
+            text_memo[None] = reference[TaskKind.RETRIEVAL][1]
+
+        def score(item):
+            cell, pending = item
+            try:
+                weights, ledger = assemble(cell.parts)
+                bpw = compute_bpw(ledger, fp)
+                prefix = _ok(prefixes[cell.parts[:2]])
+                scores = {}
+                for task in pending:
+                    if not any(cell.parts):
                         outputs = reference[task]
                     elif task is TaskKind.RETRIEVAL:
-                        outputs = (
-                            image_embeddings(qw, images, prefix),
-                            txt_cache[assignment.get(ComponentId.LANGUAGE, FP_BITS)],
-                        )
+                        outputs = (image_embeddings(weights, images, prefix), _ok(text_memo[cell.parts[2]]))
                     else:
-                        outputs = task_outputs(qw, eval_probes, task, prefix=prefix)
-                    rows.append(
-                        RunRecord(
-                            run_id=run_id, method=method, task=task,
-                            vision_bits=bits_of[ComponentId.VISION],
-                            connector_bits=bits_of[ComponentId.CONNECTOR],
-                            language_bits=bits_of[ComponentId.LANGUAGE],
-                            groups=frozenset(GROUP_ORDER),
-                            layer_types=frozenset(LAYER_TYPE_ORDER),
-                            group_size=group_size,
-                            bpw=compute_bpw(ledger, fp),
-                            score=agreement(task, outputs, reference[task]),
-                            seed=run_seed, wall_ms=0,
-                        )
-                    )
-                return rows, fails
+                        outputs = task_outputs(weights, eval_probes, task, prefix=prefix)
+                    scores[task] = agreement(task, outputs, reference[task])
+            except Exception as exc:  # fail this cell's tasks, not the grid
+                return float("nan"), {}, str(exc)
+            return bpw, scores, None
 
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_cell, cells))
-            else:
-                results = [run_cell(c) for c in cells]
-            for rows, fails in results:
-                table.rows.extend(rows)
-                table.failures.extend(fails)
+        for (cell, pending), (bpw, scores, error) in zip(cells, _map(score, cells, workers)):
+            for task, run_id in pending.items():
+                table.rows.append(
+                    RunRecord(
+                        run_id=run_id, method=method, task=task,
+                        vision_bits=cell.bits[ComponentId.VISION],
+                        connector_bits=cell.bits[ComponentId.CONNECTOR],
+                        language_bits=cell.bits[ComponentId.LANGUAGE],
+                        groups=frozenset(cell.groups), layer_types=frozenset(cell.layer_types),
+                        group_size=group_size, bpw=bpw, score=scores.get(task, float("nan")),
+                        seed=run_seed, wall_ms=0,
+                    )
+                )
+                if error is not None:
+                    table.failures.append((run_id, error))
     return table.sorted_by_run_id()
 
 

@@ -664,30 +664,38 @@ def save_weights(weights: ModelWeights, path) -> None:
             fh.write(arr.astype("<f4").tobytes())
 
 
+def _read(blob: bytes, offset: int, size: int) -> bytes:
+    if offset + size > len(blob):
+        raise ValueError(
+            f"truncated weight container: {size} bytes expected at offset {offset}, file has {len(blob)}"
+        )
+    return blob[offset : offset + size]
+
+
 def load_weights(path, spec: PipelineSpec) -> ModelWeights:
     """Read a MMQW container back into ModelWeights, validating names and shapes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != WEIGHTS_MAGIC:
         raise ValueError(f"bad magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack("<II", _read(blob, 4, 8))
     if version != WEIGHTS_VERSION:
         raise ValueError(f"unsupported container version {version}")
     offset = 12
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
+        (name_len,) = struct.unpack("<H", _read(blob, offset, 2))
         offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
+        name = _read(blob, offset, name_len).decode("utf-8")
         offset += name_len
-        dtype_code, rank = struct.unpack_from("<BB", blob, offset)
+        dtype_code, rank = struct.unpack("<BB", _read(blob, offset, 2))
         offset += 2
         if dtype_code != 0:
             raise ValueError(f"unsupported dtype code {dtype_code} for {name}")
-        dims = struct.unpack_from(f"<{rank}I", blob, offset)
+        dims = struct.unpack(f"<{rank}I", _read(blob, offset, 4 * rank))
         offset += 4 * rank
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(dims)
+        arr = np.frombuffer(_read(blob, offset, 4 * size), dtype="<f4").reshape(dims)
         offset += 4 * size
         tensors[name] = np.ascontiguousarray(arr, dtype=np.float32)
 

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import brute_force_proxy_min, spearman_rho
 from mmqlab.cli import main
-from mmqlab.experiments import GridSpec, compute_bpw, run_sota_grid, run_uniform_grid
+from mmqlab.experiments import GridSpec, compute_bpw, run_grid
 from mmqlab.importance import (
     AttributionDataset,
     bootstrap_importance_ci,
@@ -240,9 +240,8 @@ def test_criterion_08_consensus_contract_and_seed_stability(probes128):
     sums_ok = True
     format_ok = True
     for seed in SEEDS:
-        table = run_sota_grid(
-            spec, probes128, methods=(Method.GPTQ,), tasks=(TaskKind.VQA,),
-            seeds=(seed,), eval_pairs=24,
+        table = run_grid(
+            spec, probes128, GridSpec(tasks=(TaskKind.VQA,), seeds=(seed,), eval_pairs=24), Method.GPTQ,
         )
         data = AttributionDataset.from_results(table, TaskKind.VQA, method=Method.GPTQ)
         forest = fit_random_forest(data, seed=0)
@@ -288,15 +287,14 @@ def test_criterion_10_reproducibility(tmp_path, tiny_spec, tiny_probes):
         bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3,), eval_pairs=4,
         component_subsets=((ComponentId.LANGUAGE,), (ComponentId.VISION, ComponentId.CONNECTOR, ComponentId.LANGUAGE)),
     )
-    t1 = run_uniform_grid(tiny_spec, tiny_probes, grid)
-    t2 = run_uniform_grid(tiny_spec, tiny_probes, grid)
+    t1 = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+    t2 = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
     cells_ok = [(r.run_id, r.score, r.bpw) for r in t1.rows] == [
         (r.run_id, r.score, r.bpw) for r in t2.rows
     ]
-    sota1 = run_sota_grid(tiny_spec, tiny_probes, methods=(Method.AWQ,), bits=(3,),
-                          tasks=(TaskKind.CAPTION,), seeds=(3,), calibration_pairs=8, eval_pairs=4)
-    sota2 = run_sota_grid(tiny_spec, tiny_probes, methods=(Method.AWQ,), bits=(3,),
-                          tasks=(TaskKind.CAPTION,), seeds=(3,), calibration_pairs=8, eval_pairs=4)
+    sota_grid = GridSpec(bits=(3,), tasks=(TaskKind.CAPTION,), seeds=(3,), eval_pairs=4)
+    sota1 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ, calibration_pairs=8)
+    sota2 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ, calibration_pairs=8)
     cells_ok = cells_ok and [(r.run_id, r.score) for r in sota1.rows] == [(r.run_id, r.score) for r in sota2.rows]
 
     # full CLI pipeline twice: csv + manifest + report + svg byte-identical

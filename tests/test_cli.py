@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mmqlab.cli import ConfigError, load_config, main, render_plot_svg
-from mmqlab.experiments import ResultsTable, RunRecord, save_results
+from mmqlab.experiments import ResultsTable, RunRecord, load_results, save_results
 from mmqlab.pipeline import BlockGroup, LayerType, TaskKind
 from mmqlab.quantizers import Method
 
@@ -118,7 +118,7 @@ class TestGridCommand:
         assert len(lines) == 1 + (2 * 2 * 1 * 1 + 1)  # header + cells + baseline
         manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
         assert manifest["method"] == "uniform" and manifest["rows"] == 5
-        assert manifest["failed_run_ids"] == []
+        assert manifest["failures"] == {}
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -169,6 +169,37 @@ class TestGridCommand:
         )
         assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(partial), "--resume"]) == 0
         assert partial.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("manifest", [None, "{not json", "[]"])
+    def test_resume_without_readable_manifest_exits_one(self, tmp_path, capsys, manifest):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        manifest_path = tmp_path / "r.csv.manifest.json"
+        if manifest is None:
+            manifest_path.unlink()
+        else:
+            manifest_path.write_text(manifest)
+        code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out), "--resume"])
+        assert code == 1
+        assert str(manifest_path) in capsys.readouterr().err
+        assert out.read_bytes() == before
+
+    def test_manifest_records_failure_reasons(self, tmp_path, monkeypatch):
+        import mmqlab.pipeline as pl
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic quantize failure")
+
+        monkeypatch.setattr(pl, "uniform_quantize", boom)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "f.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 2
+        failures = json.loads((tmp_path / "f.csv.manifest.json").read_text())["failures"]
+        failed_rows = [line.split(",")[0] for line in out.read_text().splitlines()[1:] if ",nan," in line]
+        assert list(failures) == sorted(failed_rows) and len(failures) == 4
+        assert set(failures.values()) == {"synthetic quantize failure"}
 
     def test_resume_rejects_changed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -318,15 +349,30 @@ class TestQuantizeCommand:
 
 
 class TestGridBitsDefaults:
+    def _bits_seen(self, tmp_path, method, bits=None):
+        cfg = write_config(tmp_path, pipeline={
+            **TINY_PIPELINE, "connector_blocks": 0, "connector_kind": "linear_projector",
+        })
+        raw = json.loads(cfg.read_text())
+        if bits is None:
+            del raw["grid"]["bits"]
+        else:
+            raw["grid"]["bits"] = bits
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / f"{method}.csv"
+        assert main(["grid", "--config", str(cfg), "--method", method, "--out", str(out)]) == 0
+        rows = load_results(out).rows
+        return {b for r in rows for b in (r.vision_bits, r.connector_bits, r.language_bits)}
+
     def test_omitted_bits_use_sota_set_for_calibrated_methods(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"grid": {"tasks": ["vqa"]}}))
-        config = load_config(str(path))
-        assert not config.grid_bits_specified
-        assert config.grid.bits == (2, 4, 6, 8)  # Algorithm-1 default for uniform
+        assert load_config(str(path)).grid.bits is None
+        assert self._bits_seen(tmp_path, "uniform") == {2, 4, 6, 8, 16}  # Algorithm-1 default
+        assert self._bits_seen(tmp_path, "gptq") == {2, 3, 4, 5, 6, 8, 16}
 
     def test_explicit_bits_respected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"grid": {"bits": [3, 5]}}))
-        config = load_config(str(path))
-        assert config.grid_bits_specified and config.grid.bits == (3, 5)
+        assert load_config(str(path)).grid.bits == (3, 5)
+        assert self._bits_seen(tmp_path, "gptq", bits=[3, 5]) == {3, 5, 16}

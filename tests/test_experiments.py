@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,7 @@ from mmqlab.experiments import (
     load_results,
     make_run_id,
     pareto_frontier,
-    run_sota_grid,
-    run_uniform_grid,
+    run_grid,
     save_results,
 )
 from mmqlab.pipeline import (
@@ -81,7 +82,7 @@ class TestComputeBpw:
 class TestUniformGrid:
     def test_full_subset_count_is_589_per_task(self, tiny_spec, tiny_probes, tmp_path):
         grid = GridSpec(bits=(2, 4, 6, 8), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
-        table = run_uniform_grid(tiny_spec, tiny_probes, grid)
+        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
         # 4 bits x 7 component subsets x 7 group subsets x 3 layer-type subsets + baseline
         assert len(table.rows) == 4 * 7 * 7 * 3 + 1
         assert len({r.run_id for r in table.rows}) == len(table.rows)
@@ -98,14 +99,14 @@ class TestUniformGrid:
             group_subsets=((BlockGroup.FRONT,),),
             layer_type_subsets=((LayerType.ATTN,),),
         )
-        table = run_uniform_grid(tiny_spec, tiny_probes, grid)
+        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
         base = [r for r in table.rows if r.vision_bits == 16]
         assert len(base) == 1
         assert base[0].bpw == 16.0 and base[0].score == 1.0
 
     def test_full_pipeline_star_flagged(self, tiny_spec, tiny_probes):
         grid = GridSpec(bits=(8,), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
-        table = run_uniform_grid(tiny_spec, tiny_probes, grid)
+        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
         stars = [r for r in table.rows if r.is_full_pipeline_star]
         star_bits = sorted(r.vision_bits for r in stars)
         assert star_bits == [8, 16]
@@ -119,7 +120,7 @@ class TestUniformGrid:
             bits=(4,), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4,
             component_subsets=((ComponentId.CONNECTOR,),),
         )
-        table = run_uniform_grid(spec, tiny_probes, grid)
+        table = run_grid(spec, tiny_probes, grid, Method.UNIFORM)
         assert len(table.rows) == 1  # only the baseline survives
 
     def test_rerun_identical(self, tiny_spec, tiny_probes, tmp_path):
@@ -128,24 +129,25 @@ class TestUniformGrid:
             component_subsets=((ComponentId.LANGUAGE,),),
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_results(run_uniform_grid(tiny_spec, tiny_probes, grid), a)
-        save_results(run_uniform_grid(tiny_spec, tiny_probes, grid), b)
+        save_results(run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM), a)
+        save_results(run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_pool_matches_serial(self, tiny_spec, tiny_probes):
         grid = GridSpec(bits=(2, 8), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4,
                         group_subsets=((BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END),))
-        serial = run_uniform_grid(tiny_spec, tiny_probes, grid, workers=1)
-        pooled = run_uniform_grid(tiny_spec, tiny_probes, grid, workers=4)
+        serial = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM, workers=1)
+        pooled = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM, workers=4)
         assert [r.run_id for r in serial.rows] == [r.run_id for r in pooled.rows]
         assert [r.score for r in serial.rows] == [r.score for r in pooled.rows]
 
 
 class TestSotaGrid:
     def test_grid_completeness_every_combo_once(self, tiny_spec, tiny_probes):
-        table = run_sota_grid(
-            tiny_spec, tiny_probes, methods=(Method.GPTQ,), bits=(2, 4),
-            tasks=(TaskKind.RETRIEVAL,), seeds=(3,), calibration_pairs=8, eval_pairs=4,
+        table = run_grid(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            Method.GPTQ, calibration_pairs=8,
         )
         combos = [(r.vision_bits, r.connector_bits, r.language_bits) for r in table.rows]
         assert len(combos) == 27 and len(set(combos)) == 27  # (2,4,16)^3
@@ -155,25 +157,28 @@ class TestSotaGrid:
             d_model=32, vision_blocks=3, connector_blocks=0, language_blocks=3, heads=2,
             patch_count=8, vocab=64, connector_kind=ConnectorKind.LINEAR_PROJECTOR, seed=2,
         )
-        table = run_sota_grid(
-            spec, tiny_probes, methods=(Method.AWQ,), bits=(2, 4),
-            tasks=(TaskKind.RETRIEVAL,), seeds=(3,), calibration_pairs=8, eval_pairs=4,
+        table = run_grid(
+            spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            Method.AWQ, calibration_pairs=8,
         )
         assert len(table.rows) == 9  # 3^2, connector axis absent
         assert all(r.connector_bits == 16 for r in table.rows)
 
     def test_baseline_cell(self, tiny_spec, tiny_probes):
-        table = run_sota_grid(
-            tiny_spec, tiny_probes, methods=(Method.GPTQ,), bits=(4,),
-            tasks=(TaskKind.VQA,), seeds=(3,), calibration_pairs=8, eval_pairs=4,
+        table = run_grid(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(4,), tasks=(TaskKind.VQA,), seeds=(3,), eval_pairs=4),
+            Method.GPTQ, calibration_pairs=8,
         )
         base = [r for r in table.rows if (r.vision_bits, r.connector_bits, r.language_bits) == (16, 16, 16)]
         assert len(base) == 1 and base[0].score == 1.0 and base[0].bpw == 16.0
 
     def test_single_and_pairwise_slices(self, tiny_spec, tiny_probes):
-        table = run_sota_grid(
-            tiny_spec, tiny_probes, methods=(Method.GPTQ,), bits=(2, 4),
-            tasks=(TaskKind.RETRIEVAL,), seeds=(3,), calibration_pairs=8, eval_pairs=4,
+        table = run_grid(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            Method.GPTQ, calibration_pairs=8,
         )
         assert len(table.single_component_slice().rows) == 3 * 2
         assert len(table.pairwise_slice().rows) == 3 * 2 * 2
@@ -189,9 +194,10 @@ class TestSotaGrid:
             return original(w, x, k, **kw)
 
         monkeypatch.setattr(pl, "gptq_quantize", flaky)
-        table = run_sota_grid(
-            tiny_spec, tiny_probes, methods=(Method.GPTQ,), bits=(2, 4),
-            tasks=(TaskKind.RETRIEVAL,), seeds=(3,), calibration_pairs=8, eval_pairs=4,
+        table = run_grid(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            Method.GPTQ, calibration_pairs=8,
         )
         assert len(table.rows) == 27
         failed = [r for r in table.rows if not np.isfinite(r.score)]
@@ -200,32 +206,26 @@ class TestSotaGrid:
 
     def test_rejects_uncalibrated_methods(self, tiny_spec, tiny_probes):
         with pytest.raises(ValueError, match="GPTQ/AWQ"):
-            run_sota_grid(tiny_spec, tiny_probes, methods=(Method.UNIFORM,))
+            run_grid(tiny_spec, tiny_probes, GridSpec(), Method.RTN)
 
     def test_skip_run_ids_resumes_without_recompute(self, tiny_spec, tiny_probes):
-        kwargs = dict(
-            methods=(Method.GPTQ,), bits=(2, 4), tasks=(TaskKind.RETRIEVAL,),
-            seeds=(3,), calibration_pairs=8, eval_pairs=4,
-        )
-        full = run_sota_grid(tiny_spec, tiny_probes, **kwargs)
+        grid = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
+        full = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8)
         skip = frozenset(r.run_id for r in full.rows[:10])
-        rest = run_sota_grid(tiny_spec, tiny_probes, skip_run_ids=skip, **kwargs)
+        rest = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8, skip_run_ids=skip)
         assert len(rest.rows) == len(full.rows) - 10
         merged = sorted(full.rows[:10] + rest.rows, key=lambda r: r.run_id)
         assert [(r.run_id, r.score) for r in merged] == [(r.run_id, r.score) for r in full.rows]
 
     def test_worker_pool_matches_serial(self, tiny_spec, tiny_probes):
-        kwargs = dict(
-            methods=(Method.AWQ,), bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA),
-            seeds=(3,), calibration_pairs=8, eval_pairs=4,
-        )
-        serial = run_sota_grid(tiny_spec, tiny_probes, workers=1, **kwargs)
-        pooled = run_sota_grid(tiny_spec, tiny_probes, workers=4, **kwargs)
+        grid = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3,), eval_pairs=4)
+        serial = run_grid(tiny_spec, tiny_probes, grid, Method.AWQ, calibration_pairs=8, workers=1)
+        pooled = run_grid(tiny_spec, tiny_probes, grid, Method.AWQ, calibration_pairs=8, workers=4)
         assert [(r.run_id, r.score) for r in serial.rows] == [(r.run_id, r.score) for r in pooled.rows]
 
 
 class TestMemo:
-    """Stage calls are counted by wrapping the names the grid engines look up."""
+    """Stage calls are counted by wrapping the names the grid engine looks up."""
 
     @pytest.fixture
     def record(self, monkeypatch):
@@ -245,41 +245,125 @@ class TestMemo:
 
     def test_sota_reference_once_per_seed_and_task_prefix_once_per_bits(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
-        generated = record(tasks, "generate_tokens")
-        texts = record(tasks, "text_embeddings")
-        visions = record(pipeline, "encode_vision")
-        run_sota_grid(
-            tiny_spec, tiny_probes, methods=(Method.GPTQ, Method.AWQ), bits=(4,),
-            tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3, 4),
-            calibration_pairs=8, eval_pairs=4,
-        )
-        assert len(models) == 2
-        for _, fp in models:
-            for mode in (TaskKind.CAPTION, TaskKind.VQA):
-                assert sum(args[0] is fp and args[2] is mode for args, _ in generated) == 1
-            assert sum(args[0] is fp for args, _ in texts) == 1
-        # besides the reference, each of the 7 quantized cells of both methods
-        # decodes once per generation task and seed
-        assert len(generated) == 2 * 2 * (1 + 2 * 7)
-        # per seed: calibration, the full-precision prefix, and the 3 quantized
-        # (vision, connector) bit pairs of each method
-        assert len(visions) == 2 * (1 + 1 + 2 * 3)
-
-    def test_uniform_reference_once_per_seed_and_task(self, tiny_spec, tiny_probes, record):
-        models = record(experiments, "_seeded_model")
         outputs = record(experiments, "task_outputs")
+        quantized = record(experiments, "apply_quantization")
+        visions = record(pipeline, "encode_vision")
+        connectors = record(pipeline, "run_connector")
+        memo_texts, reference_texts = record(experiments, "text_embeddings"), record(tasks, "text_embeddings")
         grid = GridSpec(
-            bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
-            group_subsets=((BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END),),
-            layer_type_subsets=((LayerType.ATTN, LayerType.FF),),
+            bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
         )
-        table = run_uniform_grid(tiny_spec, tiny_probes, grid)
+        run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8)
         assert len(models) == 2
         for _, fp in models:
             for task in grid.tasks:
                 assert sum(args[0] is fp and args[2] is task for args, _ in outputs) == 1
-        quantized_rows = len(table.rows) - 2 * 2  # less one baseline row per seed and task
-        assert len(outputs) == quantized_rows + 2 * 2
+        # per seed: each of the 3 components once per bit width
+        assert len(quantized) == 2 * 3 * 2
+        # per seed: calibration, full precision and the 2 quantized vision fragments
+        assert len(visions) == 2 * (1 + 1 + 2)
+        # per seed: calibration and the 3 x 3 (vision, connector) fragment pairs
+        assert len(connectors) == 2 * (1 + 3 * 3)
+        # per seed: full precision (in the reference) and the 2 quantized language fragments
+        assert len(reference_texts) == 2 and len(memo_texts) == 2 * 2
+        # besides the reference, each of the 26 quantized cells decodes once per
+        # generation task and seed
+        assert len(outputs) == 2 * (3 + 2 * 26)
+
+    def test_uniform_reference_once_per_seed_and_task(self, tiny_spec, tiny_probes, record):
+        models = record(experiments, "_seeded_model")
+        outputs = record(experiments, "task_outputs")
+        quantized = record(experiments, "apply_quantization")
+        visions = record(pipeline, "encode_vision")
+        connectors = record(pipeline, "run_connector")
+        memo_texts, reference_texts = record(experiments, "text_embeddings"), record(tasks, "text_embeddings")
+        grid = GridSpec(
+            bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
+            group_subsets=((BlockGroup.FRONT,), (BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END)),
+            layer_type_subsets=((LayerType.ATTN, LayerType.FF),),
+        )
+        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        assert len(models) == 2
+        for _, fp in models:
+            for task in grid.tasks:
+                assert sum(args[0] is fp and args[2] is task for args, _ in outputs) == 1
+        # per seed: each of the 3 components once per bit width, whatever the
+        # group subset; cells take their layers from these fragments
+        assert len(quantized) == 2 * 3 * 2
+        # per seed, over 2 bits x 2 group subsets: full precision and 4 vision
+        # fragments; (vision, connector) pairs are both, either one, or neither
+        assert len(visions) == 2 * (1 + 4)
+        assert len(connectors) == 2 * (1 + 4 * 3)
+        assert len(reference_texts) == 2 and len(memo_texts) == 2 * 4
+        quantized_cells = len(table.rows) // 2 - 2  # less one baseline cell per seed
+        assert len(outputs) == 2 * 2 + quantized_cells  # VQA decodes once per quantized cell
+
+    def test_stage_failure_fails_exactly_its_cells(self, tiny_spec, tiny_probes, monkeypatch):
+        original = pipeline.encode_vision
+
+        def flaky(weights, images, recorder=None):
+            if len(np.unique(weights.layers["vision.block0.attn.q_proj"])) <= 4:  # 2-bit vision
+                raise RuntimeError("synthetic vision failure")
+            return original(weights, images, recorder)
+
+        monkeypatch.setattr(pipeline, "encode_vision", flaky)
+        grid = GridSpec(
+            bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3,), eval_pairs=4,
+            group_subsets=((BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END),),
+            layer_type_subsets=((LayerType.ATTN, LayerType.FF),),
+        )
+        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        failed = {r.run_id for r in table.rows if not np.isfinite(r.score)}
+        assert failed == {r.run_id for r in table.rows if r.vision_bits == 2}
+        assert len(failed) == 4 * 2  # 4 component subsets with vision, 2 tasks
+        assert all(np.isfinite(r.bpw) == np.isfinite(r.score) for r in table.rows)
+        assert dict(table.failures) == {run_id: "synthetic vision failure" for run_id in failed}
+
+
+class TestEquivalence:
+    """run_grid against the slow path it replaces: quantize each cell from
+    scratch, one component at a time, and score it with ``score_task``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "method, grid, cells",
+        [
+            (
+                Method.UNIFORM,
+                GridSpec(
+                    bits=(2,),
+                    component_subsets=((ComponentId.VISION,), (ComponentId.CONNECTOR, ComponentId.LANGUAGE)),
+                    group_subsets=((BlockGroup.FRONT,), (BlockGroup.MIDDLE, BlockGroup.END)),
+                    layer_type_subsets=((LayerType.ATTN,), (LayerType.ATTN, LayerType.FF)),
+                ),
+                1 + 2 * 2 * 2,
+            ),
+            (Method.GPTQ, GridSpec(bits=(3,)), 2**3),
+            (Method.AWQ, GridSpec(bits=(3,)), 2**3),
+        ],
+        ids=["uniform", "gptq", "awq"],
+    )
+    def test_matches_per_cell_quantize_and_score(self, tiny_spec, tiny_probes, method, grid, cells, workers):
+        grid = replace(grid, tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3,), eval_pairs=4)
+        table = run_grid(tiny_spec, tiny_probes, grid, method, calibration_pairs=8, workers=workers)
+        assert len(table.rows) == 3 * cells and not table.failures
+
+        fp = experiments._seeded_model(tiny_spec, 3)
+        calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, tiny_probes, n=8)
+        group_size = 0 if method is Method.UNIFORM else grid.group_size
+        for row in table.rows:
+            weights, ledger = fp, QuantizationLedger()
+            for comp, k in row.component_bits.items():
+                if k < 16:
+                    sel = Selector.make((comp,), row.groups, row.layer_types)
+                    weights, part = apply_quantization(weights, sel, method, k, calib, grid.group_size)
+                    ledger.entries.extend(part.entries)
+            run_id = make_run_id(
+                method, row.task, row.vision_bits, row.connector_bits, row.language_bits,
+                row.groups, row.layer_types, group_size, 3,
+            )
+            score = tasks.score_task(weights, fp, tiny_probes.take(4), row.task).score
+            assert (row.run_id, row.bpw, row.score) == (run_id, compute_bpw(ledger, fp), score)
 
 
 class TestPersistence:

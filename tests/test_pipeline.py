@@ -331,6 +331,16 @@ class TestWeightContainer:
         with pytest.raises(ValueError, match="does not match spec"):
             load_weights(path, tiny_spec)
 
+    # cut inside the version/count field, the first name length, the first name
+    # and the last payload
+    @pytest.mark.parametrize("cut, offset", [(6, 4), (13, 12), (40, 14), (-1, None)])
+    def test_truncated_file_names_offset(self, tmp_path, default_spec, default_model, cut, offset):
+        path = tmp_path / "model.mmqw"
+        save_weights(default_model, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"truncated weight container: .* at offset {offset or ''}"):
+            load_weights(path, default_spec)
+
 
 class TestProjectorPipeline:
     def test_end_to_end(self, tiny_probes):
