@@ -293,6 +293,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.boot < 1:
+        raise ConfigError(f"--boot must be >= 1, got {args.boot}")
     table = load_results(args.results)
     task = TaskKind(args.task)
     task_rows = table.for_task(task)
@@ -418,10 +420,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _parse_axis(raw: str | None, enum_cls, default):
+def _parse_axis(raw: str | None, enum_cls, flag: str):
     if raw is None:
-        return tuple(default)
-    return tuple(_enum_value(enum_cls, token, f"--{enum_cls.__name__.lower()}") for token in raw.split(","))
+        return tuple(enum_cls)
+    return tuple(_enum_value(enum_cls, token, flag) for token in raw.split(","))
 
 
 def cmd_quantize(args) -> int:
@@ -429,9 +431,9 @@ def cmd_quantize(args) -> int:
     method = Method(args.method)
     weights = build_model(config.pipeline)
     selector = Selector.make(
-        components=_parse_axis(args.components, ComponentId, ComponentId),
-        groups=_parse_axis(args.groups, BlockGroup, BlockGroup),
-        layer_types=_parse_axis(args.layer_types, LayerType, LayerType),
+        components=_parse_axis(args.components, ComponentId, "--components"),
+        groups=_parse_axis(args.groups, BlockGroup, "--groups"),
+        layer_types=_parse_axis(args.layer_types, LayerType, "--layer-types"),
     )
     calib = None
     if method in (Method.GPTQ, Method.AWQ):

@@ -350,6 +350,8 @@ def run_grid(
     """
     if method not in (Method.UNIFORM, Method.GPTQ, Method.AWQ):
         raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
+    if grid.eval_pairs is not None and grid.eval_pairs > len(probes):
+        raise ValueError(f"grid.eval_pairs is {grid.eval_pairs}, but there are only {len(probes)} probe pairs")
     group_size = 0 if method is Method.UNIFORM else grid.group_size
     eval_probes = probes.take(grid.eval_pairs) if grid.eval_pairs else probes
     images, texts = eval_probes.images, eval_probes.texts
@@ -472,7 +474,7 @@ def save_results(table: ResultsTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_tokens(raw: str, order, enum_cls, line_no: int):
+def _parse_tokens(raw: str, enum_cls, line_no: int):
     if raw == "":
         return frozenset()
     values = {m.value: m for m in enum_cls}
@@ -503,8 +505,8 @@ def load_results(path) -> ResultsTable:
                     vision_bits=int(parts[3]),
                     connector_bits=int(parts[4]),
                     language_bits=int(parts[5]),
-                    groups=_parse_tokens(parts[6], GROUP_ORDER, BlockGroup, line_no),
-                    layer_types=_parse_tokens(parts[7], LAYER_TYPE_ORDER, LayerType, line_no),
+                    groups=_parse_tokens(parts[6], BlockGroup, line_no),
+                    layer_types=_parse_tokens(parts[7], LayerType, line_no),
                     group_size=int(parts[8]),
                     bpw=float(parts[9]),
                     score=float(parts[10]),

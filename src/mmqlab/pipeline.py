@@ -27,6 +27,7 @@ from .numerics import RngStream, derive_seed, randn_matrix
 from .quantizers import (
     CalibrationSet,
     GridScheme,
+    LayerStats,
     Method,
     QuantizedMatrix,
     dequantize,
@@ -221,10 +222,6 @@ class LedgerEntry:
 @dataclass
 class QuantizationLedger:
     entries: list[LedgerEntry] = field(default_factory=list)
-
-    @property
-    def layer_names(self) -> list[str]:
-        return [e.layer for e in self.entries]
 
 
 def _sublayer_shapes(spec: PipelineSpec) -> dict[str, tuple[int, int]]:
@@ -557,18 +554,22 @@ def generate_tokens(
 
 
 def collect_calibration(weights: ModelWeights, probes: "ProbeSet", n: int = 128) -> CalibrationSet:
-    """Record every addressable layer's input activations on n probe pairs.
+    """Record every addressable layer's input statistics on n probe pairs.
 
     One teacher-forced caption-style pass (image prefix + BOS + text) covers
-    all three components; per-layer rows are deterministically subsampled to
-    at most CALIBRATION_ROW_CAP.
+    all three components. Each layer's rows are deterministically subsampled
+    to at most CALIBRATION_ROW_CAP and reduced to ``LayerStats`` as they are
+    recorded, so no activations are kept.
     """
     if len(probes.pairs) < n:
         raise ValueError(f"need at least {n} probe pairs for calibration, have {len(probes.pairs)}")
-    recorded: dict[str, np.ndarray] = {}
+    layers: dict[str, LayerStats] = {}
 
     def recorder(name: str, x: np.ndarray):
-        recorded[name] = x
+        if x.shape[0] > CALIBRATION_ROW_CAP:
+            stream = RngStream(derive_seed(weights.spec.seed, "calibration", name))
+            x = x[stream.choice(x.shape[0], CALIBRATION_ROW_CAP)]
+        layers[name] = LayerStats.from_activations(np.ascontiguousarray(x, dtype=np.float32))
 
     images = probes.images[:n]
     text = probes.texts[:n]
@@ -576,14 +577,6 @@ def collect_calibration(weights: ModelWeights, probes: "ProbeSet", n: int = 128)
     prefix = run_connector(weights, vision_out, recorder=recorder)
     bos = np.full((n, 1), BOS_ID, dtype=np.int64)
     decode_hidden(weights, prefix, np.concatenate([bos, text], axis=1), recorder=recorder)
-
-    layers: dict[str, np.ndarray] = {}
-    for addr in weights.addresses:
-        x = recorded[addr.name]
-        if x.shape[0] > CALIBRATION_ROW_CAP:
-            stream = RngStream(derive_seed(weights.spec.seed, "calibration", addr.name))
-            x = x[stream.choice(x.shape[0], CALIBRATION_ROW_CAP)]
-        layers[addr.name] = np.ascontiguousarray(x, dtype=np.float32)
     return CalibrationSet(layers=layers, sample_count=n)
 
 
@@ -610,19 +603,19 @@ def apply_quantization(
     for addr in enumerate_layers(weights, sel):
         name = addr.name
         w = weights.layers[name]
-        x = calib.layers.get(name) if calib is not None else None
-        if method in (Method.GPTQ, Method.AWQ) and x is None:
-            raise ValueError(f"missing calibration activations for layer {name}")
+        stats = calib.layers.get(name) if calib is not None else None
+        if method in (Method.GPTQ, Method.AWQ) and stats is None:
+            raise ValueError(f"missing calibration statistics for layer {name}")
         if method is Method.UNIFORM:
             qm = uniform_quantize(w, k)
-            proxy = proxy_loss(w, dequantize(qm), x) if x is not None else float("nan")
+            proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
         elif method is Method.RTN:
             qm = rtn_group_quantize(w, k, group_size)
-            proxy = proxy_loss(w, dequantize(qm), x) if x is not None else float("nan")
+            proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
         elif method is Method.GPTQ:
-            qm, proxy = gptq_quantize(w, x, k, group_size=group_size)
+            qm, proxy = gptq_quantize(w, stats, k, group_size=group_size)
         else:
-            qm, _, proxy = awq_quantize(w, x, k, group_size=group_size)
+            qm, _, proxy = awq_quantize(w, stats, k, group_size=group_size)
         new_layers[name] = dequantize(qm)
         numel = w.size
         ledger.entries.append(

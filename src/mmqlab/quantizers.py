@@ -12,9 +12,13 @@ Three methods operate on a (out_features x in_features) float32 weight matrix:
   scaling salient input channels up before rounding and folding the scales
   back into the stored grids.
 
-All methods are pure functions of (weights, activations, config); the stored
-form is a ``QuantizedMatrix`` whose ``dequantize`` fully reproduces the
-effective weights.
+Calibration enters only through a layer's ``LayerStats``: the Gram matrix
+X^T X of its input activations X and their mean |x| per channel. GPTQ reads
+H = 2 X^T X, AWQ reads the magnitudes, and the proxy loss
+||X (W - W_hat)^T||_F^2 equals tr(D X^T X D^T) with D = W - W_hat. All
+methods are pure functions of (weights, statistics, config); the stored form
+is a ``QuantizedMatrix`` whose ``dequantize`` fully reproduces the effective
+weights.
 """
 
 from __future__ import annotations
@@ -85,40 +89,37 @@ class QuantizedMatrix:
         return self.bits * self.rows * self.cols
 
 
-@dataclass
-class CalibrationSet:
-    """Per-layer input activations recorded from probe pairs."""
+@dataclass(frozen=True)
+class LayerStats:
+    """Sufficient calibration statistics of one layer's input activations X.
 
-    layers: dict[str, np.ndarray] = field(default_factory=dict)
-    sample_count: int = 0
+    ``gram`` is X^T X in float64, ``magnitude`` the mean |x| per input channel
+    and ``rows`` the number of activation rows they summarise.
+    """
 
-    def activations_for(self, layer_name: str) -> np.ndarray:
-        if layer_name not in self.layers:
-            raise KeyError(f"no calibration activations for layer {layer_name!r}")
-        return self.layers[layer_name]
-
-
-@dataclass
-class GptqState:
-    """Damped second-order state for one layer: H = 2 X^T X."""
-
-    hessian: np.ndarray
-    damping: float
-    block_size: int
+    gram: np.ndarray
+    magnitude: np.ndarray
+    rows: int
 
     @classmethod
-    def from_activations(cls, x: np.ndarray, damping: float = 0.01, block_size: int = 32) -> "GptqState":
+    def from_activations(cls, x: np.ndarray) -> "LayerStats":
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise ValueError(f"expected 2-D activations (rows, in_features), got shape {x.shape}")
+        if x.shape[0] < 1:
+            raise ValueError("calibration requires at least one sample")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("calibration activations contain non-finite entries")
         x64 = np.asarray(x, dtype=np.float64)
-        return cls(hessian=2.0 * (x64.T @ x64), damping=damping, block_size=block_size)
+        return cls(gram=x64.T @ x64, magnitude=np.mean(np.abs(x64), axis=0), rows=x.shape[0])
 
 
 @dataclass
-class AwqSearch:
-    """Per-channel activation magnitudes and the chosen scaling exponent."""
+class CalibrationSet:
+    """Per-layer calibration statistics recorded from probe pairs."""
 
-    channel_magnitude: np.ndarray
-    alpha_grid: tuple[float, ...]
-    chosen_alpha: float
+    layers: dict[str, LayerStats] = field(default_factory=dict)
+    sample_count: int = 0
 
 
 def _check_weight(w: np.ndarray) -> np.ndarray:
@@ -221,28 +222,25 @@ def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatri
     )
 
 
-def proxy_loss(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
-    """Calibration-set objective ||X (W - W_hat)^T||_F^2, float64 accumulation."""
+def proxy_loss(w: np.ndarray, w_hat: np.ndarray, gram: np.ndarray) -> float:
+    """Calibration-set objective ||X (W - W_hat)^T||_F^2 from the Gram matrix.
+
+    Computed as tr(D X^T X D^T) with D = W - W_hat, in float64.
+    """
     w = np.asarray(w)
     w_hat = np.asarray(w_hat)
-    x = np.asarray(x)
+    gram = np.asarray(gram, dtype=np.float64)
     if w.shape != w_hat.shape:
         raise ValueError(f"weight shapes differ: {w.shape} vs {w_hat.shape}")
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ValueError(f"activation shape {x.shape} incompatible with weights {w.shape}")
-    err = x.astype(np.float64) @ (w.astype(np.float64) - w_hat.astype(np.float64)).T
-    return float(np.sum(err * err))
+    if w.ndim != 2 or gram.shape != (w.shape[1], w.shape[1]):
+        raise ValueError(f"Gram matrix shape {gram.shape} incompatible with weights {w.shape}")
+    d = w.astype(np.float64) - w_hat.astype(np.float64)
+    return float(np.sum((d @ gram) * d))
 
 
-def _check_activations(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ValueError(f"activations {x.shape} do not match in_features {w.shape[1]}")
-    if x.shape[0] < 1:
-        raise ValueError("calibration requires at least one sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("calibration activations contain non-finite entries")
-    return x
+def _check_stats(stats: LayerStats, w: np.ndarray) -> None:
+    if stats.gram.shape != (w.shape[1], w.shape[1]):
+        raise ValueError(f"calibration Gram matrix {stats.gram.shape} does not match in_features {w.shape[1]}")
 
 
 def _inverse_hessian_factor(hessian: np.ndarray, damping: float) -> np.ndarray:
@@ -256,7 +254,7 @@ def _inverse_hessian_factor(hessian: np.ndarray, damping: float) -> np.ndarray:
 
 def gptq_quantize(
     w: np.ndarray,
-    x: np.ndarray,
+    stats: LayerStats,
     k: int,
     group_size: int = 128,
     damping: float = 0.01,
@@ -274,13 +272,12 @@ def gptq_quantize(
     k = _check_bits(k)
     if group_size <= 0:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    x = _check_activations(x, w)
+    _check_stats(stats, w)
     rows, cols = w.shape
     levels = (1 << k) - 1
     per_tensor = group_size >= rows * cols
 
-    state = GptqState.from_activations(x, damping=damping, block_size=block_size)
-    hessian = state.hessian
+    hessian = 2.0 * stats.gram
     work = w.astype(np.float64)
     dead = np.diag(hessian) == 0.0
     if dead.any():
@@ -336,7 +333,7 @@ def gptq_quantize(
         rows=rows,
         cols=cols,
     )
-    return qm, proxy_loss(w, dequantize(qm), x)
+    return qm, proxy_loss(w, dequantize(qm), stats.gram)
 
 
 def _channel_scales(magnitude: np.ndarray, alpha: float) -> np.ndarray:
@@ -350,7 +347,7 @@ def _channel_scales(magnitude: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def awq_quantize(
-    w: np.ndarray, x: np.ndarray, k: int, group_size: int = 128
+    w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128
 ) -> tuple[QuantizedMatrix, float, float]:
     """Activation-aware quantization via per-channel scaling search.
 
@@ -365,24 +362,22 @@ def awq_quantize(
     k = _check_bits(k)
     if group_size <= 0:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    x = _check_activations(x, w)
+    _check_stats(stats, w)
 
-    magnitude = np.mean(np.abs(x.astype(np.float64)), axis=0)
     best: tuple[float, float, QuantizedMatrix, np.ndarray] | None = None
     for alpha in ALPHA_GRID:
-        scales = _channel_scales(magnitude, alpha)
+        scales = _channel_scales(stats.magnitude, alpha)
         scaled = (w.astype(np.float64) * scales).astype(np.float32)
         qm_scaled = rtn_group_quantize(scaled, k, group_size)
         w_eff = (dequantize(qm_scaled).astype(np.float64) / scales).astype(np.float32)
-        loss = proxy_loss(w, w_eff, x)
+        loss = proxy_loss(w, w_eff, stats.gram)
         if best is None or loss < best[0]:
             best = (loss, alpha, qm_scaled, scales)
 
     loss, alpha, qm_scaled, scales = best
-    search = AwqSearch(channel_magnitude=magnitude, alpha_grid=ALPHA_GRID, chosen_alpha=alpha)
     if np.all(scales == 1.0):
         # alpha = 0 (or flat activations): identical to plain RTN, stored as such.
-        return qm_scaled, search.chosen_alpha, loss
+        return qm_scaled, alpha, loss
 
     rows, cols = w.shape
     col_group = np.arange(cols) // qm_scaled.group_size
@@ -402,4 +397,4 @@ def awq_quantize(
         rows=rows,
         cols=cols,
     )
-    return qm, search.chosen_alpha, proxy_loss(w, dequantize(qm), x)
+    return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)

@@ -4,7 +4,13 @@ import itertools
 
 import numpy as np
 
-from mmqlab.quantizers import proxy_loss, rtn_group_quantize
+from mmqlab.quantizers import rtn_group_quantize
+
+
+def activation_proxy_loss(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
+    """||X (W - W_hat)^T||_F^2 straight from the activations, float64 accumulation."""
+    err = np.asarray(x, np.float64) @ (np.asarray(w, np.float64) - np.asarray(w_hat, np.float64)).T
+    return float(np.sum(err * err))
 
 
 def brute_force_proxy_min(w: np.ndarray, x: np.ndarray, k: int) -> float:
@@ -21,7 +27,7 @@ def brute_force_proxy_min(w: np.ndarray, x: np.ndarray, k: int) -> float:
     for combo in itertools.product(range(2**k), repeat=w.size):
         codes = np.array(combo, dtype=np.float64).reshape(w.shape)
         w_hat = ((hi - lo) * codes / levels + lo).astype(np.float32)
-        best = min(best, proxy_loss(w, w_hat, x))
+        best = min(best, activation_proxy_loss(w, w_hat, x))
     return best
 
 

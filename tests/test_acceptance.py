@@ -39,6 +39,7 @@ from mmqlab.pipeline import (
     collect_calibration,
 )
 from mmqlab.quantizers import (
+    LayerStats,
     Method,
     awq_quantize,
     dequantize,
@@ -108,15 +109,16 @@ def test_criterion_02_gptq_sandwich():
         stream = RngStream(derive_seed(2, i))
         w = randn_matrix(stream, 8, 16, 1.0)
         x = randn_matrix(stream, 32, 16, 1.0)
-        _, gptq_err = gptq_quantize(w, x, 2, group_size=16)
-        rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 16)), x)
+        stats = LayerStats.from_activations(x)
+        _, gptq_err = gptq_quantize(w, stats, 2, group_size=16)
+        rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 16)), stats.gram)
         gptq_total += gptq_err
         rtn_total += rtn_err
         if gptq_err <= rtn_err + 1e-12:
             rtn_wins += 1
         w2 = np.ascontiguousarray(w[:2, :2])
         x2 = np.ascontiguousarray(x[:, :2])
-        _, sub_err = gptq_quantize(w2, x2, 2, group_size=4)
+        _, sub_err = gptq_quantize(w2, LayerStats.from_activations(x2), 2, group_size=4)
         if brute_force_proxy_min(w2, x2, 2) > sub_err + 1e-9:
             oracle_ok = False
     elapsed = time.monotonic() - start
@@ -137,15 +139,16 @@ def test_criterion_03_awq_benefit():
         w = randn_matrix(stream, 8, 16, 1.0)
         x = randn_matrix(stream, 32, 16, 1.0)
         x[:, i % 16] *= 100.0
+        stats = LayerStats.from_activations(x)
         for k in wins:
-            _, _, awq_err = awq_quantize(w, x, k, group_size=8)
-            rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, k, 8)), x)
+            _, _, awq_err = awq_quantize(w, stats, k, group_size=8)
+            rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, k, 8)), stats.gram)
             if awq_err <= rtn_err + 1e-12:
                 wins[k] += 1
     # alpha = 0 must reproduce RTN bit-exactly (flat activations force alpha 0)
     w = randn_matrix(RngStream(derive_seed(3, "flat")), 8, 16, 1.0)
     x_flat = np.ones((16, 16), dtype=np.float32)
-    q_awq, alpha, _ = awq_quantize(w, x_flat, 3, group_size=8)
+    q_awq, alpha, _ = awq_quantize(w, LayerStats.from_activations(x_flat), 3, group_size=8)
     ref = rtn_group_quantize(w, 3, 8)
     alpha_zero_ok = (
         alpha == 0.0

@@ -201,6 +201,18 @@ class TestGridCommand:
         assert list(failures) == sorted(failed_rows) and len(failures) == 4
         assert set(failures.values()) == {"synthetic quantize failure"}
 
+    def test_eval_pairs_above_probe_count_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["grid"]["eval_pairs"] = 9
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "grid.eval_pairs is 9" in err and "only 8 probe pairs" in err
+        assert not out.exists()
+
     def test_resume_rejects_changed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "r.csv"
@@ -260,6 +272,21 @@ class TestAnalyzeCommand:
         code = main(["analyze", str(csv), "--task", "vqa", "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "at least 10 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boot", ["0", "-3"])
+    def test_boot_below_one_exits_one(self, tmp_path, capsys, boot):
+        csv = tmp_path / "inj.csv"
+        synthetic_results(csv, lambda v, c, l: 0.05 * v)
+        out = tmp_path / "r.json"
+        code = main(["analyze", str(csv), "--task", "vqa", "--out", str(out), "--boot", boot])
+        assert code == 1
+        assert f"--boot must be >= 1, got {boot}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boot_one_runs(self, tmp_path):
+        csv = tmp_path / "inj.csv"
+        synthetic_results(csv, lambda v, c, l: 0.05 * v)
+        assert main(["analyze", str(csv), "--task", "vqa", "--out", str(tmp_path / "r.json"), "--boot", "1"]) == 0
 
     def test_rerun_byte_identical(self, tmp_path):
         csv = tmp_path / "inj.csv"
@@ -337,6 +364,13 @@ class TestQuantizeCommand:
         assert "language.block0.attn.q_proj" in out
         assert "bpw:" in out
         assert out.count("method=rtn") == 4  # one front block x 4 attention projections
+
+    @pytest.mark.parametrize("flag", ["--components", "--groups", "--layer-types"])
+    def test_bad_axis_token_names_flag(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path)
+        code = main(["quantize", "--config", str(cfg), "--method", "rtn", "--bits", "4", flag, "bogus"])
+        assert code == 1
+        assert f"config error at {flag}: 'bogus' not one of" in capsys.readouterr().err
 
     def test_gptq_needs_probes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

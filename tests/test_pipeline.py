@@ -237,24 +237,24 @@ class TestCachedDecode:
 class TestCalibration:
     def test_in_features_match_layer_cols(self, default_model, calibration):
         for addr in default_model.addresses:
-            x = calibration.layers[addr.name]
-            assert x.shape[1] == default_model.layers[addr.name].shape[1]
+            stats = calibration.layers[addr.name]
+            assert stats.gram.shape[1] == default_model.layers[addr.name].shape[1]
 
     def test_single_probe_rows_equal_tokens(self, default_model, probe_set):
         calib = collect_calibration(default_model, probe_set, n=1)
         spec = default_model.spec
-        assert calib.layers["vision.block0.attn.q_proj"].shape[0] == spec.patch_count
-        assert calib.layers["connector.block0.attn.q_proj"].shape[0] == 8
+        assert calib.layers["vision.block0.attn.q_proj"].rows == spec.patch_count
+        assert calib.layers["connector.block0.attn.q_proj"].rows == 8
         # language sequence: 8 connector queries + BOS + 8 text tokens
-        assert calib.layers["language.block0.attn.q_proj"].shape[0] == 8 + 1 + 8
+        assert calib.layers["language.block0.attn.q_proj"].rows == 8 + 1 + 8
 
     def test_golden_row_counts_at_128_pairs(self, calibration):
         # vision: 128*16 = 2048; connector queries: 128*8 = 1024;
         # connector cross k/v see 2048 vision rows; language: 128*17 capped to 2048
-        assert calibration.layers["vision.block2.ff.up"].shape[0] == 2048
-        assert calibration.layers["connector.block0.attn.q_proj"].shape[0] == 1024
-        assert calibration.layers["connector.block0.attn.k_proj"].shape[0] == 2048
-        assert calibration.layers["language.block5.ff.down"].shape[0] == 2048
+        assert calibration.layers["vision.block2.ff.up"].rows == 2048
+        assert calibration.layers["connector.block0.attn.q_proj"].rows == 1024
+        assert calibration.layers["connector.block0.attn.k_proj"].rows == 2048
+        assert calibration.layers["language.block5.ff.down"].rows == 2048
         assert calibration.sample_count == 128
 
     def test_insufficient_probes(self, default_model, probe_set):
@@ -263,7 +263,9 @@ class TestCalibration:
 
     def test_deterministic(self, default_model, probe_set, calibration):
         again = collect_calibration(default_model, probe_set, n=128)
-        assert np.array_equal(again.layers["language.block0.ff.up"], calibration.layers["language.block0.ff.up"])
+        name = "language.block0.ff.up"
+        assert np.array_equal(again.layers[name].gram, calibration.layers[name].gram)
+        assert np.array_equal(again.layers[name].magnitude, calibration.layers[name].magnitude)
 
 
 class TestApplyQuantization:

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_proxy_min
+from helpers import activation_proxy_loss, brute_force_proxy_min
 from mmqlab.numerics import RngStream, randn_matrix
 from mmqlab.quantizers import (
     GridScheme,
+    LayerStats,
     awq_quantize,
     dequantize,
     gptq_quantize,
+    ALPHA_GRID,
+    _channel_scales,
     proxy_loss,
     rtn_group_quantize,
     uniform_quantize,
@@ -106,25 +109,33 @@ class TestProxyLoss:
     def test_equal_weights_give_zero(self):
         w = randn_matrix(RngStream(10), 4, 4, 1.0)
         x = randn_matrix(RngStream(11), 6, 4, 1.0)
-        assert proxy_loss(w, w, x) == 0.0
+        assert proxy_loss(w, w, LayerStats.from_activations(x).gram) == 0.0
 
     def test_identity_activations_give_frobenius(self):
         w = randn_matrix(RngStream(12), 4, 4, 1.0)
         w_hat = np.zeros_like(w)
         expected = float(np.sum(w.astype(np.float64) ** 2))
-        assert proxy_loss(w, w_hat, np.eye(4, dtype=np.float32)) == pytest.approx(expected)
+        assert proxy_loss(w, w_hat, LayerStats.from_activations(np.eye(4, dtype=np.float32)).gram) == pytest.approx(
+            expected
+        )
 
     def test_hand_case(self):
         w = np.eye(2, dtype=np.float32)
         w_hat = np.zeros((2, 2), dtype=np.float32)
         x = np.array([[1.0, 1.0]], dtype=np.float32)
-        assert proxy_loss(w, w_hat, x) == 2.0
+        assert proxy_loss(w, w_hat, LayerStats.from_activations(x).gram) == 2.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            proxy_loss(np.ones((2, 2), np.float32), np.ones((2, 3), np.float32), np.ones((1, 2), np.float32))
+            proxy_loss(
+                np.ones((2, 2), np.float32), np.ones((2, 3), np.float32),
+                LayerStats.from_activations(np.ones((1, 2), np.float32)).gram,
+            )
         with pytest.raises(ValueError):
-            proxy_loss(np.ones((2, 2), np.float32), np.ones((2, 2), np.float32), np.ones((1, 3), np.float32))
+            proxy_loss(
+                np.ones((2, 2), np.float32), np.ones((2, 2), np.float32),
+                LayerStats.from_activations(np.ones((1, 3), np.float32)).gram,
+            )
 
 
 class TestGptq:
@@ -132,7 +143,7 @@ class TestGptq:
         base = randn_matrix(RngStream(13), 4, 6, 1.0)
         w = dequantize(rtn_group_quantize(base, 3, 6))
         x = randn_matrix(RngStream(14), 8, 6, 1.0)
-        q, err = gptq_quantize(w, x, 3, group_size=6)
+        q, err = gptq_quantize(w, LayerStats.from_activations(x), 3, group_size=6)
         assert err == 0.0
         assert np.array_equal(dequantize(q), w)
         assert np.array_equal(q.codes, rtn_group_quantize(w, 3, 6).codes)
@@ -140,7 +151,7 @@ class TestGptq:
     def test_isotropic_hessian_equals_rtn(self):
         w = randn_matrix(RngStream(15), 4, 6, 1.0)
         x = (np.eye(6) * 2.0).astype(np.float32)
-        q, _ = gptq_quantize(w, x, 3, group_size=6)
+        q, _ = gptq_quantize(w, LayerStats.from_activations(x), 3, group_size=6)
         assert np.array_equal(q.codes, rtn_group_quantize(w, 3, 6).codes)
 
     def test_sandwich_on_two_by_two(self):
@@ -149,8 +160,9 @@ class TestGptq:
             s = RngStream(900 + i)
             w = randn_matrix(s, 2, 2, 1.0)
             x = randn_matrix(s, 8, 2, 1.0)
-            q, gptq_err = gptq_quantize(w, x, 2, group_size=4)
-            rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 4)), x)
+            stats = LayerStats.from_activations(x)
+            q, gptq_err = gptq_quantize(w, stats, 2, group_size=4)
+            rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 4)), stats.gram)
             assert brute_force_proxy_min(w, x, 2) <= gptq_err + 1e-9
             assert gptq_err <= rtn_err + 1e-9
 
@@ -160,29 +172,30 @@ class TestGptq:
             s = RngStream(700 + i)
             w = randn_matrix(s, 8, 16, 1.0)
             x = randn_matrix(s, 32, 16, 1.0)
-            _, err = gptq_quantize(w, x, 2, group_size=16)
+            stats = LayerStats.from_activations(x)
+            _, err = gptq_quantize(w, stats, 2, group_size=16)
             gptq_total += err
-            rtn_total += proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 16)), x)
+            rtn_total += proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 16)), stats.gram)
         assert gptq_total < rtn_total
 
     def test_deterministic(self):
         w = randn_matrix(RngStream(16), 8, 16, 1.0)
         x = randn_matrix(RngStream(17), 12, 16, 1.0)
-        q1, e1 = gptq_quantize(w, x, 4)
-        q2, e2 = gptq_quantize(w, x, 4)
+        q1, e1 = gptq_quantize(w, LayerStats.from_activations(x), 4)
+        q2, e2 = gptq_quantize(w, LayerStats.from_activations(x), 4)
         assert e1 == e2
         assert np.array_equal(q1.codes, q2.codes)
         assert np.array_equal(q1.grid_lo, q2.grid_lo)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="in_features"):
-            gptq_quantize(np.ones((2, 3), np.float32), np.ones((4, 2), np.float32), 4)
+            gptq_quantize(np.ones((2, 3), np.float32), LayerStats.from_activations(np.ones((4, 2), np.float32)), 4)
 
     def test_zero_activation_channel_handled(self):
         w = randn_matrix(RngStream(18), 4, 6, 1.0)
         x = randn_matrix(RngStream(19), 8, 6, 1.0)
         x[:, 2] = 0.0
-        q, err = gptq_quantize(w, x, 4, group_size=6)
+        q, err = gptq_quantize(w, LayerStats.from_activations(x), 4, group_size=6)
         assert np.all(np.isfinite(dequantize(q)))
         assert np.isfinite(err)
 
@@ -191,7 +204,7 @@ class TestAwq:
     def test_flat_activations_reduce_to_rtn_bit_exactly(self):
         w = randn_matrix(RngStream(20), 4, 8, 1.0)
         x = np.ones((10, 8), dtype=np.float32)
-        q, alpha, _ = awq_quantize(w, x, 4, group_size=4)
+        q, alpha, _ = awq_quantize(w, LayerStats.from_activations(x), 4, group_size=4)
         ref = rtn_group_quantize(w, 4, 4)
         assert alpha == 0.0
         assert np.array_equal(q.codes, ref.codes)
@@ -204,8 +217,9 @@ class TestAwq:
         w = randn_matrix(s, 8, 16, 1.0)
         x = randn_matrix(s, 32, 16, 1.0)
         x[:, 5] *= 1000.0
-        q, alpha, err = awq_quantize(w, x, 3, group_size=8)
-        rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 3, 8)), x)
+        stats = LayerStats.from_activations(x)
+        q, alpha, err = awq_quantize(w, stats, 3, group_size=8)
+        rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 3, 8)), stats.gram)
         assert alpha > 0.0
         assert err < rtn_err
 
@@ -213,7 +227,7 @@ class TestAwq:
         s = RngStream(22)
         w = randn_matrix(s, 8, 16, 1.0)
         x = randn_matrix(s, 32, 16, 1.0)
-        _, _, err = awq_quantize(w, x, 16, group_size=8)
+        _, _, err = awq_quantize(w, LayerStats.from_activations(x), 16, group_size=8)
         base = float(np.sum((x.astype(np.float64) @ w.astype(np.float64).T) ** 2))
         assert err <= 1e-6 * base
 
@@ -223,7 +237,7 @@ class TestAwq:
         x = randn_matrix(s, 16, 8, 1.0)
         x[:, 0] = 0.0
         x[:, 3] *= 50.0
-        q, alpha, err = awq_quantize(w, x, 3, group_size=8)
+        q, alpha, err = awq_quantize(w, LayerStats.from_activations(x), 3, group_size=8)
         assert np.all(np.isfinite(dequantize(q)))
         assert np.isfinite(err)
 
@@ -233,10 +247,81 @@ class TestAwq:
         w = randn_matrix(s, 6, 12, 1.0)
         x = randn_matrix(s, 20, 12, 1.0)
         x[:, 7] *= 200.0
-        q, alpha, err = awq_quantize(w, x, 2, group_size=6)
+        stats = LayerStats.from_activations(x)
+        q, alpha, err = awq_quantize(w, stats, 2, group_size=6)
         assert alpha > 0.0
-        assert proxy_loss(w, dequantize(q), x) == pytest.approx(err, rel=1e-12)
+        assert proxy_loss(w, dequantize(q), stats.gram) == pytest.approx(err, rel=1e-12)
 
+
+
+class TestLayerStats:
+    def test_statistics_of_activations(self):
+        x = np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 4.0]], dtype=np.float32)
+        stats = LayerStats.from_activations(x)
+        assert stats.rows == 3
+        assert stats.gram.dtype == np.float64
+        assert np.array_equal(stats.gram, [[11.0, -6.0], [-6.0, 20.0]])
+        assert np.array_equal(stats.magnitude, [5.0 / 3.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "x, match",
+        [
+            (np.array([[1.0, np.nan]], np.float32), "non-finite"),
+            (np.array([[np.inf, 1.0]], np.float32), "non-finite"),
+            (np.empty((0, 4), np.float32), "at least one sample"),
+            (np.ones(4, np.float32), "2-D"),
+        ],
+    )
+    def test_rejects_bad_activations(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            LayerStats.from_activations(x)
+
+    @pytest.mark.parametrize("quantize", [gptq_quantize, awq_quantize])
+    def test_quantizers_reject_mismatched_gram(self, quantize):
+        w = randn_matrix(RngStream(25), 4, 6, 1.0)
+        for cols in (5, 7):
+            stats = LayerStats.from_activations(randn_matrix(RngStream(26), 8, cols, 1.0))
+            with pytest.raises(ValueError, match="in_features 6"):
+                quantize(w, stats, 4)
+
+
+class TestGramEquivalence:
+    """The Gram form tr(D X^T X D^T) against the activation form ||X D^T||^2."""
+
+    def test_proxy_loss_matches_activation_form(self):
+        rng = np.random.default_rng(27)
+        for i in range(40):
+            out, cols, rows = (int(v) for v in rng.integers(1, 40, size=3))
+            w, w_hat = rng.standard_normal((2, out, cols)).astype(np.float32)
+            x = rng.standard_normal((rows, cols)).astype(np.float32)
+            x[:, (i + 1) % cols] *= 1000.0
+            x[:, i % cols] = 0.0
+            expected = activation_proxy_loss(w, w_hat, x)
+            got = proxy_loss(w, w_hat, LayerStats.from_activations(x).gram)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_awq_search_matches_activation_form(self):
+        # the same search scored by the activation-form oracle picks the same alpha and codes
+        rng = np.random.default_rng(28)
+        for i in range(100):
+            out, cols = int(rng.integers(2, 12)), int(rng.integers(2, 24))
+            k, group_size = int(rng.integers(2, 5)), int(rng.integers(1, cols + 1))
+            w = rng.standard_normal((out, cols)).astype(np.float32)
+            x = rng.standard_normal((int(rng.integers(4, 48)), cols)).astype(np.float32)
+            x[:, i % cols] *= 10.0 ** int(rng.integers(1, 4))
+            q, alpha, _ = awq_quantize(w, LayerStats.from_activations(x), k, group_size=group_size)
+
+            magnitude = np.mean(np.abs(x.astype(np.float64)), axis=0)
+            best = None
+            for a in ALPHA_GRID:
+                scales = _channel_scales(magnitude, a)
+                scaled = rtn_group_quantize((w.astype(np.float64) * scales).astype(np.float32), k, group_size)
+                w_eff = (dequantize(scaled).astype(np.float64) / scales).astype(np.float32)
+                loss = activation_proxy_loss(w, w_eff, x)
+                if best is None or loss < best[0]:
+                    best = (loss, a, scaled.codes)
+            assert alpha == best[1]
+            assert np.array_equal(q.codes, best[2])
 
 @st.composite
 def adversarial_matrices(draw):
