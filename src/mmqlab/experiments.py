@@ -487,8 +487,11 @@ def _parse_tokens(raw: str, enum_cls, line_no: int):
 
 
 def load_results(path) -> ResultsTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read results {path}: {exc}") from None
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"line 1: bad header, expected {CSV_HEADER!r}")
     rows = []
@@ -518,6 +521,12 @@ def load_results(path) -> ResultsTable:
             if str(exc).startswith("line "):
                 raise
             raise ValueError(f"line {line_no}: {exc}") from exc
+        row = rows[-1]
+        for name in ("vision_bits", "connector_bits", "language_bits"):
+            if not 2 <= getattr(row, name) <= FP_BITS:
+                raise ValueError(f"line {line_no}: {name} must lie in [2, {FP_BITS}], got {getattr(row, name)}")
+        if not (np.isnan(row.score) or 0.0 <= row.score <= 1.0):
+            raise ValueError(f"line {line_no}: score must be nan or lie in [0, 1], got {parts[10]}")
     return ResultsTable(rows=rows)
 
 

@@ -13,6 +13,13 @@ measures are computed over it:
 Each method's importances normalize to 100%; the consensus report averages
 the three. A damped ordinary-least-squares baseline documents how poorly a
 linear fit captures the same data.
+
+The features take only their observed values, so the forest is tabulated once
+on the lattice of those values (at most 15^3 points for integer bits in
+[2, 16]); permutation and Shapley look rows up in that table instead of
+walking the trees. All trees of a forest are grown together, level by level.
+Both give the same numbers, bit for bit, as predicting every row and growing
+each tree depth-first.
 """
 
 from __future__ import annotations
@@ -84,14 +91,13 @@ class AttributionDataset:
 
 @dataclass
 class RegressionTree:
-    """Flat binary tree; feature < 0 marks a leaf. value is the node's mean target."""
+    """Flat binary tree in preorder; feature < 0 marks a leaf. value is the node's mean target."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    count: np.ndarray
     gain: np.ndarray  # per-node variance reduction, already divided by root sample count
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -117,9 +123,6 @@ class ForestModel:
     trees: list[RegressionTree]
     n_features: int
     feature_names: tuple[str, ...]
-    seed: int
-    min_leaf: int
-    bootstrap: bool
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -129,129 +132,152 @@ class ForestModel:
         return out / len(self.trees)
 
 
-class _TreeBuilder:
-    """Single-tree fit: exhaustive scan over unique feature values per node."""
-
-    def __init__(self, codes, uniques, y, min_leaf, features):
-        self.codes = codes
-        self.uniques = uniques
-        self.y = y
-        self.min_leaf = min_leaf
-        self.features = features
-        self.cols = {k: [] for k in ("feature", "threshold", "left", "right", "value", "count", "gain")}
-
-    def _new_node(self, value, count):
-        nid = len(self.cols["feature"])
-        self.cols["feature"].append(-1)
-        self.cols["threshold"].append(np.nan)
-        self.cols["left"].append(-1)
-        self.cols["right"].append(-1)
-        self.cols["value"].append(value)
-        self.cols["count"].append(count)
-        self.cols["gain"].append(0.0)
-        return nid
-
-    def build(self, idx: np.ndarray, n_root: int) -> int:
-        ysub = self.y[idx]
-        n = idx.shape[0]
-        total = float(ysub.sum())
-        total_sq = float((ysub * ysub).sum())
-        sse = total_sq - total * total / n
-        nid = self._new_node(total / n, n)
-        if n < 2 * self.min_leaf or sse <= _GAIN_RTOL * max(total_sq, 1e-300):
-            return nid
-
-        best = None  # (gain, feature, threshold)
-        for j in self.features:
-            k = self.uniques[j].shape[0]
-            if k < 2:
-                continue
-            c = self.codes[idx, j]
-            cnt = np.bincount(c, minlength=k).astype(np.float64)
-            sy = np.bincount(c, weights=ysub, minlength=k)
-            syy = np.bincount(c, weights=ysub * ysub, minlength=k)
-            lcnt = np.cumsum(cnt)[:-1]
-            rcnt = n - lcnt
-            valid = (lcnt >= self.min_leaf) & (rcnt >= self.min_leaf)
-            if not valid.any():
-                continue
-            lsy = np.cumsum(sy)[:-1]
-            lsyy = np.cumsum(syy)[:-1]
-            safe_l = np.where(lcnt > 0, lcnt, 1.0)
-            safe_r = np.where(rcnt > 0, rcnt, 1.0)
-            gain = sse - (lsyy - lsy * lsy / safe_l) - ((total_sq - lsyy) - (total - lsy) ** 2 / safe_r)
-            gain[~valid] = -np.inf
-            t = int(np.argmax(gain))
-            if gain[t] > _GAIN_RTOL * sse and (best is None or gain[t] > best[0]):
-                best = (float(gain[t]), j, t)
-
-        if best is None:
-            return nid
-        gain_val, j, t = best
-        threshold = float(self.uniques[j][t])
-        go_left = self.codes[idx, j] <= t
-        left_id = self.build(idx[go_left], n_root)
-        right_id = self.build(idx[~go_left], n_root)
-        self.cols["feature"][nid] = j
-        self.cols["threshold"][nid] = threshold
-        self.cols["left"][nid] = left_id
-        self.cols["right"][nid] = right_id
-        self.cols["gain"][nid] = gain_val / n_root
-        return nid
-
-    def finish(self) -> RegressionTree:
-        c = self.cols
-        return RegressionTree(
-            feature=np.array(c["feature"], dtype=np.int32),
-            threshold=np.array(c["threshold"], dtype=np.float64),
-            left=np.array(c["left"], dtype=np.int32),
-            right=np.array(c["right"], dtype=np.int32),
-            value=np.array(c["value"], dtype=np.float64),
-            count=np.array(c["count"], dtype=np.int64),
-            gain=np.array(c["gain"], dtype=np.float64),
-        )
+def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """values[seg].sum() per contiguous segment. numpy sums pairwise, so a
+    running or reduceat sum would round differently; np.add.reduce is the
+    reduction ndarray.sum runs."""
+    ends = np.cumsum(lens).tolist()
+    return np.array([np.add.reduce(values[a:b]) for a, b in zip([0] + ends[:-1], ends)])
 
 
 def fit_random_forest(
     data: AttributionDataset,
     n_trees: int = 100,
     min_leaf: int = 2,
-    max_features: int | None = None,
     seed: int = 0,
     bootstrap: bool = True,
 ) -> ForestModel:
     """Bagged regression trees; splits minimize weighted child variance.
 
     Every tree sees a same-size bootstrap resample (unless bootstrap=False)
-    and scans all features by default; max_features < m draws a per-tree
-    feature subset. Deterministic given the seed.
+    and scans all features. Deterministic given the seed.
+
+    All trees grow together, breadth-first. A level holds the rows of each of
+    its nodes back to back, in the order a depth-first builder would pass
+    them, so one bincount per feature over (node, code) keys adds every
+    bucket in that builder's order, and node totals are summed per node. A
+    node splits on the first feature with the strictly largest gain, at
+    that feature's first best threshold.
     """
     if len(data) < 10 and bootstrap:
         raise ValueError(f"need at least 10 rows to fit a forest, have {len(data)}")
-    x = data.features
+    x, y = data.features, data.target
     n, m = x.shape
     uniques = [np.unique(x[:, j]) for j in range(m)]
     codes = np.stack(
         [np.searchsorted(uniques[j], x[:, j]).astype(np.int64) for j in range(m)], axis=1
     )
-    trees = []
+    roots = []
     for t in range(n_trees):
-        stream = RngStream(derive_seed(seed, "tree", t))
         if bootstrap:
-            idx = np.minimum((stream.uniforms(n) * n).astype(np.int64), n - 1)
+            stream = RngStream(derive_seed(seed, "tree", t))
+            roots.append(np.minimum((stream.uniforms(n) * n).astype(np.int64), n - 1))
         else:
-            idx = np.arange(n, dtype=np.int64)
-        if max_features is not None and max_features < m:
-            chosen = tuple(int(i) for i in stream.choice(m, max_features))
-        else:
-            chosen = tuple(range(m))
-        builder = _TreeBuilder(codes, uniques, data.target, min_leaf, chosen)
-        builder.build(idx, n_root=idx.shape[0])
-        trees.append(builder.finish())
+            roots.append(np.arange(n, dtype=np.int64))
+
+    rows = np.concatenate(roots)
+    lens = np.full(n_trees, n, dtype=np.int64)  # rows per node of the level
+    tree = np.arange(n_trees, dtype=np.int64)
+    levels, splits = [], []  # per level: (tree, value, feature, threshold, gain) and the split mask
+    while lens.size:
+        nodes = lens.size
+        yr = y[rows]
+        yy = yr * yr
+        total = _segment_sums(yr, lens)
+        total_sq = _segment_sums(yy, lens)
+        sse = total_sq - total * total / lens
+        open_ = (lens >= 2 * min_leaf) & (sse > _GAIN_RTOL * np.maximum(total_sq, 1e-300))
+        slot = np.repeat(np.arange(nodes), lens)
+
+        best_gain = np.full(nodes, -np.inf)
+        best_feature = np.full(nodes, -1, dtype=np.int32)
+        best_code = np.zeros(nodes, dtype=np.int64)
+        for j in range(m):
+            k = uniques[j].shape[0]
+            if k < 2:
+                continue
+            key = slot * k + codes[rows, j]
+            cnt = np.bincount(key, minlength=nodes * k).reshape(nodes, k).astype(np.float64)
+            sy = np.bincount(key, weights=yr, minlength=nodes * k).reshape(nodes, k)
+            syy = np.bincount(key, weights=yy, minlength=nodes * k).reshape(nodes, k)
+            lcnt = np.cumsum(cnt, axis=1)[:, :-1]
+            rcnt = lens[:, None] - lcnt
+            valid = (lcnt >= min_leaf) & (rcnt >= min_leaf)
+            lsy = np.cumsum(sy, axis=1)[:, :-1]
+            lsyy = np.cumsum(syy, axis=1)[:, :-1]
+            safe_l = np.where(lcnt > 0, lcnt, 1.0)
+            safe_r = np.where(rcnt > 0, rcnt, 1.0)
+            gain = (
+                sse[:, None] - (lsyy - lsy * lsy / safe_l)
+                - ((total_sq[:, None] - lsyy) - (total[:, None] - lsy) ** 2 / safe_r)
+            )
+            gain[~valid] = -np.inf
+            t = np.argmax(gain, axis=1)
+            g = gain[np.arange(nodes), t]
+            better = open_ & (g > _GAIN_RTOL * sse) & (g > best_gain)
+            best_gain = np.where(better, g, best_gain)
+            best_feature[better] = j
+            best_code[better] = t[better]
+
+        split = best_feature >= 0
+        threshold = np.full(nodes, np.nan)
+        for j in range(m):
+            on_j = best_feature == j
+            threshold[on_j] = uniques[j][best_code[on_j]]
+        levels.append((tree, total / lens, best_feature, threshold, np.where(split, best_gain / n, 0.0)))
+        splits.append(split)
+
+        # The next level holds each split node's left then right child; a
+        # stable sort keeps every child's rows in their current order.
+        keep = split[slot]
+        rows, slot = rows[keep], slot[keep]
+        child = 2 * (np.cumsum(split) - 1)[slot] + (codes[rows, best_feature[slot]] > best_code[slot])
+        rows = rows[np.argsort(child, kind="stable")]
+        lens = np.bincount(child, minlength=2 * int(split.sum()))
+        tree = np.repeat(tree[split], 2)
     return ForestModel(
-        trees=trees, n_features=m, feature_names=data.feature_names,
-        seed=seed, min_leaf=min_leaf, bootstrap=bootstrap,
+        trees=_preorder_trees(levels, splits, n_trees), n_features=m, feature_names=data.feature_names
     )
+
+
+def _preorder_trees(levels: list[tuple], splits: list[np.ndarray], n_trees: int) -> list[RegressionTree]:
+    """Renumber breadth-first levels to per-tree preorder (a node, its left
+    subtree, then its right subtree), the order a depth-first builder uses."""
+    left_size = [None] * len(splits)
+    size = np.zeros(0, dtype=np.int64)
+    for d in reversed(range(len(splits))):
+        left_size[d] = size[0::2]
+        below = size
+        size = np.ones(splits[d].size, dtype=np.int64)
+        size[splits[d]] += below[0::2] + below[1::2]
+    pre = np.zeros(n_trees, dtype=np.int64)  # size now holds each tree's node count
+    pres, lefts, rights = [], [], []
+    for d, split in enumerate(splits):
+        left = np.full(split.size, -1, dtype=np.int64)
+        right = left.copy()
+        left[split] = pre[split] + 1
+        right[split] = left[split] + left_size[d]
+        pres.append(pre)
+        lefts.append(left)
+        rights.append(right)
+        pre = np.stack([left[split], right[split]], axis=1).ravel()
+
+    tree, value, feature, threshold, gain = (np.concatenate(col) for col in zip(*levels))
+    place = np.concatenate([[0], np.cumsum(size)[:-1]])[tree] + np.concatenate(pres)
+    columns = {
+        "feature": (feature, np.int32),
+        "threshold": (threshold, np.float64),
+        "left": (np.concatenate(lefts), np.int32),
+        "right": (np.concatenate(rights), np.int32),
+        "value": (value, np.float64),
+        "gain": (gain, np.float64),
+    }
+    per_tree = {}
+    for name, (col, dtype) in columns.items():
+        flat = np.empty(place.size, dtype=dtype)
+        flat[place] = col
+        per_tree[name] = np.split(flat, np.cumsum(size)[:-1])
+    return [RegressionTree(**{name: cols[t] for name, cols in per_tree.items()}) for t in range(n_trees)]
 
 
 @dataclass
@@ -356,27 +382,47 @@ def bootstrap_importance_ci(
     )
 
 
+def _lattice(forest: ForestModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate the forest on the Cartesian product of each column's observed values.
+
+    Returns (table, parts): table holds forest.predict over the product in C
+    order, and parts[i, j] = code_j(x[i, j]) * stride_j, so row i's point is
+    table[parts[i].sum()]. Any row recombining observed values column by
+    column is a lattice point, and predictions are per row, so a lookup equals
+    predicting that row. The table has prod(k_j) points for k_j observed values
+    per column: 343 on grids of seven bit widths per component, and at most
+    15^3 for a results CSV, whose bits are integers in [2, 16].
+    """
+    uniques = [np.unique(x[:, j]) for j in range(x.shape[1])]
+    shape = tuple(u.shape[0] for u in uniques)
+    strides = np.array([math.prod(shape[j + 1:]) for j in range(len(shape))], dtype=np.int64)
+    points = np.indices(shape).reshape(len(shape), -1)
+    grid = np.stack([u[c] for u, c in zip(uniques, points)], axis=1)
+    codes = np.stack([np.searchsorted(u, x[:, j]) for j, u in enumerate(uniques)], axis=1)
+    return forest.predict(grid), codes * strides
+
+
 def permutation_importance(
     forest: ForestModel, data: AttributionDataset, n_repeats: int = 50, seed: int = 0
 ) -> ImportanceReport:
     """Mean squared-error increase when one feature column is shuffled.
 
+    A shuffled row is a lattice point, so its prediction is a table lookup.
     Raw (possibly negative) averages are kept in ``importance``; percentages
     use the negatives clamped to zero. The CI is a normal approximation over
     the repeat values.
     """
-    x = data.features
-    n, m = x.shape
-    base_pred = forest.predict(x)
-    base_mse = float(np.mean((base_pred - data.target) ** 2))
+    n, m = data.features.shape
+    table, parts = _lattice(forest, data.features)
+    flat = parts.sum(axis=1)
+    base_mse = float(np.mean((table[flat] - data.target) ** 2))
     increases = np.zeros((m, n_repeats))
     for j in range(m):
+        rest = flat - parts[:, j]
         for rep in range(n_repeats):
             stream = RngStream(derive_seed(seed, "perm", j, rep))
-            shuffled = x.copy()
-            shuffled[:, j] = x[stream.permutation(n), j]
-            mse = float(np.mean((forest.predict(shuffled) - data.target) ** 2))
-            increases[j, rep] = mse - base_mse
+            shuffled = table[rest + parts[stream.permutation(n), j]]
+            increases[j, rep] = float(np.mean((shuffled - data.target) ** 2)) - base_mse
     mean = increases.mean(axis=1)
     if n_repeats > 1:
         half = 1.96 * increases.std(axis=1, ddof=1) / math.sqrt(n_repeats)
@@ -391,24 +437,21 @@ def permutation_importance(
     )
 
 
-def _interventional_value(forest: ForestModel, x: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+def _interventional_value(table: np.ndarray, parts: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     """f_x(S): mean prediction with S fixed to each row's values and the rest
     drawn from every background row (background = the dataset itself)."""
-    n, m = x.shape
+    n, m = parts.shape
     if not subset:
-        return np.full(n, float(forest.predict(x).mean()))
+        return np.full(n, float(table[parts.sum(axis=1)].mean()))
     if len(subset) == m:
-        return forest.predict(x)
-    synth = np.tile(x, (n, 1))  # row-major blocks: block i = backgrounds for row i
-    for j in subset:
-        synth[:, j] = np.repeat(x[:, j], n)
-    compact, inverse = np.unique(synth, axis=0, return_inverse=True)
-    preds = forest.predict(compact)[inverse]
-    return preds.reshape(n, n).mean(axis=1)
+        return table[parts.sum(axis=1)]
+    fixed = parts[:, list(subset)].sum(axis=1)
+    free = parts.sum(axis=1) - fixed
+    return table[fixed[:, None] + free[None, :]].mean(axis=1)  # [i, b]: row i over background b
 
 
 def shapley_values(forest: ForestModel, data: AttributionDataset) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact per-row Shapley attributions by subset enumeration.
+    """Exact per-row Shapley attributions by subset enumeration over the lattice table.
 
     Returns (phi, prediction, base) with phi of shape (rows, features);
     rows satisfy sum_j phi_j = f(x) - base exactly up to float rounding.
@@ -419,13 +462,13 @@ def shapley_values(forest: ForestModel, data: AttributionDataset) -> tuple[np.nd
             f"exact enumeration supports at most 8 features, got {m}; "
             "use a sampling approximation instead"
         )
-    x = data.features
+    table, parts = _lattice(forest, data.features)
     values: dict[int, np.ndarray] = {}
     for mask in range(1 << m):
         subset = tuple(j for j in range(m) if mask >> j & 1)
-        values[mask] = _interventional_value(forest, x, subset)
+        values[mask] = _interventional_value(table, parts, subset)
     fact = [math.factorial(i) for i in range(m + 1)]
-    phi = np.zeros((x.shape[0], m))
+    phi = np.zeros((data.features.shape[0], m))
     for mask in range(1 << m):
         size = bin(mask).count("1")
         for j in range(m):

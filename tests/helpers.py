@@ -1,9 +1,12 @@
 """Independent oracles shared across test modules."""
 
 import itertools
+import math
 
 import numpy as np
 
+from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
+from mmqlab.numerics import RngStream, derive_seed
 from mmqlab.quantizers import rtn_group_quantize
 
 
@@ -50,3 +53,147 @@ def spearman_rho(x, y) -> float:
     rx = rank_with_ties(x) - rank_with_ties(x).mean()
     ry = rank_with_ties(y) - rank_with_ties(y).mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+
+
+class _TreeBuilder:
+    """Single-tree fit: exhaustive scan over unique feature values per node."""
+
+    def __init__(self, codes, uniques, y, min_leaf):
+        self.codes = codes
+        self.uniques = uniques
+        self.y = y
+        self.min_leaf = min_leaf
+        self.cols = {k: [] for k in ("feature", "threshold", "left", "right", "value", "gain")}
+
+    def _new_node(self, value):
+        nid = len(self.cols["feature"])
+        self.cols["feature"].append(-1)
+        self.cols["threshold"].append(np.nan)
+        self.cols["left"].append(-1)
+        self.cols["right"].append(-1)
+        self.cols["value"].append(value)
+        self.cols["gain"].append(0.0)
+        return nid
+
+    def build(self, idx: np.ndarray, n_root: int) -> int:
+        ysub = self.y[idx]
+        n = idx.shape[0]
+        total = float(ysub.sum())
+        total_sq = float((ysub * ysub).sum())
+        sse = total_sq - total * total / n
+        nid = self._new_node(total / n)
+        if n < 2 * self.min_leaf or sse <= _GAIN_RTOL * max(total_sq, 1e-300):
+            return nid
+
+        best = None  # (gain, feature, threshold)
+        for j in range(len(self.uniques)):
+            k = self.uniques[j].shape[0]
+            if k < 2:
+                continue
+            c = self.codes[idx, j]
+            cnt = np.bincount(c, minlength=k).astype(np.float64)
+            sy = np.bincount(c, weights=ysub, minlength=k)
+            syy = np.bincount(c, weights=ysub * ysub, minlength=k)
+            lcnt = np.cumsum(cnt)[:-1]
+            rcnt = n - lcnt
+            valid = (lcnt >= self.min_leaf) & (rcnt >= self.min_leaf)
+            if not valid.any():
+                continue
+            lsy = np.cumsum(sy)[:-1]
+            lsyy = np.cumsum(syy)[:-1]
+            safe_l = np.where(lcnt > 0, lcnt, 1.0)
+            safe_r = np.where(rcnt > 0, rcnt, 1.0)
+            gain = sse - (lsyy - lsy * lsy / safe_l) - ((total_sq - lsyy) - (total - lsy) ** 2 / safe_r)
+            gain[~valid] = -np.inf
+            t = int(np.argmax(gain))
+            if gain[t] > _GAIN_RTOL * sse and (best is None or gain[t] > best[0]):
+                best = (float(gain[t]), j, t)
+
+        if best is None:
+            return nid
+        gain_val, j, t = best
+        threshold = float(self.uniques[j][t])
+        go_left = self.codes[idx, j] <= t
+        left_id = self.build(idx[go_left], n_root)
+        right_id = self.build(idx[~go_left], n_root)
+        self.cols["feature"][nid] = j
+        self.cols["threshold"][nid] = threshold
+        self.cols["left"][nid] = left_id
+        self.cols["right"][nid] = right_id
+        self.cols["gain"][nid] = gain_val / n_root
+        return nid
+
+    def finish(self) -> RegressionTree:
+        c = self.cols
+        return RegressionTree(
+            feature=np.array(c["feature"], dtype=np.int32),
+            threshold=np.array(c["threshold"], dtype=np.float64),
+            left=np.array(c["left"], dtype=np.int32),
+            right=np.array(c["right"], dtype=np.int32),
+            value=np.array(c["value"], dtype=np.float64),
+            gain=np.array(c["gain"], dtype=np.float64),
+        )
+
+
+def recursive_forest_trees(data, n_trees=100, min_leaf=2, seed=0, bootstrap=True) -> list[RegressionTree]:
+    """The trees of fit_random_forest, grown one at a time depth-first by recursion."""
+    x = data.features
+    n, m = x.shape
+    uniques = [np.unique(x[:, j]) for j in range(m)]
+    codes = np.stack(
+        [np.searchsorted(uniques[j], x[:, j]).astype(np.int64) for j in range(m)], axis=1
+    )
+    trees = []
+    for t in range(n_trees):
+        if bootstrap:
+            stream = RngStream(derive_seed(seed, "tree", t))
+            idx = np.minimum((stream.uniforms(n) * n).astype(np.int64), n - 1)
+        else:
+            idx = np.arange(n, dtype=np.int64)
+        builder = _TreeBuilder(codes, uniques, data.target, min_leaf)
+        builder.build(idx, n_root=idx.shape[0])
+        trees.append(builder.finish())
+    return trees
+
+
+def predict_permutation_importance(forest, data, n_repeats=50, seed=0) -> ImportanceReport:
+    """permutation_importance by predicting every shuffled matrix."""
+    x = data.features
+    n, m = x.shape
+    base_pred = forest.predict(x)
+    base_mse = float(np.mean((base_pred - data.target) ** 2))
+    increases = np.zeros((m, n_repeats))
+    for j in range(m):
+        for rep in range(n_repeats):
+            stream = RngStream(derive_seed(seed, "perm", j, rep))
+            shuffled = x.copy()
+            shuffled[:, j] = x[stream.permutation(n), j]
+            mse = float(np.mean((forest.predict(shuffled) - data.target) ** 2))
+            increases[j, rep] = mse - base_mse
+    mean = increases.mean(axis=1)
+    if n_repeats > 1:
+        half = 1.96 * increases.std(axis=1, ddof=1) / math.sqrt(n_repeats)
+    else:
+        half = np.zeros(m)
+    pct, degenerate = _normalize_pct(np.maximum(mean, 0.0))
+    return ImportanceReport(
+        method="permutation", feature_names=data.feature_names,
+        importance=mean, ci_low=mean - half, ci_high=mean + half,
+        pct=pct, degenerate=degenerate,
+    )
+
+
+def predict_interventional_value(forest, x: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+    """f_x(S) by predicting every synthetic row (S from row i, the rest from
+    background row b), deduplicated with np.unique."""
+    n, m = x.shape
+    if not subset:
+        return np.full(n, float(forest.predict(x).mean()))
+    if len(subset) == m:
+        return forest.predict(x)
+    synth = np.tile(x, (n, 1))  # row-major blocks: block i = backgrounds for row i
+    for j in subset:
+        synth[:, j] = np.repeat(x[:, j], n)
+    compact, inverse = np.unique(synth, axis=0, return_inverse=True)
+    preds = forest.predict(compact)[inverse]
+    return preds.reshape(n, n).mean(axis=1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -288,6 +289,18 @@ class TestAnalyzeCommand:
         synthetic_results(csv, lambda v, c, l: 0.05 * v)
         assert main(["analyze", str(csv), "--task", "vqa", "--out", str(tmp_path / "r.json"), "--boot", "1"]) == 0
 
+    def test_report_digest_pinned(self, tmp_path):
+        csv = tmp_path / "golden.csv"
+        synthetic_results(csv, lambda v, c, l: 0.9 - 0.3 / v - 0.1 / c - 0.4 / l + (0.05 if v >= 4 and l >= 4 else 0.0))
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "09ebb95123d9f78d05efe956c23a9ddfdad77909e5fae48c61a36a59ba76f54d"
+        )
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(csv), "--task", "vqa", "--out", str(out), "--boot", "3"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3c6438ec8c07597d33d799d5170ae2c14ee204fbdf79e4d7423ef60d43ee187c"
+        )
+
     def test_rerun_byte_identical(self, tmp_path):
         csv = tmp_path / "inj.csv"
         synthetic_results(csv, lambda v, c, l: 1.0 if l >= 4 else 0.1)
@@ -295,6 +308,20 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(csv), "--task", "vqa", "--out", str(a), "--boot", "10"]) == 0
         assert main(["analyze", str(csv), "--task", "vqa", "--out", str(b), "--boot", "10"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnreadableResults:
+    @pytest.mark.parametrize("command", ["analyze", "plot"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_exits_one_naming_path(self, tmp_path, capsys, command, kind):
+        path = {"missing": tmp_path / "nope.csv", "directory": tmp_path, "not-utf8": tmp_path / "bin.csv"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes(b"run_id,\xff\xfe\n")
+        out = tmp_path / "out"
+        code = main([command, str(path), "--task", "vqa", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read results {path}: ")
+        assert not out.exists()
 
 
 class TestPlotCommand:

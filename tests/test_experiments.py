@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
@@ -406,6 +408,80 @@ class TestPersistence:
         path.write_text("not,the,header\n")
         with pytest.raises(ValueError, match="line 1"):
             load_results(path)
+
+
+    @pytest.mark.parametrize("field,index", [("vision_bits", 3), ("connector_bits", 4), ("language_bits", 5)])
+    @pytest.mark.parametrize("bits", ["1", "0", "17", "-4"])
+    def test_bits_out_of_range_name_line_and_field(self, tmp_path, field, index, bits):
+        parts = _record().to_csv_row().split(",")
+        parts[index] = bits
+        path = tmp_path / "bits.csv"
+        path.write_text(CSV_HEADER + "\n" + _record().to_csv_row() + "\n" + ",".join(parts) + "\n")
+        with pytest.raises(ValueError, match=rf"^line 3: {field} must lie in \[2, 16\], got {bits}$"):
+            load_results(path)
+
+    @pytest.mark.parametrize("score", ["-5", "inf", "-inf", "1.5", "-0.000001"])
+    def test_score_outside_unit_interval_names_line(self, tmp_path, score):
+        path = tmp_path / "score.csv"
+        path.write_text(CSV_HEADER + "\n" + _record(score=0.5).to_csv_row().replace(",0.5,", f",{score},") + "\n")
+        with pytest.raises(ValueError, match=rf"^line 2: score must be nan or lie in \[0, 1\], got {score}$"):
+            load_results(path)
+
+    def test_edge_values_accepted(self, tmp_path):
+        rows = [
+            _record(run_id="a", score=0.0, vision_bits=2, connector_bits=16, language_bits=2),
+            _record(run_id="b", score=1.0),
+            _record(run_id="c", score=float("nan")),
+        ]
+        path = tmp_path / "edge.csv"
+        save_results(ResultsTable(rows=rows), path)
+        assert [r.run_id for r in load_results(path).rows] == ["a", "b", "c"]
+
+
+_VALID_CSV = CSV_HEADER + "\n" + "\n".join(
+    _record(run_id=f"r{i}", score=score, bpw=bpw).to_csv_row()
+    for i, (score, bpw) in enumerate([(0.5, 4.0), (1.0, 16.0), (float("nan"), float("nan"))])
+) + "\n"
+
+
+class TestLoadResultsFuzz:
+    """A damaged CSV loads as a table or fails with a ValueError naming its line."""
+
+    @staticmethod
+    def _check(path):
+        try:
+            table = load_results(path)
+        except ValueError as exc:
+            assert str(exc).startswith("line "), str(exc)
+            return
+        for r in table.rows:
+            assert all(2 <= b <= 16 for b in (r.vision_bits, r.connector_bits, r.language_bits))
+            assert np.isnan(r.score) or 0.0 <= r.score <= 1.0
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.integers(0, len(_VALID_CSV)))
+    def test_truncated(self, tmp_path, cut):
+        path = tmp_path / "cut.csv"
+        path.write_text(_VALID_CSV[:cut], encoding="utf-8")
+        self._check(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        line=st.integers(0, 3),
+        field=st.integers(0, 12),
+        value=st.one_of(
+            st.text(max_size=12),
+            st.integers(-40, 40).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["", "nan", "inf", "16", "2", "gptq", "vqa", "front+end", "attn", ",", "\n"]),
+        ),
+    )
+    def test_field_replaced(self, tmp_path, line, field, value):
+        lines = [ln.split(",") for ln in _VALID_CSV.splitlines()]
+        lines[line][field] = value
+        path = tmp_path / "field.csv"
+        path.write_text("\n".join(",".join(parts) for parts in lines) + "\n", encoding="utf-8")
+        self._check(path)
 
 
 class TestPareto:

@@ -1,13 +1,17 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import predict_interventional_value, predict_permutation_importance, recursive_forest_trees
 
-from mmqlab.experiments import ResultsTable, RunRecord
+from mmqlab.experiments import ResultsTable, RunRecord, load_results
 from mmqlab.importance import (
     AttributionDataset,
     CONSENSUS_CSV_HEADER,
     ImportanceReport,
+    _interventional_value,
+    _lattice,
     bootstrap_importance_ci,
     consensus_csv_row,
     consensus_ranking,
@@ -36,6 +40,18 @@ def lattice_data(target_fn):
 
 def step_on_feature0(grid):
     return (grid[:, 0] >= 4).astype(np.float64)
+
+
+def fixture_data():
+    """The 343-row GPTQ VQA grid the benchmark's analyze workload reads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "gptq_vqa_343.csv"
+    return AttributionDataset.from_results(load_results(path), TaskKind.VQA)
+
+
+def resampled(data, seed):
+    """A same-size resample with duplicate rows, as bootstrap_importance_ci builds."""
+    idx = np.random.default_rng(seed).integers(0, len(data), len(data))
+    return AttributionDataset(data.features[idx], data.target[idx], data.feature_names)
 
 
 class TestAttributionDataset:
@@ -128,6 +144,94 @@ class TestForest:
         a = fit_random_forest(data, n_trees=5, seed=9)
         b = fit_random_forest(data, n_trees=5, seed=9)
         assert np.array_equal(a.predict(data.features), b.predict(data.features))
+
+
+def assert_same_trees(forest, oracle_trees):
+    assert len(forest.trees) == len(oracle_trees)
+    for tree, want in zip(forest.trees, oracle_trees):
+        for name in ("feature", "threshold", "left", "right", "value", "gain"):
+            got, exp = getattr(tree, name), getattr(want, name)
+            assert got.dtype == exp.dtype and got.shape == exp.shape, name
+            assert got.tobytes() == exp.tobytes(), name
+
+
+class TestLockstepFit:
+    """The breadth-first fit against the recursive depth-first oracle, bit for bit."""
+
+    @pytest.mark.parametrize("target", [
+        step_on_feature0,
+        lambda g: 0.05 * g[:, 0] * (g[:, 2] >= 4) + 0.01 * g[:, 1] + 0.001 * g[:, 2] ** 2,
+        lambda g: np.sin(g.sum(axis=1)) + 0.1 * g[:, 1],
+    ])
+    def test_lattice_targets(self, target):
+        data = lattice_data(target)
+        assert_same_trees(fit_random_forest(data, n_trees=30, seed=3), recursive_forest_trees(data, 30, seed=3))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fixture_grid(self, seed):
+        data = fixture_data()
+        assert_same_trees(fit_random_forest(data, seed=seed), recursive_forest_trees(data, seed=seed))
+
+    def test_resample_with_duplicate_rows(self):
+        data = resampled(fixture_data(), 1)
+        assert len(np.unique(data.features, axis=0)) < len(data)
+        assert_same_trees(fit_random_forest(data, n_trees=40, seed=2), recursive_forest_trees(data, 40, seed=2))
+
+    def test_constant_target(self):
+        data = lattice_data(lambda g: np.full(len(g), 0.5))
+        assert_same_trees(fit_random_forest(data, n_trees=5, seed=1), recursive_forest_trees(data, 5, seed=1))
+
+    def test_min_leaf_one_without_bootstrap(self):
+        grid = full_lattice()
+        data = AttributionDataset(grid, np.cos(np.arange(len(grid), dtype=np.float64)), NAMES)
+        forest = fit_random_forest(data, n_trees=2, min_leaf=1, bootstrap=False, seed=0)
+        assert_same_trees(forest, recursive_forest_trees(data, 2, min_leaf=1, seed=0, bootstrap=False))
+
+    def test_tied_gains_pick_first_feature_and_threshold(self):
+        grid = full_lattice()
+        grid[:, 1] = grid[:, 0]  # every split on column 1 ties with the same split on column 0
+        data = AttributionDataset(grid, ((grid[:, 0] == 4) | (grid[:, 2] == 5)).astype(np.float64), NAMES)
+        forest = fit_random_forest(data, n_trees=20, seed=4)
+        assert_same_trees(forest, recursive_forest_trees(data, 20, seed=4))
+        assert not any(np.any(tree.feature == 1) for tree in forest.trees)
+
+        # A middle spike: splitting below or above it gains exactly the same.
+        x = np.repeat(np.array([[2.0, 2.0, 4.0], [3.0, 3.0, 4.0], [4.0, 4.0, 4.0]]), 4, axis=0)
+        data = AttributionDataset(x, (x[:, 0] == 3).astype(np.float64), NAMES)
+        forest = fit_random_forest(data, n_trees=1, min_leaf=1, bootstrap=False)
+        assert_same_trees(forest, recursive_forest_trees(data, 1, min_leaf=1, bootstrap=False))
+        assert (forest.trees[0].feature[0], forest.trees[0].threshold[0]) == (0, 2.0)
+
+
+class TestLatticeTable:
+    """Table lookups against predicting every row, with np.array_equal."""
+
+    @pytest.mark.parametrize("make", [fixture_data, lambda: resampled(fixture_data(), 3)])
+    def test_permutation_matches_predicting_shuffled_rows(self, make):
+        data = make()
+        forest = fit_random_forest(data, n_trees=20, seed=6)
+        got = permutation_importance(forest, data, n_repeats=10, seed=6)
+        want = predict_permutation_importance(forest, data, n_repeats=10, seed=6)
+        for name in ("importance", "ci_low", "ci_high", "pct"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_interventional_values_match_predicting_synthetic_rows(self):
+        data = resampled(fixture_data(), 4)
+        x = data.features[:150]  # a partial grid: the table holds points no row has
+        forest = fit_random_forest(data, n_trees=20, seed=7)
+        table, parts = _lattice(forest, x)
+        for r in range(4):
+            for subset in itertools.combinations(range(3), r):
+                assert np.array_equal(
+                    _interventional_value(table, parts, subset), predict_interventional_value(forest, x, subset)
+                ), subset
+
+    def test_table_rows_are_predictions_in_c_order(self):
+        data = lattice_data(lambda g: 0.1 * g[:, 0] - 0.01 * g[:, 1] * g[:, 2])
+        forest = fit_random_forest(data, n_trees=10, seed=8)
+        table, parts = _lattice(forest, data.features[::-1])
+        assert np.array_equal(table, forest.predict(full_lattice()))
+        assert np.array_equal(table[parts.sum(axis=1)], forest.predict(data.features[::-1]))
 
 
 class TestImpurity:
