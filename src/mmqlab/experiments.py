@@ -489,13 +489,14 @@ def _parse_tokens(raw: str, enum_cls, line_no: int):
 def load_results(path) -> ResultsTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+            # (physical line number, text); blank lines are skipped but still counted
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read results {path}: {exc}") from None
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"line 1: bad header, expected {CSV_HEADER!r}")
+    if not lines or lines[0][1] != CSV_HEADER:
+        raise ValueError(f"line {lines[0][0] if lines else 1}: bad header, expected {CSV_HEADER!r}")
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 13:
             raise ValueError(f"line {line_no}: expected 13 fields, got {len(parts)}")

@@ -27,11 +27,13 @@ _TWO_PI = 2.0 * math.pi
 class NotPositiveDefiniteError(ValueError):
     """Raised when a pivot is non-positive during Cholesky factorization."""
 
-    def __init__(self, column: int, pivot: float):
+    def __init__(self, column: int, pivot: float, layer: str | None = None):
         self.column = column
         self.pivot = pivot
+        self.layer = layer
+        where = f"layer {layer}, " if layer is not None else ""
         super().__init__(
-            f"matrix is not positive definite: column {column} has pivot "
+            f"matrix is not positive definite: {where}column {column} has pivot "
             f"{pivot:.6e} <= 0 after damping"
         )
 
@@ -126,55 +128,47 @@ def randn_matrix(stream: RngStream, rows: int, cols: int, std: float) -> np.ndar
     return values.reshape(rows, cols).astype(np.float32)
 
 
-def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a64 = a.astype(np.float64)
-    scale = np.max(np.abs(a64)) if a64.size else 0.0
-    if scale > 0 and np.max(np.abs(a64 - a64.T)) > 1e-5 * scale:
-        raise ValueError("matrix is not symmetric to within 1e-5 relative")
-    return a64
+def _cholesky64(m: np.ndarray) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError]]:
+    """Lower Cholesky factors of a stack (count, n, n) of SPD float64 matrices.
 
-
-def _cholesky64(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD float64 matrix, column by column.
-
-    Kept hand-rolled (rather than LAPACK) so failures can name the
-    offending column.
+    Column by column over the whole stack, kept hand-rolled (rather than
+    LAPACK) so failures can name the offending column. A slice whose pivot is
+    not positive does not stop the others: its error is recorded in the
+    returned map (slice index -> error) and it continues as the identity.
     """
-    n = m.shape[0]
-    lower = np.zeros((n, n), dtype=np.float64)
+    count, n, _ = m.shape
+    lower = np.zeros((count, n, n), dtype=np.float64)
+    failed: dict[int, NotPositiveDefiniteError] = {}
     for j in range(n):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= 0.0:
-            raise NotPositiveDefiniteError(column=j, pivot=float(pivot))
-        lower[j, j] = math.sqrt(pivot)
+        pivot = m[:, j, j] - (lower[:, j, None, :j] @ lower[:, j, :j, None])[:, 0, 0]
+        bad = np.flatnonzero(pivot <= 0.0)
+        if bad.size and not failed:
+            m = m.copy()  # the caller's matrices stay untouched
+        for s in bad:
+            failed[int(s)] = NotPositiveDefiniteError(column=j, pivot=float(pivot[s]))
+            m[s] = lower[s] = np.eye(n)
+            pivot[s] = 1.0
+        diag = np.sqrt(pivot)
+        lower[:, j, j] = diag
         if j + 1 < n:
-            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
+            below = (lower[:, j + 1 :, :j] @ lower[:, j, :j, None])[:, :, 0]
+            lower[:, j + 1 :, j] = (m[:, j + 1 :, j] - below) / diag[:, None]
+    return lower, failed
 
 
 def _damped(a64: np.ndarray, damping: float) -> np.ndarray:
+    """A + damping*mean(diag A)*I for each slice of a stack."""
     if damping < 0:
         raise ValueError("damping must be >= 0")
-    lam = damping * float(np.mean(np.diag(a64))) if damping > 0 else 0.0
-    return a64 + lam * np.eye(a64.shape[0], dtype=np.float64)
+    lam = [damping * float(np.mean(np.diag(a))) if damping > 0 else 0.0 for a in a64]
+    return a64 + np.array(lam)[:, None, None] * np.eye(a64.shape[-1], dtype=np.float64)
 
 
-def _invert_spd64(a64: np.ndarray, damping: float) -> np.ndarray:
-    lower = _cholesky64(_damped(a64, damping))
-    inv_lower = np.linalg.solve(lower, np.eye(lower.shape[0], dtype=np.float64))
-    return inv_lower.T @ inv_lower
+def _invert_spd64(a64: np.ndarray, damping: float) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError]]:
+    """Inverses of a stack of damped SPD matrices via their Cholesky factors.
 
-
-def cholesky_spd(a: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Lower-triangular L with L L^T = A + damping*mean(diag A)*I."""
-    a64 = _check_square_symmetric(a)
-    return _cholesky64(_damped(a64, damping)).astype(np.float32)
-
-
-def invert_spd(a: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Inverse of A + damping*mean(diag A)*I, via the Cholesky factor."""
-    a64 = _check_square_symmetric(a)
-    return _invert_spd64(a64, damping).astype(np.float32)
+    Slices whose factorization failed are recorded as in ``_cholesky64``.
+    """
+    lower, failed = _cholesky64(_damped(a64, damping))
+    inv_lower = np.linalg.solve(lower, np.eye(lower.shape[-1], dtype=np.float64))
+    return np.swapaxes(inv_lower, 1, 2) @ inv_lower, failed

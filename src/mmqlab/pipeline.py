@@ -32,7 +32,7 @@ from .quantizers import (
     QuantizedMatrix,
     dequantize,
     awq_quantize,
-    gptq_quantize,
+    gptq_quantize_stack,
     proxy_loss,
     rtn_group_quantize,
     uniform_quantize,
@@ -598,14 +598,30 @@ def apply_quantization(
     selected layer; the proxy error for Uniform/RTN is only filled in when
     calibration is available.
     """
+    names = [addr.name for addr in enumerate_layers(weights, sel)]
+    calibrated = calib.layers if calib is not None else {}
+    if method in (Method.GPTQ, Method.AWQ):
+        for name in names:
+            if name not in calibrated:
+                raise ValueError(f"missing calibration statistics for layer {name}")
+    gptq = {}
+    if method is Method.GPTQ:
+        # one stacked call per weight shape; the ledger below keeps address order
+        by_shape: dict[tuple[int, ...], list[str]] = {}
+        for name in names:
+            by_shape.setdefault(weights.layers[name].shape, []).append(name)
+        for stack in by_shape.values():
+            results = gptq_quantize_stack(
+                [weights.layers[name] for name in stack], [calibrated[name] for name in stack], k,
+                group_size=group_size, names=stack, factors=calib.factors,
+            )
+            gptq.update(zip(stack, results))
+
     new_layers = dict(weights.layers)
     ledger = QuantizationLedger()
-    for addr in enumerate_layers(weights, sel):
-        name = addr.name
+    for name in names:
         w = weights.layers[name]
-        stats = calib.layers.get(name) if calib is not None else None
-        if method in (Method.GPTQ, Method.AWQ) and stats is None:
-            raise ValueError(f"missing calibration statistics for layer {name}")
+        stats = calibrated.get(name)
         if method is Method.UNIFORM:
             qm = uniform_quantize(w, k)
             proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
@@ -613,7 +629,7 @@ def apply_quantization(
             qm = rtn_group_quantize(w, k, group_size)
             proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
         elif method is Method.GPTQ:
-            qm, proxy = gptq_quantize(w, stats, k, group_size=group_size)
+            qm, proxy = gptq[name]
         else:
             qm, _, proxy = awq_quantize(w, stats, k, group_size=group_size)
         new_layers[name] = dequantize(qm)

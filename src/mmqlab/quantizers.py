@@ -7,7 +7,8 @@ Three methods operate on a (out_features x in_features) float32 weight matrix:
   groups; this is the inner grid shared by the calibrated methods.
 * ``gptq_quantize``      - sequential column quantization where the not yet
   quantized columns absorb the rounding error, driven by the Cholesky factor
-  of the damped inverse Gram matrix of calibration activations.
+  of the damped inverse Gram matrix of calibration activations;
+  ``gptq_quantize_stack`` runs one column sweep over same-shape layers.
 * ``awq_quantize``       - grid search over a per-channel scaling exponent,
   scaling salient input channels up before rounding and folding the scales
   back into the stored grids.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .numerics import NotPositiveDefiniteError, _cholesky64, _invert_spd64
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 SCALE_CLAMP = (1e-4, 1e4)
+FACTOR_CHUNK_BYTES = 1 << 20
 
 
 class Method(enum.Enum):
@@ -116,10 +119,16 @@ class LayerStats:
 
 @dataclass
 class CalibrationSet:
-    """Per-layer calibration statistics recorded from probe pairs."""
+    """Per-layer calibration statistics recorded from probe pairs.
+
+    ``factors`` is filled lazily by GPTQ: (layer name, damping) -> the upper
+    factor of that layer's damped inverse Hessian, which does not depend on
+    the bit width.
+    """
 
     layers: dict[str, LayerStats] = field(default_factory=dict)
     sample_count: int = 0
+    factors: dict[tuple[str, float], np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def _check_weight(w: np.ndarray) -> np.ndarray:
@@ -243,13 +252,68 @@ def _check_stats(stats: LayerStats, w: np.ndarray) -> None:
         raise ValueError(f"calibration Gram matrix {stats.gram.shape} does not match in_features {w.shape[1]}")
 
 
-def _inverse_hessian_factor(hessian: np.ndarray, damping: float) -> np.ndarray:
-    """Upper factor U with (H + lambda I)^-1 = U^T U; retries once at 10x damping."""
-    try:
-        inv = _invert_spd64(hessian, damping)
-    except NotPositiveDefiniteError:
-        inv = _invert_spd64(hessian, damping * 10.0)
-    return _cholesky64(inv).T
+def _raise_first(failed: dict[int, NotPositiveDefiniteError], names: Sequence[str | None]) -> None:
+    """Raise the recorded failure of the first failed slice, naming its layer."""
+    if failed:
+        s = min(failed)
+        raise NotPositiveDefiniteError(failed[s].column, failed[s].pivot, layer=names[s])
+
+
+def _inverse_hessian_factor(hessians: np.ndarray, damping: float, names: Sequence[str | None]) -> np.ndarray:
+    """Upper factors U with (H + lambda I)^-1 = U^T U for a stack of Hessians.
+
+    Only the slices that fail are retried, once, at 10x damping; a failure
+    after that raises with the slice's layer name.
+    """
+    inv, failed = _invert_spd64(hessians, damping)
+    if failed:
+        retry = sorted(failed)
+        inv_retry, failed = _invert_spd64(hessians[retry], damping * 10.0)
+        _raise_first(failed, [names[s] for s in retry])
+        inv[retry] = inv_retry
+    lower, failed = _cholesky64(inv)
+    _raise_first(failed, names)
+    return np.swapaxes(lower, 1, 2)
+
+
+def _gptq_hessians(stats: Sequence[LayerStats]) -> np.ndarray:
+    """Stacked H = 2 X^T X, with a unit diagonal on dead (zero-activation) input channels."""
+    hessians = np.stack([st.gram for st in stats])
+    hessians *= 2.0
+    for hessian in hessians:
+        dead = np.diag(hessian) == 0.0
+        hessian[dead, dead] = 1.0
+    return hessians
+
+
+def _gptq_factors(
+    stats: Sequence[LayerStats], damping: float, names: Sequence[str | None], memo: dict | None
+) -> np.ndarray:
+    """The stack's upper factors; with a ``memo``, each (name, damping) is factored once.
+
+    Missing factors are computed in stacked chunks of about FACTOR_CHUNK_BYTES
+    per array, which bounds the memory a factorization holds at once, and the
+    memo keeps views of the returned stack rather than copies.
+    """
+    keys = [(name, damping) for name in names] if memo is not None else list(range(len(stats)))
+    memo = {} if memo is None else memo
+    n = stats[0].gram.shape[0]
+    lower = np.empty((len(stats), n, n), dtype=np.float64)
+    missing = []
+    for s, key in enumerate(keys):
+        if key in memo:
+            lower[s] = memo[key].T
+        else:
+            missing.append(s)
+    chunk = max(1, FACTOR_CHUNK_BYTES // stats[0].gram.nbytes)
+    for c0 in range(0, len(missing), chunk):
+        part = missing[c0 : c0 + chunk]
+        hessians = _gptq_hessians([stats[s] for s in part])
+        lower[part] = np.swapaxes(_inverse_hessian_factor(hessians, damping, [names[s] for s in part]), 1, 2)
+    # the transpose of a C-ordered lower stack: each slice has the layout of a fresh factor
+    upper = np.swapaxes(lower, 1, 2)
+    memo.update((keys[s], upper[s]) for s in missing)
+    return upper
 
 
 def gptq_quantize(
@@ -268,72 +332,92 @@ def gptq_quantize(
     input-channel groups, computed from the compensated weights at each group
     boundary. Returns the stored matrix and ``||X (W - W_hat)^T||_F^2``.
     """
-    w = _check_weight(w)
+    return gptq_quantize_stack([w], [stats], k, group_size, damping, block_size)[0]
+
+
+def gptq_quantize_stack(
+    ws: Sequence[np.ndarray],
+    stats: Sequence[LayerStats],
+    k: int,
+    group_size: int = 128,
+    damping: float = 0.01,
+    block_size: int = 32,
+    names: Sequence[str] | None = None,
+    factors: dict | None = None,
+) -> list[tuple[QuantizedMatrix, float]]:
+    """``gptq_quantize`` over same-shape layers at once, one result per layer.
+
+    Layers are independent, so every column step runs elementwise over the
+    stack and the block update is one matmul per layer with the same shapes
+    as a single layer's. ``names`` label errors; with them, ``factors`` (for
+    example ``CalibrationSet.factors``) memoises the inverse-Hessian factors.
+    """
+    ws = [_check_weight(w) for w in ws]
     k = _check_bits(k)
     if group_size <= 0:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    _check_stats(stats, w)
-    rows, cols = w.shape
+    if len(ws) != len(stats) or len({w.shape for w in ws}) != 1:
+        raise ValueError("a GPTQ stack needs one LayerStats per weight and weights of one shape")
+    for w, st in zip(ws, stats):
+        _check_stats(st, w)
+    if factors is not None and names is None:
+        raise ValueError("a factor memo needs layer names")
+    count = len(ws)
+    rows, cols = ws[0].shape
     levels = (1 << k) - 1
     per_tensor = group_size >= rows * cols
 
-    hessian = 2.0 * stats.gram
-    work = w.astype(np.float64)
-    dead = np.diag(hessian) == 0.0
-    if dead.any():
-        hessian = hessian.copy()
-        hessian[dead, dead] = 1.0
-        work[:, dead] = 0.0
-    upper = _inverse_hessian_factor(hessian, damping)
+    work = np.stack(ws).astype(np.float64)
+    for s, st in enumerate(stats):
+        work[s][:, np.diag(st.gram) == 0.0] = 0.0
+    upper = _gptq_factors(stats, damping, [None] * count if names is None else names, factors)
 
-    codes = np.empty((rows, cols), dtype=np.uint16)
+    codes = np.empty((count, rows, cols), dtype=np.uint16)
     if per_tensor:
-        n_groups = 1
-        grid_lo = np.full((1, 1), np.float32(work.min()), dtype=np.float32)
-        grid_hi = np.full((1, 1), np.float32(work.max()), dtype=np.float32)
+        grid_lo = work.reshape(count, -1).min(axis=1).astype(np.float32).reshape(count, 1, 1)
+        grid_hi = work.reshape(count, -1).max(axis=1).astype(np.float32).reshape(count, 1, 1)
+        lo = grid_lo[:, :, 0].astype(np.float64)
+        hi = grid_hi[:, :, 0].astype(np.float64)
     else:
-        n_groups = _group_count(cols, group_size)
-        grid_lo = np.zeros((rows, n_groups), dtype=np.float32)
-        grid_hi = np.zeros((rows, n_groups), dtype=np.float32)
+        grid_lo = np.zeros((count, rows, _group_count(cols, group_size)), dtype=np.float32)
+        grid_hi = np.zeros_like(grid_lo)
 
     for b0 in range(0, cols, block_size):
         b1 = min(b0 + block_size, cols)
-        err_block = np.zeros((rows, b1 - b0), dtype=np.float64)
+        err_block = np.zeros((count, rows, b1 - b0), dtype=np.float64)
         for col in range(b0, b1):
             if not per_tensor and col % group_size == 0:
                 g = col // group_size
                 g1 = min(col + group_size, cols)
-                grid_lo[:, g] = work[:, col:g1].min(axis=1).astype(np.float32)
-                grid_hi[:, g] = work[:, col:g1].max(axis=1).astype(np.float32)
-            if per_tensor:
-                lo = grid_lo[0, 0].astype(np.float64)
-                hi = grid_hi[0, 0].astype(np.float64)
-            else:
-                g = col // group_size
-                lo = grid_lo[:, g].astype(np.float64)
-                hi = grid_hi[:, g].astype(np.float64)
-            w_col = work[:, col]
+                grid_lo[:, :, g] = work[:, :, col:g1].min(axis=2).astype(np.float32)
+                grid_hi[:, :, g] = work[:, :, col:g1].max(axis=2).astype(np.float32)
+                lo = grid_lo[:, :, g].astype(np.float64)
+                hi = grid_hi[:, :, g].astype(np.float64)
+            w_col = work[:, :, col]
             c = _encode(w_col, lo, hi, levels)
-            codes[:, col] = c
+            codes[:, :, col] = c
             dq = (hi - lo) * (c.astype(np.float64) / levels) + lo
-            err = (w_col - dq) / upper[col, col]
+            err = (w_col - dq) / upper[:, col, col, None]
             if col + 1 < b1:
-                work[:, col + 1 : b1] -= np.outer(err, upper[col, col + 1 : b1])
-            err_block[:, col - b0] = err
+                work[:, :, col + 1 : b1] -= err[:, :, None] * upper[:, col, None, col + 1 : b1]
+            err_block[:, :, col - b0] = err
         if b1 < cols:
-            work[:, b1:] -= err_block @ upper[b0:b1, b1:]
+            work[:, :, b1:] -= err_block @ upper[:, b0:b1, b1:]
 
-    qm = QuantizedMatrix(
-        codes=codes,
-        bits=k,
-        scheme=GridScheme.PER_TENSOR if per_tensor else GridScheme.PER_GROUP,
-        group_size=rows * cols if per_tensor else group_size,
-        grid_lo=grid_lo,
-        grid_hi=grid_hi,
-        rows=rows,
-        cols=cols,
-    )
-    return qm, proxy_loss(w, dequantize(qm), stats.gram)
+    results = []
+    for s in range(count):
+        qm = QuantizedMatrix(
+            codes=codes[s],
+            bits=k,
+            scheme=GridScheme.PER_TENSOR if per_tensor else GridScheme.PER_GROUP,
+            group_size=rows * cols if per_tensor else group_size,
+            grid_lo=grid_lo[s],
+            grid_hi=grid_hi[s],
+            rows=rows,
+            cols=cols,
+        )
+        results.append((qm, proxy_loss(ws[s], dequantize(qm), stats[s].gram)))
+    return results
 
 
 def _channel_scales(magnitude: np.ndarray, alpha: float) -> np.ndarray:

@@ -6,8 +6,19 @@ import math
 import numpy as np
 
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
-from mmqlab.numerics import RngStream, derive_seed
-from mmqlab.quantizers import rtn_group_quantize
+from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
+from mmqlab.quantizers import (
+    GridScheme,
+    QuantizedMatrix,
+    _check_bits,
+    _check_stats,
+    _check_weight,
+    _encode,
+    _group_count,
+    dequantize,
+    proxy_loss,
+    rtn_group_quantize,
+)
 
 
 def activation_proxy_loss(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
@@ -197,3 +208,111 @@ def predict_interventional_value(forest, x: np.ndarray, subset: tuple[int, ...])
     compact, inverse = np.unique(synth, axis=0, return_inverse=True)
     preds = forest.predict(compact)[inverse]
     return preds.reshape(n, n).mean(axis=1)
+
+
+def _cholesky_one(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one SPD float64 matrix; raises at the first bad pivot."""
+    n = m.shape[0]
+    lower = np.zeros((n, n), dtype=np.float64)
+    for j in range(n):
+        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot <= 0.0:
+            raise NotPositiveDefiniteError(column=j, pivot=float(pivot))
+        lower[j, j] = math.sqrt(pivot)
+        if j + 1 < n:
+            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def _invert_one(a64: np.ndarray, damping: float) -> np.ndarray:
+    lam = damping * float(np.mean(np.diag(a64))) if damping > 0 else 0.0
+    lower = _cholesky_one(a64 + lam * np.eye(a64.shape[0], dtype=np.float64))
+    inv_lower = np.linalg.solve(lower, np.eye(lower.shape[0], dtype=np.float64))
+    return inv_lower.T @ inv_lower
+
+
+def oracle_inverse_hessian_factor(hessian: np.ndarray, damping: float) -> np.ndarray:
+    """One layer's upper factor, retried once at 10x damping."""
+    try:
+        inv = _invert_one(hessian, damping)
+    except NotPositiveDefiniteError:
+        inv = _invert_one(hessian, damping * 10.0)
+    return _cholesky_one(inv).T
+
+
+def oracle_gptq_hessian(stats) -> np.ndarray:
+    """H = 2 X^T X with a unit diagonal on dead input channels."""
+    hessian = 2.0 * stats.gram
+    dead = np.diag(hessian) == 0.0
+    hessian[dead, dead] = 1.0
+    return hessian
+
+
+def oracle_gptq_quantize(w, stats, k, group_size=128, damping=0.01, block_size=32):
+    """gptq_quantize one layer at a time, with its own factor: column by column on 2-D arrays."""
+    w = _check_weight(w)
+    k = _check_bits(k)
+    _check_stats(stats, w)
+    rows, cols = w.shape
+    levels = (1 << k) - 1
+    per_tensor = group_size >= rows * cols
+
+    work = w.astype(np.float64)
+    work[:, np.diag(stats.gram) == 0.0] = 0.0
+    upper = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats), damping)
+
+    codes = np.empty((rows, cols), dtype=np.uint16)
+    if per_tensor:
+        grid_lo = np.full((1, 1), np.float32(work.min()), dtype=np.float32)
+        grid_hi = np.full((1, 1), np.float32(work.max()), dtype=np.float32)
+    else:
+        grid_lo = np.zeros((rows, _group_count(cols, group_size)), dtype=np.float32)
+        grid_hi = np.zeros((rows, _group_count(cols, group_size)), dtype=np.float32)
+
+    for b0 in range(0, cols, block_size):
+        b1 = min(b0 + block_size, cols)
+        err_block = np.zeros((rows, b1 - b0), dtype=np.float64)
+        for col in range(b0, b1):
+            if not per_tensor and col % group_size == 0:
+                g = col // group_size
+                g1 = min(col + group_size, cols)
+                grid_lo[:, g] = work[:, col:g1].min(axis=1).astype(np.float32)
+                grid_hi[:, g] = work[:, col:g1].max(axis=1).astype(np.float32)
+            if per_tensor:
+                lo = grid_lo[0, 0].astype(np.float64)
+                hi = grid_hi[0, 0].astype(np.float64)
+            else:
+                lo = grid_lo[:, col // group_size].astype(np.float64)
+                hi = grid_hi[:, col // group_size].astype(np.float64)
+            w_col = work[:, col]
+            c = _encode(w_col, lo, hi, levels)
+            codes[:, col] = c
+            dq = (hi - lo) * (c.astype(np.float64) / levels) + lo
+            err = (w_col - dq) / upper[col, col]
+            if col + 1 < b1:
+                work[:, col + 1 : b1] -= np.outer(err, upper[col, col + 1 : b1])
+            err_block[:, col - b0] = err
+        if b1 < cols:
+            work[:, b1:] -= err_block @ upper[b0:b1, b1:]
+
+    qm = QuantizedMatrix(
+        codes=codes,
+        bits=k,
+        scheme=GridScheme.PER_TENSOR if per_tensor else GridScheme.PER_GROUP,
+        group_size=rows * cols if per_tensor else group_size,
+        grid_lo=grid_lo,
+        grid_hi=grid_hi,
+        rows=rows,
+        cols=cols,
+    )
+    return qm, proxy_loss(w, dequantize(qm), stats.gram)
+
+
+def assert_same_quantization(got, expected):
+    """Two (QuantizedMatrix, loss) results agree bit for bit: dtype, shape and bytes."""
+    (q, loss), (q_ref, loss_ref) = got, expected
+    for name in ("codes", "grid_lo", "grid_hi"):
+        a, b = getattr(q, name), getattr(q_ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (q.bits, q.scheme, q.group_size) == (q_ref.bits, q_ref.scheme, q_ref.group_size)
+    assert float(loss).hex() == float(loss_ref).hex()

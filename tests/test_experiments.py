@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -188,14 +189,14 @@ class TestSotaGrid:
     def test_failed_cells_recorded_not_fatal(self, tiny_spec, tiny_probes, monkeypatch):
         import mmqlab.pipeline as pl
 
-        original = pl.gptq_quantize
+        original = pl.gptq_quantize_stack
 
         def flaky(w, x, k, **kw):
             if k == 2:
                 raise RuntimeError("synthetic failure")
             return original(w, x, k, **kw)
 
-        monkeypatch.setattr(pl, "gptq_quantize", flaky)
+        monkeypatch.setattr(pl, "gptq_quantize_stack", flaky)
         table = run_grid(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
@@ -205,6 +206,24 @@ class TestSotaGrid:
         failed = [r for r in table.rows if not np.isfinite(r.score)]
         assert len(failed) == 27 - 8  # every combo touching bits=2 fails
         assert table.failures and "synthetic failure" in table.failures[0][1]
+
+    def test_gptq_factors_each_layer_once(self, tiny_spec, tiny_probes, monkeypatch):
+        import mmqlab.quantizers as quantizers
+
+        factored = []
+        original = quantizers._inverse_hessian_factor
+
+        def counting(hessians, damping, names):
+            factored.extend(names)
+            return original(hessians, damping, names)
+
+        monkeypatch.setattr(quantizers, "_inverse_hessian_factor", counting)
+        run_grid(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            Method.GPTQ, calibration_pairs=8,
+        )
+        assert sorted(factored) == sorted(a.name for a in build_model(tiny_spec).addresses)
 
     def test_rejects_uncalibrated_methods(self, tiny_spec, tiny_probes):
         with pytest.raises(ValueError, match="GPTQ/AWQ"):
@@ -223,6 +242,19 @@ class TestSotaGrid:
         grid = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3,), eval_pairs=4)
         serial = run_grid(tiny_spec, tiny_probes, grid, Method.AWQ, calibration_pairs=8, workers=1)
         pooled = run_grid(tiny_spec, tiny_probes, grid, Method.AWQ, calibration_pairs=8, workers=4)
+        assert [(r.run_id, r.score) for r in serial.rows] == [(r.run_id, r.score) for r in pooled.rows]
+
+    def test_gptq_worker_pool_shares_factor_memo(self, tiny_spec, tiny_probes):
+        # fragments on four threads fill one CalibrationSet.factors concurrently
+        grid = GridSpec(bits=(2, 3, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
+        serial = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pooled.failures
         assert [(r.run_id, r.score) for r in serial.rows] == [(r.run_id, r.score) for r in pooled.rows]
 
 
@@ -482,6 +514,39 @@ class TestLoadResultsFuzz:
         path = tmp_path / "field.csv"
         path.write_text("\n".join(",".join(parts) for parts in lines) + "\n", encoding="utf-8")
         self._check(path)
+
+    def test_blank_lines_keep_physical_numbers(self, tmp_path):
+        good = _VALID_CSV.splitlines()[1]
+        path = tmp_path / "blank.csv"
+        path.write_text(f"{CSV_HEADER}\n\n\n{good}\nbroken\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 5: expected 13 fields, got 1$"):
+            load_results(path)
+
+    def test_leading_blank_lines(self, tmp_path):
+        path = tmp_path / "leading.csv"
+        path.write_text("\n  \n" + _VALID_CSV, encoding="utf-8")
+        assert len(load_results(path).rows) == 3
+        path.write_text("\n\nnot,a,header\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: bad header"):
+            load_results(path)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        blanks=st.lists(st.integers(0, 4), max_size=6),
+        bad=st.integers(1, 3),
+    )
+    def test_blank_lines_inserted(self, tmp_path, blanks, bad):
+        # blank lines anywhere, including before the header; data line `bad` loses its fields
+        lines = _VALID_CSV.splitlines()
+        lines[bad] = "x"
+        marked = [(line, i == bad) for i, line in enumerate(lines)]
+        for at in sorted(blanks, reverse=True):
+            marked.insert(at, ("", False))
+        path = tmp_path / "blanks.csv"
+        path.write_text("\n".join(line for line, _ in marked) + "\n", encoding="utf-8")
+        bad_line = 1 + [is_bad for _, is_bad in marked].index(True)
+        with pytest.raises(ValueError, match=f"^line {bad_line}: expected 13 fields, got 1$"):
+            load_results(path)
 
 
 class TestPareto:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from mmqlab.pipeline import (
     text_embeddings,
     vision_prefix,
 )
-from mmqlab.quantizers import Method
+from helpers import assert_same_quantization, oracle_gptq_hessian, oracle_gptq_quantize, oracle_inverse_hessian_factor
+from mmqlab.numerics import NotPositiveDefiniteError
+from mmqlab.quantizers import CalibrationSet, LayerStats, Method, dequantize
 
 GOLDEN_CAPTION_SEED7_PROBE11 = [26, 182, 60, 88, 171, 214, 247, 26, 182, 3, 12, 253, 244, 89, 18, 205]
 
@@ -306,6 +310,68 @@ class TestApplyQuantization:
         before = default_model.layers["language.block0.ff.up"].copy()
         apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 2)
         assert np.array_equal(default_model.layers["language.block0.ff.up"], before)
+
+
+# sha256 over (layer name, dequantized bytes, proxy error) of every GPTQ layer
+# of the tiny spec at bits 2-8, per group size; recorded with the per-layer
+# GPTQ loop before layers were quantized in same-shape stacks
+TINY_GPTQ_DIGESTS = {
+    16: "e22eec69be3700458971f5e6392d45949ddc9ad98bf0af7c8de43004ccdc34f8",
+    128: "7fd8a1da45e0d10c91b19d7473df62b21073a30408ec674eb3b1a181bcf3f219",
+    1 << 30: "783110f81d0a30b321f3dc75e4654e6b17511c5b76c3362e8563f0009d191e3d",
+}
+
+
+class TestStackedGptqPipeline:
+    @pytest.fixture(scope="class")
+    def tiny(self, tiny_spec, tiny_probes):
+        model = build_model(tiny_spec)
+        return model, collect_calibration(model, tiny_probes, n=8)
+
+    @pytest.mark.parametrize("group_size", list(TINY_GPTQ_DIGESTS), ids=["g16", "g128", "per-tensor"])
+    def test_dequantized_digest_pinned(self, tiny, group_size):
+        model, calib = tiny
+        h = hashlib.sha256()
+        for k in range(2, 9):
+            qw, ledger = apply_quantization(model, Selector.everything(), Method.GPTQ, k, calib, group_size=group_size)
+            for e in ledger.entries:
+                h.update(e.layer.encode())
+                h.update(qw.layers[e.layer].tobytes())
+                h.update(float(e.proxy_error).hex().encode())
+        assert h.hexdigest() == TINY_GPTQ_DIGESTS[group_size]
+
+    @pytest.mark.parametrize("bits", [2, 5, 8])
+    def test_mixed_shapes_match_oracle(self, tiny, bits):
+        model, calib = tiny
+        sel = Selector.make(groups=(BlockGroup.FRONT, BlockGroup.END))
+        qw, ledger = apply_quantization(model, sel, Method.GPTQ, bits, calib, group_size=12)
+        names = [a.name for a in enumerate_layers(model, sel)]
+        assert [e.layer for e in ledger.entries] == names
+        assert len({model.layers[name].shape for name in names}) == 3
+        for e in ledger.entries:
+            qm, loss = oracle_gptq_quantize(model.layers[e.layer], calib.layers[e.layer], bits, group_size=12)
+            assert qw.layers[e.layer].tobytes() == dequantize(qm).tobytes()
+            assert float(e.proxy_error).hex() == float(loss).hex()
+
+    def test_memo_factors_equal_fresh(self, tiny_spec, tiny_probes):
+        model = build_model(tiny_spec)
+        calib = collect_calibration(model, tiny_probes, n=8)
+        for k in (2, 4):
+            apply_quantization(model, Selector.everything(), Method.GPTQ, k, calib, group_size=16)
+        assert sorted(calib.factors) == sorted((a.name, 0.01) for a in model.addresses)
+        for (name, damping), upper in calib.factors.items():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(calib.layers[name]), damping)
+            assert (upper.dtype, upper.shape, upper.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+    def test_indefinite_layer_named(self, tiny):
+        model, calib = tiny
+        name = "connector.block1.attn.k_proj"
+        stats = calib.layers[name]
+        broken = CalibrationSet(layers=dict(calib.layers), sample_count=calib.sample_count)
+        broken.layers[name] = LayerStats(gram=-stats.gram, magnitude=stats.magnitude, rows=stats.rows)
+        sel = Selector.make(components=(ComponentId.CONNECTOR,))
+        with pytest.raises(NotPositiveDefiniteError, match=f"layer {name}, column 0"):
+            apply_quantization(model, sel, Method.GPTQ, 4, broken)
 
 
 class TestWeightContainer:

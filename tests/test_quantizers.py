@@ -3,14 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import activation_proxy_loss, brute_force_proxy_min
-from mmqlab.numerics import RngStream, randn_matrix
+from helpers import (
+    activation_proxy_loss,
+    assert_same_quantization,
+    brute_force_proxy_min,
+    oracle_gptq_hessian,
+    oracle_gptq_quantize,
+    oracle_inverse_hessian_factor,
+)
+import mmqlab.quantizers as quantizers
+from mmqlab.numerics import NotPositiveDefiniteError, RngStream, _invert_spd64, derive_seed, randn_matrix
 from mmqlab.quantizers import (
     GridScheme,
     LayerStats,
     awq_quantize,
     dequantize,
     gptq_quantize,
+    gptq_quantize_stack,
     ALPHA_GRID,
     _channel_scales,
     proxy_loss,
@@ -198,6 +207,115 @@ class TestGptq:
         q, err = gptq_quantize(w, LayerStats.from_activations(x), 4, group_size=6)
         assert np.all(np.isfinite(dequantize(q)))
         assert np.isfinite(err)
+
+
+def _layer(seed, rows, cols, dead=()):
+    s = RngStream(derive_seed(31, seed))
+    w = randn_matrix(s, rows, cols, 1.0)
+    x = randn_matrix(s, 3 * cols, cols, 1.0)
+    x[:, list(dead)] = 0.0
+    return w, LayerStats.from_activations(x)
+
+
+def _gram_with_eigenvalues(seed, eigenvalues):
+    """A symmetric Gram matrix Q diag(eigenvalues) Q^T with a random rotation Q."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(randn_matrix(RngStream(seed), n, n, 1.0).astype(np.float64))
+    return (q * np.asarray(eigenvalues, np.float64)) @ q.T
+
+
+class TestStackedGptq:
+    """gptq_quantize_stack against the per-layer oracle, bit for bit."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    @pytest.mark.parametrize("group_size", [6, 20, 1 << 30], ids=["g6-ragged", "g20", "per-tensor"])
+    def test_stack_of_24_matches_oracle(self, bits, group_size):
+        # 20 columns: a group of 6 does not divide them; dead channels in some slices only
+        layers = [_layer(i, 5, 20, dead=(3, 11) if i % 5 == 0 else ()) for i in range(24)]
+        got = gptq_quantize_stack([w for w, _ in layers], [st for _, st in layers], bits, group_size=group_size)
+        for (w, st), result in zip(layers, got):
+            assert_same_quantization(result, oracle_gptq_quantize(w, st, bits, group_size=group_size))
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_stack_of_one_matches_oracle(self, bits):
+        w, st = _layer(99, 16, 70, dead=(0, 69))
+        for group_size in (32, 7, 1 << 30):
+            expected = oracle_gptq_quantize(w, st, bits, group_size=group_size)
+            assert_same_quantization(gptq_quantize_stack([w], [st], bits, group_size=group_size)[0], expected)
+            assert_same_quantization(gptq_quantize(w, st, bits, group_size=group_size), expected)
+
+    def test_indefinite_slice_names_layer(self):
+        layers = [_layer(i, 4, 6) for i in range(3)]
+        bad = LayerStats(gram=_gram_with_eigenvalues(5, [1, 1, 1, 1, 1, -3]), magnitude=np.ones(6), rows=8)
+        stats = [layers[0][1], bad, layers[2][1]]
+        with pytest.raises(NotPositiveDefiniteError, match=r"layer b, column \d+ has pivot") as info:
+            gptq_quantize_stack([w for w, _ in layers], stats, 4, names=["a", "b", "c"])
+        assert info.value.layer == "b"
+
+    def test_retry_in_one_slice_only(self):
+        # H = 2 gram has eigenvalue -0.1 and mean diagonal 1.65: 1% damping
+        # fails and 10% damping succeeds
+        layers = [_layer(i, 8, 6) for i in range(3)]
+        retry = LayerStats(gram=_gram_with_eigenvalues(6, [1, 1, 1, 1, 1, -0.05]), magnitude=np.ones(6), rows=8)
+        assert np.all(np.diag(retry.gram) != 0.0)
+        hessian = 2.0 * retry.gram[None]
+        assert _invert_spd64(hessian, 0.01)[1] and not _invert_spd64(hessian, 0.1)[1]
+        stats = [layers[0][1], retry, layers[2][1]]
+        memo = {}
+        got = gptq_quantize_stack([w for w, _ in layers], stats, 8, group_size=3, names=["a", "b", "c"], factors=memo)
+        for (w, _), st, name, result in zip(layers, stats, "abc", got):
+            assert_same_quantization(result, oracle_gptq_quantize(w, st, 8, group_size=3))
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
+            assert memo[(name, 0.01)].tobytes() == fresh.tobytes()
+
+    def test_factor_memo_reused_and_equal_to_fresh(self):
+        layers = [_layer(i, 5, 12, dead=(4,) if i == 1 else ()) for i in range(4)]
+        ws, stats, names = [w for w, _ in layers], [st for _, st in layers], ["p", "q", "r", "s"]
+        memo = {}
+        first = gptq_quantize_stack(ws[:2], stats[:2], 2, group_size=4, names=names[:2], factors=memo)
+        assert sorted(memo) == [("p", 0.01), ("q", 0.01)]
+        kept = dict(memo)
+        second = gptq_quantize_stack(ws, stats, 4, group_size=4, names=names, factors=memo)
+        assert all(memo[key] is kept[key] for key in kept) and len(memo) == 4
+        damped = gptq_quantize_stack(ws, stats, 8, damping=0.5, names=names, factors=memo)
+        assert len(memo) == 8
+        for w, st, a in zip(ws, stats, first):
+            assert_same_quantization(a, oracle_gptq_quantize(w, st, 2, group_size=4))
+        for w, st, b, c in zip(ws, stats, second, damped):
+            assert_same_quantization(b, oracle_gptq_quantize(w, st, 4, group_size=4))
+            assert_same_quantization(c, oracle_gptq_quantize(w, st, 8, damping=0.5))
+        for (name, damping), upper in memo.items():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats[names.index(name)]), damping)
+            assert (upper.dtype, upper.shape, upper.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+    def test_chunked_factorization_matches_oracle(self, monkeypatch):
+        # chunks of 5 over a stack of 24: the last chunk is ragged, and the
+        # slice that needs the 10x retry sits in a middle chunk
+        monkeypatch.setattr(quantizers, "FACTOR_CHUNK_BYTES", 5 * 6 * 6 * 8)
+        layers = [_layer(i, 8, 6) for i in range(24)]
+        retry = LayerStats(gram=_gram_with_eigenvalues(6, [1, 1, 1, 1, 1, -0.05]), magnitude=np.ones(6), rows=8)
+        stats = [st for _, st in layers]
+        stats[12] = retry
+        names = [f"layer{i}" for i in range(24)]
+        memo = {}
+        got = gptq_quantize_stack([w for w, _ in layers], stats, 6, group_size=4, names=names, factors=memo)
+        for (w, _), st, name, result in zip(layers, stats, names, got):
+            assert_same_quantization(result, oracle_gptq_quantize(w, st, 6, group_size=4))
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
+            assert memo[(name, 0.01)].tobytes() == fresh.tobytes()
+
+    def test_rejects_bad_stacks(self):
+        (w, st), (w2, _) = _layer(1, 4, 6), _layer(2, 5, 6)
+        with pytest.raises(ValueError, match="one shape"):
+            gptq_quantize_stack([w, w2], [st, st], 4)
+        with pytest.raises(ValueError, match="one LayerStats per weight"):
+            gptq_quantize_stack([w, w], [st], 4)
+        with pytest.raises(ValueError, match="layer names"):
+            gptq_quantize_stack([w], [st], 4, factors={})
+        with pytest.raises(ValueError, match="non-finite"):
+            gptq_quantize_stack([w, np.full_like(w, np.nan)], [st, st], 4)
+        with pytest.raises(ValueError, match="in_features"):
+            gptq_quantize_stack([w], [_layer(3, 4, 5)[1]], 4)
 
 
 class TestAwq:
