@@ -311,7 +311,8 @@ def _memo(fn, keys, workers: int) -> dict:
         try:
             return fn(key)
         except Exception as exc:  # recorded against the cells that read this entry
-            return exc
+            # without its traceback, whose frames would keep their inputs alive
+            return exc.with_traceback(None)
 
     keys = list(dict.fromkeys(keys))
     return dict(zip(keys, _map(guarded, keys, workers)))
@@ -390,6 +391,7 @@ def run_grid(
             return {e.layer: (qw.layers[e.layer], e) for e in ledger.entries}
 
         fragments = _memo(quantize, fragment_keys, workers)
+        calib = None  # only the fragments read it: free the Gram matrices and factors before decode
 
         def assemble(parts) -> tuple[ModelWeights, QuantizationLedger]:
             layers, ledger = dict(fp.layers), QuantizationLedger()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -49,9 +48,6 @@ LN_EPS = 1e-5
 CALIBRATION_ROW_CAP = 2048
 CAPTION_HORIZON = 16
 VQA_HORIZON = 4
-
-WEIGHTS_MAGIC = b"MMQW"
-WEIGHTS_VERSION = 1
 
 
 class ComponentId(enum.Enum):
@@ -651,75 +647,3 @@ def apply_quantization(
         spec=weights.spec, layers=new_layers, extras=weights.extras, addresses=weights.addresses
     )
     return quantized, ledger
-
-
-# --- weight container -------------------------------------------------------
-
-
-def save_weights(weights: ModelWeights, path) -> None:
-    """Flat binary container: MMQW magic, version, then named float32 tensors."""
-    names = sorted(list(weights.layers) + list(weights.extras))
-    lookup = {**weights.layers, **weights.extras}
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", WEIGHTS_VERSION, len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(lookup[name], dtype=np.float32)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", 0, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes())
-
-
-def _read(blob: bytes, offset: int, size: int) -> bytes:
-    if offset + size > len(blob):
-        raise ValueError(
-            f"truncated weight container: {size} bytes expected at offset {offset}, file has {len(blob)}"
-        )
-    return blob[offset : offset + size]
-
-
-def load_weights(path, spec: PipelineSpec) -> ModelWeights:
-    """Read a MMQW container back into ModelWeights, validating names and shapes."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != WEIGHTS_MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}")
-    version, count = struct.unpack("<II", _read(blob, 4, 8))
-    if version != WEIGHTS_VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    offset = 12
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read(blob, offset, 2))
-        offset += 2
-        name = _read(blob, offset, name_len).decode("utf-8")
-        offset += name_len
-        dtype_code, rank = struct.unpack("<BB", _read(blob, offset, 2))
-        offset += 2
-        if dtype_code != 0:
-            raise ValueError(f"unsupported dtype code {dtype_code} for {name}")
-        dims = struct.unpack(f"<{rank}I", _read(blob, offset, 4 * rank))
-        offset += 4 * rank
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(_read(blob, offset, 4 * size), dtype="<f4").reshape(dims)
-        offset += 4 * size
-        tensors[name] = np.ascontiguousarray(arr, dtype=np.float32)
-
-    addresses = _enumerate_addresses(spec)
-    expected_layers = {a.name: _sublayer_shapes(spec)[a.sublayer] for a in addresses}
-    expected_extras = _extra_shapes(spec)
-    expected = set(expected_layers) | set(expected_extras)
-    if set(tensors) != expected:
-        missing = expected - set(tensors)
-        surplus = set(tensors) - expected
-        raise ValueError(f"container does not match spec (missing={sorted(missing)[:3]}, surplus={sorted(surplus)[:3]})")
-    for name, shape in {**expected_layers, **expected_extras}.items():
-        if tensors[name].shape != tuple(shape):
-            raise ValueError(f"tensor {name} has shape {tensors[name].shape}, expected {tuple(shape)}")
-    layers = {name: tensors[name] for name in expected_layers}
-    extras = {name: tensors[name] for name in expected_extras}
-    return ModelWeights(spec=spec, layers=layers, extras=extras, addresses=addresses)
-

@@ -11,7 +11,9 @@ Three methods operate on a (out_features x in_features) float32 weight matrix:
   ``gptq_quantize_stack`` runs one column sweep over same-shape layers.
 * ``awq_quantize``       - grid search over a per-channel scaling exponent,
   scaling salient input channels up before rounding and folding the scales
-  back into the stored grids.
+  back into the stored grids. The alphas are scored together in chunks of
+  about CHUNK_BYTES per array, in place, with the arithmetic of the grouped
+  rounding, ``dequantize`` and ``proxy_loss``; only the winner is stored.
 
 Calibration enters only through a layer's ``LayerStats``: the Gram matrix
 X^T X of its input activations X and their mean |x| per channel. GPTQ reads
@@ -35,7 +37,8 @@ from .numerics import NotPositiveDefiniteError, _cholesky64, _invert_spd64
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 SCALE_CLAMP = (1e-4, 1e4)
-FACTOR_CHUNK_BYTES = 1 << 20
+# bytes per float64 array of a stacked chunk: GPTQ factors, AWQ alpha scoring
+CHUNK_BYTES = 1 << 20
 
 
 class Method(enum.Enum):
@@ -150,8 +153,23 @@ def _group_count(cols: int, group_size: int) -> int:
     return max(1, -(-cols // group_size))
 
 
-def _group_bounds(cols: int, group_size: int) -> list[tuple[int, int]]:
-    return [(g * group_size, min((g + 1) * group_size, cols)) for g in range(_group_count(cols, group_size))]
+def _group_views(a: np.ndarray, group_size: int) -> list[np.ndarray]:
+    """Views of a (count, rows, cols) array as (count, rows', groups, width) blocks.
+
+    The last axis runs over one grid group: the whole matrix per tensor, else
+    full groups plus at most one narrower tail group. This is the one
+    definition of the group layout that rtn_group_quantize and the AWQ search
+    share.
+    """
+    count, rows, cols = a.shape
+    if group_size >= rows * cols:
+        return [a.reshape(count, 1, 1, rows * cols)]
+    width = min(group_size, cols)
+    full = cols // width * width
+    views = [a[:, :, :full].reshape(count, rows, full // width, width)]
+    if full < cols:
+        views.append(a[:, :, full:].reshape(count, rows, 1, cols - full))
+    return views
 
 
 def _encode(w64: np.ndarray, lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
@@ -206,26 +224,21 @@ def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatri
         return uniform_quantize(w, k)
 
     levels = (1 << k) - 1
-    w64 = w.astype(np.float64)
-    bounds = _group_bounds(cols, group_size)
-    grid_lo = np.empty((rows, len(bounds)), dtype=np.float32)
-    grid_hi = np.empty((rows, len(bounds)), dtype=np.float32)
-    codes = np.empty((rows, cols), dtype=np.uint16)
-    for g, (c0, c1) in enumerate(bounds):
-        lo = w[:, c0:c1].min(axis=1)
-        hi = w[:, c0:c1].max(axis=1)
-        grid_lo[:, g] = lo
-        grid_hi[:, g] = hi
-        codes[:, c0:c1] = _encode(
-            w64[:, c0:c1], lo.astype(np.float64)[:, None], hi.astype(np.float64)[:, None], levels
-        )
+    codes = np.empty((1, rows, cols), dtype=np.uint16)
+    lows, highs = [], []
+    for v, c in zip(_group_views(w[None], group_size), _group_views(codes, group_size)):
+        lo = v.min(axis=3, keepdims=True)
+        hi = v.max(axis=3, keepdims=True)
+        c[...] = _encode(v.astype(np.float64), lo.astype(np.float64), hi.astype(np.float64), levels)
+        lows.append(lo[0, :, :, 0])
+        highs.append(hi[0, :, :, 0])
     return QuantizedMatrix(
-        codes=codes,
+        codes=codes[0],
         bits=k,
         scheme=GridScheme.PER_GROUP,
         group_size=group_size,
-        grid_lo=grid_lo,
-        grid_hi=grid_hi,
+        grid_lo=np.concatenate(lows, axis=1),
+        grid_hi=np.concatenate(highs, axis=1),
         rows=rows,
         cols=cols,
     )
@@ -291,7 +304,7 @@ def _gptq_factors(
 ) -> np.ndarray:
     """The stack's upper factors; with a ``memo``, each (name, damping) is factored once.
 
-    Missing factors are computed in stacked chunks of about FACTOR_CHUNK_BYTES
+    Missing factors are computed in stacked chunks of about CHUNK_BYTES
     per array, which bounds the memory a factorization holds at once, and the
     memo keeps views of the returned stack rather than copies.
     """
@@ -305,7 +318,7 @@ def _gptq_factors(
             lower[s] = memo[key].T
         else:
             missing.append(s)
-    chunk = max(1, FACTOR_CHUNK_BYTES // stats[0].gram.nbytes)
+    chunk = max(1, CHUNK_BYTES // stats[0].gram.nbytes)
     for c0 in range(0, len(missing), chunk):
         part = missing[c0 : c0 + chunk]
         hessians = _gptq_hessians([stats[s] for s in part])
@@ -420,14 +433,73 @@ def gptq_quantize_stack(
     return results
 
 
-def _channel_scales(magnitude: np.ndarray, alpha: float) -> np.ndarray:
-    """Geomean-normalized per-channel scales; zero-activation channels stay at 1."""
+def _alpha_scales(magnitude: np.ndarray) -> np.ndarray:
+    """Geomean-normalized per-channel scales, one row per alpha of ALPHA_GRID.
+
+    Row i is ``(a_j / geomean(a)) ** ALPHA_GRID[i]`` clipped to SCALE_CLAMP;
+    zero-activation channels, alpha 0 and layers without an active channel
+    stay at 1. The geomean and the ratio are computed once per layer.
+    """
+    table = np.ones((len(ALPHA_GRID), magnitude.shape[0]), dtype=magnitude.dtype)
     active = magnitude > 0
-    scales = np.ones_like(magnitude)
-    if active.any() and alpha != 0.0:
-        geomean = math.exp(float(np.mean(np.log(magnitude[active]))))
-        scales[active] = np.clip((magnitude[active] / geomean) ** alpha, *SCALE_CLAMP)
-    return scales
+    if active.any():
+        ratio = magnitude[active] / math.exp(float(np.mean(np.log(magnitude[active]))))
+        for row, alpha in zip(table, ALPHA_GRID):
+            if alpha != 0.0:
+                # a Python float exponent keeps numpy's sqrt and identity paths
+                row[active] = np.clip(ratio**alpha, *SCALE_CLAMP)
+    return table
+
+
+def _awq_losses(w: np.ndarray, gram: np.ndarray, k: int, group_size: int, table: np.ndarray) -> np.ndarray:
+    """Proxy loss of the descaled RTN reconstruction under each row of scales.
+
+    Bit for bit what rtn_group_quantize, dequantize and proxy_loss give per
+    row, computed in chunks of about CHUNK_BYTES per float64 array, each in
+    place on one float64 and one float32 buffer. The loss matmul runs one
+    gemm per row with a single layer's shapes, and each row is summed alone.
+    """
+    rows, cols = w.shape
+    levels = (1 << k) - 1
+    w64 = w.astype(np.float64)
+    chunk = max(1, CHUNK_BYTES // max(1, w64.nbytes))
+    size = min(chunk, len(table))
+    buf = np.empty((size, rows, cols), dtype=np.float64)
+    buf32 = np.empty((size, rows, cols), dtype=np.float32)
+    prod = np.empty_like(buf)
+    losses = np.empty(len(table), dtype=np.float64)
+    for a0 in range(0, len(table), chunk):
+        scales = table[a0 : a0 + chunk, None, :]
+        x, x32, p = buf[: len(scales)], buf32[: len(scales)], prod[: len(scales)]
+        np.multiply(w64, scales, out=x)
+        np.copyto(x32, x)  # the scaled float32 weights rtn_group_quantize reads
+        np.copyto(x, x32)
+        for v, v32 in zip(_group_views(x, group_size), _group_views(x32, group_size)):
+            lo = v32.min(axis=3, keepdims=True).astype(np.float64)
+            hi = v32.max(axis=3, keepdims=True).astype(np.float64)
+            span = hi - lo
+            # an overflowed entry is its group's min or max, so its span is not finite
+            if not np.all(np.isfinite(span)):
+                raise ValueError("weight matrix contains non-finite entries")
+            v -= lo  # a zero-span group is constant, so this leaves it exactly 0
+            v /= np.where(span > 0, span, 1.0)
+            v *= levels
+            np.rint(v, out=v)
+            np.clip(v, 0, levels, out=v)
+            # dequantize from the float codes, which are exact integers
+            v /= levels
+            v *= span
+            v += lo
+        np.copyto(x32, x)  # dequantize returns float32
+        np.copyto(x, x32)
+        x /= scales
+        np.copyto(x32, x)  # w_eff is float32; proxy_loss widens it again
+        np.copyto(x, x32)
+        np.subtract(w64, x, out=x)
+        np.matmul(x, gram, out=p)
+        p *= x
+        losses[a0 : a0 + len(scales)] = [np.sum(slab) for slab in p]
+    return losses
 
 
 def awq_quantize(
@@ -438,7 +510,9 @@ def awq_quantize(
     Channels with larger mean |activation| are scaled up by
     ``(a_j / geomean(a))^alpha`` before rounding, spending grid resolution on
     salient channels; alpha is picked from a 21-point grid by the proxy loss
-    of the descaled reconstruction. The chosen scales are folded into the
+    of the descaled reconstruction, the first alpha winning ties. All alphas
+    are scored together in chunks (``_awq_losses``); only the winner is
+    quantized into a ``QuantizedMatrix``. Its scales are folded into the
     stored grids (one (lo, hi) pair per channel) so plain ``dequantize``
     reproduces the effective weights.
     """
@@ -448,20 +522,18 @@ def awq_quantize(
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     _check_stats(stats, w)
 
-    best: tuple[float, float, QuantizedMatrix, np.ndarray] | None = None
-    for alpha in ALPHA_GRID:
-        scales = _channel_scales(stats.magnitude, alpha)
-        scaled = (w.astype(np.float64) * scales).astype(np.float32)
-        qm_scaled = rtn_group_quantize(scaled, k, group_size)
-        w_eff = (dequantize(qm_scaled).astype(np.float64) / scales).astype(np.float32)
-        loss = proxy_loss(w, w_eff, stats.gram)
-        if best is None or loss < best[0]:
-            best = (loss, alpha, qm_scaled, scales)
-
-    loss, alpha, qm_scaled, scales = best
+    table = _alpha_scales(stats.magnitude)
+    losses = _awq_losses(w, np.asarray(stats.gram, dtype=np.float64), k, group_size, table)
+    best = 0
+    # strict <: a tie keeps the smaller alpha, and a NaN loss never takes over
+    for i in range(1, len(losses)):
+        if losses[i] < losses[best]:
+            best = i
+    alpha, scales = ALPHA_GRID[best], table[best]
+    qm_scaled = rtn_group_quantize((w.astype(np.float64) * scales).astype(np.float32), k, group_size)
     if np.all(scales == 1.0):
         # alpha = 0 (or flat activations): identical to plain RTN, stored as such.
-        return qm_scaled, alpha, loss
+        return qm_scaled, alpha, proxy_loss(w, dequantize(qm_scaled), stats.gram)
 
     rows, cols = w.shape
     col_group = np.arange(cols) // qm_scaled.group_size

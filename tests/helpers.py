@@ -8,6 +8,8 @@ import numpy as np
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
 from mmqlab.quantizers import (
+    ALPHA_GRID,
+    SCALE_CLAMP,
     GridScheme,
     QuantizedMatrix,
     _check_bits,
@@ -316,3 +318,56 @@ def assert_same_quantization(got, expected):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert (q.bits, q.scheme, q.group_size) == (q_ref.bits, q_ref.scheme, q_ref.group_size)
     assert float(loss).hex() == float(loss_ref).hex()
+
+
+def _channel_scales(magnitude: np.ndarray, alpha: float) -> np.ndarray:
+    """Geomean-normalized per-channel scales for one alpha; zero-activation channels stay at 1."""
+    active = magnitude > 0
+    scales = np.ones_like(magnitude)
+    if active.any() and alpha != 0.0:
+        geomean = math.exp(float(np.mean(np.log(magnitude[active]))))
+        scales[active] = np.clip((magnitude[active] / geomean) ** alpha, *SCALE_CLAMP)
+    return scales
+
+
+def oracle_awq_quantize(w, stats, k, group_size=128):
+    """awq_quantize one alpha at a time: quantize, dequantize and score each alpha in turn."""
+    w = _check_weight(w)
+    k = _check_bits(k)
+    if group_size <= 0:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    _check_stats(stats, w)
+
+    best = None
+    for alpha in ALPHA_GRID:
+        scales = _channel_scales(stats.magnitude, alpha)
+        scaled = (w.astype(np.float64) * scales).astype(np.float32)
+        qm_scaled = rtn_group_quantize(scaled, k, group_size)
+        w_eff = (dequantize(qm_scaled).astype(np.float64) / scales).astype(np.float32)
+        loss = proxy_loss(w, w_eff, stats.gram)
+        if best is None or loss < best[0]:
+            best = (loss, alpha, qm_scaled, scales)
+
+    loss, alpha, qm_scaled, scales = best
+    if np.all(scales == 1.0):
+        return qm_scaled, alpha, loss
+
+    rows, cols = w.shape
+    col_group = np.arange(cols) // qm_scaled.group_size
+    if qm_scaled.scheme is GridScheme.PER_TENSOR:
+        lo_scaled = np.full((rows, cols), qm_scaled.grid_lo[0, 0], dtype=np.float64)
+        hi_scaled = np.full((rows, cols), qm_scaled.grid_hi[0, 0], dtype=np.float64)
+    else:
+        lo_scaled = qm_scaled.grid_lo.astype(np.float64)[:, col_group]
+        hi_scaled = qm_scaled.grid_hi.astype(np.float64)[:, col_group]
+    qm = QuantizedMatrix(
+        codes=qm_scaled.codes,
+        bits=k,
+        scheme=GridScheme.PER_GROUP,
+        group_size=1,
+        grid_lo=(lo_scaled / scales).astype(np.float32),
+        grid_hi=(hi_scaled / scales).astype(np.float32),
+        rows=rows,
+        cols=cols,
+    )
+    return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)

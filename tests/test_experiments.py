@@ -225,6 +225,40 @@ class TestSotaGrid:
         )
         assert sorted(factored) == sorted(a.name for a in build_model(tiny_spec).addresses)
 
+    @pytest.mark.parametrize("fail_bits", [None, 2], ids=["ok", "failed-fragment"])
+    def test_calibration_freed_before_decode(self, tiny_spec, tiny_probes, monkeypatch, fail_bits):
+        import weakref
+
+        refs, alive_at_decode = [], []
+        quantize = experiments.apply_quantization
+
+        def failing(weights, sel, method, k, *args):
+            if k == fail_bits:
+                raise RuntimeError("synthetic failure")
+            return quantize(weights, sel, method, k, *args)
+
+        def collecting(*args, **kwargs):
+            calib = pipeline.collect_calibration(*args, **kwargs)
+            refs.append(weakref.ref(calib))
+            return calib
+
+        def decoding(*args, **kwargs):
+            alive_at_decode.append([ref() is not None for ref in refs])
+            return tasks.task_outputs(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "collect_calibration", collecting)
+        monkeypatch.setattr(experiments, "task_outputs", decoding)
+        monkeypatch.setattr(experiments, "apply_quantization", failing)
+        table = run_grid(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.VQA,), seeds=(3, 4), eval_pairs=4),
+            Method.GPTQ, calibration_pairs=8,
+        )
+        assert len(refs) == 2 and bool(table.failures) == (fail_bits is not None)
+        # each seed's calibration, with its memoised factors, is dead when that seed decodes
+        assert alive_at_decode[0] == [False]
+        assert [False, False] in alive_at_decode
+
     def test_rejects_uncalibrated_methods(self, tiny_spec, tiny_probes):
         with pytest.raises(ValueError, match="GPTQ/AWQ"):
             run_grid(tiny_spec, tiny_probes, GridSpec(), Method.RTN)

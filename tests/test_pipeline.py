@@ -26,14 +26,12 @@ from mmqlab.pipeline import (
     greedy_generate,
     group_of,
     image_embeddings,
-    load_weights,
-    save_weights,
     text_embeddings,
     vision_prefix,
 )
 from helpers import assert_same_quantization, oracle_gptq_hessian, oracle_gptq_quantize, oracle_inverse_hessian_factor
 from mmqlab.numerics import NotPositiveDefiniteError
-from mmqlab.quantizers import CalibrationSet, LayerStats, Method, dequantize
+from mmqlab.quantizers import CalibrationSet, LayerStats, Method, awq_quantize, dequantize
 
 GOLDEN_CAPTION_SEED7_PROBE11 = [26, 182, 60, 88, 171, 214, 247, 26, 182, 3, 12, 253, 244, 89, 18, 205]
 
@@ -374,40 +372,30 @@ class TestStackedGptqPipeline:
             apply_quantization(model, sel, Method.GPTQ, 4, broken)
 
 
-class TestWeightContainer:
-    def test_round_trip_bit_exact(self, tmp_path, default_spec, default_model):
-        path = tmp_path / "model.mmqw"
-        save_weights(default_model, path)
-        loaded = load_weights(path, default_spec)
-        assert all(np.array_equal(default_model.layers[k], loaded.layers[k]) for k in default_model.layers)
-        assert all(np.array_equal(default_model.extras[k], loaded.extras[k]) for k in default_model.extras)
+# sha256 over (layer name, dequantized bytes, proxy error, alpha) of every AWQ
+# layer of the tiny spec at bits 2-8, per group size; recorded with the
+# per-alpha AWQ loop before the alphas were scored in chunks
+TINY_AWQ_DIGESTS = {
+    12: "b5899e67cba59e8fbe87ed1ea36afc6828879d18d9c33b05888957355c886dc6",
+    128: "f074d7ca70d2e02d8e49c8a923963117d63131d7a933db8c5133d0c0c4784945",
+    1 << 30: "cdc04041395dc710fce70d5ca3c3cf3859fcc219e3eea73be0d978f306814f11",
+}
 
-    def test_magic_header(self, tmp_path, default_model):
-        path = tmp_path / "model.mmqw"
-        save_weights(default_model, path)
-        assert path.read_bytes()[:4] == b"MMQW"
 
-    def test_bad_magic_rejected(self, tmp_path, default_spec):
-        path = tmp_path / "junk.mmqw"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_weights(path, default_spec)
-
-    def test_spec_mismatch_rejected(self, tmp_path, default_model, tiny_spec):
-        path = tmp_path / "model.mmqw"
-        save_weights(default_model, path)
-        with pytest.raises(ValueError, match="does not match spec"):
-            load_weights(path, tiny_spec)
-
-    # cut inside the version/count field, the first name length, the first name
-    # and the last payload
-    @pytest.mark.parametrize("cut, offset", [(6, 4), (13, 12), (40, 14), (-1, None)])
-    def test_truncated_file_names_offset(self, tmp_path, default_spec, default_model, cut, offset):
-        path = tmp_path / "model.mmqw"
-        save_weights(default_model, path)
-        path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ValueError, match=f"truncated weight container: .* at offset {offset or ''}"):
-            load_weights(path, default_spec)
+class TestChunkedAwqPipeline:
+    @pytest.mark.parametrize("group_size", list(TINY_AWQ_DIGESTS), ids=["g12", "g128", "per-tensor"])
+    def test_dequantized_digest_pinned(self, tiny_spec, tiny_probes, group_size):
+        model = build_model(tiny_spec)
+        calib = collect_calibration(model, tiny_probes, n=8)
+        h = hashlib.sha256()
+        for k in range(2, 9):
+            for addr in model.addresses:
+                q, alpha, loss = awq_quantize(model.layers[addr.name], calib.layers[addr.name], k, group_size)
+                h.update(addr.name.encode())
+                h.update(dequantize(q).tobytes())
+                h.update(float(loss).hex().encode())
+                h.update(float(alpha).hex().encode())
+        assert h.hexdigest() == TINY_AWQ_DIGESTS[group_size]
 
 
 class TestProjectorPipeline:

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _channel_scales,
     activation_proxy_loss,
     assert_same_quantization,
     brute_force_proxy_min,
+    oracle_awq_quantize,
     oracle_gptq_hessian,
     oracle_gptq_quantize,
     oracle_inverse_hessian_factor,
@@ -21,7 +23,8 @@ from mmqlab.quantizers import (
     gptq_quantize,
     gptq_quantize_stack,
     ALPHA_GRID,
-    _channel_scales,
+    _alpha_scales,
+    _awq_losses,
     proxy_loss,
     rtn_group_quantize,
     uniform_quantize,
@@ -108,6 +111,20 @@ class TestRtnGroup:
         q = rtn_group_quantize(w, 4, 4)
         assert q.grid_lo.shape == (3, 3)
         assert np.all(np.isfinite(dequantize(q)))
+
+    @pytest.mark.parametrize("rows,cols,group_size", [(3, 10, 4), (2, 9, 3), (4, 5, 1), (3, 5, 7), (1, 7, 6)])
+    def test_groups_are_column_slices(self, rows, cols, group_size):
+        w = randn_matrix(RngStream(rows * 100 + cols), rows, cols, 1.0)
+        w[0, : min(cols, group_size)] = 0.5  # one constant group
+        q = rtn_group_quantize(w, 3, group_size)
+        bounds = [(c0, min(c0 + group_size, cols)) for c0 in range(0, cols, group_size)]
+        assert q.grid_lo.shape == (rows, len(bounds))
+        for g, (c0, c1) in enumerate(bounds):
+            lo, hi = w[:, c0:c1].min(axis=1), w[:, c0:c1].max(axis=1)
+            assert np.array_equal(q.grid_lo[:, g], lo) and np.array_equal(q.grid_hi[:, g], hi)
+            lo64, hi64 = lo[:, None].astype(np.float64), hi[:, None].astype(np.float64)
+            expect = quantizers._encode(w[:, c0:c1].astype(np.float64), lo64, hi64, 7)
+            assert np.array_equal(q.codes[:, c0:c1], expect)
 
     def test_zero_group_size_rejected(self):
         with pytest.raises(ValueError, match="group_size"):
@@ -291,7 +308,7 @@ class TestStackedGptq:
     def test_chunked_factorization_matches_oracle(self, monkeypatch):
         # chunks of 5 over a stack of 24: the last chunk is ragged, and the
         # slice that needs the 10x retry sits in a middle chunk
-        monkeypatch.setattr(quantizers, "FACTOR_CHUNK_BYTES", 5 * 6 * 6 * 8)
+        monkeypatch.setattr(quantizers, "CHUNK_BYTES", 5 * 6 * 6 * 8)
         layers = [_layer(i, 8, 6) for i in range(24)]
         retry = LayerStats(gram=_gram_with_eigenvalues(6, [1, 1, 1, 1, 1, -0.05]), magnitude=np.ones(6), rows=8)
         stats = [st for _, st in layers]
@@ -370,6 +387,101 @@ class TestAwq:
         assert alpha > 0.0
         assert proxy_loss(w, dequantize(q), stats.gram) == pytest.approx(err, rel=1e-12)
 
+
+
+def _awq_layer(rng, rows, cols, weight_scale=1.0):
+    """A random layer and its statistics, with one channel's activations scaled up."""
+    w = (rng.standard_normal((rows, cols)) * weight_scale).astype(np.float32)
+    x = rng.standard_normal((int(rng.integers(1, 24)), cols)).astype(np.float32)
+    x[:, int(rng.integers(0, cols))] *= 10.0 ** int(rng.integers(1, 4))
+    return w, x
+
+
+def _assert_same_awq(got, expected):
+    (q, alpha, loss), (q_ref, alpha_ref, loss_ref) = got, expected
+    assert float(alpha).hex() == float(alpha_ref).hex()
+    assert_same_quantization((q, loss), (q_ref, loss_ref))
+
+
+class TestAwqSearchEquivalence:
+    """The chunked, in-place alpha search against the per-alpha loop, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 16])
+    @pytest.mark.parametrize("group_size", [1, 5, 12, 1 << 30], ids=["g1", "g5", "g12", "per-tensor"])
+    def test_bits_and_group_sizes(self, k, group_size):
+        # 5 and 12 leave a narrower tail group on most of these widths
+        rng = np.random.default_rng(1000 * k + group_size % 1000)
+        for rows, cols in ((1, 1), (1, 7), (6, 12), (9, 17), (3, 40)):
+            w, x = _awq_layer(rng, rows, cols)
+            stats = LayerStats.from_activations(x)
+            _assert_same_awq(awq_quantize(w, stats, k, group_size), oracle_awq_quantize(w, stats, k, group_size))
+
+    def test_random_layers_and_edge_cases(self):
+        rng = np.random.default_rng(41)
+        for i in range(240):
+            rows, cols = int(rng.integers(1, 16)), int(rng.integers(1, 33))
+            w, x = _awq_layer(rng, rows, cols, 10.0 ** rng.uniform(-6, 2))
+            edge = i % 5
+            if edge == 1:
+                x[:, rng.random(cols) < 0.4] = 0.0  # dead channels
+            elif edge == 2:
+                x[:] = 0.0  # all-zero activations: every scale is 1
+            elif edge == 3:
+                w[int(rng.integers(0, rows))] = w[0, 0]  # a constant row: zero span at alpha 0
+            elif edge == 4:
+                w[:, : cols // 2 + 1] = 0.0  # zero groups, a zero span at every alpha
+            group_size = int(rng.choice([1, int(rng.integers(1, cols + 1)), cols, rows * cols]))
+            k = int(rng.choice([2, 3, 4, 5, 6, 7, 8, 16]))
+            stats = LayerStats.from_activations(x)
+            _assert_same_awq(awq_quantize(w, stats, k, group_size), oracle_awq_quantize(w, stats, k, group_size))
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5])
+    def test_chunks_that_do_not_divide_the_alphas(self, monkeypatch, per_chunk):
+        rows, cols = 7, 13
+        monkeypatch.setattr(quantizers, "CHUNK_BYTES", per_chunk * rows * cols * 8)
+        rng = np.random.default_rng(42 + per_chunk)
+        for k, group_size in ((3, 4), (4, 1 << 30), (2, 13), (8, 1), (16, 6)):
+            w, x = _awq_layer(rng, rows, cols)
+            x[:, 2] = 0.0
+            stats = LayerStats.from_activations(x)
+            _assert_same_awq(awq_quantize(w, stats, k, group_size), oracle_awq_quantize(w, stats, k, group_size))
+
+    @pytest.mark.parametrize("group_size", [1, 3, 1 << 30], ids=["g1", "g3", "per-tensor"])
+    def test_losses_and_scales_match_each_alpha(self, monkeypatch, group_size):
+        monkeypatch.setattr(quantizers, "CHUNK_BYTES", 4 * 5 * 10 * 8)
+        rng = np.random.default_rng(43)
+        w, x = _awq_layer(rng, 5, 10)
+        w[1] = 0.25
+        x[:, 4] = 0.0
+        stats = LayerStats.from_activations(x)
+        table = _alpha_scales(stats.magnitude)
+        losses = _awq_losses(w, stats.gram, 3, group_size, table)
+        for alpha, scales, loss in zip(ALPHA_GRID, table, losses):
+            assert scales.tobytes() == _channel_scales(stats.magnitude, alpha).tobytes()
+            scaled = rtn_group_quantize((w.astype(np.float64) * scales).astype(np.float32), 3, group_size)
+            w_eff = (dequantize(scaled).astype(np.float64) / scales).astype(np.float32)
+            assert loss == proxy_loss(w, w_eff, stats.gram)
+
+    def test_nan_losses_scanned_like_the_loop(self):
+        # a tiny scale on a large weight overflows the float32 reconstruction
+        w = np.array([[3e34, 1e20, 2.0, 2.0], [-3e34, -1e20, 1.0, 1.0]], np.float32)
+        x = np.ones((4, 4), np.float32)
+        x[:, 0], x[:, 1] = 1e4, 1e-4
+        stats = LayerStats.from_activations(x)
+        with np.errstate(all="ignore"):
+            assert np.isnan(_awq_losses(w, stats.gram, 4, 1 << 30, _alpha_scales(stats.magnitude))).any()
+            for k in (2, 4, 8):
+                _assert_same_awq(awq_quantize(w, stats, k, 1 << 30), oracle_awq_quantize(w, stats, k, 1 << 30))
+
+    def test_overflowing_scaled_weights_rejected(self):
+        w = np.ones((4, 6), np.float32)
+        w[:, 0] = 1e35
+        x = np.ones((8, 6), np.float32)
+        x[:, 0] = 1e6  # a scale clipped to 1e4 at alpha 1 takes 1e35 past float32
+        stats = LayerStats.from_activations(x)
+        for quantize in (awq_quantize, oracle_awq_quantize):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="weight matrix contains non-finite"):
+                quantize(w, stats, 4, 3)
 
 
 class TestLayerStats:
