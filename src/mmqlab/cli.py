@@ -92,7 +92,6 @@ class Config:
     pipeline: PipelineSpec
     grid: GridSpec
     probes: ProbeConfig | None
-    output_dir: str
     workers: int
 
 
@@ -194,19 +193,11 @@ def load_config(path: str) -> Config:
         probes = ProbeConfig(
             **{k: _expect(v, int, f"probes.{k}") for k, v in section.items()}
         )
-    output_dir = _expect(raw.get("output_dir", "."), str, "output_dir")
+    _expect(raw.get("output_dir", "."), str, "output_dir")  # accepted but not read: --out names every output
     workers = _expect(raw.get("workers", 1), int, "workers")
     if workers < 1:
         raise ConfigError(f"config error at workers: must be >= 1, got {workers}")
-    if "MMQ_WORKERS" in os.environ:
-        value = os.environ["MMQ_WORKERS"]
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"environment variable MMQ_WORKERS must be an integer >= 1, got {value!r}")
-    return Config(pipeline=pipeline, grid=grid, probes=probes, output_dir=output_dir, workers=workers)
+    return Config(pipeline=pipeline, grid=grid, probes=probes, workers=workers)
 
 
 def _build_probes(config: Config, require_calibration: bool):

@@ -11,8 +11,10 @@ plus the block groups and layer types it quantizes:
 
 Calibration runs once per seed and each component is quantized once per bit
 width; a cell takes the layers its selector picks from those fragments. The
-vision tower, the connector, the retrieval text embeddings and the
-full-precision reference are each memoised on the fragments they read.
+vision tower, the connector and the retrieval text embeddings are memoised
+on the fragments they read, and one closure derives every model's task
+outputs from those memos. The full-precision reference is the model that
+reads no fragment: its stage outputs are the memos' all-None entries.
 
 Results are plain records with a stable content-addressed ``run_id``;
 persistence is a fixed-schema CSV whose save/load round-trips exactly.
@@ -30,9 +32,11 @@ import numpy as np
 from . import pipeline
 from .numerics import derive_seed
 from .pipeline import (
+    CAPTION_HORIZON,
     COMPONENT_ORDER,
     GROUP_ORDER,
     LAYER_TYPE_ORDER,
+    VQA_HORIZON,
     BlockGroup,
     ComponentId,
     LayerType,
@@ -45,10 +49,12 @@ from .pipeline import (
     build_model,
     collect_calibration,
     enumerate_layers,
+    generate_tokens,
+    image_embeddings,
+    text_embeddings,
 )
-from .pipeline import image_embeddings, text_embeddings
 from .quantizers import GridScheme, Method
-from .tasks import ProbeSet, agreement, task_outputs
+from .tasks import ProbeSet, agreement
 
 CSV_HEADER = (
     "run_id,method,task,vision_bits,connector_bits,language_bits,"
@@ -102,10 +108,6 @@ class RunRecord:
             ComponentId.CONNECTOR: self.connector_bits,
             ComponentId.LANGUAGE: self.language_bits,
         }
-
-    @property
-    def quantized_components(self) -> tuple[ComponentId, ...]:
-        return tuple(c for c, b in self.component_bits.items() if b < FP_BITS)
 
     @property
     def is_full_pipeline_star(self) -> bool:
@@ -206,14 +208,6 @@ class ResultsTable:
 
     def for_task(self, task: TaskKind) -> "ResultsTable":
         return ResultsTable(rows=[r for r in self.rows if r.task is task])
-
-    def single_component_slice(self) -> "ResultsTable":
-        """Rows quantizing exactly one component (per-component ablation view)."""
-        return ResultsTable(rows=[r for r in self.rows if len(r.quantized_components) == 1])
-
-    def pairwise_slice(self) -> "ResultsTable":
-        """Rows quantizing exactly two components (interaction view)."""
-        return ResultsTable(rows=[r for r in self.rows if len(r.quantized_components) == 2])
 
     def sorted_by_run_id(self) -> "ResultsTable":
         return ResultsTable(rows=sorted(self.rows, key=lambda r: r.run_id), failures=list(self.failures))
@@ -355,6 +349,8 @@ def run_grid(
         raise ValueError(f"grid.eval_pairs is {grid.eval_pairs}, but there are only {len(probes)} probe pairs")
     group_size = 0 if method is Method.UNIFORM else grid.group_size
     eval_probes = probes.take(grid.eval_pairs) if grid.eval_pairs else probes
+    if TaskKind.RETRIEVAL in grid.tasks and len(eval_probes) < 2:
+        raise ValueError(f"retrieval scoring needs at least 2 probe pairs, but grid.eval_pairs gives {len(eval_probes)}")
     images, texts = eval_probes.images, eval_probes.texts
 
     table = ResultsTable()
@@ -405,45 +401,46 @@ def run_grid(
                     ledger.entries.append(entry)
             return replace(fp, layers=layers), ledger
 
-        # stage memos, each keyed on the parts its stage reads
+        # stage memos, each keyed on the parts its stage reads; the full-precision
+        # reference is the model whose parts are all None
+        reference_parts = (None, None, None)
+        ref_tasks = [task for task in grid.tasks if any(task in pending for _, pending in cells)]
+        models = [(reference_parts, ref_tasks)] + [(cell.parts, pending) for cell, pending in cells]
         visions = _memo(
             lambda v: pipeline.encode_vision(assemble((v, None, None))[0], images),
-            [None] + [cell.parts[0] for cell, _ in cells],
+            [parts[0] for parts, _ in models],
             workers,
         )
         prefixes = _memo(
             lambda vc: pipeline.run_connector(assemble((*vc, None))[0], _ok(visions[vc[0]])),
-            [(None, None)] + [cell.parts[:2] for cell, _ in cells],
+            [parts[:2] for parts, _ in models],
             workers,
         )
-        fp_prefix = _ok(prefixes[(None, None)])
-        ref_tasks = [task for task in grid.tasks if any(task in pending for _, pending in cells)]
-        reference = dict(
-            zip(ref_tasks, _map(lambda t: task_outputs(fp, eval_probes, t, prefix=fp_prefix), ref_tasks, workers))
-        )
-        text_parts = [cell.parts[2] for cell, pending in cells if TaskKind.RETRIEVAL in pending]
         text_memo = _memo(
             lambda lang: text_embeddings(assemble((None, None, lang))[0], texts),
-            [part for part in text_parts if part is not None],
+            [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks],
             workers,
         )
-        if TaskKind.RETRIEVAL in reference:
-            text_memo[None] = reference[TaskKind.RETRIEVAL][1]
+
+        def model_outputs(parts, task):
+            """A model's outputs on the eval probes, the operand of ``agreement``."""
+            prefix = _ok(prefixes[parts[:2]])
+            if task is TaskKind.RETRIEVAL:
+                return image_embeddings(prefix), _ok(text_memo[parts[2]])
+            horizon = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
+            questions = eval_probes.questions if task is TaskKind.VQA else None
+            return generate_tokens(assemble(parts)[0], prefix, task, horizon, questions)
+
+        reference = dict(zip(ref_tasks, _map(lambda t: model_outputs(reference_parts, t), ref_tasks, workers)))
 
         def score(item):
             cell, pending = item
             try:
-                weights, ledger = assemble(cell.parts)
-                bpw = compute_bpw(ledger, fp)
-                prefix = _ok(prefixes[cell.parts[:2]])
+                bpw = compute_bpw(assemble(cell.parts)[1], fp)
                 scores = {}
                 for task in pending:
-                    if not any(cell.parts):
-                        outputs = reference[task]
-                    elif task is TaskKind.RETRIEVAL:
-                        outputs = (image_embeddings(weights, images, prefix), _ok(text_memo[cell.parts[2]]))
-                    else:
-                        outputs = task_outputs(weights, eval_probes, task, prefix=prefix)
+                    # a baseline cell is the reference model: read its outputs, do not decode again
+                    outputs = reference[task] if cell.parts == reference_parts else model_outputs(cell.parts, task)
                     scores[task] = agreement(task, outputs, reference[task])
             except Exception as exc:  # fail this cell's tasks, not the grid
                 return float("nan"), {}, str(exc)

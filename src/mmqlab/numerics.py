@@ -113,10 +113,6 @@ class RngStream:
             raise ValueError(f"cannot choose {k} of {n}")
         return np.sort(self.permutation(n)[:k])
 
-    def spawn(self, *tags: int | str) -> "RngStream":
-        """Independent child stream keyed by tags."""
-        return RngStream(derive_seed(self.seed, *tags))
-
 
 def randn_matrix(stream: RngStream, rows: int, cols: int, std: float) -> np.ndarray:
     """Deterministic i.i.d. normal(0, std^2) matrix, float32, row-major."""

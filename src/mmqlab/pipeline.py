@@ -496,13 +496,9 @@ def _unit_mean(x: np.ndarray) -> np.ndarray:
     return pooled / np.linalg.norm(pooled, axis=-1, keepdims=True)
 
 
-def image_embeddings(weights: ModelWeights, images: np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
-    """Unit-norm pooled connector output, one row per image.
-
-    A ``prefix`` already computed by ``vision_prefix`` for these images is
-    pooled as it is.
-    """
-    return _unit_mean(vision_prefix(weights, images) if prefix is None else prefix)
+def image_embeddings(prefix: np.ndarray) -> np.ndarray:
+    """Unit-norm pooled connector output, one row per image of ``vision_prefix``."""
+    return _unit_mean(prefix)
 
 
 def text_embeddings(weights: ModelWeights, text_ids: np.ndarray) -> np.ndarray:
@@ -522,27 +518,21 @@ def generation_prompt(probe_text: np.ndarray, mode: TaskKind) -> np.ndarray:
 
 def generate_tokens(
     weights: ModelWeights,
-    images: np.ndarray,
+    prefix: np.ndarray,
     mode: TaskKind,
     horizon: int,
     question_ids: np.ndarray | None = None,
-    prefix: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched conditional generation for caption (image only) or VQA (image + question).
-
-    A ``prefix`` already computed by ``vision_prefix`` for these images is
-    decoded from as it is.
-    """
+    """Batched conditional generation for caption (image only) or VQA (image +
+    question), decoded from the ``vision_prefix`` of the images."""
     if mode is TaskKind.CAPTION:
-        prompt = generation_prompt(np.empty((images.shape[0], 0)), TaskKind.CAPTION)
+        prompt = generation_prompt(np.empty((prefix.shape[0], 0)), TaskKind.CAPTION)
     elif mode is TaskKind.VQA:
         if question_ids is None:
             raise ValueError("VQA generation requires question ids")
         prompt = generation_prompt(question_ids, TaskKind.VQA)
     else:
         raise ValueError(f"not a generation task: {mode}")
-    if prefix is None:
-        prefix = vision_prefix(weights, images)
     return greedy_generate(weights, prefix, prompt, horizon)
 
 

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RngStream
-from .pipeline import (
-    CAPTION_HORIZON,
-    VQA_HORIZON,
-    ModelWeights,
-    TaskKind,
-    generate_tokens,
-    image_embeddings,
-    text_embeddings,
-)
+from .pipeline import TaskKind
 
 
 @dataclass(frozen=True)
@@ -100,17 +92,6 @@ def make_probe_set(
     return ProbeSet(pairs=pairs, seed=seed, image_latents=image_latents, text_latents=text_latents)
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    task: TaskKind
-    score: float
-    n_probes: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-
-
 def retrieval_agreement(
     img_q: np.ndarray, txt_q: np.ndarray, img_fp: np.ndarray, txt_fp: np.ndarray
 ) -> float:
@@ -121,61 +102,10 @@ def retrieval_agreement(
     return 0.5 * (t2i + i2t)
 
 
-def task_outputs(
-    weights: ModelWeights,
-    probes: ProbeSet,
-    task: TaskKind,
-    horizon: int | None = None,
-    prefix: np.ndarray | None = None,
-):
-    """A model's outputs on the probes, the operand of ``agreement``.
-
-    Retrieval gives the unit-norm (image, text) embedding pair; caption and
-    VQA give greedy token ids, (probes, horizon), at the task's default
-    horizon unless one is given. ``prefix`` is ``vision_prefix(weights,
-    probes.images)`` when the caller already holds it.
-    """
-    if task is TaskKind.RETRIEVAL:
-        if len(probes) < 2:
-            raise ValueError("retrieval scoring needs at least 2 probe pairs")
-        return image_embeddings(weights, probes.images, prefix), text_embeddings(weights, probes.texts)
-    if horizon is None:
-        horizon = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
-    questions = probes.questions if task is TaskKind.VQA else None
-    return generate_tokens(weights, probes.images, task, horizon, question_ids=questions, prefix=prefix)
-
-
 def agreement(task: TaskKind, outputs, reference) -> float:
-    """Fidelity of ``task_outputs`` to the reference model's: top-1 retrieval
-    agreement, or the positionwise exact-match fraction of generated tokens."""
+    """Fidelity of a model's outputs to the reference model's: top-1 retrieval
+    agreement over (image, text) embedding pairs, or the positionwise
+    exact-match fraction of generated token ids."""
     if task is TaskKind.RETRIEVAL:
         return retrieval_agreement(*outputs, *reference)
     return float(np.mean(outputs == reference))
-
-
-def score_retrieval(q_weights: ModelWeights, fp_weights: ModelWeights, probes: ProbeSet) -> ScoreRecord:
-    return score_task(q_weights, fp_weights, probes, TaskKind.RETRIEVAL)
-
-
-def score_generation(
-    q_weights: ModelWeights,
-    fp_weights: ModelWeights,
-    probes: ProbeSet,
-    horizon: int | None = None,
-    mode: TaskKind = TaskKind.CAPTION,
-) -> ScoreRecord:
-    """Positionwise exact-match fraction of greedy decodes over the horizon."""
-    if mode not in (TaskKind.CAPTION, TaskKind.VQA):
-        raise ValueError(f"not a generation task: {mode}")
-    gen_q = task_outputs(q_weights, probes, mode, horizon)
-    gen_fp = task_outputs(fp_weights, probes, mode, horizon)
-    return ScoreRecord(task=mode, score=agreement(mode, gen_q, gen_fp), n_probes=len(probes))
-
-
-def score_task(
-    q_weights: ModelWeights, fp_weights: ModelWeights, probes: ProbeSet, task: TaskKind
-) -> ScoreRecord:
-    """Agreement of the quantized model's outputs with the full-precision
-    model's, at the task's default horizon."""
-    score = agreement(task, task_outputs(q_weights, probes, task), task_outputs(fp_weights, probes, task))
-    return ScoreRecord(task=task, score=score, n_probes=len(probes))

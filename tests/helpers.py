@@ -7,6 +7,15 @@ import numpy as np
 
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
+from mmqlab.pipeline import (
+    CAPTION_HORIZON,
+    VQA_HORIZON,
+    TaskKind,
+    generate_tokens,
+    image_embeddings,
+    text_embeddings,
+    vision_prefix,
+)
 from mmqlab.quantizers import (
     ALPHA_GRID,
     SCALE_CLAMP,
@@ -21,6 +30,7 @@ from mmqlab.quantizers import (
     proxy_loss,
     rtn_group_quantize,
 )
+from mmqlab.tasks import agreement
 
 
 def activation_proxy_loss(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
@@ -371,3 +381,19 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
         cols=cols,
     )
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
+
+
+def oracle_score_task(q_weights, fp_weights, probes, task, horizon=None) -> float:
+    """Agreement of a quantized model's outputs with the full-precision model's,
+    each model run from scratch on the probes, at the task's default horizon
+    unless one is given."""
+
+    def outputs(weights):
+        prefix = vision_prefix(weights, probes.images)
+        if task is TaskKind.RETRIEVAL:
+            return image_embeddings(prefix), text_embeddings(weights, probes.texts)
+        default = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
+        questions = probes.questions if task is TaskKind.VQA else None
+        return generate_tokens(weights, prefix, task, horizon or default, questions)
+
+    return agreement(task, outputs(q_weights), outputs(fp_weights))

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import brute_force_proxy_min, spearman_rho
+from helpers import brute_force_proxy_min, oracle_score_task, spearman_rho
 from mmqlab.cli import main
 from mmqlab.experiments import GridSpec, compute_bpw, run_grid
 from mmqlab.importance import (
@@ -48,7 +48,7 @@ from mmqlab.quantizers import (
     rtn_group_quantize,
     uniform_quantize,
 )
-from mmqlab.tasks import make_probe_set, score_generation, score_task
+from mmqlab.tasks import make_probe_set
 
 SEEDS = (7, 8, 9)
 
@@ -170,7 +170,7 @@ def test_criterion_04_degradation_monotonicity(models_by_seed, probes128):
         for i, k in enumerate(bits):
             quantized, _ = apply_quantization(model, Selector.everything(), Method.UNIFORM, k)
             for task in TaskKind:
-                mean_scores[task][i] += score_task(quantized, model, eval_probes, task).score / len(SEEDS)
+                mean_scores[task][i] += oracle_score_task(quantized, model, eval_probes, task) / len(SEEDS)
     rhos = {task.value: spearman_rho(bits, mean_scores[task]) for task in TaskKind}
     elapsed = time.monotonic() - start
     ok = all(rho >= 0.8 for rho in rhos.values()) and elapsed < 600.0
@@ -185,7 +185,7 @@ def test_criterion_05_sota_beats_uniform_at_matched_bits(models_by_seed, probes1
         for seed, model in models_by_seed.items():
             calib = calib_by_seed[seed] if method is not Method.UNIFORM else None
             quantized, _ = apply_quantization(model, Selector.everything(), method, 4, calib=calib)
-            scores.append(score_generation(quantized, model, eval_probes, mode=TaskKind.CAPTION).score)
+            scores.append(oracle_score_task(quantized, model, eval_probes, TaskKind.CAPTION))
         means[method.value] = float(np.mean(scores))
     ok = means["gptq"] >= means["uniform"] and means["awq"] >= means["uniform"]
     report(5, "sota-beats-uniform-at-4bit", ok, f"(mean caption fidelity={ {k: round(v, 4) for k, v in means.items()} })")

@@ -81,20 +81,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="language_blocks"):
             load_config(str(path))
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path)
-        monkeypatch.setenv("MMQ_WORKERS", "3")
-        assert load_config(str(path)).workers == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-    def test_bad_workers_env_exits_one(self, tmp_path, monkeypatch, capsys, value):
-        path = write_config(tmp_path)
-        monkeypatch.setenv("MMQ_WORKERS", value)
-        code = main(["grid", "--config", str(path), "--method", "uniform", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "MMQ_WORKERS" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
     @pytest.mark.parametrize("value", [0, -3])
     def test_bad_workers_config_names_key(self, tmp_path, value):
         path = write_config(tmp_path, workers=value)
@@ -213,6 +199,21 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert "grid.eval_pairs is 9" in err and "only 8 probe pairs" in err
         assert not out.exists()
+
+    def test_retrieval_with_one_eval_pair_exits_one_before_calibration(self, tmp_path, monkeypatch, capsys):
+        import mmqlab.experiments as experiments
+
+        calibrated = []
+        monkeypatch.setattr(experiments, "collect_calibration", lambda *args, **kwargs: calibrated.append(args))
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["grid"]["eval_pairs"] = 1
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        code = main(["grid", "--config", str(cfg), "--method", "gptq", "--out", str(out)])
+        assert code == 1
+        assert "grid.eval_pairs" in capsys.readouterr().err
+        assert not calibrated and not out.exists()
 
     def test_resume_rejects_changed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
-import mmqlab.tasks as tasks
+from helpers import oracle_score_task
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
@@ -177,15 +177,6 @@ class TestSotaGrid:
         base = [r for r in table.rows if (r.vision_bits, r.connector_bits, r.language_bits) == (16, 16, 16)]
         assert len(base) == 1 and base[0].score == 1.0 and base[0].bpw == 16.0
 
-    def test_single_and_pairwise_slices(self, tiny_spec, tiny_probes):
-        table = run_grid(
-            tiny_spec, tiny_probes,
-            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
-            Method.GPTQ, calibration_pairs=8,
-        )
-        assert len(table.single_component_slice().rows) == 3 * 2
-        assert len(table.pairwise_slice().rows) == 3 * 2 * 2
-
     def test_failed_cells_recorded_not_fatal(self, tiny_spec, tiny_probes, monkeypatch):
         import mmqlab.pipeline as pl
 
@@ -244,10 +235,10 @@ class TestSotaGrid:
 
         def decoding(*args, **kwargs):
             alive_at_decode.append([ref() is not None for ref in refs])
-            return tasks.task_outputs(*args, **kwargs)
+            return pipeline.generate_tokens(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "collect_calibration", collecting)
-        monkeypatch.setattr(experiments, "task_outputs", decoding)
+        monkeypatch.setattr(experiments, "generate_tokens", decoding)
         monkeypatch.setattr(experiments, "apply_quantization", failing)
         table = run_grid(
             tiny_spec, tiny_probes,
@@ -292,6 +283,11 @@ class TestSotaGrid:
         assert [(r.run_id, r.score) for r in serial.rows] == [(r.run_id, r.score) for r in pooled.rows]
 
 
+def _reads_only(weights, fp) -> bool:
+    """Whether every layer of a model is fp's own array, as in the full-precision reference."""
+    return all(weights.layers[name] is layer for name, layer in fp.layers.items())
+
+
 class TestMemo:
     """Stage calls are counted by wrapping the names the grid engine looks up."""
 
@@ -313,38 +309,39 @@ class TestMemo:
 
     def test_sota_reference_once_per_seed_and_task_prefix_once_per_bits(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
-        outputs = record(experiments, "task_outputs")
+        decodes = record(experiments, "generate_tokens")
         quantized = record(experiments, "apply_quantization")
         visions = record(pipeline, "encode_vision")
         connectors = record(pipeline, "run_connector")
-        memo_texts, reference_texts = record(experiments, "text_embeddings"), record(tasks, "text_embeddings")
+        texts = record(experiments, "text_embeddings")
         grid = GridSpec(
             bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
         )
         run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8)
         assert len(models) == 2
         for _, fp in models:
-            for task in grid.tasks:
-                assert sum(args[0] is fp and args[2] is task for args, _ in outputs) == 1
+            assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
+            for task in (TaskKind.CAPTION, TaskKind.VQA):
+                assert sum(_reads_only(args[0], fp) and args[2] is task for args, _ in decodes) == 1
         # per seed: each of the 3 components once per bit width
         assert len(quantized) == 2 * 3 * 2
         # per seed: calibration, full precision and the 2 quantized vision fragments
         assert len(visions) == 2 * (1 + 1 + 2)
         # per seed: calibration and the 3 x 3 (vision, connector) fragment pairs
         assert len(connectors) == 2 * (1 + 3 * 3)
-        # per seed: full precision (in the reference) and the 2 quantized language fragments
-        assert len(reference_texts) == 2 and len(memo_texts) == 2 * 2
+        # per seed: full precision (the reference) and the 2 quantized language fragments
+        assert len(texts) == 2 * (1 + 2)
         # besides the reference, each of the 26 quantized cells decodes once per
         # generation task and seed
-        assert len(outputs) == 2 * (3 + 2 * 26)
+        assert len(decodes) == 2 * (2 + 2 * 26)
 
     def test_uniform_reference_once_per_seed_and_task(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
-        outputs = record(experiments, "task_outputs")
+        decodes = record(experiments, "generate_tokens")
         quantized = record(experiments, "apply_quantization")
         visions = record(pipeline, "encode_vision")
         connectors = record(pipeline, "run_connector")
-        memo_texts, reference_texts = record(experiments, "text_embeddings"), record(tasks, "text_embeddings")
+        texts = record(experiments, "text_embeddings")
         grid = GridSpec(
             bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
             group_subsets=((BlockGroup.FRONT,), (BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END)),
@@ -353,8 +350,8 @@ class TestMemo:
         table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
         assert len(models) == 2
         for _, fp in models:
-            for task in grid.tasks:
-                assert sum(args[0] is fp and args[2] is task for args, _ in outputs) == 1
+            assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
+            assert sum(_reads_only(args[0], fp) and args[2] is TaskKind.VQA for args, _ in decodes) == 1
         # per seed: each of the 3 components once per bit width, whatever the
         # group subset; cells take their layers from these fragments
         assert len(quantized) == 2 * 3 * 2
@@ -362,9 +359,9 @@ class TestMemo:
         # fragments; (vision, connector) pairs are both, either one, or neither
         assert len(visions) == 2 * (1 + 4)
         assert len(connectors) == 2 * (1 + 4 * 3)
-        assert len(reference_texts) == 2 and len(memo_texts) == 2 * 4
+        assert len(texts) == 2 * (1 + 4)
         quantized_cells = len(table.rows) // 2 - 2  # less one baseline cell per seed
-        assert len(outputs) == 2 * 2 + quantized_cells  # VQA decodes once per quantized cell
+        assert len(decodes) == 2 * 1 + quantized_cells  # VQA decodes once per quantized cell
 
     def test_stage_failure_fails_exactly_its_cells(self, tiny_spec, tiny_probes, monkeypatch):
         original = pipeline.encode_vision
@@ -390,7 +387,7 @@ class TestMemo:
 
 class TestEquivalence:
     """run_grid against the slow path it replaces: quantize each cell from
-    scratch, one component at a time, and score it with ``score_task``."""
+    scratch, one component at a time, and score it with ``oracle_score_task``."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -430,7 +427,7 @@ class TestEquivalence:
                 method, row.task, row.vision_bits, row.connector_bits, row.language_bits,
                 row.groups, row.layer_types, group_size, 3,
             )
-            score = tasks.score_task(weights, fp, tiny_probes.take(4), row.task).score
+            score = oracle_score_task(weights, fp, tiny_probes.take(4), row.task)
             assert (row.run_id, row.bpw, row.score) == (run_id, compute_bpw(ledger, fp), score)
 
 

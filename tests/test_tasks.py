@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
+from helpers import oracle_score_task
+from mmqlab.experiments import GridSpec, run_grid
 from mmqlab.pipeline import (
     ComponentId,
     Selector,
     TaskKind,
     apply_quantization,
     generate_tokens,
+    vision_prefix,
 )
 from mmqlab.quantizers import Method
-from mmqlab.tasks import (
-    ProbeSet,
-    ScoreRecord,
-    make_probe_set,
-    score_generation,
-    score_retrieval,
-    score_task,
-)
+from mmqlab.tasks import ProbeSet, make_probe_set
 
 # frozen from the reference run: caption fidelity after GPTQ k=2 on one component
 # (default spec seed 7, probes seed 11, 32 eval pairs); decoder-only quantization
@@ -58,41 +54,35 @@ class TestProbeSet:
         assert np.array_equal(sub.images, probe_set.images[:16])
 
 
-class TestScoreRecord:
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            ScoreRecord(task=TaskKind.CAPTION, score=1.5, n_probes=4)
-
-
 class TestScoring:
     def test_self_agreement_is_exactly_one(self, default_model, probe_set):
         small = probe_set.take(6)
         for task in TaskKind:
-            assert score_task(default_model, default_model, small, task).score == 1.0
+            assert oracle_score_task(default_model, default_model, small, task) == 1.0
 
     def test_retrieval_needs_two_pairs(self, default_model, probe_set):
         with pytest.raises(ValueError, match="2 probe pairs"):
-            score_retrieval(default_model, default_model, probe_set.take(1))
+            run_grid(default_model.spec, probe_set.take(1), GridSpec(tasks=(TaskKind.RETRIEVAL,)), Method.UNIFORM)
 
     def test_horizon_one_is_first_token_match(self, default_model, probe_set):
         small = probe_set.take(8)
         qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 3)
-        rec = score_generation(qw, default_model, small, horizon=1, mode=TaskKind.CAPTION)
-        gen_q = generate_tokens(qw, small.images, TaskKind.CAPTION, 1)
-        gen_fp = generate_tokens(default_model, small.images, TaskKind.CAPTION, 1)
-        assert rec.score == float(np.mean(gen_q[:, 0] == gen_fp[:, 0]))
+        score = oracle_score_task(qw, default_model, small, TaskKind.CAPTION, horizon=1)
+        gen_q = generate_tokens(qw, vision_prefix(qw, small.images), TaskKind.CAPTION, 1)
+        gen_fp = generate_tokens(default_model, vision_prefix(default_model, small.images), TaskKind.CAPTION, 1)
+        assert score == float(np.mean(gen_q[:, 0] == gen_fp[:, 0]))
 
     def test_two_bit_strictly_below_eight_bit_retrieval(self, default_model, probe_set):
         small = probe_set.take(32)
         low, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 2)
         high, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 8)
-        s_low = score_retrieval(low, default_model, small).score
-        s_high = score_retrieval(high, default_model, small).score
+        s_low = oracle_score_task(low, default_model, small, TaskKind.RETRIEVAL)
+        s_high = oracle_score_task(high, default_model, small, TaskKind.RETRIEVAL)
         assert s_low < s_high
 
     def test_sixteen_bit_retrieval_exactly_one(self, default_model, probe_set):
         qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 16)
-        assert score_retrieval(qw, default_model, probe_set.take(32)).score == 1.0
+        assert oracle_score_task(qw, default_model, probe_set.take(32), TaskKind.RETRIEVAL) == 1.0
 
     def test_component_sensitivity_goldens(self, default_model, probe_set, calibration):
         lang_sel = Selector.make(components=(ComponentId.LANGUAGE,))
@@ -100,8 +90,8 @@ class TestScoring:
         lang_q, _ = apply_quantization(default_model, lang_sel, Method.GPTQ, 2, calib=calibration)
         vis_q, _ = apply_quantization(default_model, vis_sel, Method.GPTQ, 2, calib=calibration)
         eval_probes = probe_set.take(32)
-        lang_score = score_generation(lang_q, default_model, eval_probes, mode=TaskKind.CAPTION).score
-        vis_score = score_generation(vis_q, default_model, eval_probes, mode=TaskKind.CAPTION).score
+        lang_score = oracle_score_task(lang_q, default_model, eval_probes, TaskKind.CAPTION)
+        vis_score = oracle_score_task(vis_q, default_model, eval_probes, TaskKind.CAPTION)
         assert lang_score == GOLDEN_LANGUAGE_ONLY_GPTQ2
         assert vis_score == GOLDEN_VISION_ONLY_GPTQ2
         assert lang_score <= vis_score
@@ -109,9 +99,9 @@ class TestScoring:
     def test_scores_bounded(self, default_model, probe_set):
         qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 2)
         for task in TaskKind:
-            s = score_task(qw, default_model, probe_set.take(8), task).score
+            s = oracle_score_task(qw, default_model, probe_set.take(8), task)
             assert 0.0 <= s <= 1.0
 
     def test_generation_mode_validation(self, default_model, probe_set):
         with pytest.raises(ValueError, match="not a generation task"):
-            score_generation(default_model, default_model, probe_set.take(2), mode=TaskKind.RETRIEVAL)
+            generate_tokens(default_model, vision_prefix(default_model, probe_set.images[:2]), TaskKind.RETRIEVAL, 4)
