@@ -92,7 +92,6 @@ class Config:
     pipeline: PipelineSpec
     grid: GridSpec
     probes: ProbeConfig | None
-    workers: int
 
 
 def _expect(value, kind, path):
@@ -194,10 +193,10 @@ def load_config(path: str) -> Config:
             **{k: _expect(v, int, f"probes.{k}") for k, v in section.items()}
         )
     _expect(raw.get("output_dir", "."), str, "output_dir")  # accepted but not read: --out names every output
-    workers = _expect(raw.get("workers", 1), int, "workers")
+    workers = _expect(raw.get("workers", 1), int, "workers")  # accepted but not read: grids run in one thread
     if workers < 1:
         raise ConfigError(f"config error at workers: must be >= 1, got {workers}")
-    return Config(pipeline=pipeline, grid=grid, probes=probes, workers=workers)
+    return Config(pipeline=pipeline, grid=grid, probes=probes)
 
 
 def _build_probes(config: Config, require_calibration: bool):
@@ -251,7 +250,7 @@ def cmd_grid(args) -> int:
     probes = _build_probes(config, require_calibration=method in (Method.GPTQ, Method.AWQ))
     table = run_grid(
         config.pipeline, probes, config.grid, method,
-        calibration_pairs=min(CALIBRATION_PAIRS, len(probes)), workers=config.workers, skip_run_ids=skip,
+        calibration_pairs=min(CALIBRATION_PAIRS, len(probes)), skip_run_ids=skip,
     )
     if done_rows:
         table.rows = sorted(done_rows + table.rows, key=lambda r: r.run_id)
@@ -418,6 +417,10 @@ def _parse_axis(raw: str | None, enum_cls, flag: str):
 
 
 def cmd_quantize(args) -> int:
+    if not 2 <= args.bits <= 16:
+        raise ConfigError(f"--bits must be in [2, 16], got {args.bits}")
+    if args.group_size < 1:
+        raise ConfigError(f"--group-size must be >= 1, got {args.group_size}")
     config = load_config(args.config)
     method = Method(args.method)
     weights = build_model(config.pipeline)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -189,6 +188,12 @@ class GridSpec:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
         if self.eval_pairs is not None and self.eval_pairs < 1:
             raise ValueError(f"eval_pairs must be >= 1, got {self.eval_pairs}")
+        # a repeated value would give two cells one run_id
+        for name in ("bits", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
+            values = getattr(self, name) or ()
+            keys = [frozenset(v) if isinstance(v, tuple) else v for v in values]
+            if len(set(keys)) != len(keys):
+                raise ValueError(f"grid.{name} repeats a value: {list(values)}")
 
 
 def _nonempty_subsets(items: tuple) -> tuple[tuple, ...]:
@@ -289,16 +294,7 @@ def _plan(fp: ModelWeights, grid: GridSpec, method: Method) -> list[_Cell]:
     return [_cell(fp, fp_bits, GROUP_ORDER, LAYER_TYPE_ORDER)] + [c for c in cells if any(c.parts)]
 
 
-def _map(fn, items, workers: int) -> list:
-    """fn over items, on a thread pool when workers > 1; results in item order."""
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _memo(fn, keys, workers: int) -> dict:
+def _memo(fn, keys) -> dict:
     """fn once per distinct key; a key whose call raised maps to the exception."""
 
     def guarded(key):
@@ -308,8 +304,7 @@ def _memo(fn, keys, workers: int) -> dict:
             # without its traceback, whose frames would keep their inputs alive
             return exc.with_traceback(None)
 
-    keys = list(dict.fromkeys(keys))
-    return dict(zip(keys, _map(guarded, keys, workers)))
+    return {key: guarded(key) for key in dict.fromkeys(keys)}
 
 
 def _ok(entry):
@@ -325,7 +320,6 @@ def run_grid(
     grid: GridSpec,
     method: Method,
     calibration_pairs: int = 128,
-    workers: int = 1,
     skip_run_ids: frozenset[str] = frozenset(),
 ) -> ResultsTable:
     """Score every cell of a uniform subset grid or a GPTQ/AWQ cross product.
@@ -386,7 +380,7 @@ def run_grid(
             )
             return {e.layer: (qw.layers[e.layer], e) for e in ledger.entries}
 
-        fragments = _memo(quantize, fragment_keys, workers)
+        fragments = _memo(quantize, fragment_keys)
         calib = None  # only the fragments read it: free the Gram matrices and factors before decode
 
         def assemble(parts) -> tuple[ModelWeights, QuantizationLedger]:
@@ -409,17 +403,14 @@ def run_grid(
         visions = _memo(
             lambda v: pipeline.encode_vision(assemble((v, None, None))[0], images),
             [parts[0] for parts, _ in models],
-            workers,
         )
         prefixes = _memo(
             lambda vc: pipeline.run_connector(assemble((*vc, None))[0], _ok(visions[vc[0]])),
             [parts[:2] for parts, _ in models],
-            workers,
         )
         text_memo = _memo(
             lambda lang: text_embeddings(assemble((None, None, lang))[0], texts),
             [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks],
-            workers,
         )
 
         def model_outputs(parts, task):
@@ -431,7 +422,7 @@ def run_grid(
             questions = eval_probes.questions if task is TaskKind.VQA else None
             return generate_tokens(assemble(parts)[0], prefix, task, horizon, questions)
 
-        reference = dict(zip(ref_tasks, _map(lambda t: model_outputs(reference_parts, t), ref_tasks, workers)))
+        reference = {task: model_outputs(reference_parts, task) for task in ref_tasks}
 
         def score(item):
             cell, pending = item
@@ -446,7 +437,7 @@ def run_grid(
                 return float("nan"), {}, str(exc)
             return bpw, scores, None
 
-        for (cell, pending), (bpw, scores, error) in zip(cells, _map(score, cells, workers)):
+        for (cell, pending), (bpw, scores, error) in zip(cells, map(score, cells)):
             for task, run_id in pending.items():
                 table.rows.append(
                     RunRecord(
@@ -495,6 +486,7 @@ def load_results(path) -> ResultsTable:
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"line {lines[0][0] if lines else 1}: bad header, expected {CSV_HEADER!r}")
     rows = []
+    seen: dict[str, int] = {}  # run_id -> line number
     for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 13:
@@ -527,6 +519,9 @@ def load_results(path) -> ResultsTable:
                 raise ValueError(f"line {line_no}: {name} must lie in [2, {FP_BITS}], got {getattr(row, name)}")
         if not (np.isnan(row.score) or 0.0 <= row.score <= 1.0):
             raise ValueError(f"line {line_no}: score must be nan or lie in [0, 1], got {parts[10]}")
+        if row.run_id in seen:
+            raise ValueError(f"line {line_no}: run_id {row.run_id} repeats line {seen[row.run_id]}")
+        seen[row.run_id] = line_no
     return ResultsTable(rows=rows)
 
 

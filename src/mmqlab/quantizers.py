@@ -39,6 +39,9 @@ ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 SCALE_CLAMP = (1e-4, 1e4)
 # bytes per float64 array of a stacked chunk: GPTQ factors, AWQ alpha scoring
 CHUNK_BYTES = 1 << 20
+# GPTQ: damping as a fraction of the Hessian's mean diagonal, and columns per lazy block update
+GPTQ_DAMPING = 0.01
+GPTQ_BLOCK = 32
 
 
 class Method(enum.Enum):
@@ -124,14 +127,14 @@ class LayerStats:
 class CalibrationSet:
     """Per-layer calibration statistics recorded from probe pairs.
 
-    ``factors`` is filled lazily by GPTQ: (layer name, damping) -> the upper
-    factor of that layer's damped inverse Hessian, which does not depend on
-    the bit width.
+    ``factors`` is filled lazily by GPTQ: layer name -> the upper factor of
+    that layer's damped inverse Hessian, which does not depend on the bit
+    width.
     """
 
     layers: dict[str, LayerStats] = field(default_factory=dict)
     sample_count: int = 0
-    factors: dict[tuple[str, float], np.ndarray] = field(default_factory=dict, repr=False)
+    factors: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def _check_weight(w: np.ndarray) -> np.ndarray:
@@ -299,16 +302,14 @@ def _gptq_hessians(stats: Sequence[LayerStats]) -> np.ndarray:
     return hessians
 
 
-def _gptq_factors(
-    stats: Sequence[LayerStats], damping: float, names: Sequence[str | None], memo: dict | None
-) -> np.ndarray:
-    """The stack's upper factors; with a ``memo``, each (name, damping) is factored once.
+def _gptq_factors(stats: Sequence[LayerStats], names: Sequence[str | None], memo: dict | None) -> np.ndarray:
+    """The stack's upper factors; with a ``memo``, each layer name is factored once.
 
     Missing factors are computed in stacked chunks of about CHUNK_BYTES
     per array, which bounds the memory a factorization holds at once, and the
     memo keeps views of the returned stack rather than copies.
     """
-    keys = [(name, damping) for name in names] if memo is not None else list(range(len(stats)))
+    keys = list(names) if memo is not None else list(range(len(stats)))
     memo = {} if memo is None else memo
     n = stats[0].gram.shape[0]
     lower = np.empty((len(stats), n, n), dtype=np.float64)
@@ -322,21 +323,14 @@ def _gptq_factors(
     for c0 in range(0, len(missing), chunk):
         part = missing[c0 : c0 + chunk]
         hessians = _gptq_hessians([stats[s] for s in part])
-        lower[part] = np.swapaxes(_inverse_hessian_factor(hessians, damping, [names[s] for s in part]), 1, 2)
+        lower[part] = np.swapaxes(_inverse_hessian_factor(hessians, GPTQ_DAMPING, [names[s] for s in part]), 1, 2)
     # the transpose of a C-ordered lower stack: each slice has the layout of a fresh factor
     upper = np.swapaxes(lower, 1, 2)
     memo.update((keys[s], upper[s]) for s in missing)
     return upper
 
 
-def gptq_quantize(
-    w: np.ndarray,
-    stats: LayerStats,
-    k: int,
-    group_size: int = 128,
-    damping: float = 0.01,
-    block_size: int = 32,
-) -> tuple[QuantizedMatrix, float]:
+def gptq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128) -> tuple[QuantizedMatrix, float]:
     """Quantize columns left to right, compensating error into later columns.
 
     After column q is rounded, the remaining columns move by
@@ -345,7 +339,7 @@ def gptq_quantize(
     input-channel groups, computed from the compensated weights at each group
     boundary. Returns the stored matrix and ``||X (W - W_hat)^T||_F^2``.
     """
-    return gptq_quantize_stack([w], [stats], k, group_size, damping, block_size)[0]
+    return gptq_quantize_stack([w], [stats], k, group_size)[0]
 
 
 def gptq_quantize_stack(
@@ -353,8 +347,6 @@ def gptq_quantize_stack(
     stats: Sequence[LayerStats],
     k: int,
     group_size: int = 128,
-    damping: float = 0.01,
-    block_size: int = 32,
     names: Sequence[str] | None = None,
     factors: dict | None = None,
 ) -> list[tuple[QuantizedMatrix, float]]:
@@ -383,7 +375,7 @@ def gptq_quantize_stack(
     work = np.stack(ws).astype(np.float64)
     for s, st in enumerate(stats):
         work[s][:, np.diag(st.gram) == 0.0] = 0.0
-    upper = _gptq_factors(stats, damping, [None] * count if names is None else names, factors)
+    upper = _gptq_factors(stats, [None] * count if names is None else names, factors)
 
     codes = np.empty((count, rows, cols), dtype=np.uint16)
     if per_tensor:
@@ -395,8 +387,8 @@ def gptq_quantize_stack(
         grid_lo = np.zeros((count, rows, _group_count(cols, group_size)), dtype=np.float32)
         grid_hi = np.zeros_like(grid_lo)
 
-    for b0 in range(0, cols, block_size):
-        b1 = min(b0 + block_size, cols)
+    for b0 in range(0, cols, GPTQ_BLOCK):
+        b1 = min(b0 + GPTQ_BLOCK, cols)
         err_block = np.zeros((count, rows, b1 - b0), dtype=np.float64)
         for col in range(b0, b1):
             if not per_tensor and col % group_size == 0:

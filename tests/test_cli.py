@@ -215,6 +215,28 @@ class TestGridCommand:
         assert "grid.eval_pairs" in capsys.readouterr().err
         assert not calibrated and not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("bits", [4, 4], id="bits"),
+            pytest.param("seeds", [7, 7], id="seeds"),
+            pytest.param("component_subsets", [["vision"], ["vision"]], id="component_subsets"),
+            pytest.param("group_subsets", [["front", "end"], ["end", "front"]], id="group_subsets"),
+            pytest.param("layer_type_subsets", [["attn"], ["ff"], ["attn"]], id="layer_type_subsets"),
+        ],
+    )
+    def test_repeated_grid_value_exits_one(self, tmp_path, capsys, field, value):
+        # a repeated value would write one run_id twice
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["grid"][field] = value
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "dup.csv"
+        code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
+        assert code == 1
+        assert f"grid.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_rejects_changed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "r.csv"
@@ -399,6 +421,18 @@ class TestQuantizeCommand:
         code = main(["quantize", "--config", str(cfg), "--method", "rtn", "--bits", "4", flag, "bogus"])
         assert code == 1
         assert f"config error at {flag}: 'bogus' not one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--bits", "17"), ("--bits", "1"), ("--group-size", "0")])
+    def test_bad_bits_or_group_size_exits_before_calibration(self, tmp_path, monkeypatch, capsys, flag, value):
+        import mmqlab.cli as cli
+
+        calibrated = []
+        monkeypatch.setattr(cli, "collect_calibration", lambda *args, **kwargs: calibrated.append(args))
+        cfg = write_config(tmp_path)
+        code = main(["quantize", "--config", str(cfg), "--method", "gptq", "--bits", "4", flag, value])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not calibrated
 
     def test_gptq_needs_probes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -283,26 +283,23 @@ class TestStackedGptq:
         for (w, _), st, name, result in zip(layers, stats, "abc", got):
             assert_same_quantization(result, oracle_gptq_quantize(w, st, 8, group_size=3))
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
-            assert memo[(name, 0.01)].tobytes() == fresh.tobytes()
+            assert memo[name].tobytes() == fresh.tobytes()
 
     def test_factor_memo_reused_and_equal_to_fresh(self):
         layers = [_layer(i, 5, 12, dead=(4,) if i == 1 else ()) for i in range(4)]
         ws, stats, names = [w for w, _ in layers], [st for _, st in layers], ["p", "q", "r", "s"]
         memo = {}
         first = gptq_quantize_stack(ws[:2], stats[:2], 2, group_size=4, names=names[:2], factors=memo)
-        assert sorted(memo) == [("p", 0.01), ("q", 0.01)]
+        assert sorted(memo) == ["p", "q"]
         kept = dict(memo)
         second = gptq_quantize_stack(ws, stats, 4, group_size=4, names=names, factors=memo)
         assert all(memo[key] is kept[key] for key in kept) and len(memo) == 4
-        damped = gptq_quantize_stack(ws, stats, 8, damping=0.5, names=names, factors=memo)
-        assert len(memo) == 8
         for w, st, a in zip(ws, stats, first):
             assert_same_quantization(a, oracle_gptq_quantize(w, st, 2, group_size=4))
-        for w, st, b, c in zip(ws, stats, second, damped):
+        for w, st, b in zip(ws, stats, second):
             assert_same_quantization(b, oracle_gptq_quantize(w, st, 4, group_size=4))
-            assert_same_quantization(c, oracle_gptq_quantize(w, st, 8, damping=0.5))
-        for (name, damping), upper in memo.items():
-            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats[names.index(name)]), damping)
+        for name, upper in memo.items():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats[names.index(name)]), 0.01)
             assert (upper.dtype, upper.shape, upper.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
 
     def test_chunked_factorization_matches_oracle(self, monkeypatch):
@@ -319,7 +316,7 @@ class TestStackedGptq:
         for (w, _), st, name, result in zip(layers, stats, names, got):
             assert_same_quantization(result, oracle_gptq_quantize(w, st, 6, group_size=4))
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
-            assert memo[(name, 0.01)].tobytes() == fresh.tobytes()
+            assert memo[name].tobytes() == fresh.tobytes()
 
     def test_rejects_bad_stacks(self):
         (w, st), (w2, _) = _layer(1, 4, 6), _layer(2, 5, 6)
