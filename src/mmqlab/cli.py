@@ -60,7 +60,6 @@ from .quantizers import Method
 from .tasks import make_probe_set
 
 DEFAULT_EVAL_PAIRS = 32
-CALIBRATION_PAIRS = 128
 
 METHOD_COLORS = {
     Method.UNIFORM: "#1f77b4",
@@ -192,6 +191,10 @@ def load_config(path: str) -> Config:
         probes = ProbeConfig(
             **{k: _expect(v, int, f"probes.{k}") for k, v in section.items()}
         )
+        for key, low in (("n_pairs", 1), ("text_len", 0), ("question_len", 0)):
+            value = getattr(probes, key)
+            if value < low:
+                raise ConfigError(f"config error at probes.{key}: must be >= {low}, got {value}")
     _expect(raw.get("output_dir", "."), str, "output_dir")  # accepted but not read: --out names every output
     workers = _expect(raw.get("workers", 1), int, "workers")  # accepted but not read: grids run in one thread
     if workers < 1:
@@ -237,6 +240,11 @@ def _resumable_rows(args, config_hash: str):
         raise ConfigError(f"cannot resume {args.out}: manifest {manifest_path} is not a JSON object")
     if manifest.get("config_sha256") != config_hash:
         raise ConfigError(f"cannot resume {args.out}: config hash changed")
+    if manifest.get("method") != args.method:
+        raise ConfigError(
+            f"cannot resume {args.out}: manifest {manifest_path} is for method "
+            f"{manifest.get('method')!r}, not --method {args.method!r}"
+        )
     previous = load_results(args.out)
     return [r for r in previous.rows if np.isfinite(r.score)]
 
@@ -248,10 +256,7 @@ def cmd_grid(args) -> int:
     done_rows = _resumable_rows(args, config_hash)
     skip = frozenset(r.run_id for r in done_rows)
     probes = _build_probes(config, require_calibration=method in (Method.GPTQ, Method.AWQ))
-    table = run_grid(
-        config.pipeline, probes, config.grid, method,
-        calibration_pairs=min(CALIBRATION_PAIRS, len(probes)), skip_run_ids=skip,
-    )
+    table = run_grid(config.pipeline, probes, config.grid, method, skip_run_ids=skip)
     if done_rows:
         table.rows = sorted(done_rows + table.rows, key=lambda r: r.run_id)
     try:
@@ -432,7 +437,7 @@ def cmd_quantize(args) -> int:
     calib = None
     if method in (Method.GPTQ, Method.AWQ):
         probes = _build_probes(config, require_calibration=True)
-        calib = collect_calibration(weights, probes, n=min(CALIBRATION_PAIRS, len(probes)))
+        calib = collect_calibration(weights, probes)
     _, ledger = apply_quantization(
         weights, selector, method, args.bits, calib=calib, group_size=args.group_size
     )

@@ -33,6 +33,7 @@ from .numerics import derive_seed
 from .pipeline import (
     CAPTION_HORIZON,
     COMPONENT_ORDER,
+    FP_BITS,
     GROUP_ORDER,
     LAYER_TYPE_ORDER,
     VQA_HORIZON,
@@ -45,10 +46,10 @@ from .pipeline import (
     Selector,
     TaskKind,
     apply_quantization,
+    bos_prompt,
     build_model,
     collect_calibration,
     enumerate_layers,
-    generate_tokens,
     image_embeddings,
     text_embeddings,
 )
@@ -59,7 +60,6 @@ CSV_HEADER = (
     "run_id,method,task,vision_bits,connector_bits,language_bits,"
     "groups,layer_types,group_size,bpw,score,seed,wall_ms"
 )
-FP_BITS = 16
 UNIFORM_BITS_DEFAULT = (2, 4, 6, 8)
 SOTA_BITS_DEFAULT = (2, 3, 4, 5, 6, 8)
 
@@ -99,14 +99,6 @@ class RunRecord:
     score: float
     seed: int
     wall_ms: int
-
-    @property
-    def component_bits(self) -> dict[ComponentId, int]:
-        return {
-            ComponentId.VISION: self.vision_bits,
-            ComponentId.CONNECTOR: self.connector_bits,
-            ComponentId.LANGUAGE: self.language_bits,
-        }
 
     @property
     def is_full_pipeline_star(self) -> bool:
@@ -319,7 +311,6 @@ def run_grid(
     probes: ProbeSet,
     grid: GridSpec,
     method: Method,
-    calibration_pairs: int = 128,
     skip_run_ids: frozenset[str] = frozenset(),
 ) -> ResultsTable:
     """Score every cell of a uniform subset grid or a GPTQ/AWQ cross product.
@@ -345,7 +336,11 @@ def run_grid(
     eval_probes = probes.take(grid.eval_pairs) if grid.eval_pairs else probes
     if TaskKind.RETRIEVAL in grid.tasks and len(eval_probes) < 2:
         raise ValueError(f"retrieval scoring needs at least 2 probe pairs, but grid.eval_pairs gives {len(eval_probes)}")
-    images, texts = eval_probes.images, eval_probes.texts
+    images, texts, questions = eval_probes.images, eval_probes.texts, eval_probes.questions
+    generation = {  # each generation task's (prompt, horizon)
+        TaskKind.CAPTION: (bos_prompt(questions[:, :0]), CAPTION_HORIZON),
+        TaskKind.VQA: (bos_prompt(questions), VQA_HORIZON),
+    }
 
     table = ResultsTable()
     for run_seed in grid.seeds:
@@ -371,7 +366,7 @@ def run_grid(
         fragment_keys = [part[:2] for cell, _ in cells for part in cell.parts if part]
         calib = None
         if fragment_keys and method is not Method.UNIFORM:
-            calib = collect_calibration(fp, probes, n=calibration_pairs)
+            calib = collect_calibration(fp, probes)
 
         def quantize(key):
             comp, k = key
@@ -418,9 +413,7 @@ def run_grid(
             prefix = _ok(prefixes[parts[:2]])
             if task is TaskKind.RETRIEVAL:
                 return image_embeddings(prefix), _ok(text_memo[parts[2]])
-            horizon = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
-            questions = eval_probes.questions if task is TaskKind.VQA else None
-            return generate_tokens(assemble(parts)[0], prefix, task, horizon, questions)
+            return pipeline.greedy_generate(assemble(parts)[0], prefix, *generation[task])
 
         reference = {task: model_outputs(reference_parts, task) for task in ref_tasks}
 

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RngStream, derive_seed
-from .pipeline import COMPONENT_ORDER, TaskKind
+from .pipeline import COMPONENT_ORDER, FP_BITS, TaskKind
 
-FP_BITS = 16
 _GAIN_RTOL = 1e-12
 
 

@@ -46,8 +46,10 @@ BOS_ID = 0
 INIT_STD = 0.02
 LN_EPS = 1e-5
 CALIBRATION_ROW_CAP = 2048
+CALIBRATION_PAIRS = 128
 CAPTION_HORIZON = 16
 VQA_HORIZON = 4
+FP_BITS = 16  # a component at this bit width is left unquantized
 
 
 class ComponentId(enum.Enum):
@@ -190,16 +192,6 @@ class ModelWeights:
     layers: dict[str, np.ndarray]
     extras: dict[str, np.ndarray]
     addresses: tuple[LayerAddress, ...]
-
-    @property
-    def param_count(self) -> int:
-        return sum(int(a.size) for a in self.layers.values()) + sum(
-            int(a.size) for a in self.extras.values()
-        )
-
-    @property
-    def quantizable_param_count(self) -> int:
-        return sum(int(a.size) for a in self.layers.values())
 
 
 @dataclass(frozen=True)
@@ -486,69 +478,41 @@ def greedy_generate(
     return generated
 
 
-def vision_prefix(weights: ModelWeights, images: np.ndarray) -> np.ndarray:
-    """Connector output for an image batch: the soft prefix the decoder reads."""
-    return run_connector(weights, encode_vision(weights, images))
-
-
 def _unit_mean(x: np.ndarray) -> np.ndarray:
     pooled = x.mean(axis=1)
     return pooled / np.linalg.norm(pooled, axis=-1, keepdims=True)
 
 
 def image_embeddings(prefix: np.ndarray) -> np.ndarray:
-    """Unit-norm pooled connector output, one row per image of ``vision_prefix``."""
+    """Unit-norm pooled connector output, one row per image."""
     return _unit_mean(prefix)
+
+
+def bos_prompt(ids: np.ndarray) -> np.ndarray:
+    """The decoder prompt [BOS, ids] per row, as int64."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return np.concatenate([np.full((ids.shape[0], 1), BOS_ID, dtype=np.int64), ids], axis=1)
 
 
 def text_embeddings(weights: ModelWeights, text_ids: np.ndarray) -> np.ndarray:
     """Unit-norm mean-pooled decoder hidden states over [BOS, text]."""
-    text_ids = np.asarray(text_ids, dtype=np.int64)
-    bos = np.full((text_ids.shape[0], 1), BOS_ID, dtype=np.int64)
-    prompt = np.concatenate([bos, text_ids], axis=1)
-    return _unit_mean(decode_hidden(weights, _empty_prefix(text_ids.shape[0], weights.spec.d_model), prompt))
-
-
-def generation_prompt(probe_text: np.ndarray, mode: TaskKind) -> np.ndarray:
-    bos = np.full((probe_text.shape[0], 1), BOS_ID, dtype=np.int64)
-    if mode is TaskKind.CAPTION:
-        return bos
-    return np.concatenate([bos, np.asarray(probe_text, dtype=np.int64)], axis=1)
-
-
-def generate_tokens(
-    weights: ModelWeights,
-    prefix: np.ndarray,
-    mode: TaskKind,
-    horizon: int,
-    question_ids: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched conditional generation for caption (image only) or VQA (image +
-    question), decoded from the ``vision_prefix`` of the images."""
-    if mode is TaskKind.CAPTION:
-        prompt = generation_prompt(np.empty((prefix.shape[0], 0)), TaskKind.CAPTION)
-    elif mode is TaskKind.VQA:
-        if question_ids is None:
-            raise ValueError("VQA generation requires question ids")
-        prompt = generation_prompt(question_ids, TaskKind.VQA)
-    else:
-        raise ValueError(f"not a generation task: {mode}")
-    return greedy_generate(weights, prefix, prompt, horizon)
+    prompt = bos_prompt(text_ids)
+    return _unit_mean(decode_hidden(weights, _empty_prefix(prompt.shape[0], weights.spec.d_model), prompt))
 
 
 # --- calibration ------------------------------------------------------------
 
 
-def collect_calibration(weights: ModelWeights, probes: "ProbeSet", n: int = 128) -> CalibrationSet:
-    """Record every addressable layer's input statistics on n probe pairs.
+def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> CalibrationSet:
+    """Record every addressable layer's input statistics on the first
+    min(CALIBRATION_PAIRS, len(probes)) probe pairs.
 
     One teacher-forced caption-style pass (image prefix + BOS + text) covers
     all three components. Each layer's rows are deterministically subsampled
     to at most CALIBRATION_ROW_CAP and reduced to ``LayerStats`` as they are
     recorded, so no activations are kept.
     """
-    if len(probes.pairs) < n:
-        raise ValueError(f"need at least {n} probe pairs for calibration, have {len(probes.pairs)}")
+    n = min(CALIBRATION_PAIRS, len(probes))
     layers: dict[str, LayerStats] = {}
 
     def recorder(name: str, x: np.ndarray):
@@ -557,12 +521,9 @@ def collect_calibration(weights: ModelWeights, probes: "ProbeSet", n: int = 128)
             x = x[stream.choice(x.shape[0], CALIBRATION_ROW_CAP)]
         layers[name] = LayerStats.from_activations(np.ascontiguousarray(x, dtype=np.float32))
 
-    images = probes.images[:n]
-    text = probes.texts[:n]
-    vision_out = encode_vision(weights, images, recorder=recorder)
+    vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
     prefix = run_connector(weights, vision_out, recorder=recorder)
-    bos = np.full((n, 1), BOS_ID, dtype=np.int64)
-    decode_hidden(weights, prefix, np.concatenate([bos, text], axis=1), recorder=recorder)
+    decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
     return CalibrationSet(layers=layers, sample_count=n)
 
 

@@ -9,7 +9,7 @@ always land in [0, 1] with self-comparison at exactly 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,43 +17,24 @@ from .numerics import RngStream
 from .pipeline import TaskKind
 
 
-@dataclass(frozen=True)
-class ProbePair:
-    image_like: np.ndarray
-    text_ids: np.ndarray
-    question_ids: np.ndarray
-
-
 @dataclass
 class ProbeSet:
-    pairs: list[ProbePair]
-    seed: int
+    """Probe pairs as arrays, one row per pair: images (n, patch_count,
+    d_input) float32, text and question token ids (n, length) int64, and the
+    image and text latents (n, d_input) float32."""
+
+    images: np.ndarray
+    texts: np.ndarray
+    questions: np.ndarray
     image_latents: np.ndarray
     text_latents: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def images(self) -> np.ndarray:
-        return np.stack([p.image_like for p in self.pairs])
-
-    @property
-    def texts(self) -> np.ndarray:
-        return np.stack([p.text_ids for p in self.pairs])
-
-    @property
-    def questions(self) -> np.ndarray:
-        return np.stack([p.question_ids for p in self.pairs])
+        return self.images.shape[0]
 
     def take(self, n: int) -> "ProbeSet":
         """First n pairs (probe order is part of the deterministic contract)."""
-        return ProbeSet(
-            pairs=self.pairs[:n],
-            seed=self.seed,
-            image_latents=self.image_latents[:n],
-            text_latents=self.text_latents[:n],
-        )
+        return ProbeSet(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
 def _tokens_from_latent(latent: np.ndarray, length: int, vocab: int, stride: int, offset: int) -> np.ndarray:
@@ -74,8 +55,13 @@ def make_probe_set(
     """Deterministic probe pairs whose image and text views share a latent."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    for name, length in (("text_len", text_len), ("question_len", question_len)):
+        if length < 0:
+            raise ValueError(f"{name} must be >= 0, got {length}")
     stream = RngStream(seed)
-    pairs = []
+    images = np.empty((n_pairs, patch_count, d_input), dtype=np.float32)
+    texts = np.empty((n_pairs, text_len), dtype=np.int64)
+    questions = np.empty((n_pairs, question_len), dtype=np.int64)
     image_latents = np.empty((n_pairs, d_input), dtype=np.float32)
     text_latents = np.empty((n_pairs, d_input), dtype=np.float32)
     for i in range(n_pairs):
@@ -83,13 +69,12 @@ def make_probe_set(
         image_latent = latent + 0.5 * stream.normals(d_input)
         text_latent = latent + 0.5 * stream.normals(d_input)
         patch_noise = stream.normals(patch_count * d_input).reshape(patch_count, d_input)
-        image = (image_latent[None, :] + 0.35 * patch_noise).astype(np.float32)
-        text_ids = _tokens_from_latent(text_latent, text_len, vocab, stride=1, offset=0)
-        question_ids = _tokens_from_latent(text_latent, question_len, vocab, stride=7, offset=3)
-        pairs.append(ProbePair(image_like=image, text_ids=text_ids, question_ids=question_ids))
+        images[i] = image_latent[None, :] + 0.35 * patch_noise
+        texts[i] = _tokens_from_latent(text_latent, text_len, vocab, stride=1, offset=0)
+        questions[i] = _tokens_from_latent(text_latent, question_len, vocab, stride=7, offset=3)
         image_latents[i] = image_latent
         text_latents[i] = text_latent
-    return ProbeSet(pairs=pairs, seed=seed, image_latents=image_latents, text_latents=text_latents)
+    return ProbeSet(images, texts, questions, image_latents, text_latents)
 
 
 def retrieval_agreement(

@@ -26,7 +26,7 @@ def probe_set():
 
 @pytest.fixture(scope="session")
 def calibration(default_model, probe_set):
-    return collect_calibration(default_model, probe_set, n=128)
+    return collect_calibration(default_model, probe_set)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ from mmqlab.pipeline import (
     CAPTION_HORIZON,
     VQA_HORIZON,
     TaskKind,
-    generate_tokens,
+    bos_prompt,
+    encode_vision,
+    greedy_generate,
     image_embeddings,
+    run_connector,
     text_embeddings,
-    vision_prefix,
 )
 from mmqlab.quantizers import (
     ALPHA_GRID,
@@ -383,6 +385,11 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
 
 
+def vision_prefix(weights, images) -> np.ndarray:
+    """Connector output for an image batch: the soft prefix the decoder reads."""
+    return run_connector(weights, encode_vision(weights, images))
+
+
 def oracle_score_task(q_weights, fp_weights, probes, task, horizon=None) -> float:
     """Agreement of a quantized model's outputs with the full-precision model's,
     each model run from scratch on the probes, at the task's default horizon
@@ -392,8 +399,10 @@ def oracle_score_task(q_weights, fp_weights, probes, task, horizon=None) -> floa
         prefix = vision_prefix(weights, probes.images)
         if task is TaskKind.RETRIEVAL:
             return image_embeddings(prefix), text_embeddings(weights, probes.texts)
-        default = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
-        questions = probes.questions if task is TaskKind.VQA else None
-        return generate_tokens(weights, prefix, task, horizon or default, questions)
+        if task is TaskKind.CAPTION:
+            prompt, default = bos_prompt(probes.questions[:, :0]), CAPTION_HORIZON
+        else:
+            prompt, default = bos_prompt(probes.questions), VQA_HORIZON
+        return greedy_generate(weights, prefix, prompt, horizon or default)
 
     return agreement(task, outputs(q_weights), outputs(fp_weights))

@@ -72,7 +72,7 @@ def models_by_seed():
 
 @pytest.fixture(scope="module")
 def calib_by_seed(models_by_seed, probes128):
-    return {s: collect_calibration(m, probes128, n=128) for s, m in models_by_seed.items()}
+    return {s: collect_calibration(m, probes128) for s, m in models_by_seed.items()}
 
 
 def test_criterion_01_uniform_quantizer_fidelity():
@@ -296,8 +296,8 @@ def test_criterion_10_reproducibility(tmp_path, tiny_spec, tiny_probes):
         (r.run_id, r.score, r.bpw) for r in t2.rows
     ]
     sota_grid = GridSpec(bits=(3,), tasks=(TaskKind.CAPTION,), seeds=(3,), eval_pairs=4)
-    sota1 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ, calibration_pairs=8)
-    sota2 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ, calibration_pairs=8)
+    sota1 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ)
+    sota2 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ)
     cells_ok = cells_ok and [(r.run_id, r.score) for r in sota1.rows] == [(r.run_id, r.score) for r in sota2.rows]
 
     # full CLI pipeline twice: csv + manifest + report + svg byte-identical

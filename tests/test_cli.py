@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,14 @@ from mmqlab.cli import ConfigError, load_config, main, render_plot_svg
 from mmqlab.experiments import ResultsTable, RunRecord, load_results, save_results
 from mmqlab.pipeline import BlockGroup, LayerType, TaskKind
 from mmqlab.quantizers import Method
+
+REPO = Path(__file__).resolve().parents[1]
+# every config the repository checks in, the benchmark's included
+CHECKED_IN_CONFIGS = sorted(
+    path.relative_to(REPO).as_posix()
+    for pattern in ("configs/*.json", "perfbench/configs/*.json", "perfbench/fixtures/*.config.json")
+    for path in REPO.glob(pattern)
+)
 
 TINY_PIPELINE = {
     "d_model": 32,
@@ -86,6 +95,23 @@ class TestConfig:
         path = write_config(tmp_path, workers=value)
         with pytest.raises(ConfigError, match="workers"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key, value, low", [("n_pairs", 0, 1), ("text_len", -1, 0), ("question_len", -2, 0)])
+    def test_bad_probe_value_names_key(self, tmp_path, capsys, key, value, low):
+        cfg = write_config(tmp_path, probes={"seed": 3, "n_pairs": 8, key: value})
+        out = tmp_path / "x.csv"
+        code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
+        assert code == 1
+        assert f"config error at probes.{key}: must be >= {low}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", CHECKED_IN_CONFIGS)
+    def test_checked_in_config_loads(self, name):
+        config = load_config(str(REPO / name))
+        assert config.probes is not None and len(config.grid.tasks) >= 1
+
+    def test_checked_in_configs_found(self):
+        assert len(CHECKED_IN_CONFIGS) >= 6
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -247,6 +273,17 @@ class TestGridCommand:
         code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out), "--resume"])
         assert code == 1
         assert "config hash changed" in capsys.readouterr().err
+
+    def test_resume_rejects_changed_method(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        code = main(["grid", "--config", str(cfg), "--method", "gptq", "--out", str(out), "--resume"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'uniform'" in err and "'gptq'" in err and str(tmp_path / "r.csv.manifest.json") in err
+        assert out.read_bytes() == before
 
 
 class TestAnalyzeCommand:

@@ -21,6 +21,8 @@ from mmqlab.experiments import (
     save_results,
 )
 from mmqlab.pipeline import (
+    CAPTION_HORIZON,
+    VQA_HORIZON,
     BlockGroup,
     ComponentId,
     ConnectorKind,
@@ -141,7 +143,7 @@ class TestSotaGrid:
         table = run_grid(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
-            Method.GPTQ, calibration_pairs=8,
+            Method.GPTQ,
         )
         combos = [(r.vision_bits, r.connector_bits, r.language_bits) for r in table.rows]
         assert len(combos) == 27 and len(set(combos)) == 27  # (2,4,16)^3
@@ -154,7 +156,7 @@ class TestSotaGrid:
         table = run_grid(
             spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
-            Method.AWQ, calibration_pairs=8,
+            Method.AWQ,
         )
         assert len(table.rows) == 9  # 3^2, connector axis absent
         assert all(r.connector_bits == 16 for r in table.rows)
@@ -163,7 +165,7 @@ class TestSotaGrid:
         table = run_grid(
             tiny_spec, tiny_probes,
             GridSpec(bits=(4,), tasks=(TaskKind.VQA,), seeds=(3,), eval_pairs=4),
-            Method.GPTQ, calibration_pairs=8,
+            Method.GPTQ,
         )
         base = [r for r in table.rows if (r.vision_bits, r.connector_bits, r.language_bits) == (16, 16, 16)]
         assert len(base) == 1 and base[0].score == 1.0 and base[0].bpw == 16.0
@@ -182,7 +184,7 @@ class TestSotaGrid:
         table = run_grid(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
-            Method.GPTQ, calibration_pairs=8,
+            Method.GPTQ,
         )
         assert len(table.rows) == 27
         failed = [r for r in table.rows if not np.isfinite(r.score)]
@@ -203,7 +205,7 @@ class TestSotaGrid:
         run_grid(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
-            Method.GPTQ, calibration_pairs=8,
+            Method.GPTQ,
         )
         assert sorted(factored) == sorted(a.name for a in build_model(tiny_spec).addresses)
 
@@ -213,6 +215,7 @@ class TestSotaGrid:
 
         refs, alive_at_decode = [], []
         quantize = experiments.apply_quantization
+        generate = pipeline.greedy_generate
 
         def failing(weights, sel, method, k, *args):
             if k == fail_bits:
@@ -226,15 +229,15 @@ class TestSotaGrid:
 
         def decoding(*args, **kwargs):
             alive_at_decode.append([ref() is not None for ref in refs])
-            return pipeline.generate_tokens(*args, **kwargs)
+            return generate(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "collect_calibration", collecting)
-        monkeypatch.setattr(experiments, "generate_tokens", decoding)
+        monkeypatch.setattr(pipeline, "greedy_generate", decoding)
         monkeypatch.setattr(experiments, "apply_quantization", failing)
         table = run_grid(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.VQA,), seeds=(3, 4), eval_pairs=4),
-            Method.GPTQ, calibration_pairs=8,
+            Method.GPTQ,
         )
         assert len(refs) == 2 and bool(table.failures) == (fail_bits is not None)
         # each seed's calibration, with its memoised factors, is dead when that seed decodes
@@ -247,9 +250,9 @@ class TestSotaGrid:
 
     def test_skip_run_ids_resumes_without_recompute(self, tiny_spec, tiny_probes):
         grid = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
-        full = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8)
+        full = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ)
         skip = frozenset(r.run_id for r in full.rows[:10])
-        rest = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8, skip_run_ids=skip)
+        rest = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, skip_run_ids=skip)
         assert len(rest.rows) == len(full.rows) - 10
         merged = sorted(full.rows[:10] + rest.rows, key=lambda r: r.run_id)
         assert [(r.run_id, r.score) for r in merged] == [(r.run_id, r.score) for r in full.rows]
@@ -281,7 +284,7 @@ class TestMemo:
 
     def test_sota_reference_once_per_seed_and_task_prefix_once_per_bits(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
-        decodes = record(experiments, "generate_tokens")
+        decodes = record(pipeline, "greedy_generate")
         quantized = record(experiments, "apply_quantization")
         visions = record(pipeline, "encode_vision")
         connectors = record(pipeline, "run_connector")
@@ -289,12 +292,13 @@ class TestMemo:
         grid = GridSpec(
             bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
         )
-        run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, calibration_pairs=8)
+        run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ)
         assert len(models) == 2
         for _, fp in models:
             assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
             for task in (TaskKind.CAPTION, TaskKind.VQA):
-                assert sum(_reads_only(args[0], fp) and args[2] is task for args, _ in decodes) == 1
+                horizon = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
+                assert sum(_reads_only(args[0], fp) and args[3] == horizon for args, _ in decodes) == 1
         # per seed: each of the 3 components once per bit width
         assert len(quantized) == 2 * 3 * 2
         # per seed: calibration, full precision and the 2 quantized vision fragments
@@ -309,7 +313,7 @@ class TestMemo:
 
     def test_uniform_reference_once_per_seed_and_task(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
-        decodes = record(experiments, "generate_tokens")
+        decodes = record(pipeline, "greedy_generate")
         quantized = record(experiments, "apply_quantization")
         visions = record(pipeline, "encode_vision")
         connectors = record(pipeline, "run_connector")
@@ -323,7 +327,7 @@ class TestMemo:
         assert len(models) == 2
         for _, fp in models:
             assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
-            assert sum(_reads_only(args[0], fp) and args[2] is TaskKind.VQA for args, _ in decodes) == 1
+            assert sum(_reads_only(args[0], fp) and args[3] == VQA_HORIZON for args, _ in decodes) == 1
         # per seed: each of the 3 components once per bit width, whatever the
         # group subset; cells take their layers from these fragments
         assert len(quantized) == 2 * 3 * 2
@@ -381,15 +385,20 @@ class TestEquivalence:
     )
     def test_matches_per_cell_quantize_and_score(self, tiny_spec, tiny_probes, method, grid, cells):
         grid = replace(grid, tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3,), eval_pairs=4)
-        table = run_grid(tiny_spec, tiny_probes, grid, method, calibration_pairs=8)
+        table = run_grid(tiny_spec, tiny_probes, grid, method)
         assert len(table.rows) == 3 * cells and not table.failures
 
         fp = experiments._seeded_model(tiny_spec, 3)
-        calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, tiny_probes, n=8)
+        calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, tiny_probes)
         group_size = 0 if method is Method.UNIFORM else grid.group_size
         for row in table.rows:
             weights, ledger = fp, QuantizationLedger()
-            for comp, k in row.component_bits.items():
+            bits = {
+                ComponentId.VISION: row.vision_bits,
+                ComponentId.CONNECTOR: row.connector_bits,
+                ComponentId.LANGUAGE: row.language_bits,
+            }
+            for comp, k in bits.items():
                 if k < 16:
                     sel = Selector.make((comp,), row.groups, row.layer_types)
                     weights, part = apply_quantization(weights, sel, method, k, calib, grid.group_size)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmqlab.pipeline import (
-    BOS_ID,
     CAPTION_HORIZON,
     MAX_SEQ,
     VQA_HORIZON,
@@ -16,20 +15,24 @@ from mmqlab.pipeline import (
     Selector,
     TaskKind,
     apply_quantization,
+    bos_prompt,
     build_model,
     collect_calibration,
     decode_hidden,
     encode_vision,
     enumerate_layers,
-    generate_tokens,
-    generation_prompt,
     greedy_generate,
     group_of,
     image_embeddings,
     text_embeddings,
+)
+from helpers import (
+    assert_same_quantization,
+    oracle_gptq_hessian,
+    oracle_gptq_quantize,
+    oracle_inverse_hessian_factor,
     vision_prefix,
 )
-from helpers import assert_same_quantization, oracle_gptq_hessian, oracle_gptq_quantize, oracle_inverse_hessian_factor
 from mmqlab.numerics import NotPositiveDefiniteError
 from mmqlab.quantizers import CalibrationSet, LayerStats, Method, awq_quantize, dequantize
 
@@ -68,7 +71,8 @@ class TestBuildModel:
             default_spec.vision_blocks + default_spec.connector_blocks + default_spec.language_blocks
         )
         quantizable = blocks * (4 * d * d + 2 * default_spec.ffn_mult * d * d)
-        assert default_model.quantizable_param_count == quantizable
+        quantizable_count = sum(a.size for a in default_model.layers.values())
+        assert quantizable_count == quantizable
         extras = (
             d * d  # patch embed
             + blocks * 4 * d  # two layer norms (scale+bias) per block
@@ -78,7 +82,7 @@ class TestBuildModel:
             + 64 * d  # positional embedding
             + default_spec.vocab * d  # output head
         )
-        assert default_model.param_count == quantizable + extras
+        assert quantizable_count + sum(a.size for a in default_model.extras.values()) == quantizable + extras
 
     def test_residual_projections_scaled_down(self, default_model, default_spec):
         # out_proj std should be ~1/sqrt(2*blocks) of the q_proj std
@@ -130,31 +134,30 @@ class TestAddressing:
         assert not any("norm" in n or "embed" in n or "queries" in n or "head" in n for n in names)
 
 
-def _caption(weights, probe, horizon=CAPTION_HORIZON):
-    return generate_tokens(weights, vision_prefix(weights, probe.image_like[None]), TaskKind.CAPTION, horizon)[0]
+def _caption(weights, images, horizon=CAPTION_HORIZON):
+    prompt = bos_prompt(np.zeros((len(images), 0), dtype=np.int64))
+    return greedy_generate(weights, vision_prefix(weights, images), prompt, horizon)[0]
 
 
-def _vqa(weights, probe):
-    prefix = vision_prefix(weights, probe.image_like[None])
-    return generate_tokens(weights, prefix, TaskKind.VQA, VQA_HORIZON, question_ids=probe.question_ids[None])[0]
+def _vqa(weights, images, questions):
+    return greedy_generate(weights, vision_prefix(weights, images), bos_prompt(questions), VQA_HORIZON)[0]
 
 
-def _embeddings(weights, probe):
-    image = image_embeddings(vision_prefix(weights, probe.image_like[None]))[0]
-    return image, text_embeddings(weights, probe.text_ids[None])[0]
+def _embeddings(weights, images, texts):
+    return image_embeddings(vision_prefix(weights, images))[0], text_embeddings(weights, texts)[0]
 
 
 class TestForward:
     def test_golden_caption_tokens(self, default_model, probe_set):
-        assert _caption(default_model, probe_set.pairs[0]).tolist() == GOLDEN_CAPTION_SEED7_PROBE11
+        assert _caption(default_model, probe_set.images[0:1]).tolist() == GOLDEN_CAPTION_SEED7_PROBE11
 
     def test_identical_probes_identical_outputs(self, default_model, probe_set):
-        a = _vqa(default_model, probe_set.pairs[3])
-        b = _vqa(default_model, probe_set.pairs[3])
+        a = _vqa(default_model, probe_set.images[3:4], probe_set.questions[3:4])
+        b = _vqa(default_model, probe_set.images[3:4], probe_set.questions[3:4])
         assert np.array_equal(a, b)
 
     def test_retrieval_embeddings_unit_norm(self, default_model, probe_set):
-        image, text = _embeddings(default_model, probe_set.pairs[1])
+        image, text = _embeddings(default_model, probe_set.images[1:2], probe_set.texts[1:2])
         assert abs(np.linalg.norm(image) - 1.0) < 1e-5
         assert abs(np.linalg.norm(text) - 1.0) < 1e-5
 
@@ -188,7 +191,7 @@ class TestCachedDecode:
         weights = models[name]
         probes = probe_set.take(16)
         prefix = vision_prefix(weights, probes.images)
-        prompt = generation_prompt(probes.questions, mode)
+        prompt = bos_prompt(probes.questions if mode is TaskKind.VQA else probes.questions[:, :0])
         horizon = CAPTION_HORIZON if mode is TaskKind.CAPTION else VQA_HORIZON
         cached = greedy_generate(weights, prefix, prompt, horizon)
         assert cached.shape == (16, horizon)
@@ -198,14 +201,14 @@ class TestCachedDecode:
         weights = models["uniform2"]
         probes = probe_set.take(4)
         prefix = vision_prefix(weights, probes.images)
-        prompt = generation_prompt(probes.questions, TaskKind.VQA)
+        prompt = bos_prompt(probes.questions)
         horizon = MAX_SEQ - prefix.shape[1] - prompt.shape[1] + 1
         cached = greedy_generate(weights, prefix, prompt, horizon)
         assert np.array_equal(cached, full_recompute_generate(weights, prefix, prompt, horizon))
 
     def test_empty_cache_bit_identical(self, default_model, probe_set):
         prefix = vision_prefix(default_model, probe_set.images[:4])
-        ids = np.concatenate([np.full((4, 1), BOS_ID), probe_set.texts[:4]], axis=1)
+        ids = bos_prompt(probe_set.texts[:4])
         cache = {}
         cached = decode_hidden(default_model, prefix, ids, cache=cache)
         assert np.array_equal(cached, decode_hidden(default_model, prefix, ids))
@@ -231,7 +234,7 @@ class TestCalibration:
             assert stats.gram.shape[1] == default_model.layers[addr.name].shape[1]
 
     def test_single_probe_rows_equal_tokens(self, default_model, probe_set):
-        calib = collect_calibration(default_model, probe_set, n=1)
+        calib = collect_calibration(default_model, probe_set.take(1))
         spec = default_model.spec
         assert calib.layers["vision.block0.attn.q_proj"].rows == spec.patch_count
         assert calib.layers["connector.block0.attn.q_proj"].rows == 8
@@ -247,12 +250,8 @@ class TestCalibration:
         assert calibration.layers["language.block5.ff.down"].rows == 2048
         assert calibration.sample_count == 128
 
-    def test_insufficient_probes(self, default_model, probe_set):
-        with pytest.raises(ValueError, match="probe pairs"):
-            collect_calibration(default_model, probe_set, n=999)
-
     def test_deterministic(self, default_model, probe_set, calibration):
-        again = collect_calibration(default_model, probe_set, n=128)
+        again = collect_calibration(default_model, probe_set)
         name = "language.block0.ff.up"
         assert np.array_equal(again.layers[name].gram, calibration.layers[name].gram)
         assert np.array_equal(again.layers[name].magnitude, calibration.layers[name].magnitude)
@@ -267,11 +266,12 @@ class TestApplyQuantization:
 
     def test_sixteen_bit_outputs_close_to_fp(self, default_model, probe_set):
         qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 16)
-        fp_image, fp_text = _embeddings(default_model, probe_set.pairs[0])
-        q_image, q_text = _embeddings(qw, probe_set.pairs[0])
+        images, texts = probe_set.images[0:1], probe_set.texts[0:1]
+        fp_image, fp_text = _embeddings(default_model, images, texts)
+        q_image, q_text = _embeddings(qw, images, texts)
         assert np.linalg.norm(q_image - fp_image) <= 1e-3
         assert np.linalg.norm(q_text - fp_text) <= 1e-3
-        assert np.array_equal(_caption(default_model, probe_set.pairs[0]), _caption(qw, probe_set.pairs[0]))
+        assert np.array_equal(_caption(default_model, images), _caption(qw, images))
 
     def test_language_only_gptq_isolates_vision(self, default_model, probe_set, calibration):
         sel = Selector.make(components=(ComponentId.LANGUAGE,))
@@ -312,7 +312,7 @@ class TestStackedGptqPipeline:
     @pytest.fixture(scope="class")
     def tiny(self, tiny_spec, tiny_probes):
         model = build_model(tiny_spec)
-        return model, collect_calibration(model, tiny_probes, n=8)
+        return model, collect_calibration(model, tiny_probes)
 
     @pytest.mark.parametrize("group_size", list(TINY_GPTQ_DIGESTS), ids=["g16", "g128", "per-tensor"])
     def test_dequantized_digest_pinned(self, tiny, group_size):
@@ -341,7 +341,7 @@ class TestStackedGptqPipeline:
 
     def test_memo_factors_equal_fresh(self, tiny_spec, tiny_probes):
         model = build_model(tiny_spec)
-        calib = collect_calibration(model, tiny_probes, n=8)
+        calib = collect_calibration(model, tiny_probes)
         for k in (2, 4):
             apply_quantization(model, Selector.everything(), Method.GPTQ, k, calib, group_size=16)
         assert sorted(calib.factors) == sorted(a.name for a in model.addresses)
@@ -374,7 +374,7 @@ class TestChunkedAwqPipeline:
     @pytest.mark.parametrize("group_size", list(TINY_AWQ_DIGESTS), ids=["g12", "g128", "per-tensor"])
     def test_dequantized_digest_pinned(self, tiny_spec, tiny_probes, group_size):
         model = build_model(tiny_spec)
-        calib = collect_calibration(model, tiny_probes, n=8)
+        calib = collect_calibration(model, tiny_probes)
         h = hashlib.sha256()
         for k in range(2, 9):
             for addr in model.addresses:
@@ -395,5 +395,5 @@ class TestProjectorPipeline:
         weights = build_model(spec)
         assert len(weights.addresses) == 6 * 6
         assert "connector.proj" in weights.extras
-        out = _caption(weights, tiny_probes.pairs[0], horizon=4)
+        out = _caption(weights, tiny_probes.images[0:1], horizon=4)
         assert out.shape == (4,)

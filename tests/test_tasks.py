@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_score_task
+from helpers import oracle_score_task, vision_prefix
 from mmqlab.experiments import GridSpec, run_grid
 from mmqlab.pipeline import (
     ComponentId,
     Selector,
     TaskKind,
     apply_quantization,
-    generate_tokens,
-    vision_prefix,
+    bos_prompt,
+    greedy_generate,
 )
 from mmqlab.quantizers import Method
 from mmqlab.tasks import ProbeSet, make_probe_set
@@ -48,6 +48,11 @@ class TestProbeSet:
         with pytest.raises(ValueError):
             make_probe_set(1, 0)
 
+    @pytest.mark.parametrize("key", ["text_len", "question_len"])
+    def test_negative_length_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
+            make_probe_set(1, 2, **{key: -1})
+
     def test_take_prefix(self, probe_set):
         sub = probe_set.take(16)
         assert len(sub) == 16
@@ -68,8 +73,9 @@ class TestScoring:
         small = probe_set.take(8)
         qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 3)
         score = oracle_score_task(qw, default_model, small, TaskKind.CAPTION, horizon=1)
-        gen_q = generate_tokens(qw, vision_prefix(qw, small.images), TaskKind.CAPTION, 1)
-        gen_fp = generate_tokens(default_model, vision_prefix(default_model, small.images), TaskKind.CAPTION, 1)
+        prompt = bos_prompt(small.questions[:, :0])
+        gen_q = greedy_generate(qw, vision_prefix(qw, small.images), prompt, 1)
+        gen_fp = greedy_generate(default_model, vision_prefix(default_model, small.images), prompt, 1)
         assert score == float(np.mean(gen_q[:, 0] == gen_fp[:, 0]))
 
     def test_two_bit_strictly_below_eight_bit_retrieval(self, default_model, probe_set):
@@ -101,7 +107,3 @@ class TestScoring:
         for task in TaskKind:
             s = oracle_score_task(qw, default_model, probe_set.take(8), task)
             assert 0.0 <= s <= 1.0
-
-    def test_generation_mode_validation(self, default_model, probe_set):
-        with pytest.raises(ValueError, match="not a generation task"):
-            generate_tokens(default_model, vision_prefix(default_model, probe_set.images[:2]), TaskKind.RETRIEVAL, 4)
