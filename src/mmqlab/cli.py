@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .experiments import (
     GridSpec,
-    ResultsTable,
+    RunRecord,
     compute_bpw,
     load_results,
     pareto_frontier,
@@ -245,22 +245,24 @@ def _resumable_rows(args, config_hash: str):
             f"cannot resume {args.out}: manifest {manifest_path} is for method "
             f"{manifest.get('method')!r}, not --method {args.method!r}"
         )
-    previous = load_results(args.out)
-    return [r for r in previous.rows if np.isfinite(r.score)]
+    return [r for r in load_results(args.out) if np.isfinite(r.score)]
 
 
 def cmd_grid(args) -> int:
     config = load_config(args.config)
     method = Method(args.method)
     config_hash = _config_sha256(args.config)
-    done_rows = _resumable_rows(args, config_hash)
-    skip = frozenset(r.run_id for r in done_rows)
+    rows = _resumable_rows(args, config_hash)
+    skip = frozenset(r.run_id for r in rows)
     probes = _build_probes(config, require_calibration=method in (Method.GPTQ, Method.AWQ))
-    table = run_grid(config.pipeline, probes, config.grid, method, skip_run_ids=skip)
-    if done_rows:
-        table.rows = sorted(done_rows + table.rows, key=lambda r: r.run_id)
+    failures = []  # (run_id, message), in plan order
+    for row, error in run_grid(config.pipeline, probes, config.grid, method, skip_run_ids=skip):
+        rows.append(row)
+        if error is not None:
+            failures.append((row.run_id, error))
+    rows.sort(key=lambda r: r.run_id)
     try:
-        save_results(table, args.out)
+        save_results(rows, args.out)
         manifest = {
             "config_sha256": config_hash,
             "versions": {
@@ -270,8 +272,8 @@ def cmd_grid(args) -> int:
             },
             "method": method.value,
             "seeds": list(config.grid.seeds),
-            "rows": len(table.rows),
-            "failures": dict(sorted(table.failures)),
+            "rows": len(rows),
+            "failures": dict(failures),  # sort_keys orders it by run_id
         }
         with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -279,31 +281,27 @@ def cmd_grid(args) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    if table.failures:
-        for run_id, message in table.failures:
+    if failures:
+        for run_id, message in failures:
             print(f"failed cell {run_id}: {message}", file=sys.stderr)
         return 2
-    print(f"wrote {len(table.rows)} rows to {args.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
     if args.boot < 1:
         raise ConfigError(f"--boot must be >= 1, got {args.boot}")
-    table = load_results(args.results)
     task = TaskKind(args.task)
-    task_rows = table.for_task(task)
-    if len(task_rows.rows) < 10:
-        print(
-            f"error: need at least 10 rows for task {task.value!r}, have {len(task_rows.rows)}",
-            file=sys.stderr,
-        )
+    task_rows = [r for r in load_results(args.results) if r.task is task]
+    if len(task_rows) < 10:
+        print(f"error: need at least 10 rows for task {task.value!r}, have {len(task_rows)}", file=sys.stderr)
         return 1
-    methods = sorted({r.method for r in task_rows.rows}, key=lambda m: m.value)
+    methods = sorted({r.method for r in task_rows}, key=lambda m: m.value)
     payload = {"task": task.value, "methods": {}}
     consensus_lines = [CONSENSUS_CSV_HEADER]
     for method in methods:
-        data = AttributionDataset.from_results(table, task, method=method)
+        data = AttributionDataset.from_results(task_rows, task, method=method)
         forest = fit_random_forest(data, seed=args.seed)
         impurity = bootstrap_importance_ci(data, n_boot=args.boot, seed=args.seed)
         permutation = permutation_importance(forest, data, seed=args.seed)
@@ -337,12 +335,12 @@ def _svg_star(cx: float, cy: float, radius: float) -> str:
     return f'<polygon points="{" ".join(points)}" fill="black"/>'
 
 
-def render_plot_svg(table: ResultsTable, task: TaskKind) -> str:
-    """Deterministic score-vs-bpw scatter with Pareto polyline and star markers."""
-    rows = [r for r in table.for_task(task).rows if np.isfinite(r.bpw) and np.isfinite(r.score)]
+def render_plot_svg(rows: list[RunRecord], task: TaskKind) -> str:
+    """Deterministic score-vs-bpw scatter with Pareto polyline and star markers;
+    points are drawn in row order."""
+    rows = [r for r in rows if r.task is task and np.isfinite(r.bpw) and np.isfinite(r.score)]
     if not rows:
         raise ValueError(f"no rows to plot for task {task.value!r}")
-    rows = sorted(rows, key=lambda r: r.run_id)
     width, height = 720, 480
     left, right, top, bottom = 60, 20, 30, 50
     xs = [r.bpw for r in rows]
@@ -376,7 +374,7 @@ def render_plot_svg(table: ResultsTable, task: TaskKind) -> str:
             f'<text x="{px(bpw):.2f}" y="{height - bottom + 16}" text-anchor="middle" font-size="11">{bpw:.2f}</text>'
         )
 
-    frontier = pareto_frontier(table, task).rows
+    frontier = pareto_frontier(rows, task)
     polyline = " ".join(f"{px(r.bpw):.2f},{py(r.score):.2f}" for r in frontier)
     parts.append(
         f'<polyline points="{polyline}" fill="none" stroke="#555555" stroke-width="1.5" stroke-dasharray="5,3"/>'
@@ -399,10 +397,9 @@ def render_plot_svg(table: ResultsTable, task: TaskKind) -> str:
 
 
 def cmd_plot(args) -> int:
-    table = load_results(args.results)
-    task = TaskKind(args.task)
+    rows = load_results(args.results)
     try:
-        svg = render_plot_svg(table, task)
+        svg = render_plot_svg(rows, TaskKind(args.task))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,9 @@ on the fragments they read, and one closure derives every model's task
 outputs from those memos. The full-precision reference is the model that
 reads no fragment: its stage outputs are the memos' all-None entries.
 
-Results are plain records with a stable content-addressed ``run_id``;
+``run_grid`` yields each row as soon as its cell is scored, in plan order,
+as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
+cell's failure message or None. A results set is a plain list of records;
 persistence is a fixed-schema CSV whose save/load round-trips exactly.
 """
 
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,6 +183,13 @@ class GridSpec:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
         if self.eval_pairs is not None and self.eval_pairs < 1:
             raise ValueError(f"eval_pairs must be >= 1, got {self.eval_pairs}")
+        # an empty list would run no cell, or for a subset list every subset
+        for name in ("bits", "tasks", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
+            values = getattr(self, name)
+            if values == ():
+                raise ValueError(f"grid.{name} is empty")
+            if values and () in values:
+                raise ValueError(f"grid.{name} holds an empty subset")
         # a repeated value would give two cells one run_id
         for name in ("bits", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
             values = getattr(self, name) or ()
@@ -193,21 +203,6 @@ def _nonempty_subsets(items: tuple) -> tuple[tuple, ...]:
     for size in range(1, len(items) + 1):
         out.extend(itertools.combinations(items, size))
     return tuple(out)
-
-
-@dataclass
-class ResultsTable:
-    rows: list[RunRecord] = field(default_factory=list)
-    failures: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def for_task(self, task: TaskKind) -> "ResultsTable":
-        return ResultsTable(rows=[r for r in self.rows if r.task is task])
-
-    def sorted_by_run_id(self) -> "ResultsTable":
-        return ResultsTable(rows=sorted(self.rows, key=lambda r: r.run_id), failures=list(self.failures))
 
 
 def compute_bpw(ledger: QuantizationLedger, weights: ModelWeights) -> float:
@@ -312,7 +307,7 @@ def run_grid(
     grid: GridSpec,
     method: Method,
     skip_run_ids: frozenset[str] = frozenset(),
-) -> ResultsTable:
+) -> Iterator[tuple[RunRecord, str | None]]:
     """Score every cell of a uniform subset grid or a GPTQ/AWQ cross product.
 
     Uniform sweeps one bit width over every (components, block groups, layer
@@ -322,11 +317,14 @@ def run_grid(
     over all groups and layer types. ``grid.bits`` None means the method's
     default bits.
 
-    Each component is quantized once per bit width and each stage output is
-    memoised on the quantized layers it reads. An error fails exactly the
-    cells that depend on it, as NaN rows listed in ``failures``; a failing
-    full-precision reference raises. Cells whose run_id is in
-    ``skip_run_ids`` are not run (resume support).
+    Yields one (row, failure message or None) per task of each cell as soon
+    as the cell is scored, in plan order: seeds outer, the baseline cell
+    first, then the planned cells, with tasks in ``grid.tasks`` order. Rows
+    are not sorted. Each component is quantized once per bit width and each
+    stage output is memoised on the quantized layers it reads. An error fails
+    exactly the cells that depend on it, as NaN rows with a message; a bad
+    argument or a failing full-precision reference raises. Cells whose run_id
+    is in ``skip_run_ids`` are not run (resume support).
     """
     if method not in (Method.UNIFORM, Method.GPTQ, Method.AWQ):
         raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
@@ -342,7 +340,6 @@ def run_grid(
         TaskKind.VQA: (bos_prompt(questions), VQA_HORIZON),
     }
 
-    table = ResultsTable()
     for run_seed in grid.seeds:
         fp = _seeded_model(spec, run_seed)
 
@@ -432,27 +429,22 @@ def run_grid(
 
         for (cell, pending), (bpw, scores, error) in zip(cells, map(score, cells)):
             for task, run_id in pending.items():
-                table.rows.append(
-                    RunRecord(
-                        run_id=run_id, method=method, task=task,
-                        vision_bits=cell.bits[ComponentId.VISION],
-                        connector_bits=cell.bits[ComponentId.CONNECTOR],
-                        language_bits=cell.bits[ComponentId.LANGUAGE],
-                        groups=frozenset(cell.groups), layer_types=frozenset(cell.layer_types),
-                        group_size=group_size, bpw=bpw, score=scores.get(task, float("nan")),
-                        seed=run_seed, wall_ms=0,
-                    )
-                )
-                if error is not None:
-                    table.failures.append((run_id, error))
-    return table.sorted_by_run_id()
+                yield RunRecord(
+                    run_id=run_id, method=method, task=task,
+                    vision_bits=cell.bits[ComponentId.VISION],
+                    connector_bits=cell.bits[ComponentId.CONNECTOR],
+                    language_bits=cell.bits[ComponentId.LANGUAGE],
+                    groups=frozenset(cell.groups), layer_types=frozenset(cell.layer_types),
+                    group_size=group_size, bpw=bpw, score=scores.get(task, float("nan")),
+                    seed=run_seed, wall_ms=0,
+                ), error
 
 
 # --- persistence -------------------------------------------------------------
 
 
-def save_results(table: ResultsTable, path) -> None:
-    lines = [CSV_HEADER] + [r.to_csv_row() for r in table.rows]
+def save_results(rows: list[RunRecord], path) -> None:
+    lines = [CSV_HEADER] + [r.to_csv_row() for r in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -469,7 +461,7 @@ def _parse_tokens(raw: str, enum_cls, line_no: int):
     return frozenset(members)
 
 
-def load_results(path) -> ResultsTable:
+def load_results(path) -> list[RunRecord]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # (physical line number, text); blank lines are skipped but still counted
@@ -515,16 +507,16 @@ def load_results(path) -> ResultsTable:
         if row.run_id in seen:
             raise ValueError(f"line {line_no}: run_id {row.run_id} repeats line {seen[row.run_id]}")
         seen[row.run_id] = line_no
-    return ResultsTable(rows=rows)
+    return rows
 
 
-def pareto_frontier(table: ResultsTable, task: TaskKind) -> ResultsTable:
+def pareto_frontier(rows: list[RunRecord], task: TaskKind) -> list[RunRecord]:
     """Rows not dominated in (lower bpw, higher score), bpw ascending.
 
     Exact ties on both axes are all retained; NaN-scored (failed) rows are
     excluded.
     """
-    rows = [r for r in table.for_task(task).rows if np.isfinite(r.bpw) and np.isfinite(r.score)]
+    rows = [r for r in rows if r.task is task and np.isfinite(r.bpw) and np.isfinite(r.score)]
     if not rows:
         raise ValueError(f"no finished rows for task {task.value!r}")
     by_bpw: dict[float, list[RunRecord]] = {}
@@ -538,4 +530,4 @@ def pareto_frontier(table: ResultsTable, task: TaskKind) -> ResultsTable:
         if top > best:
             frontier.extend(r for r in group if r.score == top)
             best = top
-    return ResultsTable(rows=frontier)
+    return frontier

@@ -61,13 +61,14 @@ class AttributionDataset:
         return self.features.shape[0]
 
     @classmethod
-    def from_results(cls, table, task: TaskKind, method=None) -> "AttributionDataset":
-        """Build from a results table slice; components never quantized
-        (bits constant at 16 across all rows) are dropped as absent."""
-        rows = [r for r in table.rows if r.task is task]
-        if method is not None:
-            rows = [r for r in rows if r.method is method]
-        rows = [r for r in rows if np.isfinite(r.score)]
+    def from_results(cls, rows, task: TaskKind, method=None) -> "AttributionDataset":
+        """Build from the finished results rows of one task (and method, if
+        given); components never quantized (bits constant at 16 across all
+        rows) are dropped as absent."""
+        rows = [
+            r for r in rows
+            if r.task is task and (method is None or r.method is method) and np.isfinite(r.score)
+        ]
         if not rows:
             raise ValueError(f"no usable rows for task {task.value!r}")
         all_bits = np.array(

@@ -172,10 +172,6 @@ class Selector:
     ) -> "Selector":
         return cls(frozenset(components), frozenset(groups), frozenset(layer_types))
 
-    @classmethod
-    def everything(cls) -> "Selector":
-        return cls.make()
-
     def matches(self, addr: LayerAddress) -> bool:
         return (
             addr.component in self.components
@@ -524,7 +520,7 @@ def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> Calibratio
     vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
     prefix = run_connector(weights, vision_out, recorder=recorder)
     decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
-    return CalibrationSet(layers=layers, sample_count=n)
+    return CalibrationSet(layers=layers)
 
 
 # --- quantization -----------------------------------------------------------

@@ -133,7 +133,6 @@ class CalibrationSet:
     """
 
     layers: dict[str, LayerStats] = field(default_factory=dict)
-    sample_count: int = 0
     factors: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 

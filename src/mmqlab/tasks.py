@@ -20,14 +20,11 @@ from .pipeline import TaskKind
 @dataclass
 class ProbeSet:
     """Probe pairs as arrays, one row per pair: images (n, patch_count,
-    d_input) float32, text and question token ids (n, length) int64, and the
-    image and text latents (n, d_input) float32."""
+    d_input) float32 and text and question token ids (n, length) int64."""
 
     images: np.ndarray
     texts: np.ndarray
     questions: np.ndarray
-    image_latents: np.ndarray
-    text_latents: np.ndarray
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -62,8 +59,6 @@ def make_probe_set(
     images = np.empty((n_pairs, patch_count, d_input), dtype=np.float32)
     texts = np.empty((n_pairs, text_len), dtype=np.int64)
     questions = np.empty((n_pairs, question_len), dtype=np.int64)
-    image_latents = np.empty((n_pairs, d_input), dtype=np.float32)
-    text_latents = np.empty((n_pairs, d_input), dtype=np.float32)
     for i in range(n_pairs):
         latent = stream.normals(d_input)
         image_latent = latent + 0.5 * stream.normals(d_input)
@@ -72,9 +67,7 @@ def make_probe_set(
         images[i] = image_latent[None, :] + 0.35 * patch_noise
         texts[i] = _tokens_from_latent(text_latent, text_len, vocab, stride=1, offset=0)
         questions[i] = _tokens_from_latent(text_latent, question_len, vocab, stride=7, offset=3)
-        image_latents[i] = image_latent
-        text_latents[i] = text_latent
-    return ProbeSet(images, texts, questions, image_latents, text_latents)
+    return ProbeSet(images, texts, questions)
 
 
 def retrieval_agreement(

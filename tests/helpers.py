@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from mmqlab.experiments import run_grid
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
 from mmqlab.pipeline import (
@@ -406,3 +407,11 @@ def oracle_score_task(q_weights, fp_weights, probes, task, horizon=None) -> floa
         return greedy_generate(weights, prefix, prompt, horizon or default)
 
     return agreement(task, outputs(q_weights), outputs(fp_weights))
+
+
+def grid_rows(*args, **kwargs):
+    """run_grid's rows sorted by run_id, as the grid command writes them, and
+    its failures as (run_id, message) in plan order."""
+    rows = list(run_grid(*args, **kwargs))
+    failures = [(row.run_id, error) for row, error in rows if error is not None]
+    return sorted((row for row, _ in rows), key=lambda r: r.run_id), failures

@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import brute_force_proxy_min, oracle_score_task, spearman_rho
+from helpers import brute_force_proxy_min, grid_rows, oracle_score_task, spearman_rho
 from mmqlab.cli import main
-from mmqlab.experiments import GridSpec, compute_bpw, run_grid
+from mmqlab.experiments import GridSpec, compute_bpw
 from mmqlab.importance import (
     AttributionDataset,
     bootstrap_importance_ci,
@@ -168,7 +168,7 @@ def test_criterion_04_degradation_monotonicity(models_by_seed, probes128):
     mean_scores = {task: np.zeros(len(bits)) for task in TaskKind}
     for model in models_by_seed.values():
         for i, k in enumerate(bits):
-            quantized, _ = apply_quantization(model, Selector.everything(), Method.UNIFORM, k)
+            quantized, _ = apply_quantization(model, Selector.make(), Method.UNIFORM, k)
             for task in TaskKind:
                 mean_scores[task][i] += oracle_score_task(quantized, model, eval_probes, task) / len(SEEDS)
     rhos = {task.value: spearman_rho(bits, mean_scores[task]) for task in TaskKind}
@@ -184,7 +184,7 @@ def test_criterion_05_sota_beats_uniform_at_matched_bits(models_by_seed, probes1
         scores = []
         for seed, model in models_by_seed.items():
             calib = calib_by_seed[seed] if method is not Method.UNIFORM else None
-            quantized, _ = apply_quantization(model, Selector.everything(), method, 4, calib=calib)
+            quantized, _ = apply_quantization(model, Selector.make(), method, 4, calib=calib)
             scores.append(oracle_score_task(quantized, model, eval_probes, TaskKind.CAPTION))
         means[method.value] = float(np.mean(scores))
     ok = means["gptq"] >= means["uniform"] and means["awq"] >= means["uniform"]
@@ -243,10 +243,10 @@ def test_criterion_08_consensus_contract_and_seed_stability(probes128):
     sums_ok = True
     format_ok = True
     for seed in SEEDS:
-        table = run_grid(
+        rows, _ = grid_rows(
             spec, probes128, GridSpec(tasks=(TaskKind.VQA,), seeds=(seed,), eval_pairs=24), Method.GPTQ,
         )
-        data = AttributionDataset.from_results(table, TaskKind.VQA, method=Method.GPTQ)
+        data = AttributionDataset.from_results(rows, TaskKind.VQA, method=Method.GPTQ)
         forest = fit_random_forest(data, seed=0)
         consensus = consensus_ranking(
             [
@@ -290,15 +290,13 @@ def test_criterion_10_reproducibility(tmp_path, tiny_spec, tiny_probes):
         bits=(2, 8), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3,), eval_pairs=4,
         component_subsets=((ComponentId.LANGUAGE,), (ComponentId.VISION, ComponentId.CONNECTOR, ComponentId.LANGUAGE)),
     )
-    t1 = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
-    t2 = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
-    cells_ok = [(r.run_id, r.score, r.bpw) for r in t1.rows] == [
-        (r.run_id, r.score, r.bpw) for r in t2.rows
-    ]
+    t1, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+    t2, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+    cells_ok = [(r.run_id, r.score, r.bpw) for r in t1] == [(r.run_id, r.score, r.bpw) for r in t2]
     sota_grid = GridSpec(bits=(3,), tasks=(TaskKind.CAPTION,), seeds=(3,), eval_pairs=4)
-    sota1 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ)
-    sota2 = run_grid(tiny_spec, tiny_probes, sota_grid, Method.AWQ)
-    cells_ok = cells_ok and [(r.run_id, r.score) for r in sota1.rows] == [(r.run_id, r.score) for r in sota2.rows]
+    sota1, _ = grid_rows(tiny_spec, tiny_probes, sota_grid, Method.AWQ)
+    sota2, _ = grid_rows(tiny_spec, tiny_probes, sota_grid, Method.AWQ)
+    cells_ok = cells_ok and [(r.run_id, r.score) for r in sota1] == [(r.run_id, r.score) for r in sota2]
 
     # full CLI pipeline twice: csv + manifest + report + svg byte-identical
     config = {
@@ -329,7 +327,7 @@ def test_criterion_10_reproducibility(tmp_path, tiny_spec, tiny_probes):
 
 def test_criterion_11_bpw_accounting(models_by_seed):
     model = models_by_seed[7]
-    _, ledger = apply_quantization(model, Selector.everything(), Method.RTN, 4, group_size=128)
+    _, ledger = apply_quantization(model, Selector.make(), Method.RTN, 4, group_size=128)
     bpw4 = compute_bpw(ledger, model)
     baseline = compute_bpw(QuantizationLedger(), model)
     ok = abs(bpw4 - 4.25) <= 1e-6 and baseline == 16.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mmqlab.cli import ConfigError, load_config, main, render_plot_svg
-from mmqlab.experiments import ResultsTable, RunRecord, load_results, save_results
+from mmqlab.experiments import RunRecord, load_results, save_results
 from mmqlab.pipeline import BlockGroup, LayerType, TaskKind
 from mmqlab.quantizers import Method
 
@@ -62,7 +62,7 @@ def synthetic_results(path, score_fn, method=Method.GPTQ, task=TaskKind.VQA):
                 seed=7, wall_ms=0,
             )
         )
-    save_results(ResultsTable(rows=rows), path)
+    save_results(rows, path)
 
 
 class TestConfig:
@@ -263,6 +263,40 @@ class TestGridCommand:
         assert f"grid.{field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("bits", [], id="bits"),
+            pytest.param("tasks", [], id="tasks"),
+            pytest.param("seeds", [], id="seeds"),
+            pytest.param("component_subsets", [], id="component_subsets"),
+            pytest.param("group_subsets", [], id="group_subsets"),
+            pytest.param("layer_type_subsets", [], id="layer_type_subsets"),
+            pytest.param("component_subsets", [[]], id="component_subsets-inner"),
+            pytest.param("group_subsets", [["front"], []], id="group_subsets-inner"),
+            pytest.param("layer_type_subsets", [[]], id="layer_type_subsets-inner"),
+        ],
+    )
+    def test_empty_grid_list_exits_one(self, tmp_path, capsys, field, value):
+        # an empty list would write the baseline or no row at all, and an empty
+        # subset list would mean every subset
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["grid"][field] = value
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "empty.csv"
+        code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
+        assert code == 1
+        assert f"grid.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quick_grid_digest_pinned(self, tmp_path):
+        out = tmp_path / "quick.csv"
+        assert main(["grid", "--config", str(REPO / "configs/quick.json"), "--method", "uniform", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "847aa00a7897df31a0d41627046b6ddc36dd7ff025bcf3d8f2e8196cf6c66e02"
+        )
+
     def test_resume_rejects_changed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "r.csv"
@@ -329,7 +363,7 @@ class TestAnalyzeCommand:
             )
             for i in range(3)
         ]
-        save_results(ResultsTable(rows=rows), csv)
+        save_results(rows, csv)
         code = main(["analyze", str(csv), "--task", "vqa", "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "at least 10 rows" in capsys.readouterr().err
@@ -400,7 +434,7 @@ class TestPlotCommand:
 
     def test_three_rows_three_points(self, tmp_path):
         csv = tmp_path / "three.csv"
-        save_results(ResultsTable(rows=self._rows([(2.0, 0.2, 2), (4.0, 0.6, 4), (6.0, 0.9, 6)])), csv)
+        save_results(self._rows([(2.0, 0.2, 2), (4.0, 0.6, 4), (6.0, 0.9, 6)]), csv)
         out = tmp_path / "p.svg"
         assert main(["plot", str(csv), "--task", "retrieval", "--out", str(out)]) == 0
         svg = out.read_text()
@@ -409,16 +443,14 @@ class TestPlotCommand:
 
     def test_stars_present_iff_full_pipeline_cells(self, tmp_path):
         csv = tmp_path / "stars.csv"
-        save_results(
-            ResultsTable(rows=self._rows([(8.0, 0.95, 8), (16.0, 1.0, 16), (4.0, 0.5, 4)])), csv
-        )
+        save_results(self._rows([(8.0, 0.95, 8), (16.0, 1.0, 16), (4.0, 0.5, 4)]), csv)
         out = tmp_path / "p.svg"
         assert main(["plot", str(csv), "--task", "retrieval", "--out", str(out)]) == 0
         assert out.read_text().count("<polygon") == 2
 
     def test_deterministic_bytes(self, tmp_path):
         csv = tmp_path / "d.csv"
-        save_results(ResultsTable(rows=self._rows([(2.0, 0.3, 2), (8.0, 0.9, 8)])), csv)
+        save_results(self._rows([(2.0, 0.3, 2), (8.0, 0.9, 8)]), csv)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         assert main(["plot", str(csv), "--task", "retrieval", "--out", str(a)]) == 0
         assert main(["plot", str(csv), "--task", "retrieval", "--out", str(b)]) == 0
@@ -426,15 +458,15 @@ class TestPlotCommand:
 
     def test_empty_task_slice_exits_one(self, tmp_path, capsys):
         csv = tmp_path / "e.csv"
-        save_results(ResultsTable(rows=self._rows([(2.0, 0.3, 2)])), csv)
+        save_results(self._rows([(2.0, 0.3, 2)]), csv)
         code = main(["plot", str(csv), "--task", "caption", "--out", str(tmp_path / "p.svg")])
         assert code == 1
 
     def test_render_is_wellformed_xml(self, tmp_path):
         import xml.etree.ElementTree as ET
 
-        table = ResultsTable(rows=self._rows([(2.0, 0.3, 2), (8.0, 0.9, 8), (16.0, 1.0, 16)]))
-        ET.fromstring(render_plot_svg(table, TaskKind.RETRIEVAL))
+        rows = self._rows([(2.0, 0.3, 2), (8.0, 0.9, 8), (16.0, 1.0, 16)])
+        ET.fromstring(render_plot_svg(rows, TaskKind.RETRIEVAL))
 
 
 class TestQuantizeCommand:
@@ -494,7 +526,7 @@ class TestGridBitsDefaults:
         cfg.write_text(json.dumps(raw))
         out = tmp_path / f"{method}.csv"
         assert main(["grid", "--config", str(cfg), "--method", method, "--out", str(out)]) == 0
-        rows = load_results(out).rows
+        rows = load_results(out)
         return {b for r in rows for b in (r.vision_bits, r.connector_bits, r.language_bits)}
 
     def test_omitted_bits_use_sota_set_for_calibrated_methods(self, tmp_path):

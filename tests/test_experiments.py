@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
-from helpers import oracle_score_task
+from helpers import grid_rows, oracle_score_task
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
-    ResultsTable,
     RunRecord,
     compute_bpw,
     load_results,
@@ -62,11 +61,11 @@ class TestComputeBpw:
         assert compute_bpw(QuantizationLedger(), default_model) == 16.0
 
     def test_group128_four_bit_exact(self, default_model):
-        _, ledger = apply_quantization(default_model, Selector.everything(), Method.RTN, 4, group_size=128)
+        _, ledger = apply_quantization(default_model, Selector.make(), Method.RTN, 4, group_size=128)
         assert compute_bpw(ledger, default_model) == pytest.approx(4.25, abs=1e-9)
 
     def test_per_tensor_overhead(self, default_model):
-        _, ledger = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 4)
+        _, ledger = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 4)
         layer_sizes = [default_model.layers[a.name].size for a in default_model.addresses]
         expected = sum(4 * n + 64 for n in layer_sizes) / sum(layer_sizes)
         assert compute_bpw(ledger, default_model) == pytest.approx(expected, abs=1e-12)
@@ -74,7 +73,7 @@ class TestComputeBpw:
         assert all(4 + 64 / n == pytest.approx(4.0, abs=0.01) for n in layer_sizes if n >= 6400)
 
     def test_unknown_layer_rejected(self, default_model):
-        _, ledger = apply_quantization(default_model, Selector.everything(), Method.RTN, 4)
+        _, ledger = apply_quantization(default_model, Selector.make(), Method.RTN, 4)
         ledger.entries[0] = ledger.entries[0].__class__(
             layer="nonexistent.layer", method=Method.RTN, bits=4, group_size=128,
             scheme=ledger.entries[0].scheme, proxy_error=0.0, code_bits=0,
@@ -86,13 +85,13 @@ class TestComputeBpw:
 class TestUniformGrid:
     def test_full_subset_count_is_589_per_task(self, tiny_spec, tiny_probes, tmp_path):
         grid = GridSpec(bits=(2, 4, 6, 8), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
-        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        rows, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
         # 4 bits x 7 component subsets x 7 group subsets x 3 layer-type subsets + baseline
-        assert len(table.rows) == 4 * 7 * 7 * 3 + 1
-        assert len({r.run_id for r in table.rows}) == len(table.rows)
-        # the full table survives a save/load/save round trip byte for byte
+        assert len(rows) == 4 * 7 * 7 * 3 + 1
+        assert len({r.run_id for r in rows}) == len(rows)
+        # the full grid survives a save/load/save round trip byte for byte
         first, second = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        save_results(table, first)
+        save_results(rows, first)
         save_results(load_results(first), second)
         assert first.read_bytes() == second.read_bytes()
 
@@ -103,15 +102,15 @@ class TestUniformGrid:
             group_subsets=((BlockGroup.FRONT,),),
             layer_type_subsets=((LayerType.ATTN,),),
         )
-        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
-        base = [r for r in table.rows if r.vision_bits == 16]
+        rows, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        base = [r for r in rows if r.vision_bits == 16]
         assert len(base) == 1
         assert base[0].bpw == 16.0 and base[0].score == 1.0
 
     def test_full_pipeline_star_flagged(self, tiny_spec, tiny_probes):
         grid = GridSpec(bits=(8,), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
-        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
-        stars = [r for r in table.rows if r.is_full_pipeline_star]
+        rows, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        stars = [r for r in rows if r.is_full_pipeline_star]
         star_bits = sorted(r.vision_bits for r in stars)
         assert star_bits == [8, 16]
 
@@ -124,8 +123,8 @@ class TestUniformGrid:
             bits=(4,), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4,
             component_subsets=((ComponentId.CONNECTOR,),),
         )
-        table = run_grid(spec, tiny_probes, grid, Method.UNIFORM)
-        assert len(table.rows) == 1  # only the baseline survives
+        rows, _ = grid_rows(spec, tiny_probes, grid, Method.UNIFORM)
+        assert len(rows) == 1  # only the baseline survives
 
     def test_rerun_identical(self, tiny_spec, tiny_probes, tmp_path):
         grid = GridSpec(
@@ -133,19 +132,19 @@ class TestUniformGrid:
             component_subsets=((ComponentId.LANGUAGE,),),
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_results(run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM), a)
-        save_results(run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM), b)
+        save_results(grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)[0], a)
+        save_results(grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)[0], b)
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestSotaGrid:
     def test_grid_completeness_every_combo_once(self, tiny_spec, tiny_probes):
-        table = run_grid(
+        rows, _ = grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
             Method.GPTQ,
         )
-        combos = [(r.vision_bits, r.connector_bits, r.language_bits) for r in table.rows]
+        combos = [(r.vision_bits, r.connector_bits, r.language_bits) for r in rows]
         assert len(combos) == 27 and len(set(combos)) == 27  # (2,4,16)^3
 
     def test_projector_spec_has_two_feature_axes(self, tiny_probes):
@@ -153,21 +152,21 @@ class TestSotaGrid:
             d_model=32, vision_blocks=3, connector_blocks=0, language_blocks=3, heads=2,
             patch_count=8, vocab=64, connector_kind=ConnectorKind.LINEAR_PROJECTOR, seed=2,
         )
-        table = run_grid(
+        rows, _ = grid_rows(
             spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
             Method.AWQ,
         )
-        assert len(table.rows) == 9  # 3^2, connector axis absent
-        assert all(r.connector_bits == 16 for r in table.rows)
+        assert len(rows) == 9  # 3^2, connector axis absent
+        assert all(r.connector_bits == 16 for r in rows)
 
     def test_baseline_cell(self, tiny_spec, tiny_probes):
-        table = run_grid(
+        rows, _ = grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(4,), tasks=(TaskKind.VQA,), seeds=(3,), eval_pairs=4),
             Method.GPTQ,
         )
-        base = [r for r in table.rows if (r.vision_bits, r.connector_bits, r.language_bits) == (16, 16, 16)]
+        base = [r for r in rows if (r.vision_bits, r.connector_bits, r.language_bits) == (16, 16, 16)]
         assert len(base) == 1 and base[0].score == 1.0 and base[0].bpw == 16.0
 
     def test_failed_cells_recorded_not_fatal(self, tiny_spec, tiny_probes, monkeypatch):
@@ -181,15 +180,15 @@ class TestSotaGrid:
             return original(w, x, k, **kw)
 
         monkeypatch.setattr(pl, "gptq_quantize_stack", flaky)
-        table = run_grid(
+        rows, failures = grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
             Method.GPTQ,
         )
-        assert len(table.rows) == 27
-        failed = [r for r in table.rows if not np.isfinite(r.score)]
+        assert len(rows) == 27
+        failed = [r for r in rows if not np.isfinite(r.score)]
         assert len(failed) == 27 - 8  # every combo touching bits=2 fails
-        assert table.failures and "synthetic failure" in table.failures[0][1]
+        assert failures and "synthetic failure" in failures[0][1]
 
     def test_gptq_factors_each_layer_once(self, tiny_spec, tiny_probes, monkeypatch):
         import mmqlab.quantizers as quantizers
@@ -202,7 +201,7 @@ class TestSotaGrid:
             return original(hessians, damping, names)
 
         monkeypatch.setattr(quantizers, "_inverse_hessian_factor", counting)
-        run_grid(
+        grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
             Method.GPTQ,
@@ -234,28 +233,53 @@ class TestSotaGrid:
         monkeypatch.setattr(experiments, "collect_calibration", collecting)
         monkeypatch.setattr(pipeline, "greedy_generate", decoding)
         monkeypatch.setattr(experiments, "apply_quantization", failing)
-        table = run_grid(
+        rows, failures = grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.VQA,), seeds=(3, 4), eval_pairs=4),
             Method.GPTQ,
         )
-        assert len(refs) == 2 and bool(table.failures) == (fail_bits is not None)
+        assert len(refs) == 2 and bool(failures) == (fail_bits is not None)
         # each seed's calibration, with its memoised factors, is dead when that seed decodes
         assert alive_at_decode[0] == [False]
         assert [False, False] in alive_at_decode
 
     def test_rejects_uncalibrated_methods(self, tiny_spec, tiny_probes):
         with pytest.raises(ValueError, match="GPTQ/AWQ"):
-            run_grid(tiny_spec, tiny_probes, GridSpec(), Method.RTN)
+            list(run_grid(tiny_spec, tiny_probes, GridSpec(), Method.RTN))
 
     def test_skip_run_ids_resumes_without_recompute(self, tiny_spec, tiny_probes):
         grid = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
-        full = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ)
-        skip = frozenset(r.run_id for r in full.rows[:10])
-        rest = run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ, skip_run_ids=skip)
-        assert len(rest.rows) == len(full.rows) - 10
-        merged = sorted(full.rows[:10] + rest.rows, key=lambda r: r.run_id)
-        assert [(r.run_id, r.score) for r in merged] == [(r.run_id, r.score) for r in full.rows]
+        full, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.GPTQ)
+        skip = frozenset(r.run_id for r in full[:10])
+        rest, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.GPTQ, skip_run_ids=skip)
+        assert len(rest) == len(full) - 10
+        merged = sorted(full[:10] + rest, key=lambda r: r.run_id)
+        assert [(r.run_id, r.score) for r in merged] == [(r.run_id, r.score) for r in full]
+
+
+class TestStreaming:
+    def test_each_row_arrives_before_the_next_cell_decodes(self, tiny_spec, tiny_probes, monkeypatch):
+        decodes = []
+        generate = pipeline.greedy_generate
+
+        def counting(*args, **kwargs):
+            decodes.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "greedy_generate", counting)
+        rows = run_grid(
+            tiny_spec, tiny_probes, GridSpec(bits=(2,), tasks=(TaskKind.VQA,), seeds=(3,), eval_pairs=4), Method.GPTQ,
+        )
+        assert decodes == []  # nothing runs before the first next()
+        first, error = next(rows)
+        # the baseline comes first, after the reference's decode only
+        assert (first.vision_bits, first.connector_bits, first.language_bits) == (16, 16, 16)
+        assert error is None and first.score == 1.0 and len(decodes) == 1
+        next(rows)
+        assert len(decodes) == 2
+        for count, (row, error) in enumerate(rows, start=3):
+            assert error is None and len(decodes) == count  # one VQA decode per cell
+        assert count == 2**3
 
 
 def _reads_only(weights, fp) -> bool:
@@ -292,7 +316,7 @@ class TestMemo:
         grid = GridSpec(
             bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3, 4), eval_pairs=4,
         )
-        run_grid(tiny_spec, tiny_probes, grid, Method.GPTQ)
+        grid_rows(tiny_spec, tiny_probes, grid, Method.GPTQ)
         assert len(models) == 2
         for _, fp in models:
             assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
@@ -323,7 +347,7 @@ class TestMemo:
             group_subsets=((BlockGroup.FRONT,), (BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END)),
             layer_type_subsets=((LayerType.ATTN, LayerType.FF),),
         )
-        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        rows, _ = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
         assert len(models) == 2
         for _, fp in models:
             assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
@@ -336,7 +360,7 @@ class TestMemo:
         assert len(visions) == 2 * (1 + 4)
         assert len(connectors) == 2 * (1 + 4 * 3)
         assert len(texts) == 2 * (1 + 4)
-        quantized_cells = len(table.rows) // 2 - 2  # less one baseline cell per seed
+        quantized_cells = len(rows) // 2 - 2  # less one baseline cell per seed
         assert len(decodes) == 2 * 1 + quantized_cells  # VQA decodes once per quantized cell
 
     def test_stage_failure_fails_exactly_its_cells(self, tiny_spec, tiny_probes, monkeypatch):
@@ -353,12 +377,12 @@ class TestMemo:
             group_subsets=((BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END),),
             layer_type_subsets=((LayerType.ATTN, LayerType.FF),),
         )
-        table = run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM)
-        failed = {r.run_id for r in table.rows if not np.isfinite(r.score)}
-        assert failed == {r.run_id for r in table.rows if r.vision_bits == 2}
+        rows, failures = grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)
+        failed = {r.run_id for r in rows if not np.isfinite(r.score)}
+        assert failed == {r.run_id for r in rows if r.vision_bits == 2}
         assert len(failed) == 4 * 2  # 4 component subsets with vision, 2 tasks
-        assert all(np.isfinite(r.bpw) == np.isfinite(r.score) for r in table.rows)
-        assert dict(table.failures) == {run_id: "synthetic vision failure" for run_id in failed}
+        assert all(np.isfinite(r.bpw) == np.isfinite(r.score) for r in rows)
+        assert dict(failures) == {run_id: "synthetic vision failure" for run_id in failed}
 
 
 class TestEquivalence:
@@ -385,13 +409,13 @@ class TestEquivalence:
     )
     def test_matches_per_cell_quantize_and_score(self, tiny_spec, tiny_probes, method, grid, cells):
         grid = replace(grid, tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3,), eval_pairs=4)
-        table = run_grid(tiny_spec, tiny_probes, grid, method)
-        assert len(table.rows) == 3 * cells and not table.failures
+        rows, failures = grid_rows(tiny_spec, tiny_probes, grid, method)
+        assert len(rows) == 3 * cells and not failures
 
         fp = experiments._seeded_model(tiny_spec, 3)
         calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, tiny_probes)
         group_size = 0 if method is Method.UNIFORM else grid.group_size
-        for row in table.rows:
+        for row in rows:
             weights, ledger = fp, QuantizationLedger()
             bits = {
                 ComponentId.VISION: row.vision_bits,
@@ -414,7 +438,7 @@ class TestEquivalence:
 class TestPersistence:
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        save_results(ResultsTable(), path)
+        save_results([], path)
         assert path.read_text() == CSV_HEADER + "\n"
 
     def test_round_trip_identity(self, tmp_path):
@@ -424,20 +448,20 @@ class TestPersistence:
             _record(run_id="ccc", bpw=float("nan"), score=float("nan")),
         ]
         path = tmp_path / "t.csv"
-        save_results(ResultsTable(rows=rows), path)
+        save_results(rows, path)
         loaded = load_results(path)
         path2 = tmp_path / "t2.csv"
         save_results(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
-        assert loaded.rows[1].groups == frozenset({BlockGroup.FRONT, BlockGroup.END})
-        for orig, back in zip(rows[:2], loaded.rows[:2]):
+        assert loaded[1].groups == frozenset({BlockGroup.FRONT, BlockGroup.END})
+        for orig, back in zip(rows[:2], loaded[:2]):
             assert back.bpw == pytest.approx(orig.bpw, rel=1e-5)
             assert back.score == pytest.approx(orig.score, rel=1e-5)
 
     def test_groups_serialization_order(self, tmp_path):
         row = _record(groups=frozenset({BlockGroup.END, BlockGroup.FRONT}))
         path = tmp_path / "g.csv"
-        save_results(ResultsTable(rows=[row]), path)
+        save_results([row], path)
         assert ",front+end," in path.read_text()
 
     def test_malformed_rows_error_with_line_number(self, tmp_path):
@@ -473,7 +497,7 @@ class TestPersistence:
     def test_repeated_run_id_names_both_lines(self, tmp_path):
         rows = [_record(run_id="a"), _record(run_id="b"), _record(run_id="a", score=0.25)]
         path = tmp_path / "dup.csv"
-        save_results(ResultsTable(rows=rows), path)
+        save_results(rows, path)
         with pytest.raises(ValueError, match="^line 4: run_id a repeats line 2$"):
             load_results(path)
 
@@ -484,8 +508,8 @@ class TestPersistence:
             _record(run_id="c", score=float("nan")),
         ]
         path = tmp_path / "edge.csv"
-        save_results(ResultsTable(rows=rows), path)
-        assert [r.run_id for r in load_results(path).rows] == ["a", "b", "c"]
+        save_results(rows, path)
+        assert [r.run_id for r in load_results(path)] == ["a", "b", "c"]
 
 
 _VALID_CSV = CSV_HEADER + "\n" + "\n".join(
@@ -495,16 +519,16 @@ _VALID_CSV = CSV_HEADER + "\n" + "\n".join(
 
 
 class TestLoadResultsFuzz:
-    """A damaged CSV loads as a table or fails with a ValueError naming its line."""
+    """A damaged CSV loads or fails with a ValueError naming its line."""
 
     @staticmethod
     def _check(path):
         try:
-            table = load_results(path)
+            rows = load_results(path)
         except ValueError as exc:
             assert str(exc).startswith("line "), str(exc)
             return
-        for r in table.rows:
+        for r in rows:
             assert all(2 <= b <= 16 for b in (r.vision_bits, r.connector_bits, r.language_bits))
             assert np.isnan(r.score) or 0.0 <= r.score <= 1.0
 
@@ -543,7 +567,7 @@ class TestLoadResultsFuzz:
     def test_leading_blank_lines(self, tmp_path):
         path = tmp_path / "leading.csv"
         path.write_text("\n  \n" + _VALID_CSV, encoding="utf-8")
-        assert len(load_results(path).rows) == 3
+        assert len(load_results(path)) == 3
         path.write_text("\n\nnot,a,header\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^line 3: bad header"):
             load_results(path)
@@ -569,12 +593,12 @@ class TestLoadResultsFuzz:
 
 class TestPareto:
     def test_single_row(self):
-        table = ResultsTable(rows=[_record()])
-        assert pareto_frontier(table, TaskKind.RETRIEVAL).rows == table.rows
+        rows = [_record()]
+        assert pareto_frontier(rows, TaskKind.RETRIEVAL) == rows
 
     def test_domination(self):
         rows = [_record(run_id="a", bpw=4.0, score=0.9), _record(run_id="b", bpw=8.0, score=0.8)]
-        front = pareto_frontier(ResultsTable(rows=rows), TaskKind.RETRIEVAL).rows
+        front = pareto_frontier(rows, TaskKind.RETRIEVAL)
         assert [r.run_id for r in front] == ["a"]
 
     def test_equal_score_higher_bpw_dominated(self):
@@ -583,12 +607,12 @@ class TestPareto:
             _record(run_id="b", bpw=6.0, score=0.9),
             _record(run_id="c", bpw=8.0, score=0.9),
         ]
-        front = pareto_frontier(ResultsTable(rows=rows), TaskKind.RETRIEVAL).rows
+        front = pareto_frontier(rows, TaskKind.RETRIEVAL)
         assert [r.run_id for r in front] == ["a", "b"]
 
     def test_exact_ties_all_retained(self):
         rows = [_record(run_id="a", bpw=4.0, score=0.9), _record(run_id="b", bpw=4.0, score=0.9)]
-        front = pareto_frontier(ResultsTable(rows=rows), TaskKind.RETRIEVAL).rows
+        front = pareto_frontier(rows, TaskKind.RETRIEVAL)
         assert len(front) == 2
 
     def test_nan_rows_excluded_and_sorted(self):
@@ -597,9 +621,9 @@ class TestPareto:
             _record(run_id="hi", bpw=9.0, score=0.99),
             _record(run_id="lo", bpw=2.0, score=0.3),
         ]
-        front = pareto_frontier(ResultsTable(rows=rows), TaskKind.RETRIEVAL).rows
+        front = pareto_frontier(rows, TaskKind.RETRIEVAL)
         assert [r.run_id for r in front] == ["lo", "hi"]
 
     def test_empty_task_slice_rejected(self):
         with pytest.raises(ValueError, match="no finished rows"):
-            pareto_frontier(ResultsTable(rows=[_record(task=TaskKind.VQA)]), TaskKind.CAPTION)
+            pareto_frontier([_record(task=TaskKind.VQA)], TaskKind.CAPTION)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import predict_interventional_value, predict_permutation_importance, recursive_forest_trees
 
-from mmqlab.experiments import ResultsTable, RunRecord, load_results
+from mmqlab.experiments import RunRecord, load_results
 from mmqlab.importance import (
     AttributionDataset,
     CONSENSUS_CSV_HEADER,
@@ -73,7 +73,7 @@ class TestAttributionDataset:
             )
             for i, (v, l) in enumerate(itertools.product((2, 4, 16), repeat=2))
         ]
-        data = AttributionDataset.from_results(ResultsTable(rows=rows), TaskKind.VQA, method=Method.GPTQ)
+        data = AttributionDataset.from_results(rows, TaskKind.VQA, method=Method.GPTQ)
         assert data.feature_names == ("vision", "language")
         assert data.features.shape == (9, 2)
 
@@ -90,7 +90,7 @@ class TestAttributionDataset:
             groups=frozenset(BlockGroup), layer_types=frozenset(LayerType),
             group_size=128, bpw=float("nan"), score=float("nan"), seed=7, wall_ms=0,
         )
-        data = AttributionDataset.from_results(ResultsTable(rows=[good, bad]), TaskKind.VQA)
+        data = AttributionDataset.from_results([good, bad], TaskKind.VQA)
         assert data.run_ids == ("g",)
 
 

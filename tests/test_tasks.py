@@ -37,8 +37,13 @@ class TestProbeSet:
         assert probe_set.questions.shape[1] == 4 and probe_set.texts.shape[1] == 8
 
     def test_paired_latents_more_aligned_than_mismatched(self, probe_set):
-        img = probe_set.image_latents / np.linalg.norm(probe_set.image_latents, axis=1, keepdims=True)
-        txt = probe_set.text_latents / np.linalg.norm(probe_set.text_latents, axis=1, keepdims=True)
+        # the patch mean is the image latent up to noise; text token j encodes
+        # dimension j of the text latent as (latent + 4) / 8 of the vocabulary
+        text_len = probe_set.texts.shape[1]
+        img = probe_set.images.mean(axis=1)[:, :text_len]
+        txt = probe_set.texts * (8.0 / 256) - 4.0
+        img = img / np.linalg.norm(img, axis=1, keepdims=True)
+        txt = txt / np.linalg.norm(txt, axis=1, keepdims=True)
         cosines = img @ txt.T
         paired = float(np.mean(np.diag(cosines)))
         mismatched = float((cosines.sum() - np.trace(cosines)) / (cosines.size - len(cosines)))
@@ -67,11 +72,11 @@ class TestScoring:
 
     def test_retrieval_needs_two_pairs(self, default_model, probe_set):
         with pytest.raises(ValueError, match="2 probe pairs"):
-            run_grid(default_model.spec, probe_set.take(1), GridSpec(tasks=(TaskKind.RETRIEVAL,)), Method.UNIFORM)
+            list(run_grid(default_model.spec, probe_set.take(1), GridSpec(tasks=(TaskKind.RETRIEVAL,)), Method.UNIFORM))
 
     def test_horizon_one_is_first_token_match(self, default_model, probe_set):
         small = probe_set.take(8)
-        qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 3)
+        qw, _ = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 3)
         score = oracle_score_task(qw, default_model, small, TaskKind.CAPTION, horizon=1)
         prompt = bos_prompt(small.questions[:, :0])
         gen_q = greedy_generate(qw, vision_prefix(qw, small.images), prompt, 1)
@@ -80,14 +85,14 @@ class TestScoring:
 
     def test_two_bit_strictly_below_eight_bit_retrieval(self, default_model, probe_set):
         small = probe_set.take(32)
-        low, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 2)
-        high, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 8)
+        low, _ = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 2)
+        high, _ = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 8)
         s_low = oracle_score_task(low, default_model, small, TaskKind.RETRIEVAL)
         s_high = oracle_score_task(high, default_model, small, TaskKind.RETRIEVAL)
         assert s_low < s_high
 
     def test_sixteen_bit_retrieval_exactly_one(self, default_model, probe_set):
-        qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 16)
+        qw, _ = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 16)
         assert oracle_score_task(qw, default_model, probe_set.take(32), TaskKind.RETRIEVAL) == 1.0
 
     def test_component_sensitivity_goldens(self, default_model, probe_set, calibration):
@@ -103,7 +108,7 @@ class TestScoring:
         assert lang_score <= vis_score
 
     def test_scores_bounded(self, default_model, probe_set):
-        qw, _ = apply_quantization(default_model, Selector.everything(), Method.UNIFORM, 2)
+        qw, _ = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 2)
         for task in TaskKind:
             s = oracle_score_task(qw, default_model, probe_set.take(8), task)
             assert 0.0 <= s <= 1.0
