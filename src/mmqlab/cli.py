@@ -18,7 +18,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+import types
+from dataclasses import dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,6 +48,9 @@ from .importance import (
 )
 from .numerics import derive_seed
 from .pipeline import (
+    MAX_SEQ,
+    NUM_QUERIES,
+    VQA_HORIZON,
     BlockGroup,
     ComponentId,
     ConnectorKind,
@@ -101,15 +107,10 @@ def _expect(value, kind, path):
     return value
 
 
-def _check_keys(section: dict, allowed: set[str], path: str):
+def _check_keys(section: dict, allowed, path: str):
     for key in section:
         if key not in allowed:
             raise ConfigError(f"config error at {path}.{key}: unknown key")
-
-
-def _int_list(value, path) -> tuple[int, ...]:
-    _expect(value, list, path)
-    return tuple(_expect(v, int, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _enum_value(enum_cls, value, path):
@@ -120,56 +121,31 @@ def _enum_value(enum_cls, value, path):
         raise ConfigError(f"config error at {path}: {value!r} not one of [{options}]") from None
 
 
-def _subset_list(value, enum_cls, path):
-    _expect(value, list, path)
-    out = []
-    for i, sub in enumerate(value):
-        _expect(sub, list, f"{path}[{i}]")
-        out.append(tuple(_enum_value(enum_cls, v, f"{path}[{i}][{j}]") for j, v in enumerate(sub)))
-    return tuple(out)
+def _typed(kind, value, path):
+    """A JSON value read as the declared type ``kind``: ``X | None`` as X (a
+    key left out keeps the default), ``tuple[X, ...]`` from a list, an enum
+    from its value string, else an instance of ``kind``."""
+    if isinstance(kind, types.UnionType):
+        (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_typed(item, v, f"{path}[{i}]") for i, v in enumerate(_expect(value, list, path)))
+    if issubclass(kind, Enum):
+        return _enum_value(kind, _expect(value, str, path), path)
+    return _expect(value, kind, path)
 
 
-def _parse_pipeline(section: dict) -> PipelineSpec:
-    allowed = {f.name for f in fields(PipelineSpec)}
-    _check_keys(section, allowed, "pipeline")
-    kwargs = {}
-    for key, value in section.items():
-        if key == "connector_kind":
-            kwargs[key] = _enum_value(ConnectorKind, _expect(value, str, f"pipeline.{key}"), f"pipeline.{key}")
-        else:
-            kwargs[key] = _expect(value, int, f"pipeline.{key}")
+def _section(cls, raw: dict, name: str):
+    """Config section ``name`` as the dataclass ``cls``, whose fields are the
+    section's keys and types."""
+    kinds = get_type_hints(cls)
+    section = _expect(raw.get(name, {}), dict, name)
+    _check_keys(section, kinds, name)
+    kwargs = {key: _typed(kinds[key], value, f"{name}.{key}") for key, value in section.items()}
     try:
-        return PipelineSpec(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"config error at pipeline: {exc}") from None
-
-
-def _parse_grid(section: dict) -> GridSpec:
-    allowed = {f.name for f in fields(GridSpec)}
-    _check_keys(section, allowed, "grid")
-    kwargs = {}
-    for key, value in section.items():
-        path = f"grid.{key}"
-        if key in ("bits", "seeds"):
-            kwargs[key] = _int_list(value, path)
-        elif key == "tasks":
-            _expect(value, list, path)
-            kwargs[key] = tuple(
-                _enum_value(TaskKind, _expect(v, str, f"{path}[{i}]"), f"{path}[{i}]")
-                for i, v in enumerate(value)
-            )
-        elif key in ("group_size", "eval_pairs"):
-            kwargs[key] = _expect(value, int, path)
-        elif key == "component_subsets":
-            kwargs[key] = _subset_list(value, ComponentId, path)
-        elif key == "group_subsets":
-            kwargs[key] = _subset_list(value, BlockGroup, path)
-        elif key == "layer_type_subsets":
-            kwargs[key] = _subset_list(value, LayerType, path)
-    try:
-        return GridSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config error at grid: {exc}") from None
+        raise ConfigError(f"config error at {name}: {exc}") from None
 
 
 def load_config(path: str) -> Config:
@@ -182,15 +158,11 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _expect(raw, dict, "<root>")
     _check_keys(raw, {"pipeline", "grid", "probes", "output_dir", "workers"}, "<root>")
-    pipeline = _parse_pipeline(_expect(raw.get("pipeline", {}), dict, "pipeline"))
-    grid = _parse_grid(_expect(raw.get("grid", {}), dict, "grid"))
+    pipeline = _section(PipelineSpec, raw, "pipeline")
+    grid = _section(GridSpec, raw, "grid")
     probes = None
     if "probes" in raw:
-        section = _expect(raw["probes"], dict, "probes")
-        _check_keys(section, {"seed", "n_pairs", "text_len", "question_len"}, "probes")
-        probes = ProbeConfig(
-            **{k: _expect(v, int, f"probes.{k}") for k, v in section.items()}
-        )
+        probes = _section(ProbeConfig, raw, "probes")
         for key, low in (("n_pairs", 1), ("text_len", 0), ("question_len", 0)):
             value = getattr(probes, key)
             if value < low:
@@ -202,14 +174,32 @@ def load_config(path: str) -> Config:
     return Config(pipeline=pipeline, grid=grid, probes=probes)
 
 
-def _build_probes(config: Config, require_calibration: bool):
+def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
+    """The probe set of a command that runs ``method`` over ``tasks``.
+
+    Probe lengths the decoder cannot hold exit 1 naming the key, before any
+    model is built.
+    """
     spec = config.pipeline
+    calibrates = method in (Method.GPTQ, Method.AWQ)
     if config.probes is None:
-        if require_calibration:
+        if calibrates:
             raise ConfigError("calibration probes required: add a 'probes' section to the config")
         probe_cfg = ProbeConfig(seed=derive_seed(spec.seed, "probes"), n_pairs=DEFAULT_EVAL_PAIRS)
     else:
         probe_cfg = config.probes
+    prefix = spec.patch_count if spec.connector_kind is ConnectorKind.LINEAR_PROJECTOR else NUM_QUERIES
+    bounds = []  # the tighter text bound first: calibration decodes [prefix, BOS, text], retrieval [BOS, text]
+    if calibrates:
+        bounds.append(("text_len", MAX_SEQ - prefix - 1))
+    if TaskKind.RETRIEVAL in tasks:
+        bounds.append(("text_len", MAX_SEQ - 1))
+    if TaskKind.VQA in tasks:  # [prefix, BOS, question], then VQA_HORIZON - 1 more tokens
+        bounds.append(("question_len", MAX_SEQ - prefix - VQA_HORIZON))
+    for key, bound in bounds:
+        value = getattr(probe_cfg, key)
+        if value > bound:
+            raise ConfigError(f"config error at probes.{key}: must be <= {bound}, got {value}")
     return make_probe_set(
         probe_cfg.seed,
         probe_cfg.n_pairs,
@@ -254,7 +244,7 @@ def cmd_grid(args) -> int:
     config_hash = _config_sha256(args.config)
     rows = _resumable_rows(args, config_hash)
     skip = frozenset(r.run_id for r in rows)
-    probes = _build_probes(config, require_calibration=method in (Method.GPTQ, Method.AWQ))
+    probes = _build_probes(config, method, config.grid.tasks)
     failures = []  # (run_id, message), in plan order
     for row, error in run_grid(config.pipeline, probes, config.grid, method, skip_run_ids=skip):
         rows.append(row)
@@ -425,16 +415,14 @@ def cmd_quantize(args) -> int:
         raise ConfigError(f"--group-size must be >= 1, got {args.group_size}")
     config = load_config(args.config)
     method = Method(args.method)
-    weights = build_model(config.pipeline)
     selector = Selector.make(
         components=_parse_axis(args.components, ComponentId, "--components"),
         groups=_parse_axis(args.groups, BlockGroup, "--groups"),
         layer_types=_parse_axis(args.layer_types, LayerType, "--layer-types"),
     )
-    calib = None
-    if method in (Method.GPTQ, Method.AWQ):
-        probes = _build_probes(config, require_calibration=True)
-        calib = collect_calibration(weights, probes)
+    probes = _build_probes(config, method, ()) if method in (Method.GPTQ, Method.AWQ) else None
+    weights = build_model(config.pipeline)
+    calib = None if probes is None else collect_calibration(weights, probes)
     _, ledger = apply_quantization(
         weights, selector, method, args.bits, calib=calib, group_size=args.group_size
     )

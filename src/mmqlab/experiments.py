@@ -19,7 +19,8 @@ reads no fragment: its stage outputs are the memos' all-None entries.
 ``run_grid`` yields each row as soon as its cell is scored, in plan order,
 as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
 cell's failure message or None. A results set is a plain list of records;
-persistence is a fixed-schema CSV whose save/load round-trips exactly.
+persistence is a CSV whose columns are ``RunRecord``'s fields and whose
+save/load round-trips exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -59,10 +62,6 @@ from .pipeline import (
 from .quantizers import GridScheme, Method
 from .tasks import ProbeSet, agreement
 
-CSV_HEADER = (
-    "run_id,method,task,vision_bits,connector_bits,language_bits,"
-    "groups,layer_types,group_size,bpw,score,seed,wall_ms"
-)
 UNIFORM_BITS_DEFAULT = (2, 4, 6, 8)
 SOTA_BITS_DEFAULT = (2, 3, 4, 5, 6, 8)
 
@@ -71,23 +70,26 @@ SOTA_BITS_DEFAULT = (2, 3, 4, 5, 6, 8)
 # 32-bit endpoints per layer. Unquantized weights count at 16 bits.
 GROUP_OVERHEAD_BITS = 32
 PER_TENSOR_OVERHEAD_BITS = 64
+_TOKEN_ORDER = GROUP_ORDER + LAYER_TYPE_ORDER
 
 
-def _join_groups(groups) -> str:
-    return "+".join(g.value for g in GROUP_ORDER if g in groups)
-
-
-def _join_layer_types(layer_types) -> str:
-    return "+".join(t.value for t in LAYER_TYPE_ORDER if t in layer_types)
-
-
-def _fmt_real(x: float) -> str:
-    return f"{x:.6g}"
+def _text(value) -> str:
+    """A results field as CSV and run_id text: a token set as its tokens
+    ``+``-joined in canonical order, an enum as its value, a real to 6
+    significant digits."""
+    if isinstance(value, frozenset):
+        return "+".join(t.value for t in _TOKEN_ORDER if t in value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One grid cell: configuration, bpw, and fidelity score."""
+    """One grid cell: configuration, bpw, and fidelity score. The fields, in
+    order, are the results CSV's columns."""
 
     run_id: str
     method: Method
@@ -114,51 +116,22 @@ class RunRecord:
         )
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.run_id,
-                self.method.value,
-                self.task.value,
-                str(self.vision_bits),
-                str(self.connector_bits),
-                str(self.language_bits),
-                _join_groups(self.groups),
-                _join_layer_types(self.layer_types),
-                str(self.group_size),
-                _fmt_real(self.bpw),
-                _fmt_real(self.score),
-                str(self.seed),
-                str(self.wall_ms),
-            ]
-        )
+        return ",".join(_text(getattr(self, name)) for name in _COLUMNS)
 
 
-def make_run_id(
-    method: Method,
-    task: TaskKind,
-    vision_bits: int,
-    connector_bits: int,
-    language_bits: int,
-    groups,
-    layer_types,
-    group_size: int,
-    seed: int,
-) -> str:
-    """Pure content hash of a cell configuration."""
-    key = "|".join(
-        [
-            method.value,
-            task.value,
-            str(vision_bits),
-            str(connector_bits),
-            str(language_bits),
-            _join_groups(groups),
-            _join_layer_types(layer_types),
-            str(group_size),
-            str(seed),
-        ]
-    )
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
+_COLUMNS = tuple(f.name for f in fields(RunRecord))
+CSV_HEADER = ",".join(_COLUMNS)
+# the fields a cell's run_id hashes: its configuration and seed
+RUN_KEY = (
+    "method", "task", "vision_bits", "connector_bits", "language_bits", "groups", "layer_types", "group_size", "seed",
+)
+
+
+def make_run_id(**key) -> str:
+    """Pure content hash of a cell configuration: sha256 over the ``|``-joined
+    text of its ``RUN_KEY`` fields, first 12 hex digits."""
+    text = "|".join(_text(key[name]) for name in RUN_KEY)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -235,15 +208,9 @@ def _seeded_model(spec: PipelineSpec, run_seed: int) -> ModelWeights:
 _Part = tuple[ComponentId, int, tuple[str, ...]] | None
 
 
-@dataclass(frozen=True)
-class _Cell:
-    bits: dict[ComponentId, int]
-    groups: tuple[BlockGroup, ...]
-    layer_types: tuple[LayerType, ...]
-    parts: tuple[_Part, _Part, _Part]  # vision, connector, language
-
-
-def _cell(fp: ModelWeights, bits: dict[ComponentId, int], groups, layer_types) -> _Cell:
+def _cell(fp: ModelWeights, shared: dict, bits: dict[ComponentId, int], groups, layer_types):
+    """A cell as (its ``RunRecord`` fields but the task and results, its
+    vision, connector and language parts)."""
     parts = []
     for comp in COMPONENT_ORDER:
         names = ()
@@ -251,11 +218,16 @@ def _cell(fp: ModelWeights, bits: dict[ComponentId, int], groups, layer_types) -
             sel = Selector.make((comp,), groups, layer_types)
             names = tuple(addr.name for addr in enumerate_layers(fp, sel))
         parts.append((comp, bits[comp], names) if names else None)
-    return _Cell(bits, tuple(groups), tuple(layer_types), tuple(parts))
+    config = {
+        **shared, **{f"{comp.value}_bits": bits[comp] for comp in COMPONENT_ORDER},
+        "groups": frozenset(groups), "layer_types": frozenset(layer_types),
+    }
+    return config, tuple(parts)
 
 
-def _plan(fp: ModelWeights, grid: GridSpec, method: Method) -> list[_Cell]:
-    """The baseline cell, then every cell that quantizes at least one layer.
+def _plan(fp: ModelWeights, grid: GridSpec, method: Method, shared: dict) -> list[tuple[dict, tuple[_Part, ...]]]:
+    """The baseline cell, then every cell that quantizes at least one layer;
+    ``shared`` holds the fields every cell shares.
 
     A cell whose selector matches no layer collapses into the baseline.
     """
@@ -277,8 +249,8 @@ def _plan(fp: ModelWeights, grid: GridSpec, method: Method) -> list[_Cell]:
             ({**fp_bits, **dict(zip(active, combo))}, GROUP_ORDER, LAYER_TYPE_ORDER)
             for combo in itertools.product(choices, repeat=len(active))
         ]
-    cells = (_cell(fp, *shape) for shape in shapes)
-    return [_cell(fp, fp_bits, GROUP_ORDER, LAYER_TYPE_ORDER)] + [c for c in cells if any(c.parts)]
+    cells = (_cell(fp, shared, *shape) for shape in shapes)
+    return [_cell(fp, shared, fp_bits, GROUP_ORDER, LAYER_TYPE_ORDER)] + [c for c in cells if any(c[1])]
 
 
 def _memo(fn, keys) -> dict:
@@ -343,24 +315,19 @@ def run_grid(
     for run_seed in grid.seeds:
         fp = _seeded_model(spec, run_seed)
 
-        def run_ids(cell: _Cell) -> dict[TaskKind, str]:
-            b = cell.bits
-            ids = {
-                task: make_run_id(
-                    method, task, b[ComponentId.VISION], b[ComponentId.CONNECTOR],
-                    b[ComponentId.LANGUAGE], cell.groups, cell.layer_types, group_size, run_seed,
-                )
-                for task in grid.tasks
-            }
-            return {task: rid for task, rid in ids.items() if rid not in skip_run_ids}
-
-        cells = [(cell, pending) for cell in _plan(fp, grid, method) if (pending := run_ids(cell))]
+        shared = {"method": method, "group_size": group_size, "seed": run_seed}
+        cells = []  # (config, parts, {task: run_id} of the tasks still to run)
+        for config, parts in _plan(fp, grid, method, shared):
+            ids = ((task, make_run_id(**config, task=task)) for task in grid.tasks)
+            pending = {task: rid for task, rid in ids if rid not in skip_run_ids}
+            if pending:
+                cells.append((config, parts, pending))
         if not cells:
             continue
 
         # fragments: each component quantized once per bit width; a cell takes
         # the layers it selects, which is exact as every quantizer is per layer
-        fragment_keys = [part[:2] for cell, _ in cells for part in cell.parts if part]
+        fragment_keys = [part[:2] for _, parts, _ in cells for part in parts if part]
         calib = None
         if fragment_keys and method is not Method.UNIFORM:
             calib = collect_calibration(fp, probes)
@@ -390,8 +357,8 @@ def run_grid(
         # stage memos, each keyed on the parts its stage reads; the full-precision
         # reference is the model whose parts are all None
         reference_parts = (None, None, None)
-        ref_tasks = [task for task in grid.tasks if any(task in pending for _, pending in cells)]
-        models = [(reference_parts, ref_tasks)] + [(cell.parts, pending) for cell, pending in cells]
+        ref_tasks = [task for task in grid.tasks if any(task in pending for *_, pending in cells)]
+        models = [(reference_parts, ref_tasks)] + [(parts, pending) for _, parts, pending in cells]
         visions = _memo(
             lambda v: pipeline.encode_vision(assemble((v, None, None))[0], images),
             [parts[0] for parts, _ in models],
@@ -414,29 +381,23 @@ def run_grid(
 
         reference = {task: model_outputs(reference_parts, task) for task in ref_tasks}
 
-        def score(item):
-            cell, pending = item
+        def score(parts, pending):
             try:
-                bpw = compute_bpw(assemble(cell.parts)[1], fp)
+                bpw = compute_bpw(assemble(parts)[1], fp)
                 scores = {}
                 for task in pending:
                     # a baseline cell is the reference model: read its outputs, do not decode again
-                    outputs = reference[task] if cell.parts == reference_parts else model_outputs(cell.parts, task)
+                    outputs = reference[task] if parts == reference_parts else model_outputs(parts, task)
                     scores[task] = agreement(task, outputs, reference[task])
             except Exception as exc:  # fail this cell's tasks, not the grid
                 return float("nan"), {}, str(exc)
             return bpw, scores, None
 
-        for (cell, pending), (bpw, scores, error) in zip(cells, map(score, cells)):
+        for config, parts, pending in cells:
+            bpw, scores, error = score(parts, pending)
             for task, run_id in pending.items():
                 yield RunRecord(
-                    run_id=run_id, method=method, task=task,
-                    vision_bits=cell.bits[ComponentId.VISION],
-                    connector_bits=cell.bits[ComponentId.CONNECTOR],
-                    language_bits=cell.bits[ComponentId.LANGUAGE],
-                    groups=frozenset(cell.groups), layer_types=frozenset(cell.layer_types),
-                    group_size=group_size, bpw=bpw, score=scores.get(task, float("nan")),
-                    seed=run_seed, wall_ms=0,
+                    run_id=run_id, task=task, bpw=bpw, score=scores.get(task, float("nan")), wall_ms=0, **config
                 ), error
 
 
@@ -449,16 +410,28 @@ def save_results(rows: list[RunRecord], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_tokens(raw: str, enum_cls, line_no: int):
+def _parse_tokens(raw: str, enum_cls):
     if raw == "":
         return frozenset()
     values = {m.value: m for m in enum_cls}
     members = []
     for token in raw.split("+"):
         if token not in values:
-            raise ValueError(f"line {line_no}: unknown {enum_cls.__name__} token {token!r}")
+            raise ValueError(f"unknown {enum_cls.__name__} token {token!r}")
         members.append(values[token])
     return frozenset(members)
+
+
+def _column_parser(kind):
+    """The parser of a results column from its field's type: a token set, or
+    the type itself called on the raw text."""
+    if get_origin(kind) is frozenset:
+        (enum_cls,) = get_args(kind)
+        return lambda raw: _parse_tokens(raw, enum_cls)
+    return kind
+
+
+_PARSERS = {name: _column_parser(kind) for name, kind in get_type_hints(RunRecord).items()}
 
 
 def load_results(path) -> list[RunRecord]:
@@ -474,39 +447,22 @@ def load_results(path) -> list[RunRecord]:
     seen: dict[str, int] = {}  # run_id -> line number
     for line_no, line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 13:
-            raise ValueError(f"line {line_no}: expected 13 fields, got {len(parts)}")
+        if len(parts) != len(_PARSERS):
+            raise ValueError(f"line {line_no}: expected {len(_PARSERS)} fields, got {len(parts)}")
+        text = dict(zip(_PARSERS, parts))
         try:
-            rows.append(
-                RunRecord(
-                    run_id=parts[0],
-                    method=Method(parts[1]),
-                    task=TaskKind(parts[2]),
-                    vision_bits=int(parts[3]),
-                    connector_bits=int(parts[4]),
-                    language_bits=int(parts[5]),
-                    groups=_parse_tokens(parts[6], BlockGroup, line_no),
-                    layer_types=_parse_tokens(parts[7], LayerType, line_no),
-                    group_size=int(parts[8]),
-                    bpw=float(parts[9]),
-                    score=float(parts[10]),
-                    seed=int(parts[11]),
-                    wall_ms=int(parts[12]),
-                )
-            )
+            row = RunRecord(**{name: parse(text[name]) for name, parse in _PARSERS.items()})
         except ValueError as exc:
-            if str(exc).startswith("line "):
-                raise
             raise ValueError(f"line {line_no}: {exc}") from exc
-        row = rows[-1]
         for name in ("vision_bits", "connector_bits", "language_bits"):
             if not 2 <= getattr(row, name) <= FP_BITS:
                 raise ValueError(f"line {line_no}: {name} must lie in [2, {FP_BITS}], got {getattr(row, name)}")
         if not (np.isnan(row.score) or 0.0 <= row.score <= 1.0):
-            raise ValueError(f"line {line_no}: score must be nan or lie in [0, 1], got {parts[10]}")
+            raise ValueError(f"line {line_no}: score must be nan or lie in [0, 1], got {text['score']}")
         if row.run_id in seen:
             raise ValueError(f"line {line_no}: run_id {row.run_id} repeats line {seen[row.run_id]}")
         seen[row.run_id] = line_no
+        rows.append(row)
     return rows
 
 

@@ -43,7 +43,6 @@ class AttributionDataset:
     features: np.ndarray
     target: np.ndarray
     feature_names: tuple[str, ...]
-    run_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -85,7 +84,6 @@ class AttributionDataset:
             features=all_bits[:, keep],
             target=np.array([r.score for r in rows], dtype=np.float64),
             feature_names=tuple(COMPONENT_ORDER[i].value for i in keep),
-            run_ids=tuple(r.run_id for r in rows),
         )
 
 

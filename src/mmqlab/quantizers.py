@@ -92,11 +92,6 @@ class QuantizedMatrix:
         if self.grid_lo.shape != expect or self.grid_hi.shape != expect:
             raise ValueError(f"grid shape {self.grid_lo.shape}, expected {expect}")
 
-    @property
-    def code_bits(self) -> int:
-        """Storage bits for the integer codes alone."""
-        return self.bits * self.rows * self.cols
-
 
 @dataclass(frozen=True)
 class LayerStats:

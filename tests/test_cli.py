@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from mmqlab.cli import ConfigError, load_config, main, render_plot_svg
-from mmqlab.experiments import RunRecord, load_results, save_results
-from mmqlab.pipeline import BlockGroup, LayerType, TaskKind
+from mmqlab.cli import ConfigError, ProbeConfig, load_config, main, render_plot_svg
+from mmqlab.experiments import GridSpec, RunRecord, load_results, save_results
+from mmqlab.pipeline import BlockGroup, LayerType, PipelineSpec, TaskKind
 from mmqlab.quantizers import Method
 
 REPO = Path(__file__).resolve().parents[1]
@@ -17,6 +18,13 @@ CHECKED_IN_CONFIGS = sorted(
     for pattern in ("configs/*.json", "perfbench/configs/*.json", "perfbench/fixtures/*.config.json")
     for path in REPO.glob(pattern)
 )
+
+# every declared key of the three config sections
+SECTION_KEYS = [
+    (section, f.name)
+    for section, cls in (("pipeline", PipelineSpec), ("grid", GridSpec), ("probes", ProbeConfig))
+    for f in fields(cls)
+]
 
 TINY_PIPELINE = {
     "d_model": 32,
@@ -105,6 +113,37 @@ class TestConfig:
         assert f"config error at probes.{key}: must be >= {low}, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key", SECTION_KEYS, ids=[f"{s}.{k}" for s, k in SECTION_KEYS])
+    def test_wrong_json_type_names_key(self, tmp_path, capsys, section, key):
+        # a JSON real is neither an int, an enum's value string nor a list
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw[section] = {**raw[section], key: 1.5}
+        cfg.write_text(json.dumps(raw))
+        code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config error at {section}.{key}: expected " in err and err.rstrip().endswith(", got float")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("component_subsets", [["vision", 1]], "grid.component_subsets[0][1]: expected str, got int"),
+            ("group_subsets", [["front"], "end"], "grid.group_subsets[1]: expected list, got str"),
+            ("layer_type_subsets", [["attn", "mlp"]], "grid.layer_type_subsets[0][1]: 'mlp' not one of [attn, ff]"),
+            ("seeds", [3, True], "grid.seeds[1]: expected int, got bool"),
+            ("tasks", ["vqa", None], "grid.tasks[1]: expected str, got NoneType"),
+        ],
+        ids=["component_subsets", "group_subsets", "layer_type_subsets", "seeds", "tasks"],
+    )
+    def test_wrong_nested_value_names_path(self, tmp_path, capsys, field, value, message):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["grid"][field] = value
+        cfg.write_text(json.dumps(raw))
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"config error at {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", CHECKED_IN_CONFIGS)
     def test_checked_in_config_loads(self, name):
         config = load_config(str(REPO / name))
@@ -119,6 +158,71 @@ class TestConfig:
         config = load_config(str(path))
         assert config.pipeline.d_model == 64
         assert config.probes is None
+
+
+class TestProbeLengthBounds:
+    """Probe lengths the decoder cannot hold exit 1 naming the key, before any
+    model is built; MAX_SEQ is 64 and the connector's prefix P is 8 queries,
+    or patch_count tokens for a linear projector."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, argv, tasks, probes, pipeline=None):
+        import mmqlab.cli as cli
+        import mmqlab.experiments as experiments
+
+        built = []
+        for module in (cli, experiments):
+            real = module.build_model
+            monkeypatch.setattr(module, "build_model", lambda spec, real=real: built.append(spec) or real(spec))
+        cfg = write_config(tmp_path, pipeline=pipeline or TINY_PIPELINE, probes={"seed": 3, "n_pairs": 8, **probes})
+        raw = json.loads(cfg.read_text())
+        raw["grid"].update(tasks=tasks, bits=[8])
+        cfg.write_text(json.dumps(raw))
+        return main([*argv, "--config", str(cfg)]), built
+
+    @pytest.mark.parametrize(
+        "pipeline, bound",
+        [
+            pytest.param(TINY_PIPELINE, 64 - 8 - 4, id="queries"),
+            pytest.param(
+                {**TINY_PIPELINE, "connector_blocks": 0, "connector_kind": "linear_projector", "patch_count": 12},
+                64 - 12 - 4, id="linear-projector",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_vqa_question_len(self, tmp_path, monkeypatch, capsys, pipeline, bound, over):
+        out = tmp_path / "vqa.csv"
+        code, built = self._run(
+            tmp_path, monkeypatch, ["grid", "--method", "uniform", "--out", str(out)],
+            ["vqa"], {"question_len": bound + over}, pipeline,
+        )
+        if over:
+            assert code == 1 and not built and not out.exists()
+            assert f"config error at probes.question_len: must be <= {bound}, got {bound + 1}" in capsys.readouterr().err
+        else:
+            assert code == 0 and len(load_results(out)) == 3
+
+    @pytest.mark.parametrize(
+        "argv, tasks, bound",
+        [
+            pytest.param(["grid", "--method", "uniform"], ["retrieval"], 64 - 1, id="uniform-retrieval"),
+            pytest.param(["grid", "--method", "gptq"], ["retrieval"], 64 - 8 - 1, id="gptq-retrieval"),
+            pytest.param(["grid", "--method", "awq"], ["caption"], 64 - 8 - 1, id="awq-caption"),
+            pytest.param(["quantize", "--method", "gptq", "--bits", "4"], [], 64 - 8 - 1, id="quantize-gptq"),
+        ],
+    )
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_text_len(self, tmp_path, monkeypatch, capsys, argv, tasks, bound, over):
+        out = tmp_path / "text.csv"
+        if argv[0] == "grid":
+            argv = [*argv, "--out", str(out)]
+        code, built = self._run(tmp_path, monkeypatch, argv, tasks or ["retrieval"], {"text_len": bound + over})
+        if over:
+            assert code == 1 and not built and not out.exists()
+            assert f"config error at probes.text_len: must be <= {bound}, got {bound + 1}" in capsys.readouterr().err
+        else:
+            assert code == 0
 
 
 class TestGridCommand:

@@ -49,11 +49,23 @@ def _record(run_id="x", bpw=4.0, score=0.5, task=TaskKind.RETRIEVAL, **kw):
 
 class TestRunId:
     def test_stable_and_unique(self):
-        a = make_run_id(Method.GPTQ, TaskKind.VQA, 4, 16, 2, BlockGroup, LayerType, 128, 7)
-        b = make_run_id(Method.GPTQ, TaskKind.VQA, 4, 16, 2, BlockGroup, LayerType, 128, 7)
-        c = make_run_id(Method.GPTQ, TaskKind.VQA, 4, 16, 2, BlockGroup, LayerType, 128, 8)
+        key = dict(
+            method=Method.GPTQ, task=TaskKind.VQA, vision_bits=4, connector_bits=16, language_bits=2,
+            groups=frozenset(BlockGroup), layer_types=frozenset(LayerType), group_size=128, seed=7,
+        )
+        a = make_run_id(**key)
+        b = make_run_id(**key)
+        c = make_run_id(**{**key, "seed": 8})
         assert a == b != c
         assert len(a) == 12
+        assert a == "52bd8b345626"
+
+    def test_csv_header_is_the_record_fields(self):
+        # the header perfbench/workloads.py checks results files against
+        assert CSV_HEADER == (
+            "run_id,method,task,vision_bits,connector_bits,language_bits,"
+            "groups,layer_types,group_size,bpw,score,seed,wall_ms"
+        )
 
 
 class TestComputeBpw:
@@ -428,8 +440,9 @@ class TestEquivalence:
                     weights, part = apply_quantization(weights, sel, method, k, calib, grid.group_size)
                     ledger.entries.extend(part.entries)
             run_id = make_run_id(
-                method, row.task, row.vision_bits, row.connector_bits, row.language_bits,
-                row.groups, row.layer_types, group_size, 3,
+                method=method, task=row.task, vision_bits=row.vision_bits, connector_bits=row.connector_bits,
+                language_bits=row.language_bits, groups=row.groups, layer_types=row.layer_types,
+                group_size=group_size, seed=3,
             )
             score = oracle_score_task(weights, fp, tiny_probes.take(4), row.task)
             assert (row.run_id, row.bpw, row.score) == (run_id, compute_bpw(ledger, fp), score)

@@ -91,7 +91,8 @@ class TestAttributionDataset:
             group_size=128, bpw=float("nan"), score=float("nan"), seed=7, wall_ms=0,
         )
         data = AttributionDataset.from_results([good, bad], TaskKind.VQA)
-        assert data.run_ids == ("g",)
+        assert len(data) == 1
+        assert data.target.tolist() == [0.5]
 
 
 class TestForest:
