@@ -30,6 +30,7 @@ from .experiments import (
     GridSpec,
     RunRecord,
     compute_bpw,
+    layer_sizes,
     load_results,
     pareto_frontier,
     run_grid,
@@ -48,6 +49,7 @@ from .importance import (
 )
 from .numerics import derive_seed
 from .pipeline import (
+    CAPTION_HORIZON,
     MAX_SEQ,
     NUM_QUERIES,
     VQA_HORIZON,
@@ -177,8 +179,9 @@ def load_config(path: str) -> Config:
 def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
     """The probe set of a command that runs ``method`` over ``tasks``.
 
-    Probe lengths the decoder cannot hold exit 1 naming the key, before any
-    model is built.
+    Probe lengths the decoder cannot hold exit 1 naming the key, and a
+    linear projector's prefix that leaves a task no room names
+    ``pipeline.patch_count``, before any model is built.
     """
     spec = config.pipeline
     calibrates = method in (Method.GPTQ, Method.AWQ)
@@ -189,17 +192,26 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
     else:
         probe_cfg = config.probes
     prefix = spec.patch_count if spec.connector_kind is ConnectorKind.LINEAR_PROJECTOR else NUM_QUERIES
-    bounds = []  # the tighter text bound first: calibration decodes [prefix, BOS, text], retrieval [BOS, text]
+    # (probe key, what decodes it, the room left for it); the tighter text bound
+    # first: calibration decodes [prefix, BOS, text], retrieval [BOS, text]
+    bounds = []
     if calibrates:
-        bounds.append(("text_len", MAX_SEQ - prefix - 1))
+        bounds.append(("text_len", "calibration", MAX_SEQ - prefix - 1))
     if TaskKind.RETRIEVAL in tasks:
-        bounds.append(("text_len", MAX_SEQ - 1))
+        bounds.append(("text_len", "retrieval", MAX_SEQ - 1))
     if TaskKind.VQA in tasks:  # [prefix, BOS, question], then VQA_HORIZON - 1 more tokens
-        bounds.append(("question_len", MAX_SEQ - prefix - VQA_HORIZON))
-    for key, bound in bounds:
-        value = getattr(probe_cfg, key)
-        if value > bound:
-            raise ConfigError(f"config error at probes.{key}: must be <= {bound}, got {value}")
+        bounds.append(("question_len", "vqa", MAX_SEQ - prefix - VQA_HORIZON))
+    if TaskKind.CAPTION in tasks:  # [prefix, BOS], then CAPTION_HORIZON - 1 more tokens; no probe key
+        bounds.append((None, "caption", MAX_SEQ - prefix - CAPTION_HORIZON))
+    for _, use, room in bounds:
+        if room < 0:  # the prefix alone is too long; only a linear projector's is configurable
+            raise ConfigError(
+                f"config error at pipeline.patch_count: must be <= {prefix + room} for {use} "
+                f"with a linear projector, got {prefix}"
+            )
+    for key, _, room in bounds:
+        if key is not None and (value := getattr(probe_cfg, key)) > room:
+            raise ConfigError(f"config error at probes.{key}: must be <= {room}, got {value}")
     return make_probe_set(
         probe_cfg.seed,
         probe_cfg.n_pairs,
@@ -433,7 +445,7 @@ def cmd_quantize(args) -> int:
             f"proxy_error={entry.proxy_error:.6g} code_bits={entry.code_bits}"
         )
     print(f"layers quantized: {len(ledger.entries)}")
-    print(f"bpw: {compute_bpw(ledger, weights):.6g}")
+    print(f"bpw: {compute_bpw(ledger, layer_sizes(weights)):.6g}")
     return 0
 
 

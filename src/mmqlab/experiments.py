@@ -12,9 +12,13 @@ plus the block groups and layer types it quantizes:
 Calibration runs once per seed and each component is quantized once per bit
 width; a cell takes the layers its selector picks from those fragments. The
 vision tower, the connector and the retrieval text embeddings are memoised
-on the fragments they read, and one closure derives every model's task
-outputs from those memos. The full-precision reference is the model that
-reads no fragment: its stage outputs are the memos' all-None entries.
+per part, on the fragments they read, and one closure derives every model's
+task outputs from those memos. Each of those three stages runs its distinct
+parts sorted by the layers they quantize per block, through one
+``BlockPath``: a part reuses the outputs of the leading blocks it shares
+with the part before it, so a shared front or middle prefix runs once. The
+full-precision reference is the model that reads no fragment: its stage
+outputs are the memos' all-None entries.
 
 ``run_grid`` yields each row as soon as its cell is scored, in plan order,
 as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
@@ -25,6 +29,7 @@ save/load round-trips exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from collections.abc import Iterator
@@ -178,17 +183,22 @@ def _nonempty_subsets(items: tuple) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def compute_bpw(ledger: QuantizationLedger, weights: ModelWeights) -> float:
-    """Average storage bits per quantizable weight under the declared convention."""
-    known = {addr.name: weights.layers[addr.name].size for addr in weights.addresses}
-    total_params = sum(known.values())
+def layer_sizes(weights: ModelWeights) -> dict[str, int]:
+    """Weight count of every quantizable layer, in address order: ``compute_bpw``'s table."""
+    return {addr.name: weights.layers[addr.name].size for addr in weights.addresses}
+
+
+def compute_bpw(ledger: QuantizationLedger, sizes: dict[str, int]) -> float:
+    """Average storage bits per quantizable weight under the declared
+    convention, over the layers of ``sizes = layer_sizes(weights)``."""
+    total_params = sum(sizes.values())
     by_layer = {}
     for entry in ledger.entries:
-        if entry.layer not in known:
+        if entry.layer not in sizes:
             raise ValueError(f"ledger references unknown layer {entry.layer!r}")
         by_layer[entry.layer] = entry
     bits = 0.0
-    for name, numel in known.items():
+    for name, numel in sizes.items():
         entry = by_layer.get(name)
         if entry is None:
             bits += 16.0 * numel
@@ -208,15 +218,13 @@ def _seeded_model(spec: PipelineSpec, run_seed: int) -> ModelWeights:
 _Part = tuple[ComponentId, int, tuple[str, ...]] | None
 
 
-def _cell(fp: ModelWeights, shared: dict, bits: dict[ComponentId, int], groups, layer_types):
+def _cell(selected, shared: dict, bits: dict[ComponentId, int], groups, layer_types):
     """A cell as (its ``RunRecord`` fields but the task and results, its
-    vision, connector and language parts)."""
+    vision, connector and language parts); ``selected(comp, groups,
+    layer_types)`` names the layers a selector picks."""
     parts = []
     for comp in COMPONENT_ORDER:
-        names = ()
-        if bits[comp] < FP_BITS:
-            sel = Selector.make((comp,), groups, layer_types)
-            names = tuple(addr.name for addr in enumerate_layers(fp, sel))
+        names = selected(comp, groups, layer_types) if bits[comp] < FP_BITS else ()
         parts.append((comp, bits[comp], names) if names else None)
     config = {
         **shared, **{f"{comp.value}_bits": bits[comp] for comp in COMPONENT_ORDER},
@@ -249,12 +257,17 @@ def _plan(fp: ModelWeights, grid: GridSpec, method: Method, shared: dict) -> lis
             ({**fp_bits, **dict(zip(active, combo))}, GROUP_ORDER, LAYER_TYPE_ORDER)
             for combo in itertools.product(choices, repeat=len(active))
         ]
-    cells = (_cell(fp, shared, *shape) for shape in shapes)
-    return [_cell(fp, shared, fp_bits, GROUP_ORDER, LAYER_TYPE_ORDER)] + [c for c in cells if any(c[1])]
+
+    @functools.cache  # once per (component, groups, layer types), not per cell
+    def selected(comp, groups, layer_types):
+        return tuple(a.name for a in enumerate_layers(fp, Selector.make((comp,), groups, layer_types)))
+
+    cells = (_cell(selected, shared, *shape) for shape in shapes)
+    return [_cell(selected, shared, fp_bits, GROUP_ORDER, LAYER_TYPE_ORDER)] + [c for c in cells if any(c[1])]
 
 
 def _memo(fn, keys) -> dict:
-    """fn once per distinct key; a key whose call raised maps to the exception."""
+    """fn once per distinct key, in key order; a key whose call raised maps to the exception."""
 
     def guarded(key):
         try:
@@ -314,6 +327,7 @@ def run_grid(
 
     for run_seed in grid.seeds:
         fp = _seeded_model(spec, run_seed)
+        sizes = layer_sizes(fp)
 
         shared = {"method": method, "group_size": group_size, "seed": run_seed}
         cells = []  # (config, parts, {task: run_id} of the tasks still to run)
@@ -354,22 +368,42 @@ def run_grid(
                     ledger.entries.append(entry)
             return replace(fp, layers=layers), ledger
 
+        address = {a.name: a for a in fp.addresses}
+
+        def blocks_key(part) -> tuple:
+            """Per block, the bits and sublayers a part quantizes there: sorted
+            on this, parts that share leading blocks run back to back."""
+            if part is None:
+                return ()
+            comp, k, names = part
+            blocks = [()] * fp.spec.blocks_of(comp)
+            for name in names:
+                blocks[address[name].block_index] += (address[name].sublayer,)
+            return tuple((k, sublayers) if sublayers else () for sublayers in blocks)
+
+        def stage(run, keys, order) -> dict:
+            """``_memo`` of run(key, path) in ``order``, all through one block
+            path, which goes when the stage ends."""
+            path = pipeline.BlockPath()
+            return _memo(lambda key: run(key, path), sorted(keys, key=order))
+
         # stage memos, each keyed on the parts its stage reads; the full-precision
         # reference is the model whose parts are all None
         reference_parts = (None, None, None)
         ref_tasks = [task for task in grid.tasks if any(task in pending for *_, pending in cells)]
         models = [(reference_parts, ref_tasks)] + [(parts, pending) for _, parts, pending in cells]
-        visions = _memo(
-            lambda v: pipeline.encode_vision(assemble((v, None, None))[0], images),
-            [parts[0] for parts, _ in models],
+        visions = stage(
+            lambda v, path: pipeline.encode_vision(assemble((v, None, None))[0], images, path=path),
+            [parts[0] for parts, _ in models], blocks_key,
         )
-        prefixes = _memo(
-            lambda vc: pipeline.run_connector(assemble((*vc, None))[0], _ok(visions[vc[0]])),
-            [parts[:2] for parts, _ in models],
+        prefixes = stage(
+            lambda vc, path: pipeline.run_connector(assemble((*vc, None))[0], _ok(visions[vc[0]]), path=path),
+            [parts[:2] for parts, _ in models], lambda vc: (blocks_key(vc[0]), blocks_key(vc[1])),
         )
-        text_memo = _memo(
-            lambda lang: text_embeddings(assemble((None, None, lang))[0], texts),
-            [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks],
+        visions = None  # the connector stage was their only reader
+        text_memo = stage(
+            lambda lang, path: text_embeddings(assemble((None, None, lang))[0], texts, path=path),
+            [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks], blocks_key,
         )
 
         def model_outputs(parts, task):
@@ -383,7 +417,7 @@ def run_grid(
 
         def score(parts, pending):
             try:
-                bpw = compute_bpw(assemble(parts)[1], fp)
+                bpw = compute_bpw(assemble(parts)[1], sizes)
                 scores = {}
                 for task in pending:
                     # a baseline cell is the reference model: read its outputs, do not decode again

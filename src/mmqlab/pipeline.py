@@ -16,6 +16,7 @@ norms, learned queries and the output head are never quantized.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -149,10 +150,11 @@ class LayerAddress:
     group: BlockGroup
     layer_type: LayerType
     sublayer: str
+    name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def name(self) -> str:
-        return f"{self.component.value}.block{self.block_index}.{self.sublayer}"
+    def __post_init__(self):
+        # formatted once: a grid reads every address's name for each of its cells
+        object.__setattr__(self, "name", f"{self.component.value}.block{self.block_index}.{self.sublayer}")
 
 
 @dataclass(frozen=True)
@@ -296,16 +298,46 @@ Recorder = Callable[[str, np.ndarray], None]
 # Decoder keys and values per block name, each (batch, heads, positions, head_dim).
 KVCache = dict[str, tuple[np.ndarray, np.ndarray]]
 
+# The ops below work in place on their own temporaries, in the operation order
+# of their plain expressions, so their results match those bit for bit.
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept as a length-1 axis."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    total /= np.float32(x.shape[-1])
+    return total
+
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = np.square(x - mean).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + np.float32(LN_EPS)) * scale + bias
+    centered = x - _mean_last(x)
+    var = _mean_last(np.square(centered))
+    var += np.float32(LN_EPS)
+    centered /= np.sqrt(var, out=var)
+    centered *= scale
+    centered += bias
+    return centered
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    c = np.float32(math.sqrt(2.0 / math.pi))
-    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+    inner = np.float32(0.044715) * x
+    inner *= x
+    inner *= x
+    np.add(x, inner, out=inner)
+    inner *= np.float32(math.sqrt(2.0 / math.pi))
+    np.tanh(inner, out=inner)
+    inner += np.float32(1.0)
+    out = np.float32(0.5) * x
+    out *= inner
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _causal_mask(sq: int, sk: int) -> np.ndarray:
+    """Additive mask for sq queries that are the last sq of sk positions."""
+    mask = np.triu(np.full((sq, sk), np.float32(-1e9)), k=1 + sk - sq)
+    mask.flags.writeable = False
+    return mask
 
 
 def _record(recorder: Recorder | None, name: str, x: np.ndarray):
@@ -342,14 +374,13 @@ def _attention(
             v = np.concatenate([cache[base][1], v], axis=2)
         cache[base] = (k, v)
     sk = k.shape[2]
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.float32(math.sqrt(head_dim))
-    if causal:
-        # queries are the last sq of the sk positions
-        mask = np.triu(np.full((sq, sk), np.float32(-1e9)), k=1 + sk - sq)
-        scores = scores + mask
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs = probs / probs.sum(axis=-1, keepdims=True)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.float32(math.sqrt(head_dim))
+    if causal and sq > 1:  # a single query is the last position and sees every key: its mask is all zeros
+        scores += _causal_mask(sq, sk)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
     _record(recorder, f"{base}.attn.out_proj", ctx)
     return ctx @ weights.layers[f"{base}.attn.out_proj"].T
@@ -378,33 +409,115 @@ def _block(
     return x + _feed_forward(weights, base, normed, recorder)
 
 
-def encode_vision(weights: ModelWeights, images: np.ndarray, recorder: Recorder | None = None) -> np.ndarray:
-    """Vision tower over patch tokens: (batch, patch_count, d_model) in and out."""
+@dataclass
+class BlockPath:
+    """A stage's last run through its blocks, which the next run through the
+    same path reuses.
+
+    ``source`` holds the arrays the run's input was built from, and
+    ``blocks`` holds, per block run in order, the arrays the block read and
+    its output. A run from the same source takes block i's output from the
+    path while blocks 0 to i read the same arrays as before. Both are
+    compared by identity, never by value: a grid's models share array
+    objects, and an equal-valued copy counts as a different array.
+    """
+
+    source: tuple = ()
+    blocks: list[tuple[tuple[np.ndarray, ...], np.ndarray]] = field(default_factory=list)
+
+
+_BLOCK_NORMS = ("norm1.scale", "norm1.bias", "norm2.scale", "norm2.bias")
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _tower(
+    weights: ModelWeights,
+    component: ComponentId,
+    x: np.ndarray,
+    kv: np.ndarray | None,
+    causal: bool,
+    recorder: Recorder | None = None,
+    cache: KVCache | None = None,
+    path: BlockPath | None = None,
+    source: tuple = (),
+) -> np.ndarray:
+    """x, built from the arrays in ``source``, through a component's blocks and final norm.
+
+    A ``path`` reuses the blocks its last run shares with this one (see
+    ``BlockPath``) and then holds this run; it is not read or changed when a
+    recorder or a cache is given.
+    """
+    reuse = path is not None and recorder is None and cache is None
+    if reuse and not _same(path.source, source):
+        path.source, path.blocks = source, []
+    for i in range(weights.spec.blocks_of(component)):
+        base = f"{component.value}.block{i}"
+        if reuse:
+            arrays = tuple(weights.layers[f"{base}.{s}"] for s in ATTN_SUBLAYERS + FF_SUBLAYERS)
+            arrays += tuple(weights.extras[f"{base}.{n}"] for n in _BLOCK_NORMS)
+            if i < len(path.blocks) and _same(path.blocks[i][0], arrays):
+                x = path.blocks[i][1]
+                continue
+            del path.blocks[i:]
+        x = _block(weights, base, x, kv, causal, recorder, cache)
+        if reuse:
+            path.blocks.append((arrays, x))
+    name = component.value
+    return _layer_norm(x, weights.extras[f"{name}.final_norm.scale"], weights.extras[f"{name}.final_norm.bias"])
+
+
+def encode_vision(
+    weights: ModelWeights, images: np.ndarray, recorder: Recorder | None = None, path: BlockPath | None = None
+) -> np.ndarray:
+    """Vision tower over patch tokens: (batch, patch_count, d_model) in and out.
+
+    A ``path`` reuses the blocks of its last run (see ``BlockPath``).
+    """
     spec = weights.spec
     if images.ndim != 3 or images.shape[1] != spec.patch_count or images.shape[2] != spec.d_model:
         raise ValueError(
             f"image batch shape {images.shape} does not match "
             f"(*, {spec.patch_count}, {spec.d_model})"
         )
-    x = images.astype(np.float32) @ weights.extras["vision.patch_embed"].T
-    for i in range(spec.vision_blocks):
-        x = _block(weights, f"vision.block{i}", x, kv=None, causal=False, recorder=recorder)
-    return _layer_norm(x, weights.extras["vision.final_norm.scale"], weights.extras["vision.final_norm.bias"])
+    embed = weights.extras["vision.patch_embed"]
+    x = images.astype(np.float32) @ embed.T
+    return _tower(weights, ComponentId.VISION, x, None, False, recorder, path=path, source=(images, embed))
 
 
-def run_connector(weights: ModelWeights, vision_out: np.ndarray, recorder: Recorder | None = None) -> np.ndarray:
-    """Connector output tokens: learned queries cross-attending, or a projection."""
+def run_connector(
+    weights: ModelWeights, vision_out: np.ndarray, recorder: Recorder | None = None, path: BlockPath | None = None
+) -> np.ndarray:
+    """Connector output tokens: learned queries cross-attending, or a projection.
+
+    A ``path`` reuses the blocks of its last run (see ``BlockPath``).
+    """
     spec = weights.spec
     if spec.connector_kind is ConnectorKind.LINEAR_PROJECTOR:
         return vision_out @ weights.extras["connector.proj"].T
-    x = np.broadcast_to(
-        weights.extras["connector.queries"], (vision_out.shape[0], NUM_QUERIES, spec.d_model)
-    ).astype(np.float32)
-    for i in range(spec.connector_blocks):
-        x = _block(weights, f"connector.block{i}", x, kv=vision_out, causal=False, recorder=recorder)
-    return _layer_norm(
-        x, weights.extras["connector.final_norm.scale"], weights.extras["connector.final_norm.bias"]
+    queries = weights.extras["connector.queries"]
+    x = np.broadcast_to(queries, (vision_out.shape[0], NUM_QUERIES, spec.d_model)).astype(np.float32)
+    return _tower(
+        weights, ComponentId.CONNECTOR, x, vision_out, False, recorder, path=path, source=(vision_out, queries)
     )
+
+
+def _decoder_input(weights: ModelWeights, prefix: np.ndarray, token_ids: np.ndarray, start: int) -> np.ndarray:
+    """[prefix tokens, embedded token ids] plus the position embeddings from ``start``."""
+    spec = weights.spec
+    token_ids = np.asarray(token_ids)
+    if token_ids.ndim != 2:
+        raise ValueError(f"token ids must be (batch, length), got shape {token_ids.shape}")
+    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= spec.vocab):
+        raise ValueError("token id out of vocabulary range")
+    tok = weights.extras["language.token_embedding"][token_ids]
+    x = np.concatenate([prefix.astype(np.float32), tok], axis=1)
+    end = start + x.shape[1]
+    if end > MAX_SEQ:
+        raise ValueError(f"sequence length {end} exceeds maximum {MAX_SEQ}")
+    return x + weights.extras["language.pos_embedding"][start:end]
 
 
 def decode_hidden(
@@ -421,23 +534,8 @@ def decode_hidden(
     positions are held in it: it returns the hidden states of the new
     positions only and appends their keys and values to the cache.
     """
-    spec = weights.spec
-    token_ids = np.asarray(token_ids)
-    if token_ids.ndim != 2:
-        raise ValueError(f"token ids must be (batch, length), got shape {token_ids.shape}")
-    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= spec.vocab):
-        raise ValueError("token id out of vocabulary range")
-    tok = weights.extras["language.token_embedding"][token_ids]
-    x = np.concatenate([prefix.astype(np.float32), tok], axis=1)
-    end = start + x.shape[1]
-    if end > MAX_SEQ:
-        raise ValueError(f"sequence length {end} exceeds maximum {MAX_SEQ}")
-    x = x + weights.extras["language.pos_embedding"][start:end]
-    for i in range(spec.language_blocks):
-        x = _block(weights, f"language.block{i}", x, kv=None, causal=True, recorder=recorder, cache=cache)
-    return _layer_norm(
-        x, weights.extras["language.final_norm.scale"], weights.extras["language.final_norm.bias"]
-    )
+    x = _decoder_input(weights, prefix, token_ids, start)
+    return _tower(weights, ComponentId.LANGUAGE, x, None, True, recorder, cache)
 
 
 def _empty_prefix(batch: int, d_model: int) -> np.ndarray:
@@ -490,10 +588,17 @@ def bos_prompt(ids: np.ndarray) -> np.ndarray:
     return np.concatenate([np.full((ids.shape[0], 1), BOS_ID, dtype=np.int64), ids], axis=1)
 
 
-def text_embeddings(weights: ModelWeights, text_ids: np.ndarray) -> np.ndarray:
-    """Unit-norm mean-pooled decoder hidden states over [BOS, text]."""
+def text_embeddings(weights: ModelWeights, text_ids: np.ndarray, path: BlockPath | None = None) -> np.ndarray:
+    """Unit-norm mean-pooled decoder hidden states over [BOS, text].
+
+    This is ``decode_hidden``'s cache-free pass from position 0; a ``path``
+    reuses the blocks of its last run (see ``BlockPath``).
+    """
     prompt = bos_prompt(text_ids)
-    return _unit_mean(decode_hidden(weights, _empty_prefix(prompt.shape[0], weights.spec.d_model), prompt))
+    x = _decoder_input(weights, _empty_prefix(prompt.shape[0], weights.spec.d_model), prompt, 0)
+    extras = weights.extras
+    source = (text_ids, extras["language.token_embedding"], extras["language.pos_embedding"])
+    return _unit_mean(_tower(weights, ComponentId.LANGUAGE, x, None, True, path=path, source=source))
 
 
 # --- calibration ------------------------------------------------------------

@@ -10,6 +10,7 @@ from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _nor
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
 from mmqlab.pipeline import (
     CAPTION_HORIZON,
+    LN_EPS,
     VQA_HORIZON,
     TaskKind,
     bos_prompt,
@@ -384,6 +385,53 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
         cols=cols,
     )
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
+
+
+def oracle_layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Layer norm as plain expressions, the form the in-place one must match bit for bit."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = np.square(x - mean).mean(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + np.float32(LN_EPS)) * scale + bias
+
+
+def oracle_gelu(x: np.ndarray) -> np.ndarray:
+    c = np.float32(math.sqrt(2.0 / math.pi))
+    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+
+
+def oracle_attention(weights, base, x_q, x_kv, causal, cache=None) -> np.ndarray:
+    """Multi-head attention as plain expressions, with a fresh causal mask per call."""
+    heads, d = weights.spec.heads, weights.spec.d_model
+    head_dim = d // heads
+    q = x_q @ weights.layers[f"{base}.attn.q_proj"].T
+    k = x_kv @ weights.layers[f"{base}.attn.k_proj"].T
+    v = x_kv @ weights.layers[f"{base}.attn.v_proj"].T
+    b, sq, _ = q.shape
+    q = q.reshape(b, sq, heads, head_dim).transpose(0, 2, 1, 3)
+    k = k.reshape(b, k.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+    v = v.reshape(b, v.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+    if cache is not None:
+        if base in cache:
+            k = np.concatenate([cache[base][0], k], axis=2)
+            v = np.concatenate([cache[base][1], v], axis=2)
+        cache[base] = (k, v)
+    sk = k.shape[2]
+    scores = (q @ k.transpose(0, 1, 3, 2)) / np.float32(math.sqrt(head_dim))
+    if causal:
+        mask = np.triu(np.full((sq, sk), np.float32(-1e9)), k=1 + sk - sq)
+        scores = scores + mask
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
+    return ctx @ weights.layers[f"{base}.attn.out_proj"].T
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float32 arrays hold the same bit patterns (so -0.0 differs from 0.0)."""
+    return a.dtype == b.dtype == np.float32 and a.shape == b.shape and np.array_equal(
+        a.view(np.uint32), b.view(np.uint32)
+    )
 
 
 def vision_prefix(weights, images) -> np.ndarray:

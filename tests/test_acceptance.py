@@ -14,7 +14,7 @@ import pytest
 
 from helpers import brute_force_proxy_min, grid_rows, oracle_score_task, spearman_rho
 from mmqlab.cli import main
-from mmqlab.experiments import GridSpec, compute_bpw
+from mmqlab.experiments import GridSpec, compute_bpw, layer_sizes
 from mmqlab.importance import (
     AttributionDataset,
     bootstrap_importance_ci,
@@ -328,7 +328,7 @@ def test_criterion_10_reproducibility(tmp_path, tiny_spec, tiny_probes):
 def test_criterion_11_bpw_accounting(models_by_seed):
     model = models_by_seed[7]
     _, ledger = apply_quantization(model, Selector.make(), Method.RTN, 4, group_size=128)
-    bpw4 = compute_bpw(ledger, model)
-    baseline = compute_bpw(QuantizationLedger(), model)
+    bpw4 = compute_bpw(ledger, layer_sizes(model))
+    baseline = compute_bpw(QuantizationLedger(), layer_sizes(model))
     ok = abs(bpw4 - 4.25) <= 1e-6 and baseline == 16.0
     report(11, "bpw-accounting", ok, f"(all-4bit gs128={bpw4!r}, baseline={baseline!r})")

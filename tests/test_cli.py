@@ -8,7 +8,7 @@ import pytest
 
 from mmqlab.cli import ConfigError, ProbeConfig, load_config, main, render_plot_svg
 from mmqlab.experiments import GridSpec, RunRecord, load_results, save_results
-from mmqlab.pipeline import BlockGroup, LayerType, PipelineSpec, TaskKind
+from mmqlab.pipeline import CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, PipelineSpec, TaskKind
 from mmqlab.quantizers import Method
 
 REPO = Path(__file__).resolve().parents[1]
@@ -200,6 +200,32 @@ class TestProbeLengthBounds:
         if over:
             assert code == 1 and not built and not out.exists()
             assert f"config error at probes.question_len: must be <= {bound}, got {bound + 1}" in capsys.readouterr().err
+        else:
+            assert code == 0 and len(load_results(out)) == 3
+
+    @pytest.mark.parametrize(
+        "tasks, probes, bound",
+        [
+            pytest.param(["caption"], {}, 64 - CAPTION_HORIZON, id="caption"),
+            pytest.param(["vqa"], {"question_len": 0}, 64 - VQA_HORIZON, id="vqa"),
+        ],
+    )
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_linear_projector_patch_count(self, tmp_path, monkeypatch, capsys, tasks, probes, bound, over):
+        # the projector's prefix is patch_count tokens; past the bound no probe length fits
+        pipeline = {
+            **TINY_PIPELINE, "connector_blocks": 0, "connector_kind": "linear_projector", "patch_count": bound + over,
+        }
+        out = tmp_path / "projector.csv"
+        code, built = self._run(
+            tmp_path, monkeypatch, ["grid", "--method", "uniform", "--out", str(out)], tasks, probes, pipeline,
+        )
+        if over:
+            assert code == 1 and not built and not out.exists()
+            assert (
+                f"config error at pipeline.patch_count: must be <= {bound} for {tasks[0]} with a linear projector, "
+                f"got {bound + 1}"
+            ) in capsys.readouterr().err
         else:
             assert code == 0 and len(load_results(out)) == 3
 
@@ -399,6 +425,21 @@ class TestGridCommand:
         assert main(["grid", "--config", str(REPO / "configs/quick.json"), "--method", "uniform", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "847aa00a7897df31a0d41627046b6ddc36dd7ff025bcf3d8f2e8196cf6c66e02"
+        )
+
+    def test_all_subsets_uniform_retrieval_digest_pinned(self, tmp_path):
+        # every (components, groups, layer types) subset at 4 bits: the one pinned
+        # grid whose cells share leading blocks, so stage outputs reuse block runs
+        cfg = tmp_path / "all-subsets.json"
+        cfg.write_text(json.dumps({
+            "pipeline": {"seed": 7},
+            "grid": {"bits": [4], "tasks": ["retrieval"], "seeds": [7], "eval_pairs": 8},
+            "probes": {"seed": 11, "n_pairs": 128},
+        }))
+        out = tmp_path / "all-subsets.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "34fe5ef3e74ad264f33abb91754641775924bb8ef963d749f3fe784958c2870a"
         )
 
     def test_resume_rejects_changed_config(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
-from helpers import grid_rows, oracle_score_task
+from helpers import grid_rows, oracle_score_task, same_bits
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
     RunRecord,
     compute_bpw,
+    layer_sizes,
     load_results,
     make_run_id,
     pareto_frontier,
@@ -32,6 +34,7 @@ from mmqlab.pipeline import (
     TaskKind,
     apply_quantization,
     build_model,
+    group_of,
 )
 from mmqlab.quantizers import Method
 
@@ -70,19 +73,19 @@ class TestRunId:
 
 class TestComputeBpw:
     def test_baseline_exactly_sixteen(self, default_model):
-        assert compute_bpw(QuantizationLedger(), default_model) == 16.0
+        assert compute_bpw(QuantizationLedger(), layer_sizes(default_model)) == 16.0
 
     def test_group128_four_bit_exact(self, default_model):
         _, ledger = apply_quantization(default_model, Selector.make(), Method.RTN, 4, group_size=128)
-        assert compute_bpw(ledger, default_model) == pytest.approx(4.25, abs=1e-9)
+        assert compute_bpw(ledger, layer_sizes(default_model)) == pytest.approx(4.25, abs=1e-9)
 
     def test_per_tensor_overhead(self, default_model):
         _, ledger = apply_quantization(default_model, Selector.make(), Method.UNIFORM, 4)
-        layer_sizes = [default_model.layers[a.name].size for a in default_model.addresses]
-        expected = sum(4 * n + 64 for n in layer_sizes) / sum(layer_sizes)
-        assert compute_bpw(ledger, default_model) == pytest.approx(expected, abs=1e-12)
+        sizes = [default_model.layers[a.name].size for a in default_model.addresses]
+        expected = sum(4 * n + 64 for n in sizes) / sum(sizes)
+        assert compute_bpw(ledger, layer_sizes(default_model)) == pytest.approx(expected, abs=1e-12)
         # large layers approach k + 64/n
-        assert all(4 + 64 / n == pytest.approx(4.0, abs=0.01) for n in layer_sizes if n >= 6400)
+        assert all(4 + 64 / n == pytest.approx(4.0, abs=0.01) for n in sizes if n >= 6400)
 
     def test_unknown_layer_rejected(self, default_model):
         _, ledger = apply_quantization(default_model, Selector.make(), Method.RTN, 4)
@@ -91,7 +94,7 @@ class TestComputeBpw:
             scheme=ledger.entries[0].scheme, proxy_error=0.0, code_bits=0,
         )
         with pytest.raises(ValueError, match="unknown layer"):
-            compute_bpw(ledger, default_model)
+            compute_bpw(ledger, layer_sizes(default_model))
 
 
 class TestUniformGrid:
@@ -378,10 +381,10 @@ class TestMemo:
     def test_stage_failure_fails_exactly_its_cells(self, tiny_spec, tiny_probes, monkeypatch):
         original = pipeline.encode_vision
 
-        def flaky(weights, images, recorder=None):
+        def flaky(weights, images, recorder=None, path=None):
             if len(np.unique(weights.layers["vision.block0.attn.q_proj"])) <= 4:  # 2-bit vision
                 raise RuntimeError("synthetic vision failure")
-            return original(weights, images, recorder)
+            return original(weights, images, recorder, path)
 
         monkeypatch.setattr(pipeline, "encode_vision", flaky)
         grid = GridSpec(
@@ -395,6 +398,60 @@ class TestMemo:
         assert len(failed) == 4 * 2  # 4 component subsets with vision, 2 tasks
         assert all(np.isfinite(r.bpw) == np.isfinite(r.score) for r in rows)
         assert dict(failures) == {run_id: "synthetic vision failure" for run_id in failed}
+
+
+class TestBlockReuse:
+    """Over an all-subsets uniform grid, each stage reuses the block runs its
+    models share, and every stage output is bitwise that of a fresh call on
+    the assembled model."""
+
+    GRID = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4)
+
+    @pytest.fixture(params=["queries", "projector"])
+    def spec(self, request, tiny_spec):
+        if request.param == "queries":
+            return tiny_spec
+        return replace(tiny_spec, connector_kind=ConnectorKind.LINEAR_PROJECTOR, connector_blocks=0)
+
+    def test_stage_outputs_match_fresh_calls(self, spec, tiny_probes, monkeypatch):
+        calls = []
+        stages = ((pipeline, "encode_vision"), (pipeline, "run_connector"), (experiments, "text_embeddings"))
+        for module, name in stages:
+
+            def recorded(weights, x, path=None, original=getattr(module, name)):
+                out = original(weights, x, path=path)
+                calls.append((original, weights, x, out))
+                return out
+
+            monkeypatch.setattr(module, name, recorded)
+        rows, failures = grid_rows(spec, tiny_probes, self.GRID, Method.UNIFORM)
+        assert not failures and len(rows) > 100
+        assert {original.__name__ for original, *_ in calls} == {"encode_vision", "run_connector", "text_embeddings"}
+        for original, weights, x, out in calls:
+            assert same_bits(out, original(weights, x)), original.__name__
+
+    def test_blocks_run_once_per_distinct_prefix(self, spec, tiny_probes, monkeypatch):
+        runs = Counter()
+        original = pipeline._block
+
+        def counted(weights, base, *args, **kwargs):
+            runs[base.split(".")[0]] += 1
+            return original(weights, base, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_block", counted)
+        rows, _ = grid_rows(spec, tiny_probes, self.GRID, Method.UNIFORM)
+        for component, bits in (("vision", "vision_bits"), ("language", "language_bits")):
+            n = spec.vision_blocks if component == "vision" else spec.language_blocks
+            # per block, what a row's model quantizes there: (bits, layer types) or None
+            models = {
+                tuple(
+                    (getattr(r, bits), r.layer_types) if getattr(r, bits) < 16 and group_of(i, n) in r.groups else None
+                    for i in range(n)
+                )
+                for r in rows
+            }
+            prefixes = {blocks[: i + 1] for blocks in models for i in range(n)}
+            assert runs[component] == len(prefixes) < len(models) * n, component
 
 
 class TestEquivalence:
@@ -445,7 +502,7 @@ class TestEquivalence:
                 group_size=group_size, seed=3,
             )
             score = oracle_score_task(weights, fp, tiny_probes.take(4), row.task)
-            assert (row.run_id, row.bpw, row.score) == (run_id, compute_bpw(ledger, fp), score)
+            assert (row.run_id, row.bpw, row.score) == (run_id, compute_bpw(ledger, layer_sizes(fp)), score)
 
 
 class TestPersistence:

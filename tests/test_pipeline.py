@@ -1,8 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mmqlab.pipeline as pipeline
 from mmqlab.pipeline import (
     CAPTION_HORIZON,
     MAX_SEQ,
@@ -14,6 +16,7 @@ from mmqlab.pipeline import (
     PipelineSpec,
     Selector,
     TaskKind,
+    BlockPath,
     apply_quantization,
     bos_prompt,
     build_model,
@@ -24,13 +27,18 @@ from mmqlab.pipeline import (
     greedy_generate,
     group_of,
     image_embeddings,
+    run_connector,
     text_embeddings,
 )
 from helpers import (
     assert_same_quantization,
+    oracle_attention,
+    oracle_gelu,
     oracle_gptq_hessian,
     oracle_gptq_quantize,
     oracle_inverse_hessian_factor,
+    oracle_layer_norm,
+    same_bits,
     vision_prefix,
 )
 from mmqlab.numerics import NotPositiveDefiniteError
@@ -164,6 +172,110 @@ class TestForward:
     def test_bad_image_shape_rejected(self, default_model):
         with pytest.raises(ValueError, match="image batch shape"):
             encode_vision(default_model, np.zeros((1, 3, 64), dtype=np.float32))
+
+
+class TestBlockOps:
+    """The in-place block ops against the plain expressions they replace
+    (kept in helpers), bit for bit, on random inputs of 1 to 40 rows."""
+
+    ROWS = range(1, 41)
+
+    def test_layer_norm_and_gelu(self):
+        rng = np.random.default_rng(0)
+        for rows in self.ROWS:
+            x = (3 * rng.standard_normal((2, rows, 64)) + 1).astype(np.float32)
+            scale = rng.standard_normal(64).astype(np.float32)
+            bias = rng.standard_normal(64).astype(np.float32)
+            before = x.copy()
+            assert same_bits(pipeline._layer_norm(x, scale, bias), oracle_layer_norm(x, scale, bias)), rows
+            assert same_bits(pipeline._gelu(x), oracle_gelu(x)), rows
+            assert same_bits(x, before)  # inputs are not written
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["cross", "causal"])
+    def test_attention(self, default_model, causal):
+        rng = np.random.default_rng(1)
+        base = "language.block2" if causal else "connector.block1"
+        for rows in self.ROWS:
+            x_q = rng.standard_normal((2, rows, 64)).astype(np.float32)
+            x_kv = x_q if causal else rng.standard_normal((2, 16, 64)).astype(np.float32)
+            got = pipeline._attention(default_model, base, x_q, x_kv, causal, None)
+            assert same_bits(got, oracle_attention(default_model, base, x_q, x_kv, causal)), rows
+
+    def test_attention_with_kv_cache(self, default_model):
+        rng = np.random.default_rng(2)
+        base = "language.block4"
+        for rows in self.ROWS:
+            got_cache, want_cache = {}, {}
+            # a prefill of `rows` positions, then three single-position steps
+            for x in [rng.standard_normal((2, rows, 64)).astype(np.float32)] + [
+                rng.standard_normal((2, 1, 64)).astype(np.float32) for _ in range(3)
+            ]:
+                got = pipeline._attention(default_model, base, x, x, True, None, got_cache)
+                want = oracle_attention(default_model, base, x, x, True, want_cache)
+                assert same_bits(got, want), rows
+            assert all(same_bits(g, w) for g, w in zip(got_cache[base], want_cache[base]))
+
+
+class TestBlockPath:
+    """A path reuses block i's output only when the stage input and the
+    arrays blocks 0 to i read are the same objects as in its last run."""
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        calls = []
+        original = pipeline._block
+
+        def counted(weights, base, *args, **kwargs):
+            calls.append(base)
+            return original(weights, base, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_block", counted)
+        return calls
+
+    def test_equal_copy_of_a_block3_layer_reruns_from_block3(self, default_model, probe_set, block_calls):
+        images, texts = probe_set.images[:4], probe_set.texts[:4]
+        fresh_vision = encode_vision(default_model, images)
+        fresh_text = text_embeddings(default_model, texts)
+        paths = {"vision": BlockPath(), "language": BlockPath()}
+
+        def run(weights):
+            block_calls.clear()
+            vision = encode_vision(weights, images, path=paths["vision"])
+            text = text_embeddings(weights, texts, path=paths["language"])
+            assert same_bits(vision, fresh_vision) and same_bits(text, fresh_text)
+            return list(block_calls)
+
+        assert run(default_model) == [f"{c}.block{i}" for c in ("vision", "language") for i in range(6)]
+        assert run(default_model) == []
+        layers = dict(default_model.layers)
+        for name in ("vision.block3.ff.up", "language.block3.attn.k_proj"):
+            layers[name] = layers[name].copy()
+        assert run(replace(default_model, layers=layers)) == [
+            f"{c}.block{i}" for c in ("vision", "language") for i in (3, 4, 5)
+        ]
+        # the path now holds the copies: the original model reruns from block 3 too
+        assert run(default_model) == [f"{c}.block{i}" for c in ("vision", "language") for i in (3, 4, 5)]
+
+    def test_new_stage_input_reruns_every_block(self, default_model, probe_set, block_calls):
+        path = BlockPath()
+        vision = encode_vision(default_model, probe_set.images[:4])
+        run_connector(default_model, vision, path=path)
+        block_calls.clear()
+        out = run_connector(default_model, vision.copy(), path=path)
+        assert block_calls == [f"connector.block{i}" for i in range(3)]
+        assert same_bits(out, run_connector(default_model, vision))
+
+    def test_recorder_neither_reads_nor_changes_the_path(self, default_model, probe_set, block_calls):
+        # (a KV cache only reaches the blocks through decode_hidden, which takes no path)
+        images = probe_set.images[:2]
+        path = BlockPath()
+        encode_vision(default_model, images, path=path)
+        held = [output for _, output in path.blocks]
+        block_calls.clear()
+        encode_vision(default_model, images, recorder=lambda name, x: None, path=path)
+        assert len(block_calls) == 6
+        assert all(a is b for a, b in zip(held, (output for _, output in path.blocks)))
+        assert len(path.blocks) == 6
 
 
 def full_recompute_generate(weights, prefix, prompt_ids, horizon):
