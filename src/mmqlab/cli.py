@@ -59,6 +59,7 @@ from .pipeline import (
     LayerType,
     PipelineSpec,
     Selector,
+    SpecError,
     TaskKind,
     apply_quantization,
     build_model,
@@ -146,8 +147,8 @@ def _section(cls, raw: dict, name: str):
     kwargs = {key: _typed(kinds[key], value, f"{name}.{key}") for key, value in section.items()}
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config error at {name}: {exc}") from None
+    except SpecError as exc:
+        raise ConfigError(f"config error at {name}.{exc.key}: {exc.detail}") from None
 
 
 def load_config(path: str) -> Config:

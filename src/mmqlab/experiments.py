@@ -10,15 +10,16 @@ plus the block groups and layer types it quantizes:
   layer types, where 16 encodes "leave unquantized".
 
 Calibration runs once per seed and each component is quantized once per bit
-width; a cell takes the layers its selector picks from those fragments. The
-vision tower, the connector and the retrieval text embeddings are memoised
-per part, on the fragments they read, and one closure derives every model's
-task outputs from those memos. Each of those three stages runs its distinct
-parts sorted by the layers they quantize per block, through one
-``BlockPath``: a part reuses the outputs of the leading blocks it shares
-with the part before it, so a shared front or middle prefix runs once. The
-full-precision reference is the model that reads no fragment: its stage
-outputs are the memos' all-None entries.
+width, one component at a time, whose statistics and GPTQ factors are freed
+after its last bit width; a cell takes the layers its selector picks from
+those fragments. The vision tower, the connector and the retrieval text
+embeddings are memoised per part, on the fragments they read, and one
+closure derives every model's task outputs from those memos. Each of those
+three stages runs its distinct parts sorted by the layers they quantize per
+block, through one ``BlockPath``: a part reuses the outputs of the leading
+blocks it shares with the part before it, so a shared front or middle
+prefix runs once. The full-precision reference is the model that reads no
+fragment: its stage outputs are the memos' all-None entries.
 
 ``run_grid`` yields each row as soon as its cell is scored, in plan order,
 as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
@@ -55,6 +56,7 @@ from .pipeline import (
     PipelineSpec,
     QuantizationLedger,
     Selector,
+    SpecError,
     TaskKind,
     apply_quantization,
     bos_prompt,
@@ -156,24 +158,24 @@ class GridSpec:
     def __post_init__(self):
         for k in self.bits or ():
             if not (2 <= k <= 16):
-                raise ValueError(f"grid bits must be in [2, 16], got {k}")
+                raise SpecError("bits", f"must be in [2, 16], got {k}")
         if self.group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+            raise SpecError("group_size", f"must be >= 1, got {self.group_size}")
         if self.eval_pairs is not None and self.eval_pairs < 1:
-            raise ValueError(f"eval_pairs must be >= 1, got {self.eval_pairs}")
+            raise SpecError("eval_pairs", f"must be >= 1, got {self.eval_pairs}")
         # an empty list would run no cell, or for a subset list every subset
         for name in ("bits", "tasks", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
             values = getattr(self, name)
             if values == ():
-                raise ValueError(f"grid.{name} is empty")
+                raise SpecError(name, "must not be empty")
             if values and () in values:
-                raise ValueError(f"grid.{name} holds an empty subset")
+                raise SpecError(name, "must not hold an empty subset")
         # a repeated value would give two cells one run_id
         for name in ("bits", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
             values = getattr(self, name) or ()
             keys = [frozenset(v) if isinstance(v, tuple) else v for v in values]
             if len(set(keys)) != len(keys):
-                raise ValueError(f"grid.{name} repeats a value: {list(values)}")
+                raise SpecError(name, f"must not repeat a value, got {list(values)}")
 
 
 def _nonempty_subsets(items: tuple) -> tuple[tuple, ...]:
@@ -353,7 +355,15 @@ def run_grid(
             )
             return {e.layer: (qw.layers[e.layer], e) for e in ledger.entries}
 
-        fragments = _memo(quantize, fragment_keys)
+        # one component at a time, all its bit widths; then its statistics and
+        # GPTQ factors go, so each layer is still factored once per calibration
+        fragments = {}
+        for comp in COMPONENT_ORDER:
+            fragments.update(_memo(quantize, [key for key in fragment_keys if key[0] is comp]))
+            if calib is not None:
+                for name in [a.name for a in fp.addresses if a.component is comp]:
+                    calib.layers.pop(name, None)
+                    calib.factors.pop(name, None)
         calib = None  # only the fragments read it: free the Gram matrices and factors before decode
 
         def assemble(parts) -> tuple[ModelWeights, QuantizationLedger]:

@@ -89,6 +89,14 @@ GROUP_ORDER = (BlockGroup.FRONT, BlockGroup.MIDDLE, BlockGroup.END)
 LAYER_TYPE_ORDER = (LayerType.ATTN, LayerType.FF)
 
 
+class SpecError(ValueError):
+    """A spec field out of range: ``key`` names the field, ``detail`` says why."""
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(f"{key}: {detail}")
+        self.key, self.detail = key, detail
+
+
 @dataclass(frozen=True)
 class PipelineSpec:
     """Architecture hyperparameters; block counts keep front/middle/end thirds exact."""
@@ -105,20 +113,19 @@ class PipelineSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model < 1 or self.heads < 1 or self.d_model % self.heads != 0:
-            raise ValueError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        for label, blocks in (("vision_blocks", self.vision_blocks), ("language_blocks", self.language_blocks)):
-            if blocks < 3 or blocks % 3 != 0:
-                raise ValueError(f"{label} must be a positive multiple of 3, got {blocks}")
+        for key, low in (("d_model", 1), ("heads", 1), ("ffn_mult", 1), ("patch_count", 1), ("vocab", 2)):
+            if (value := getattr(self, key)) < low:
+                raise SpecError(key, f"must be >= {low}, got {value}")
+        if self.d_model % self.heads != 0:
+            raise SpecError("heads", f"must divide d_model ({self.d_model}), got {self.heads}")
+        blocked = ("vision_blocks", "language_blocks")
         if self.connector_kind is ConnectorKind.QUERY_CROSS_ATTENTION:
-            if self.connector_blocks < 3 or self.connector_blocks % 3 != 0:
-                raise ValueError(
-                    f"connector_blocks must be a positive multiple of 3, got {self.connector_blocks}"
-                )
+            blocked += ("connector_blocks",)
         elif self.connector_blocks != 0:
-            raise ValueError("a linear projector connector has no blocks; set connector_blocks=0")
-        if self.patch_count < 1 or self.vocab < 2 or self.ffn_mult < 1:
-            raise ValueError("patch_count >= 1, vocab >= 2 and ffn_mult >= 1 required")
+            raise SpecError("connector_blocks", f"must be 0 for a linear projector, got {self.connector_blocks}")
+        for key in blocked:
+            if (blocks := getattr(self, key)) < 3 or blocks % 3 != 0:
+                raise SpecError(key, f"must be a positive multiple of 3, got {blocks}")
 
     def blocks_of(self, component: ComponentId) -> int:
         return {
@@ -611,16 +618,17 @@ def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> Calibratio
     One teacher-forced caption-style pass (image prefix + BOS + text) covers
     all three components. Each layer's rows are deterministically subsampled
     to at most CALIBRATION_ROW_CAP and reduced to ``LayerStats`` as they are
-    recorded, so no activations are kept.
+    recorded, in one float64 buffer per layer, so no activations are kept.
     """
     n = min(CALIBRATION_PAIRS, len(probes))
     layers: dict[str, LayerStats] = {}
 
     def recorder(name: str, x: np.ndarray):
+        rows = None
         if x.shape[0] > CALIBRATION_ROW_CAP:
             stream = RngStream(derive_seed(weights.spec.seed, "calibration", name))
-            x = x[stream.choice(x.shape[0], CALIBRATION_ROW_CAP)]
-        layers[name] = LayerStats.from_activations(np.ascontiguousarray(x, dtype=np.float32))
+            rows = stream.choice(x.shape[0], CALIBRATION_ROW_CAP)
+        layers[name] = LayerStats.from_activations(x, rows)
 
     vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
     prefix = run_connector(weights, vision_out, recorder=recorder)

@@ -37,7 +37,7 @@ from .numerics import NotPositiveDefiniteError, _cholesky64, _invert_spd64
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 SCALE_CLAMP = (1e-4, 1e4)
-# bytes per float64 array of a stacked chunk: GPTQ factors, AWQ alpha scoring
+# bytes per float64 array of a chunk: calibration rows, GPTQ factors, AWQ alpha scoring
 CHUNK_BYTES = 1 << 20
 # GPTQ: damping as a fraction of the Hessian's mean diagonal, and columns per lazy block update
 GPTQ_DAMPING = 0.01
@@ -106,16 +106,28 @@ class LayerStats:
     rows: int
 
     @classmethod
-    def from_activations(cls, x: np.ndarray) -> "LayerStats":
+    def from_activations(cls, x: np.ndarray, rows: np.ndarray | None = None) -> "LayerStats":
+        """Statistics of the rows ``rows`` of ``x`` (None: every row).
+
+        The rows are copied straight into one float64 buffer, about
+        CHUNK_BYTES at a time, which gives the Gram matrix and is then
+        overwritten with its absolute values for the magnitudes: no other
+        copy of them is made, and ``x`` is not changed.
+        """
         x = np.asarray(x)
         if x.ndim != 2:
             raise ValueError(f"expected 2-D activations (rows, in_features), got shape {x.shape}")
-        if x.shape[0] < 1:
+        rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows)
+        if len(rows) < 1:
             raise ValueError("calibration requires at least one sample")
-        if not np.all(np.isfinite(x)):
+        x64 = np.empty((len(rows), x.shape[1]), dtype=np.float64)
+        step = max(1, CHUNK_BYTES // max(1, x64[0].nbytes))
+        for r0 in range(0, len(rows), step):
+            x64[r0 : r0 + step] = x[rows[r0 : r0 + step]]
+        if not np.all(np.isfinite(x64)):
             raise ValueError("calibration activations contain non-finite entries")
-        x64 = np.asarray(x, dtype=np.float64)
-        return cls(gram=x64.T @ x64, magnitude=np.mean(np.abs(x64), axis=0), rows=x.shape[0])
+        gram = x64.T @ x64
+        return cls(gram=gram, magnitude=np.mean(np.abs(x64, out=x64), axis=0), rows=len(rows))
 
 
 @dataclass
@@ -124,7 +136,8 @@ class CalibrationSet:
 
     ``factors`` is filled lazily by GPTQ: layer name -> the upper factor of
     that layer's damped inverse Hessian, which does not depend on the bit
-    width.
+    width. A grid quantizes one component at a time, all its bit widths, and
+    then deletes that component's entries from both dicts.
     """
 
     layers: dict[str, LayerStats] = field(default_factory=dict)

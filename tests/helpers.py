@@ -24,6 +24,7 @@ from mmqlab.quantizers import (
     ALPHA_GRID,
     SCALE_CLAMP,
     GridScheme,
+    LayerStats,
     QuantizedMatrix,
     _check_bits,
     _check_stats,
@@ -254,6 +255,14 @@ def oracle_inverse_hessian_factor(hessian: np.ndarray, damping: float) -> np.nda
     except NotPositiveDefiniteError:
         inv = _invert_one(hessian, damping * 10.0)
     return _cholesky_one(inv).T
+
+
+def oracle_layer_stats(x: np.ndarray, rows=None) -> LayerStats:
+    """LayerStats the plain way: the selected rows, a float64 copy of them, its
+    Gram matrix and the mean of a third array, its absolute values."""
+    x = np.asarray(x) if rows is None else np.asarray(x)[rows]
+    x64 = x.astype(np.float64)
+    return LayerStats(gram=x64.T @ x64, magnitude=np.mean(np.abs(x64), axis=0), rows=x.shape[0])
 
 
 def oracle_gptq_hessian(stats) -> np.ndarray:

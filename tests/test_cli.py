@@ -98,6 +98,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match="language_blocks"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("pipeline", {"d_model": 0}, "pipeline.d_model: must be >= 1, got 0"),
+            ("pipeline", {"heads": 0}, "pipeline.heads: must be >= 1, got 0"),
+            ("pipeline", {"heads": 3}, "pipeline.heads: must divide d_model (32), got 3"),
+            ("pipeline", {"ffn_mult": 0}, "pipeline.ffn_mult: must be >= 1, got 0"),
+            ("pipeline", {"patch_count": 0}, "pipeline.patch_count: must be >= 1, got 0"),
+            ("pipeline", {"vocab": 1}, "pipeline.vocab: must be >= 2, got 1"),
+            ("pipeline", {"vision_blocks": 4}, "pipeline.vision_blocks: must be a positive multiple of 3, got 4"),
+            ("pipeline", {"language_blocks": 0}, "pipeline.language_blocks: must be a positive multiple of 3, got 0"),
+            ("pipeline", {"connector_blocks": 2}, "pipeline.connector_blocks: must be a positive multiple of 3, got 2"),
+            (
+                "pipeline", {"connector_kind": "linear_projector", "connector_blocks": 3},
+                "pipeline.connector_blocks: must be 0 for a linear projector, got 3",
+            ),
+            ("grid", {"bits": [1]}, "grid.bits: must be in [2, 16], got 1"),
+            ("grid", {"group_size": 0}, "grid.group_size: must be >= 1, got 0"),
+            ("grid", {"eval_pairs": 0}, "grid.eval_pairs: must be >= 1, got 0"),
+        ],
+        ids=[
+            "d_model", "heads", "heads-divide", "ffn_mult", "patch_count", "vocab", "vision_blocks",
+            "language_blocks", "connector_blocks", "connector_blocks-linear", "bits", "group_size", "eval_pairs",
+        ],
+    )
+    def test_range_error_names_key(self, tmp_path, capsys, section, values, message):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw[section] = {**raw[section], **values}
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: config error at {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [0, -3])
     def test_bad_workers_config_names_key(self, tmp_path, value):
         path = write_config(tmp_path, workers=value)
@@ -390,7 +425,7 @@ class TestGridCommand:
         out = tmp_path / "dup.csv"
         code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
         assert code == 1
-        assert f"grid.{field}" in capsys.readouterr().err
+        assert f"config error at grid.{field}: must not repeat a value, got " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -417,7 +452,8 @@ class TestGridCommand:
         out = tmp_path / "empty.csv"
         code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
         assert code == 1
-        assert f"grid.{field}" in capsys.readouterr().err
+        reason = "be empty" if value == [] else "hold an empty subset"
+        assert f"config error at grid.{field}: must not {reason}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quick_grid_digest_pinned(self, tmp_path):

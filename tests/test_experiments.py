@@ -258,6 +258,33 @@ class TestSotaGrid:
         assert alive_at_decode[0] == [False]
         assert [False, False] in alive_at_decode
 
+    def test_components_quantized_in_turn_and_freed(self, tiny_spec, tiny_probes, monkeypatch):
+        component_of = {a.name: a.component for a in build_model(tiny_spec).addresses}
+        order = {comp: i for i, comp in enumerate(pipeline.COMPONENT_ORDER)}
+        calls = []
+        quantize = experiments.apply_quantization
+
+        def recording(weights, sel, method, k, calib, *args):
+            (comp,) = sel.components
+            calls.append((comp, k, {component_of[name] for name in calib.layers}))
+            return quantize(weights, sel, method, k, calib, *args)
+
+        monkeypatch.setattr(experiments, "apply_quantization", recording)
+        grid_rows(
+            tiny_spec, tiny_probes,
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            Method.GPTQ,
+        )
+        # every bit width of a component runs before the next component's
+        assert [(comp, k) for comp, k, _ in calls] == [
+            (comp, k) for comp in pipeline.COMPONENT_ORDER for k in (2, 4)
+        ]
+        # no earlier component's statistics are held while a fragment quantizes
+        for comp, _, held in calls:
+            assert all(order[c] >= order[comp] for c in held)
+        assert calls[-1][2] == {ComponentId.LANGUAGE}
+        # that each layer is still factored once, test_gptq_factors_each_layer_once checks on this grid
+
     def test_rejects_uncalibrated_methods(self, tiny_spec, tiny_probes):
         with pytest.raises(ValueError, match="GPTQ/AWQ"):
             list(run_grid(tiny_spec, tiny_probes, GridSpec(), Method.RTN))

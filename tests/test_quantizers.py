@@ -12,9 +12,11 @@ from helpers import (
     oracle_gptq_hessian,
     oracle_gptq_quantize,
     oracle_inverse_hessian_factor,
+    oracle_layer_stats,
 )
 import mmqlab.quantizers as quantizers
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, _invert_spd64, derive_seed, randn_matrix
+from mmqlab.pipeline import CALIBRATION_ROW_CAP
 from mmqlab.quantizers import (
     GridScheme,
     LayerStats,
@@ -481,6 +483,11 @@ class TestAwqSearchEquivalence:
                 quantize(w, stats, 4, 3)
 
 
+# LayerStats.from_activations' messages for bad input, whole
+NON_FINITE = "calibration activations contain non-finite entries"
+NO_SAMPLE = "calibration requires at least one sample"
+
+
 class TestLayerStats:
     def test_statistics_of_activations(self):
         x = np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 4.0]], dtype=np.float32)
@@ -502,6 +509,68 @@ class TestLayerStats:
     def test_rejects_bad_activations(self, x, match):
         with pytest.raises(ValueError, match=match):
             LayerStats.from_activations(x)
+
+    @pytest.mark.parametrize(
+        "x, rows, message",
+        [
+            (np.array([[1.0, np.nan]], np.float32), None, NON_FINITE),
+            (np.array([[1.0, 2.0], [np.inf, 1.0]], np.float32), [1], NON_FINITE),
+            (np.empty((0, 4), np.float32), None, NO_SAMPLE),
+            (np.ones((3, 4), np.float32), np.array([], np.intp), NO_SAMPLE),
+        ],
+        ids=["non-finite", "non-finite-sampled", "empty", "empty-sample"],
+    )
+    def test_bad_activations_keep_their_messages(self, x, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LayerStats.from_activations(x, rows)
+
+    @staticmethod
+    def _rows(n, sampled):
+        if not sampled:
+            return None
+        k = CALIBRATION_ROW_CAP if n > CALIBRATION_ROW_CAP else (n + 1) // 2
+        return RngStream(derive_seed(5, "rows", n)).choice(n, k)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["all", "sampled"])
+    @pytest.mark.parametrize("d", [1, 3, 64, 256])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2176])
+    def test_matches_plain_reduction_bit_for_bit(self, n, d, sampled):
+        # at d = 64 and 256 the 2,176 rows span several CHUNK_BYTES row chunks, the last one partial
+        x = randn_matrix(RngStream(derive_seed(5, "acts", n, d)), n, d, 2.0)
+        x[:, 0] = 0.0  # a dead channel, and signed zeros whose bits must match too
+        x[::2, -1] *= -0.0
+        before = x.copy()
+        rows = self._rows(n, sampled)
+        got, expected = LayerStats.from_activations(x, rows), oracle_layer_stats(x, rows)
+        assert got.rows == expected.rows == (n if rows is None else len(rows))
+        assert np.array_equal(got.gram.view(np.uint64), expected.gram.view(np.uint64))
+        assert np.array_equal(got.magnitude.view(np.uint64), expected.magnitude.view(np.uint64))
+        assert np.array_equal(x.view(np.uint32), before.view(np.uint32))
+
+    def test_non_finite_outside_the_sample_is_not_read(self):
+        x = np.array([[np.nan, 1.0], [2.0, 3.0]], np.float32)
+        assert LayerStats.from_activations(x, [1]).rows == 1
+
+    def test_peak_memory_is_one_float64_buffer(self):
+        import tracemalloc
+
+        n, d, k = 2176, 256, CALIBRATION_ROW_CAP
+        x = randn_matrix(RngStream(derive_seed(5, "peak")), n, d, 1.0)
+        rows = RngStream(derive_seed(5, "peak rows")).choice(n, k)
+        bound = 1.5 * k * d * 8
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: LayerStats.from_activations(x, rows)) < bound
+        # the measure sees numpy's buffers: the plain reduction holds three copies
+        assert peak(lambda: oracle_layer_stats(x, rows)) > bound
 
     @pytest.mark.parametrize("quantize", [gptq_quantize, awq_quantize])
     def test_quantizers_reject_mismatched_gram(self, quantize):
