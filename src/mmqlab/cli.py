@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
@@ -64,11 +64,13 @@ from .pipeline import (
     apply_quantization,
     build_model,
     collect_calibration,
+    element_count,
 )
 from .quantizers import Method
 from .tasks import make_probe_set
 
 DEFAULT_EVAL_PAIRS = 32
+ELEMENT_LIMIT = 1 << 26  # float32 elements (256 MiB) of the largest thing a config may make the lab hold
 
 METHOD_COLORS = {
     Method.UNIFORM: "#1f77b4",
@@ -170,11 +172,36 @@ def load_config(path: str) -> Config:
             value = getattr(probes, key)
             if value < low:
                 raise ConfigError(f"config error at probes.{key}: must be >= {low}, got {value}")
+    _check_size(pipeline, probes.n_pairs if probes is not None else DEFAULT_EVAL_PAIRS)
     _expect(raw.get("output_dir", "."), str, "output_dir")  # accepted but not read: --out names every output
     workers = _expect(raw.get("workers", 1), int, "workers")  # accepted but not read: grids run in one thread
     if workers < 1:
         raise ConfigError(f"config error at workers: must be >= 1, got {workers}")
     return Config(pipeline=pipeline, grid=grid, probes=probes)
+
+
+def _check_size(spec: PipelineSpec, pairs: int):
+    """Exit 1, before anything is allocated, when ``element_count`` of the
+    pipeline over ``pairs`` probe pairs is above ELEMENT_LIMIT.
+
+    The key named is the one whose default value would shrink that count the
+    most: the one key a config changed, or the largest of several.
+    """
+    values = {f"pipeline.{f.name}": getattr(spec, f.name) for f in fields(PipelineSpec)}
+    values["probes.n_pairs"] = pairs
+    defaults = {f"pipeline.{f.name}": f.default for f in fields(PipelineSpec)}
+    defaults["probes.n_pairs"] = ProbeConfig.n_pairs
+
+    def count(values: dict) -> int:
+        spec_fields = {key.split(".")[1]: v for key, v in values.items() if key.startswith("pipeline.")}
+        return element_count(types.SimpleNamespace(**spec_fields), values["probes.n_pairs"])
+
+    if (total := count(values)) > ELEMENT_LIMIT:
+        key = min(values, key=lambda k: count({**values, k: defaults[k]}))
+        raise ConfigError(
+            f"config error at {key}: the weights, or one array a run makes, would hold {total} "
+            f"elements, more than the limit of {ELEMENT_LIMIT}"
+        )
 
 
 def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):

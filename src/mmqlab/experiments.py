@@ -9,17 +9,18 @@ plus the block groups and layer types it quantizes:
 * GPTQ/AWQ - the full per-component bit cross product over all groups and
   layer types, where 16 encodes "leave unquantized".
 
-Calibration runs once per seed and each component is quantized once per bit
-width, one component at a time, whose statistics and GPTQ factors are freed
-after its last bit width; a cell takes the layers its selector picks from
-those fragments. The vision tower, the connector and the retrieval text
-embeddings are memoised per part, on the fragments they read, and one
-closure derives every model's task outputs from those memos. Each of those
-three stages runs its distinct parts sorted by the layers they quantize per
-block, through one ``BlockPath``: a part reuses the outputs of the leading
-blocks it shares with the part before it, so a shared front or middle
-prefix runs once. The full-precision reference is the model that reads no
-fragment: its stage outputs are the memos' all-None entries.
+Calibration runs once per seed, one tower at a time, and each component is
+quantized once per bit width from its own calibration stage, which is freed
+after its last bit width and before the next tower's pass; a cell takes the
+layers its selector picks from those fragments. The vision tower, the
+connector and the retrieval text embeddings are memoised per part, on the
+fragments they read, and one closure derives every model's task outputs
+from those memos. Each of those three stages runs its distinct parts sorted
+by the layers they quantize per block, through one ``BlockPath``: a part
+reuses the outputs of the leading blocks it shares with the part before it,
+so a shared front or middle prefix runs once. The full-precision reference
+is the model that reads no fragment: its stage outputs are the memos'
+all-None entries.
 
 ``run_grid`` yields each row as soon as its cell is scored, in plan order,
 as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
@@ -61,7 +62,7 @@ from .pipeline import (
     apply_quantization,
     bos_prompt,
     build_model,
-    collect_calibration,
+    calibration_stages,
     enumerate_layers,
     image_embeddings,
     text_embeddings,
@@ -171,7 +172,7 @@ class GridSpec:
             if values and () in values:
                 raise SpecError(name, "must not hold an empty subset")
         # a repeated value would give two cells one run_id
-        for name in ("bits", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
+        for name in ("bits", "tasks", "seeds", "component_subsets", "group_subsets", "layer_type_subsets"):
             values = getattr(self, name) or ()
             keys = [frozenset(v) if isinstance(v, tuple) else v for v in values]
             if len(set(keys)) != len(keys):
@@ -344,27 +345,24 @@ def run_grid(
         # fragments: each component quantized once per bit width; a cell takes
         # the layers it selects, which is exact as every quantizer is per layer
         fragment_keys = [part[:2] for _, parts, _ in cells for part in parts if part]
-        calib = None
+        stages = ((comp, None) for comp in COMPONENT_ORDER)
         if fragment_keys and method is not Method.UNIFORM:
-            calib = collect_calibration(fp, probes)
+            stages = calibration_stages(fp, probes)
 
-        def quantize(key):
+        def quantize(key, calib):
             comp, k = key
             qw, ledger = apply_quantization(
                 fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size
             )
             return {e.layer: (qw.layers[e.layer], e) for e in ledger.entries}
 
-        # one component at a time, all its bit widths; then its statistics and
-        # GPTQ factors go, so each layer is still factored once per calibration
+        # one component at a time, all its bit widths, from its calibration
+        # stage; the stage, with its GPTQ factors, goes before the next tower runs
         fragments = {}
-        for comp in COMPONENT_ORDER:
-            fragments.update(_memo(quantize, [key for key in fragment_keys if key[0] is comp]))
-            if calib is not None:
-                for name in [a.name for a in fp.addresses if a.component is comp]:
-                    calib.layers.pop(name, None)
-                    calib.factors.pop(name, None)
-        calib = None  # only the fragments read it: free the Gram matrices and factors before decode
+        for comp, calib in stages:
+            keys = [key for key in fragment_keys if key[0] is comp]
+            fragments.update(_memo(functools.partial(quantize, calib=calib), keys))
+            calib = None  # before the generator runs the next tower
 
         def assemble(parts) -> tuple[ModelWeights, QuantizationLedger]:
             layers, ledger = dict(fp.layers), QuantizationLedger()

@@ -19,7 +19,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -243,14 +243,18 @@ def _enumerate_addresses(spec: PipelineSpec) -> tuple[LayerAddress, ...]:
     return tuple(addresses)
 
 
-def _extra_shapes(spec: PipelineSpec) -> dict[str, tuple[int, ...]]:
+_BLOCK_NORMS = ("norm1.scale", "norm1.bias", "norm2.scale", "norm2.bias")
+
+
+def _extra_shapes(spec: PipelineSpec, per_block: bool = True) -> dict[str, tuple[int, ...]]:
+    """Shapes of the parameters that are not addressable layers; without
+    ``per_block``, the shapes of those that are not in a block."""
     d = spec.d_model
     shapes: dict[str, tuple[int, ...]] = {"vision.patch_embed": (d, d)}
-    for component in COMPONENT_ORDER:
+    for component in COMPONENT_ORDER if per_block else ():
         for block in range(spec.blocks_of(component)):
-            for norm in ("norm1", "norm2"):
-                shapes[f"{component.value}.block{block}.{norm}.scale"] = (d,)
-                shapes[f"{component.value}.block{block}.{norm}.bias"] = (d,)
+            for norm in _BLOCK_NORMS:
+                shapes[f"{component.value}.block{block}.{norm}"] = (d,)
     shapes["vision.final_norm.scale"] = (d,)
     shapes["vision.final_norm.bias"] = (d,)
     if spec.connector_kind is ConnectorKind.QUERY_CROSS_ATTENTION:
@@ -294,6 +298,25 @@ def build_model(spec: PipelineSpec) -> ModelWeights:
     return ModelWeights(spec=spec, layers=layers, extras=extras, addresses=addresses)
 
 
+def element_count(spec, pairs: int) -> int:
+    """An upper bound, in float32 elements, on the largest thing a command
+    holds at once for ``spec``: the weights ``build_model`` allocates, or one
+    array of a forward pass over ``pairs`` probe pairs (the probe images, a
+    feed-forward hidden state, attention scores) or of its calibration (the
+    float64 Gram of the widest layer input).
+
+    It is counted from the shape tables, reading only ``spec``'s fields (the
+    block norms counted, not listed), so nothing is allocated and any object
+    with those fields will do.
+    """
+    d, f = spec.d_model, spec.ffn_mult * spec.d_model
+    per_block = sum(math.prod(shape) for shape in _sublayer_shapes(spec).values()) + len(_BLOCK_NORMS) * d
+    blocks = spec.vision_blocks + spec.connector_blocks + spec.language_blocks
+    weights = blocks * per_block + sum(math.prod(shape) for shape in _extra_shapes(spec, per_block=False).values())
+    seq = max(spec.patch_count, MAX_SEQ)  # the longest sequence a tower runs
+    return max(weights, pairs * seq * max(d, f, spec.heads * seq), 2 * f * f)
+
+
 def enumerate_layers(weights: ModelWeights, sel: Selector) -> list[LayerAddress]:
     """Addresses matching the selector, in stable component/block/sublayer order."""
     return [addr for addr in weights.addresses if sel.matches(addr)]
@@ -305,8 +328,9 @@ Recorder = Callable[[str, np.ndarray], None]
 # Decoder keys and values per block name, each (batch, heads, positions, head_dim).
 KVCache = dict[str, tuple[np.ndarray, np.ndarray]]
 
-# The ops below work in place on their own temporaries, in the operation order
-# of their plain expressions, so their results match those bit for bit.
+# The ops below work in place on their own temporaries (``_gelu`` also on its
+# argument), in the operation order of their plain expressions, so their
+# results match those bit for bit.
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -327,6 +351,7 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    """GELU (tanh form), written into ``x``, which it overwrites and returns."""
     inner = np.float32(0.044715) * x
     inner *= x
     inner *= x
@@ -334,9 +359,9 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     inner *= np.float32(math.sqrt(2.0 / math.pi))
     np.tanh(inner, out=inner)
     inner += np.float32(1.0)
-    out = np.float32(0.5) * x
-    out *= inner
-    return out
+    x *= np.float32(0.5)
+    x *= inner
+    return x
 
 
 @functools.lru_cache(maxsize=64)
@@ -431,9 +456,6 @@ class BlockPath:
 
     source: tuple = ()
     blocks: list[tuple[tuple[np.ndarray, ...], np.ndarray]] = field(default_factory=list)
-
-
-_BLOCK_NORMS = ("norm1.scale", "norm1.bias", "norm2.scale", "norm2.bias")
 
 
 def _same(a: tuple, b: tuple) -> bool:
@@ -611,14 +633,21 @@ def text_embeddings(weights: ModelWeights, text_ids: np.ndarray, path: BlockPath
 # --- calibration ------------------------------------------------------------
 
 
-def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> CalibrationSet:
-    """Record every addressable layer's input statistics on the first
-    min(CALIBRATION_PAIRS, len(probes)) probe pairs.
+def calibration_stages(
+    weights: ModelWeights, probes: "ProbeSet"
+) -> Iterator[tuple[ComponentId, CalibrationSet]]:
+    """Every addressable layer's input statistics on the first
+    min(CALIBRATION_PAIRS, len(probes)) probe pairs, one component at a time.
 
-    One teacher-forced caption-style pass (image prefix + BOS + text) covers
-    all three components. Each layer's rows are deterministically subsampled
-    to at most CALIBRATION_ROW_CAP and reduced to ``LayerStats`` as they are
-    recorded, in one float64 buffer per layer, so no activations are kept.
+    One teacher-forced caption-style pass (image prefix + BOS + text) runs a
+    tower at a time, and after each yields (component, its layers'
+    statistics), for every component in ``COMPONENT_ORDER``; a linear
+    projector's connector stage is empty. Between stages only the tower's
+    output is held, so a consumer that drops each stage before asking for the
+    next holds one component's statistics at a time. Each layer's rows are
+    deterministically subsampled to at most CALIBRATION_ROW_CAP and reduced
+    to ``LayerStats`` as they are recorded, in one float64 buffer per layer,
+    so no activations are kept.
     """
     n = min(CALIBRATION_PAIRS, len(probes))
     layers: dict[str, LayerStats] = {}
@@ -631,8 +660,22 @@ def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> Calibratio
         layers[name] = LayerStats.from_activations(x, rows)
 
     vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
+    yield ComponentId.VISION, CalibrationSet(layers=layers)
+    layers = {}
     prefix = run_connector(weights, vision_out, recorder=recorder)
+    vision_out = None
+    yield ComponentId.CONNECTOR, CalibrationSet(layers=layers)
+    layers = {}
     decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
+    prefix = None
+    yield ComponentId.LANGUAGE, CalibrationSet(layers=layers)
+
+
+def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> CalibrationSet:
+    """Every addressable layer's statistics at once: the merged ``calibration_stages``."""
+    layers: dict[str, LayerStats] = {}
+    for _, stage in calibration_stages(weights, probes):
+        layers.update(stage.layers)
     return CalibrationSet(layers=layers)
 
 

@@ -136,8 +136,8 @@ class CalibrationSet:
 
     ``factors`` is filled lazily by GPTQ: layer name -> the upper factor of
     that layer's damped inverse Hessian, which does not depend on the bit
-    width. A grid quantizes one component at a time, all its bit widths, and
-    then deletes that component's entries from both dicts.
+    width. A grid holds one component's set at a time, from
+    ``pipeline.calibration_stages``, and drops it after its last bit width.
     """
 
     layers: dict[str, LayerStats] = field(default_factory=dict)

@@ -9,11 +9,14 @@ from mmqlab.experiments import run_grid
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
 from mmqlab.pipeline import (
+    CALIBRATION_PAIRS,
+    CALIBRATION_ROW_CAP,
     CAPTION_HORIZON,
     LN_EPS,
     VQA_HORIZON,
     TaskKind,
     bos_prompt,
+    decode_hidden,
     encode_vision,
     greedy_generate,
     image_embeddings,
@@ -23,6 +26,7 @@ from mmqlab.pipeline import (
 from mmqlab.quantizers import (
     ALPHA_GRID,
     SCALE_CLAMP,
+    CalibrationSet,
     GridScheme,
     LayerStats,
     QuantizedMatrix,
@@ -263,6 +267,25 @@ def oracle_layer_stats(x: np.ndarray, rows=None) -> LayerStats:
     x = np.asarray(x) if rows is None else np.asarray(x)[rows]
     x64 = x.astype(np.float64)
     return LayerStats(gram=x64.T @ x64, magnitude=np.mean(np.abs(x64), axis=0), rows=x.shape[0])
+
+
+def oracle_collect_calibration(weights, probes) -> CalibrationSet:
+    """Every layer's statistics from one teacher-forced pass through all three
+    towers, recorded into one dict: calibration before it ran a tower at a time."""
+    n = min(CALIBRATION_PAIRS, len(probes))
+    layers = {}
+
+    def recorder(name, x):
+        rows = None
+        if x.shape[0] > CALIBRATION_ROW_CAP:
+            stream = RngStream(derive_seed(weights.spec.seed, "calibration", name))
+            rows = stream.choice(x.shape[0], CALIBRATION_ROW_CAP)
+        layers[name] = LayerStats.from_activations(x, rows)
+
+    vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
+    prefix = run_connector(weights, vision_out, recorder=recorder)
+    decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
+    return CalibrationSet(layers=layers)
 
 
 def oracle_gptq_hessian(stats) -> np.ndarray:

@@ -5,10 +5,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mmqlab.cli import ConfigError, ProbeConfig, load_config, main, render_plot_svg
+from mmqlab.cli import ELEMENT_LIMIT, ConfigError, ProbeConfig, load_config, main, render_plot_svg
 from mmqlab.experiments import GridSpec, RunRecord, load_results, save_results
-from mmqlab.pipeline import CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, PipelineSpec, TaskKind
+from mmqlab.pipeline import (
+    CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, PipelineSpec, TaskKind, element_count,
+)
 from mmqlab.quantizers import Method
 
 REPO = Path(__file__).resolve().parents[1]
@@ -179,6 +183,36 @@ class TestConfig:
         assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(tmp_path / "x.csv")]) == 1
         assert f"config error at {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, values, key",
+        [
+            ("pipeline", {"d_model": 1000000}, "pipeline.d_model"),
+            ("pipeline", {"d_model": 4096}, "pipeline.d_model"),  # weights of about 12 GiB
+            ("pipeline", {"ffn_mult": 1000}, "pipeline.ffn_mult"),
+            ("pipeline", {"vocab": 1 << 30}, "pipeline.vocab"),
+            ("pipeline", {"language_blocks": 300000}, "pipeline.language_blocks"),
+            ("pipeline", {"patch_count": 5000}, "pipeline.patch_count"),  # attention scores of 25M per pair
+            ("probes", {"n_pairs": 10**6}, "probes.n_pairs"),
+        ],
+        ids=["d_model-huge", "d_model-mid", "ffn_mult", "vocab", "language_blocks", "patch_count", "n_pairs"],
+    )
+    def test_oversized_config_exits_before_allocating(self, tmp_path, capsys, section, values, key):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw[section] = {**raw[section], **values}
+        cfg.write_text(json.dumps(raw))
+        # load_config is the first step of every command, before any model or probe is built
+        with pytest.raises(ConfigError, match=rf"^config error at {key}: the weights, or one array a run makes"):
+            load_config(str(cfg))
+        out = tmp_path / "x.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config error at {key}: ")
+        assert not out.exists()
+
+    def test_size_limit_leaves_checked_in_sizes(self):
+        # the default pipeline over its 128 probe pairs sits well under the limit
+        assert element_count(PipelineSpec(), 128) * 16 < ELEMENT_LIMIT
+
     @pytest.mark.parametrize("name", CHECKED_IN_CONFIGS)
     def test_checked_in_config_loads(self, name):
         config = load_config(str(REPO / name))
@@ -193,6 +227,93 @@ class TestConfig:
         config = load_config(str(path))
         assert config.pipeline.d_model == 64
         assert config.probes is None
+
+
+def _fuzz_base() -> dict:
+    """configs/quick.json on the tiny pipeline, with one bit width, two
+    component subsets, 8 probe pairs and its probe lengths written out: a
+    grid of a fraction of a second that sets every key of every section."""
+    raw = json.loads((REPO / "configs" / "quick.json").read_text())
+    raw["pipeline"].update(TINY_PIPELINE)
+    raw["grid"].update(bits=[4], eval_pairs=4, component_subsets=[["vision", "connector", "language"], ["language"]])
+    raw["probes"].update(n_pairs=8, text_len=8, question_len=4)
+    return raw
+
+
+FUZZ_BASE = _fuzz_base()
+# (section, key) or (root key,) of every field the base config sets
+FUZZ_FIELDS = [
+    (section, key) if isinstance(value, dict) else (section,)
+    for section, value in FUZZ_BASE.items()
+    for key in (value if isinstance(value, dict) else [None])
+]
+# every name a config error may give: "section.key", or a root key
+KEY_NAMES = [f"{s}.{k}" for s, k in SECTION_KEYS] + [f[0] for f in FUZZ_FIELDS if len(f) == 1]
+
+
+def _mutations(value):
+    """One field's value changed in type, sign or size, or, for a list, emptied,
+    given a repeated item or one item changed the same way."""
+    wrong_type = st.sampled_from(["4", 1.5, None, True, [], {}])
+    if isinstance(value, list):
+        return st.one_of(
+            wrong_type, st.just([]), st.just(value + value[:1]),
+            _mutations(value[0]).map(lambda item: [item] + value[1:]),
+        )
+    if isinstance(value, str):
+        return st.one_of(wrong_type, st.sampled_from([4, "", "linear_projector"]), st.text(max_size=8))
+    return st.one_of(
+        wrong_type,
+        st.integers(-(1 << 40), 0),  # sign
+        st.sampled_from([value * 10**6, 1 << 40]),  # size, the pipeline.d_model: 1000000 case among them
+        st.integers(1, 2 * value),  # a nearby value, mostly in range
+    )
+
+
+@st.composite
+def _mutated_config(draw):
+    field = draw(st.sampled_from(FUZZ_FIELDS))
+    raw = json.loads(json.dumps(FUZZ_BASE))
+    parent = raw if len(field) == 1 else raw[field[0]]
+    parent[field[-1]] = draw(_mutations(parent[field[-1]]))
+    return raw
+
+
+def _planned_rows(raw: dict, method: str) -> int:
+    """Rows of a grid whose every planned cell quantizes at least one layer."""
+    grid = raw["grid"]
+    if method == "uniform":
+        subsets = [len(grid[key]) for key in ("component_subsets", "group_subsets", "layer_type_subsets")]
+        cells = 1 + len(grid["bits"]) * subsets[0] * subsets[1] * subsets[2]
+    else:  # each of the three components at one of bits + {16}
+        cells = (len(grid["bits"]) + 1) ** 3
+    return cells * len(grid["tasks"]) * len(grid["seeds"])
+
+
+class TestConfigFuzz:
+    """A checked-in config with one field mutated runs its planned grid, or
+    exits 1 with one line naming a config key: never a traceback, a partial
+    failure or a message from deep in the model."""
+
+    def test_base_sets_every_key(self):
+        assert {field for field in FUZZ_FIELDS if len(field) == 2} == set(SECTION_KEYS)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_mutated_config(), method=st.sampled_from(["uniform", "gptq"]))
+    def test_one_field_mutated(self, tmp_path, capsys, raw, method):
+        cfg, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
+        cfg.write_text(json.dumps(raw))
+        out.unlink(missing_ok=True)
+        code = main(["grid", "--config", str(cfg), "--method", method, "--out", str(out)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert len(load_results(out)) == _planned_rows(raw, method), captured.out
+            return
+        assert code == 1, captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert any(name in lines[0] for name in KEY_NAMES), lines[0]
+        assert not out.exists()
 
 
 class TestProbeLengthBounds:
@@ -395,7 +516,7 @@ class TestGridCommand:
         import mmqlab.experiments as experiments
 
         calibrated = []
-        monkeypatch.setattr(experiments, "collect_calibration", lambda *args, **kwargs: calibrated.append(args))
+        monkeypatch.setattr(experiments, "calibration_stages", lambda *args, **kwargs: calibrated.append(args))
         cfg = write_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["grid"]["eval_pairs"] = 1
@@ -410,6 +531,7 @@ class TestGridCommand:
         "field, value",
         [
             pytest.param("bits", [4, 4], id="bits"),
+            pytest.param("tasks", ["retrieval", "retrieval"], id="tasks"),
             pytest.param("seeds", [7, 7], id="seeds"),
             pytest.param("component_subsets", [["vision"], ["vision"]], id="component_subsets"),
             pytest.param("group_subsets", [["front", "end"], ["end", "front"]], id="group_subsets"),

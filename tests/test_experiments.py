@@ -227,8 +227,9 @@ class TestSotaGrid:
     def test_calibration_freed_before_decode(self, tiny_spec, tiny_probes, monkeypatch, fail_bits):
         import weakref
 
-        refs, alive_at_decode = [], []
+        refs, alive_at_pass, alive_at_decode = [], [], []
         quantize = experiments.apply_quantization
+        stages, connector, decoder = pipeline.calibration_stages, pipeline.run_connector, pipeline.decode_hidden
         generate = pipeline.greedy_generate
 
         def failing(weights, sel, method, k, *args):
@@ -236,16 +237,27 @@ class TestSotaGrid:
                 raise RuntimeError("synthetic failure")
             return quantize(weights, sel, method, k, *args)
 
-        def collecting(*args, **kwargs):
-            calib = pipeline.collect_calibration(*args, **kwargs)
-            refs.append(weakref.ref(calib))
-            return calib
+        def staged(*args):
+            for comp, calib in stages(*args):
+                refs.append(weakref.ref(calib))
+                yield comp, calib
+                del calib  # hold no stage while the next tower runs
+
+        def calibrating(tower):
+            def wrapped(*args, **kwargs):
+                if kwargs.get("recorder") is not None:
+                    alive_at_pass.append([ref() is not None for ref in refs])
+                return tower(*args, **kwargs)
+
+            return wrapped
 
         def decoding(*args, **kwargs):
             alive_at_decode.append([ref() is not None for ref in refs])
             return generate(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "collect_calibration", collecting)
+        monkeypatch.setattr(experiments, "calibration_stages", staged)
+        monkeypatch.setattr(pipeline, "run_connector", calibrating(connector))
+        monkeypatch.setattr(pipeline, "decode_hidden", calibrating(decoder))
         monkeypatch.setattr(pipeline, "greedy_generate", decoding)
         monkeypatch.setattr(experiments, "apply_quantization", failing)
         rows, failures = grid_rows(
@@ -253,14 +265,16 @@ class TestSotaGrid:
             GridSpec(bits=(2, 4), tasks=(TaskKind.VQA,), seeds=(3, 4), eval_pairs=4),
             Method.GPTQ,
         )
-        assert len(refs) == 2 and bool(failures) == (fail_bits is not None)
-        # each seed's calibration, with its memoised factors, is dead when that seed decodes
-        assert alive_at_decode[0] == [False]
-        assert [False, False] in alive_at_decode
+        assert len(refs) == 6 and bool(failures) == (fail_bits is not None)
+        # the connector and decoder passes of each seed's calibration run with
+        # every earlier stage, with its memoised factors, already dead
+        assert alive_at_pass == [[False] * n for n in (1, 2, 4, 5)]
+        # and each seed's stages are all dead when that seed decodes
+        assert alive_at_decode[0] == [False] * 3
+        assert [False] * 6 in alive_at_decode
 
     def test_components_quantized_in_turn_and_freed(self, tiny_spec, tiny_probes, monkeypatch):
         component_of = {a.name: a.component for a in build_model(tiny_spec).addresses}
-        order = {comp: i for i, comp in enumerate(pipeline.COMPONENT_ORDER)}
         calls = []
         quantize = experiments.apply_quantization
 
@@ -279,10 +293,9 @@ class TestSotaGrid:
         assert [(comp, k) for comp, k, _ in calls] == [
             (comp, k) for comp in pipeline.COMPONENT_ORDER for k in (2, 4)
         ]
-        # no earlier component's statistics are held while a fragment quantizes
+        # a fragment is quantized from its own component's statistics only
         for comp, _, held in calls:
-            assert all(order[c] >= order[comp] for c in held)
-        assert calls[-1][2] == {ComponentId.LANGUAGE}
+            assert held == {comp}
         # that each layer is still factored once, test_gptq_factors_each_layer_once checks on this grid
 
     def test_rejects_uncalibrated_methods(self, tiny_spec, tiny_probes):

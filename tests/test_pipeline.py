@@ -20,6 +20,7 @@ from mmqlab.pipeline import (
     apply_quantization,
     bos_prompt,
     build_model,
+    calibration_stages,
     collect_calibration,
     decode_hidden,
     encode_vision,
@@ -33,6 +34,7 @@ from mmqlab.pipeline import (
 from helpers import (
     assert_same_quantization,
     oracle_attention,
+    oracle_collect_calibration,
     oracle_gelu,
     oracle_gptq_hessian,
     oracle_gptq_quantize,
@@ -188,8 +190,10 @@ class TestBlockOps:
             bias = rng.standard_normal(64).astype(np.float32)
             before = x.copy()
             assert same_bits(pipeline._layer_norm(x, scale, bias), oracle_layer_norm(x, scale, bias)), rows
-            assert same_bits(pipeline._gelu(x), oracle_gelu(x)), rows
-            assert same_bits(x, before)  # inputs are not written
+            assert same_bits(x, before)  # layer norm does not write its input
+            out = x.copy()
+            assert pipeline._gelu(out) is out  # gelu overwrites its argument
+            assert same_bits(out, oracle_gelu(x)), rows
 
     @pytest.mark.parametrize("causal", [False, True], ids=["cross", "causal"])
     def test_attention(self, default_model, causal):
@@ -361,6 +365,28 @@ class TestCalibration:
         assert calibration.layers["connector.block0.attn.k_proj"].rows == 2048
         assert calibration.layers["language.block5.ff.down"].rows == 2048
 
+    @pytest.mark.parametrize("model", ["default", "linear-projector"])
+    def test_stages_match_single_pass_oracle(self, request, probe_set, calibration, tiny_probes, model):
+        if model == "default":
+            weights, probes, merged = request.getfixturevalue("default_model"), probe_set, calibration
+        else:
+            weights, probes = build_model(_projector_spec()), tiny_probes
+            merged = collect_calibration(weights, probes)
+        expected = oracle_collect_calibration(weights, probes).layers
+        stages = list(calibration_stages(weights, probes))
+        # one stage per component, in order, each holding exactly that component's layers
+        assert [comp for comp, _ in stages] == list(pipeline.COMPONENT_ORDER)
+        for comp, stage in stages:
+            assert list(stage.layers) == [a.name for a in weights.addresses if a.component is comp]
+        assert (model == "linear-projector") == (stages[1][1].layers == {})
+        for layers in (merged.layers, {k: v for _, stage in stages for k, v in stage.layers.items()}):
+            assert list(layers) == list(expected)
+            for name, want in expected.items():
+                got = layers[name]
+                assert got.rows == want.rows, name
+                assert np.array_equal(got.gram.view(np.uint64), want.gram.view(np.uint64)), name
+                assert np.array_equal(got.magnitude.view(np.uint64), want.magnitude.view(np.uint64)), name
+
     def test_deterministic(self, default_model, probe_set, calibration):
         again = collect_calibration(default_model, probe_set)
         name = "language.block0.ff.up"
@@ -497,13 +523,16 @@ class TestChunkedAwqPipeline:
         assert h.hexdigest() == TINY_AWQ_DIGESTS[group_size]
 
 
+def _projector_spec() -> PipelineSpec:
+    return PipelineSpec(
+        d_model=32, vision_blocks=3, connector_blocks=0, language_blocks=3, heads=2,
+        patch_count=8, vocab=64, connector_kind=ConnectorKind.LINEAR_PROJECTOR, seed=2,
+    )
+
+
 class TestProjectorPipeline:
     def test_end_to_end(self, tiny_probes):
-        spec = PipelineSpec(
-            d_model=32, vision_blocks=3, connector_blocks=0, language_blocks=3, heads=2,
-            patch_count=8, vocab=64, connector_kind=ConnectorKind.LINEAR_PROJECTOR, seed=2,
-        )
-        weights = build_model(spec)
+        weights = build_model(_projector_spec())
         assert len(weights.addresses) == 6 * 6
         assert "connector.proj" in weights.extras
         out = _caption(weights, tiny_probes.images[0:1], horizon=4)
