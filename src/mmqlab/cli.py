@@ -205,11 +205,12 @@ def _check_size(spec: PipelineSpec, pairs: int):
 
 
 def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
-    """The probe set of a command that runs ``method`` over ``tasks``.
+    """The probe set of a command that runs ``method`` over ``tasks`` (a grid's, or none).
 
-    Probe lengths the decoder cannot hold exit 1 naming the key, and a
-    linear projector's prefix that leaves a task no room names
-    ``pipeline.patch_count``, before any model is built.
+    Probe lengths the decoder cannot hold exit 1 naming the key, a linear
+    projector's prefix that leaves a task no room names
+    ``pipeline.patch_count``, and a grid's ``eval_pairs`` above the probe
+    count, or below 2 for retrieval, names its key, before any model is built.
     """
     spec = config.pipeline
     calibrates = method in (Method.GPTQ, Method.AWQ)
@@ -240,6 +241,14 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
     for key, _, room in bounds:
         if key is not None and (value := getattr(probe_cfg, key)) > room:
             raise ConfigError(f"config error at probes.{key}: must be <= {room}, got {value}")
+    if tasks:  # a grid scores its first eval_pairs probe pairs, every pair when that is unset
+        key, pairs = "grid.eval_pairs", config.grid.eval_pairs
+        if pairs is None:
+            key, pairs = "probes.n_pairs", probe_cfg.n_pairs
+        if pairs > probe_cfg.n_pairs:
+            raise ConfigError(f"config error at {key}: must be <= the {probe_cfg.n_pairs} probe pairs, got {pairs}")
+        if TaskKind.RETRIEVAL in tasks and pairs < 2:
+            raise ConfigError(f"config error at {key}: must be >= 2 when grid.tasks includes retrieval, got {pairs}")
     return make_probe_set(
         probe_cfg.seed,
         probe_cfg.n_pairs,
@@ -466,14 +475,17 @@ def cmd_quantize(args) -> int:
     _, ledger = apply_quantization(
         weights, selector, method, args.bits, calib=calib, group_size=args.group_size
     )
-    for entry in ledger.entries:
+    sizes = layer_sizes(weights)
+    for entry in ledger:
+        numel = sizes[entry.layer]
+        scheme = "per_tensor" if entry.group_size >= numel else "per_group"
         print(
             f"{entry.layer} method={entry.method.value} bits={entry.bits} "
-            f"group_size={entry.group_size} scheme={entry.scheme.value} "
-            f"proxy_error={entry.proxy_error:.6g} code_bits={entry.code_bits}"
+            f"group_size={entry.group_size} scheme={scheme} "
+            f"proxy_error={entry.proxy_error:.6g} code_bits={entry.bits * numel}"
         )
-    print(f"layers quantized: {len(ledger.entries)}")
-    print(f"bpw: {compute_bpw(ledger, layer_sizes(weights)):.6g}")
+    print(f"layers quantized: {len(ledger)}")
+    print(f"bpw: {compute_bpw(ledger, sizes):.6g}")
     return 0
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -53,13 +54,12 @@ from .pipeline import (
     BlockGroup,
     ComponentId,
     LayerType,
+    LedgerEntry,
     ModelWeights,
     PipelineSpec,
-    QuantizationLedger,
     Selector,
     SpecError,
     TaskKind,
-    apply_quantization,
     bos_prompt,
     build_model,
     calibration_stages,
@@ -67,7 +67,7 @@ from .pipeline import (
     image_embeddings,
     text_embeddings,
 )
-from .quantizers import GridScheme, Method
+from .quantizers import Method
 from .tasks import ProbeSet, agreement
 
 UNIFORM_BITS_DEFAULT = (2, 4, 6, 8)
@@ -176,7 +176,8 @@ class GridSpec:
             values = getattr(self, name) or ()
             keys = [frozenset(v) if isinstance(v, tuple) else v for v in values]
             if len(set(keys)) != len(keys):
-                raise SpecError(name, f"must not repeat a value, got {list(values)}")
+                # in the config's own text: tuples as lists, enums as their values
+                raise SpecError(name, f"must not repeat a value, got {json.dumps(values, default=lambda m: m.value)}")
 
 
 def _nonempty_subsets(items: tuple) -> tuple[tuple, ...]:
@@ -191,12 +192,12 @@ def layer_sizes(weights: ModelWeights) -> dict[str, int]:
     return {addr.name: weights.layers[addr.name].size for addr in weights.addresses}
 
 
-def compute_bpw(ledger: QuantizationLedger, sizes: dict[str, int]) -> float:
+def compute_bpw(ledger: list[LedgerEntry], sizes: dict[str, int]) -> float:
     """Average storage bits per quantizable weight under the declared
     convention, over the layers of ``sizes = layer_sizes(weights)``."""
     total_params = sum(sizes.values())
     by_layer = {}
-    for entry in ledger.entries:
+    for entry in ledger:
         if entry.layer not in sizes:
             raise ValueError(f"ledger references unknown layer {entry.layer!r}")
         by_layer[entry.layer] = entry
@@ -205,7 +206,7 @@ def compute_bpw(ledger: QuantizationLedger, sizes: dict[str, int]) -> float:
         entry = by_layer.get(name)
         if entry is None:
             bits += 16.0 * numel
-        elif entry.scheme is GridScheme.PER_TENSOR:
+        elif entry.group_size >= numel:  # one per-tensor grid
             bits += entry.bits * numel + PER_TENSOR_OVERHEAD_BITS
         else:
             bits += entry.bits * numel + GROUP_OVERHEAD_BITS * numel / entry.group_size
@@ -312,16 +313,13 @@ def run_grid(
     stage output is memoised on the quantized layers it reads. An error fails
     exactly the cells that depend on it, as NaN rows with a message; a bad
     argument or a failing full-precision reference raises. Cells whose run_id
-    is in ``skip_run_ids`` are not run (resume support).
+    is in ``skip_run_ids`` are not run (resume support). Cells are scored on
+    the first ``grid.eval_pairs`` probe pairs (all when None), as the CLI checks.
     """
     if method not in (Method.UNIFORM, Method.GPTQ, Method.AWQ):
         raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
-    if grid.eval_pairs is not None and grid.eval_pairs > len(probes):
-        raise ValueError(f"grid.eval_pairs is {grid.eval_pairs}, but there are only {len(probes)} probe pairs")
     group_size = 0 if method is Method.UNIFORM else grid.group_size
     eval_probes = probes.take(grid.eval_pairs) if grid.eval_pairs else probes
-    if TaskKind.RETRIEVAL in grid.tasks and len(eval_probes) < 2:
-        raise ValueError(f"retrieval scoring needs at least 2 probe pairs, but grid.eval_pairs gives {len(eval_probes)}")
     images, texts, questions = eval_probes.images, eval_probes.texts, eval_probes.questions
     generation = {  # each generation task's (prompt, horizon)
         TaskKind.CAPTION: (bos_prompt(questions[:, :0]), CAPTION_HORIZON),
@@ -349,23 +347,25 @@ def run_grid(
         if fragment_keys and method is not Method.UNIFORM:
             stages = calibration_stages(fp, probes)
 
-        def quantize(key, calib):
+        def quantize(key, calib, factors):
             comp, k = key
-            qw, ledger = apply_quantization(
-                fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size
+            qw, ledger = pipeline.apply_quantization(
+                fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size, factors
             )
-            return {e.layer: (qw.layers[e.layer], e) for e in ledger.entries}
+            return {e.layer: (qw.layers[e.layer], e) for e in ledger}
 
         # one component at a time, all its bit widths, from its calibration
-        # stage; the stage, with its GPTQ factors, goes before the next tower runs
+        # stage and one GPTQ factor memo, which its bit widths share; both go
+        # before the next tower runs
         fragments = {}
         for comp, calib in stages:
             keys = [key for key in fragment_keys if key[0] is comp]
-            fragments.update(_memo(functools.partial(quantize, calib=calib), keys))
-            calib = None  # before the generator runs the next tower
+            factors = {}
+            fragments.update(_memo(functools.partial(quantize, calib=calib, factors=factors), keys))
+            calib = factors = None  # before the generator runs the next tower
 
-        def assemble(parts) -> tuple[ModelWeights, QuantizationLedger]:
-            layers, ledger = dict(fp.layers), QuantizationLedger()
+        def assemble(parts) -> tuple[ModelWeights, list[LedgerEntry]]:
+            layers, ledger = dict(fp.layers), []
             for part in parts:
                 if part is None:
                     continue
@@ -373,7 +373,7 @@ def run_grid(
                 fragment = _ok(fragments[(comp, k)])
                 for name in names:
                     layers[name], entry = fragment[name]
-                    ledger.entries.append(entry)
+                    ledger.append(entry)
             return replace(fp, layers=layers), ledger
 
         address = {a.name: a for a in fp.addresses}

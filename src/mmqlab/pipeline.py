@@ -25,11 +25,8 @@ import numpy as np
 
 from .numerics import RngStream, derive_seed, randn_matrix
 from .quantizers import (
-    CalibrationSet,
-    GridScheme,
     LayerStats,
     Method,
-    QuantizedMatrix,
     dequantize,
     awq_quantize,
     gptq_quantize_stack,
@@ -201,20 +198,14 @@ class ModelWeights:
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One quantized layer, with the storage convention used for bpw accounting."""
+    """One quantized layer for bpw accounting: ``bits`` per weight, on one
+    per-tensor grid when ``group_size`` is at least the layer's weight count."""
 
     layer: str
     method: Method
     bits: int
     group_size: int
-    scheme: GridScheme
     proxy_error: float
-    code_bits: int
-
-
-@dataclass
-class QuantizationLedger:
-    entries: list[LedgerEntry] = field(default_factory=list)
 
 
 def _sublayer_shapes(spec: PipelineSpec) -> dict[str, tuple[int, int]]:
@@ -635,7 +626,7 @@ def text_embeddings(weights: ModelWeights, text_ids: np.ndarray, path: BlockPath
 
 def calibration_stages(
     weights: ModelWeights, probes: "ProbeSet"
-) -> Iterator[tuple[ComponentId, CalibrationSet]]:
+) -> Iterator[tuple[ComponentId, dict[str, LayerStats]]]:
     """Every addressable layer's input statistics on the first
     min(CALIBRATION_PAIRS, len(probes)) probe pairs, one component at a time.
 
@@ -660,23 +651,23 @@ def calibration_stages(
         layers[name] = LayerStats.from_activations(x, rows)
 
     vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
-    yield ComponentId.VISION, CalibrationSet(layers=layers)
+    yield ComponentId.VISION, layers
     layers = {}
     prefix = run_connector(weights, vision_out, recorder=recorder)
     vision_out = None
-    yield ComponentId.CONNECTOR, CalibrationSet(layers=layers)
+    yield ComponentId.CONNECTOR, layers
     layers = {}
     decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
     prefix = None
-    yield ComponentId.LANGUAGE, CalibrationSet(layers=layers)
+    yield ComponentId.LANGUAGE, layers
 
 
-def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> CalibrationSet:
+def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> dict[str, LayerStats]:
     """Every addressable layer's statistics at once: the merged ``calibration_stages``."""
     layers: dict[str, LayerStats] = {}
     for _, stage in calibration_stages(weights, probes):
-        layers.update(stage.layers)
-    return CalibrationSet(layers=layers)
+        layers.update(stage)
+    return layers
 
 
 # --- quantization -----------------------------------------------------------
@@ -687,18 +678,20 @@ def apply_quantization(
     sel: Selector,
     method: Method,
     k: int,
-    calib: CalibrationSet | None = None,
+    calib: dict[str, LayerStats] | None = None,
     group_size: int = 128,
-) -> tuple[ModelWeights, QuantizationLedger]:
+    factors: dict[str, np.ndarray] | None = None,
+) -> tuple[ModelWeights, list[LedgerEntry]]:
     """Replace selected layers with their dequantized quantization.
 
     Returns a new ModelWeights sharing unselected tensors, plus a ledger with
-    per-layer storage accounting. GPTQ/AWQ require calibration covering every
-    selected layer; the proxy error for Uniform/RTN is only filled in when
-    calibration is available.
+    one entry per quantized layer, in address order. GPTQ/AWQ require
+    calibration covering every selected layer; the proxy error for
+    Uniform/RTN is only filled in when calibration is available. ``factors``
+    is passed on as ``gptq_quantize_stack``'s memo.
     """
     names = [addr.name for addr in enumerate_layers(weights, sel)]
-    calibrated = calib.layers if calib is not None else {}
+    calibrated = calib if calib is not None else {}
     if method in (Method.GPTQ, Method.AWQ):
         for name in names:
             if name not in calibrated:
@@ -712,40 +705,25 @@ def apply_quantization(
         for stack in by_shape.values():
             results = gptq_quantize_stack(
                 [weights.layers[name] for name in stack], [calibrated[name] for name in stack], k,
-                group_size=group_size, names=stack, factors=calib.factors,
+                group_size=group_size, names=stack, factors=factors,
             )
             gptq.update(zip(stack, results))
 
     new_layers = dict(weights.layers)
-    ledger = QuantizationLedger()
+    ledger = []
     for name in names:
         w = weights.layers[name]
         stats = calibrated.get(name)
-        if method is Method.UNIFORM:
-            qm = uniform_quantize(w, k)
-            proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
-        elif method is Method.RTN:
-            qm = rtn_group_quantize(w, k, group_size)
-            proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
-        elif method is Method.GPTQ:
+        if method is Method.GPTQ:
             qm, proxy = gptq[name]
-        else:
+        elif method is Method.AWQ:
             qm, _, proxy = awq_quantize(w, stats, k, group_size=group_size)
+        else:
+            qm = uniform_quantize(w, k) if method is Method.UNIFORM else rtn_group_quantize(w, k, group_size)
+            proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
         new_layers[name] = dequantize(qm)
-        numel = w.size
-        ledger.entries.append(
-            LedgerEntry(
-                layer=name,
-                method=method,
-                bits=k,
-                group_size=numel if method is Method.UNIFORM else group_size,
-                scheme=GridScheme.PER_TENSOR
-                if (method is Method.UNIFORM or group_size >= numel)
-                else GridScheme.PER_GROUP,
-                proxy_error=proxy,
-                code_bits=k * numel,
-            )
-        )
+        ledger_group = w.size if method is Method.UNIFORM else group_size
+        ledger.append(LedgerEntry(layer=name, method=method, bits=k, group_size=ledger_group, proxy_error=proxy))
     quantized = ModelWeights(
         spec=weights.spec, layers=new_layers, extras=weights.extras, addresses=weights.addresses
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,42 +53,31 @@ class Method(enum.Enum):
     AWQ = "awq"
 
 
-class GridScheme(enum.Enum):
-    PER_TENSOR = "per_tensor"
-    PER_GROUP = "per_group"
-
-
 @dataclass
 class QuantizedMatrix:
     """Integer codes plus per-group (min, max) grids for one weight matrix.
 
-    Groups run along input channels within each row; ``group_size`` equal to
-    the element count encodes a single per-tensor grid. ``grid_lo``/``grid_hi``
-    have shape (1, 1) for per-tensor and (rows, ceil(cols/group_size)) for
-    per-group storage.
+    Groups run along input channels within each row. A ``group_size`` of at
+    least the element count encodes a single per-tensor grid of shape (1, 1);
+    otherwise ``grid_lo``/``grid_hi`` have shape (rows, ceil(cols/group_size)).
     """
 
     codes: np.ndarray
     bits: int
-    scheme: GridScheme
     group_size: int
     grid_lo: np.ndarray
     grid_hi: np.ndarray
-    rows: int
-    cols: int
 
     def __post_init__(self):
         levels = (1 << self.bits) - 1
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        if self.codes.shape != (self.rows, self.cols):
-            raise ValueError("codes shape does not match rows/cols")
         if int(self.codes.max(initial=0)) > levels:
             raise ValueError(f"code exceeds 2^{self.bits}-1")
         if np.any(self.grid_lo > self.grid_hi):
             raise ValueError("grid_lo must be <= grid_hi per group")
-        n_groups = _group_count(self.cols, self.group_size)
-        expect = (1, 1) if self.scheme is GridScheme.PER_TENSOR else (self.rows, n_groups)
+        rows, cols = self.codes.shape
+        expect = (1, 1) if self.group_size >= self.codes.size else (rows, _group_count(cols, self.group_size))
         if self.grid_lo.shape != expect or self.grid_hi.shape != expect:
             raise ValueError(f"grid shape {self.grid_lo.shape}, expected {expect}")
 
@@ -128,20 +117,6 @@ class LayerStats:
             raise ValueError("calibration activations contain non-finite entries")
         gram = x64.T @ x64
         return cls(gram=gram, magnitude=np.mean(np.abs(x64, out=x64), axis=0), rows=len(rows))
-
-
-@dataclass
-class CalibrationSet:
-    """Per-layer calibration statistics recorded from probe pairs.
-
-    ``factors`` is filled lazily by GPTQ: layer name -> the upper factor of
-    that layer's damped inverse Hessian, which does not depend on the bit
-    width. A grid holds one component's set at a time, from
-    ``pipeline.calibration_stages``, and drops it after its last bit width.
-    """
-
-    layers: dict[str, LayerStats] = field(default_factory=dict)
-    factors: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def _check_weight(w: np.ndarray) -> np.ndarray:
@@ -189,37 +164,32 @@ def _encode(w64: np.ndarray, lo: np.ndarray, hi: np.ndarray, levels: int) -> np.
     return np.clip(np.rint(levels * ratio), 0, levels).astype(np.uint16)
 
 
+def _grid_columns(q: QuantizedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's float64 (lo, hi) grid: one row for a per-tensor grid, whose columns are all in group 0."""
+    col_group = np.arange(q.codes.shape[1]) // q.group_size
+    return q.grid_lo.astype(np.float64)[:, col_group], q.grid_hi.astype(np.float64)[:, col_group]
+
+
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Map codes back to weights: (hi - lo) * code / (2^k - 1) + lo."""
     levels = (1 << q.bits) - 1
-    codes = q.codes.astype(np.float64)
-    if q.scheme is GridScheme.PER_TENSOR:
-        lo = np.float64(q.grid_lo[0, 0])
-        hi = np.float64(q.grid_hi[0, 0])
-    else:
-        col_group = np.arange(q.cols) // q.group_size
-        lo = q.grid_lo.astype(np.float64)[:, col_group]
-        hi = q.grid_hi.astype(np.float64)[:, col_group]
-    return ((hi - lo) * (codes / levels) + lo).astype(np.float32)
+    lo, hi = _grid_columns(q)
+    return ((hi - lo) * (q.codes.astype(np.float64) / levels) + lo).astype(np.float32)
 
 
 def uniform_quantize(w: np.ndarray, k: int) -> QuantizedMatrix:
     """Per-tensor min/max quantization to k bits."""
     w = _check_weight(w)
     k = _check_bits(k)
-    rows, cols = w.shape
     lo = np.float32(w.min())
     hi = np.float32(w.max())
     codes = _encode(w.astype(np.float64), np.float64(lo), np.float64(hi), (1 << k) - 1)
     return QuantizedMatrix(
         codes=codes,
         bits=k,
-        scheme=GridScheme.PER_TENSOR,
-        group_size=rows * cols,
+        group_size=w.size,
         grid_lo=np.full((1, 1), lo, dtype=np.float32),
         grid_hi=np.full((1, 1), hi, dtype=np.float32),
-        rows=rows,
-        cols=cols,
     )
 
 
@@ -229,12 +199,11 @@ def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatri
     k = _check_bits(k)
     if group_size <= 0:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    rows, cols = w.shape
-    if group_size >= rows * cols:
+    if group_size >= w.size:  # one group: the per-tensor grid
         return uniform_quantize(w, k)
 
     levels = (1 << k) - 1
-    codes = np.empty((1, rows, cols), dtype=np.uint16)
+    codes = np.empty((1, *w.shape), dtype=np.uint16)
     lows, highs = [], []
     for v, c in zip(_group_views(w[None], group_size), _group_views(codes, group_size)):
         lo = v.min(axis=3, keepdims=True)
@@ -245,12 +214,9 @@ def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatri
     return QuantizedMatrix(
         codes=codes[0],
         bits=k,
-        scheme=GridScheme.PER_GROUP,
         group_size=group_size,
         grid_lo=np.concatenate(lows, axis=1),
         grid_hi=np.concatenate(highs, axis=1),
-        rows=rows,
-        cols=cols,
     )
 
 
@@ -361,8 +327,9 @@ def gptq_quantize_stack(
 
     Layers are independent, so every column step runs elementwise over the
     stack and the block update is one matmul per layer with the same shapes
-    as a single layer's. ``names`` label errors; with them, ``factors`` (for
-    example ``CalibrationSet.factors``) memoises the inverse-Hessian factors.
+    as a single layer's. ``names`` label errors; with them, ``factors``
+    memoises the inverse-Hessian factors by layer name. They do not depend on
+    the bit width, so a grid passes one memo to every bit width of a stage.
     """
     ws = [_check_weight(w) for w in ws]
     k = _check_bits(k)
@@ -421,12 +388,9 @@ def gptq_quantize_stack(
         qm = QuantizedMatrix(
             codes=codes[s],
             bits=k,
-            scheme=GridScheme.PER_TENSOR if per_tensor else GridScheme.PER_GROUP,
             group_size=rows * cols if per_tensor else group_size,
             grid_lo=grid_lo[s],
             grid_hi=grid_hi[s],
-            rows=rows,
-            cols=cols,
         )
         results.append((qm, proxy_loss(ws[s], dequantize(qm), stats[s].gram)))
     return results
@@ -534,22 +498,12 @@ def awq_quantize(
         # alpha = 0 (or flat activations): identical to plain RTN, stored as such.
         return qm_scaled, alpha, proxy_loss(w, dequantize(qm_scaled), stats.gram)
 
-    rows, cols = w.shape
-    col_group = np.arange(cols) // qm_scaled.group_size
-    if qm_scaled.scheme is GridScheme.PER_TENSOR:
-        lo_scaled = np.full((rows, cols), qm_scaled.grid_lo[0, 0], dtype=np.float64)
-        hi_scaled = np.full((rows, cols), qm_scaled.grid_hi[0, 0], dtype=np.float64)
-    else:
-        lo_scaled = qm_scaled.grid_lo.astype(np.float64)[:, col_group]
-        hi_scaled = qm_scaled.grid_hi.astype(np.float64)[:, col_group]
+    lo_scaled, hi_scaled = (np.broadcast_to(grid, w.shape) for grid in _grid_columns(qm_scaled))
     qm = QuantizedMatrix(
         codes=qm_scaled.codes,
         bits=k,
-        scheme=GridScheme.PER_GROUP,
         group_size=1,
         grid_lo=(lo_scaled / scales).astype(np.float32),
         grid_hi=(hi_scaled / scales).astype(np.float32),
-        rows=rows,
-        cols=cols,
     )
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)

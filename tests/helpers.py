@@ -26,8 +26,6 @@ from mmqlab.pipeline import (
 from mmqlab.quantizers import (
     ALPHA_GRID,
     SCALE_CLAMP,
-    CalibrationSet,
-    GridScheme,
     LayerStats,
     QuantizedMatrix,
     _check_bits,
@@ -269,7 +267,7 @@ def oracle_layer_stats(x: np.ndarray, rows=None) -> LayerStats:
     return LayerStats(gram=x64.T @ x64, magnitude=np.mean(np.abs(x64), axis=0), rows=x.shape[0])
 
 
-def oracle_collect_calibration(weights, probes) -> CalibrationSet:
+def oracle_collect_calibration(weights, probes) -> dict:
     """Every layer's statistics from one teacher-forced pass through all three
     towers, recorded into one dict: calibration before it ran a tower at a time."""
     n = min(CALIBRATION_PAIRS, len(probes))
@@ -285,7 +283,7 @@ def oracle_collect_calibration(weights, probes) -> CalibrationSet:
     vision_out = encode_vision(weights, probes.images[:n], recorder=recorder)
     prefix = run_connector(weights, vision_out, recorder=recorder)
     decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
-    return CalibrationSet(layers=layers)
+    return layers
 
 
 def oracle_gptq_hessian(stats) -> np.ndarray:
@@ -346,14 +344,27 @@ def oracle_gptq_quantize(w, stats, k, group_size=128, damping=0.01, block_size=3
     qm = QuantizedMatrix(
         codes=codes,
         bits=k,
-        scheme=GridScheme.PER_TENSOR if per_tensor else GridScheme.PER_GROUP,
         group_size=rows * cols if per_tensor else group_size,
         grid_lo=grid_lo,
         grid_hi=grid_hi,
-        rows=rows,
-        cols=cols,
     )
     return qm, proxy_loss(w, dequantize(qm), stats.gram)
+
+
+def oracle_dequantize(q) -> np.ndarray:
+    """dequantize with a branch per grid layout: a per-tensor grid's two
+    scalars, else each column's group gathered from the per-row grids."""
+    levels = (1 << q.bits) - 1
+    codes = q.codes.astype(np.float64)
+    rows, cols = q.codes.shape
+    if q.group_size >= rows * cols:
+        lo = np.float64(q.grid_lo[0, 0])
+        hi = np.float64(q.grid_hi[0, 0])
+    else:
+        col_group = np.arange(cols) // q.group_size
+        lo = q.grid_lo.astype(np.float64)[:, col_group]
+        hi = q.grid_hi.astype(np.float64)[:, col_group]
+    return ((hi - lo) * (codes / levels) + lo).astype(np.float32)
 
 
 def assert_same_quantization(got, expected):
@@ -362,7 +373,7 @@ def assert_same_quantization(got, expected):
     for name in ("codes", "grid_lo", "grid_hi"):
         a, b = getattr(q, name), getattr(q_ref, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    assert (q.bits, q.scheme, q.group_size) == (q_ref.bits, q_ref.scheme, q_ref.group_size)
+    assert (q.bits, q.group_size) == (q_ref.bits, q_ref.group_size)
     assert float(loss).hex() == float(loss_ref).hex()
 
 
@@ -400,7 +411,7 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
 
     rows, cols = w.shape
     col_group = np.arange(cols) // qm_scaled.group_size
-    if qm_scaled.scheme is GridScheme.PER_TENSOR:
+    if qm_scaled.group_size >= qm_scaled.codes.size:  # per tensor
         lo_scaled = np.full((rows, cols), qm_scaled.grid_lo[0, 0], dtype=np.float64)
         hi_scaled = np.full((rows, cols), qm_scaled.grid_hi[0, 0], dtype=np.float64)
     else:
@@ -409,12 +420,9 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
     qm = QuantizedMatrix(
         codes=qm_scaled.codes,
         bits=k,
-        scheme=GridScheme.PER_GROUP,
         group_size=1,
         grid_lo=(lo_scaled / scales).astype(np.float32),
         grid_hi=(hi_scaled / scales).astype(np.float32),
-        rows=rows,
-        cols=cols,
     )
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
 

@@ -31,7 +31,6 @@ from mmqlab.numerics import RngStream, derive_seed, randn_matrix
 from mmqlab.pipeline import (
     ComponentId,
     PipelineSpec,
-    QuantizationLedger,
     Selector,
     TaskKind,
     apply_quantization,
@@ -329,6 +328,6 @@ def test_criterion_11_bpw_accounting(models_by_seed):
     model = models_by_seed[7]
     _, ledger = apply_quantization(model, Selector.make(), Method.RTN, 4, group_size=128)
     bpw4 = compute_bpw(ledger, layer_sizes(model))
-    baseline = compute_bpw(QuantizationLedger(), layer_sizes(model))
+    baseline = compute_bpw([], layer_sizes(model))
     ok = abs(bpw4 - 4.25) <= 1e-6 and baseline == 16.0
     report(11, "bpw-accounting", ok, f"(all-4bit gs128={bpw4!r}, baseline={baseline!r})")

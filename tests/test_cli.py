@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -311,8 +312,9 @@ class TestConfigFuzz:
             return
         assert code == 1, captured.err
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-        assert any(name in lines[0] for name in KEY_NAMES), lines[0]
+        assert len(lines) == 1 and lines[0].startswith("error: config error at "), captured.err
+        place = lines[0].removeprefix("error: config error at ")
+        assert re.match(r"[\w.]+", place).group() in KEY_NAMES, lines[0]
         assert not out.exists()
 
 
@@ -509,7 +511,7 @@ class TestGridCommand:
         code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "grid.eval_pairs is 9" in err and "only 8 probe pairs" in err
+        assert err == "error: config error at grid.eval_pairs: must be <= the 8 probe pairs, got 9\n"
         assert not out.exists()
 
     def test_retrieval_with_one_eval_pair_exits_one_before_calibration(self, tmp_path, monkeypatch, capsys):
@@ -524,7 +526,8 @@ class TestGridCommand:
         out = tmp_path / "x.csv"
         code = main(["grid", "--config", str(cfg), "--method", "gptq", "--out", str(out)])
         assert code == 1
-        assert "grid.eval_pairs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: config error at grid.eval_pairs: must be >= 2 when grid.tasks includes retrieval, got 1\n"
         assert not calibrated and not out.exists()
 
     @pytest.mark.parametrize(
@@ -547,7 +550,10 @@ class TestGridCommand:
         out = tmp_path / "dup.csv"
         code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)])
         assert code == 1
-        assert f"config error at grid.{field}: must not repeat a value, got " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the config's own text, as in grid.tasks: ["retrieval", "retrieval"], not enum reprs
+        assert f"config error at grid.{field}: must not repeat a value, got {json.dumps(value)}\n" in err
+        assert "<" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -772,7 +778,23 @@ class TestPlotCommand:
         ET.fromstring(render_plot_svg(rows, TaskKind.RETRIEVAL))
 
 
+# sha256 of `quantize --config configs/default.json --method M --bits 4` stdout:
+# every layer's ledger line (its scheme and code bits among them) and the bpw
+QUANTIZE_STDOUT_SHA256 = {
+    "uniform": "61fde099764f49387c460e58751d16a3653aac9ae717a32748e833c8a81f71b5",
+    "rtn": "55b31466d4d2e9772f95972493b7e8332c4327d4a178dd38ffd690c90249eebf",
+    "gptq": "5fe392283d446f227b9ad016e3a03c2be5615bb14f26e9d9ed4d1e0577f139d9",
+    "awq": "68e64695c3c08862d991b0f3da329cfb2514805a4c5310fb8d49add0de65d59a",
+}
+
+
 class TestQuantizeCommand:
+    @pytest.mark.parametrize("method", list(QUANTIZE_STDOUT_SHA256))
+    def test_stdout_digest_pinned(self, capsys, method):
+        argv = ["quantize", "--config", str(REPO / "configs/default.json"), "--method", method, "--bits", "4"]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == QUANTIZE_STDOUT_SHA256[method]
+
     def test_prints_ledger_and_bpw(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(

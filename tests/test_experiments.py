@@ -28,8 +28,8 @@ from mmqlab.pipeline import (
     ComponentId,
     ConnectorKind,
     LayerType,
+    LedgerEntry,
     PipelineSpec,
-    QuantizationLedger,
     Selector,
     TaskKind,
     apply_quantization,
@@ -73,7 +73,7 @@ class TestRunId:
 
 class TestComputeBpw:
     def test_baseline_exactly_sixteen(self, default_model):
-        assert compute_bpw(QuantizationLedger(), layer_sizes(default_model)) == 16.0
+        assert compute_bpw([], layer_sizes(default_model)) == 16.0
 
     def test_group128_four_bit_exact(self, default_model):
         _, ledger = apply_quantization(default_model, Selector.make(), Method.RTN, 4, group_size=128)
@@ -89,10 +89,7 @@ class TestComputeBpw:
 
     def test_unknown_layer_rejected(self, default_model):
         _, ledger = apply_quantization(default_model, Selector.make(), Method.RTN, 4)
-        ledger.entries[0] = ledger.entries[0].__class__(
-            layer="nonexistent.layer", method=Method.RTN, bits=4, group_size=128,
-            scheme=ledger.entries[0].scheme, proxy_error=0.0, code_bits=0,
-        )
+        ledger[0] = LedgerEntry(layer="nonexistent.layer", method=Method.RTN, bits=4, group_size=128, proxy_error=0.0)
         with pytest.raises(ValueError, match="unknown layer"):
             compute_bpw(ledger, layer_sizes(default_model))
 
@@ -227,45 +224,53 @@ class TestSotaGrid:
     def test_calibration_freed_before_decode(self, tiny_spec, tiny_probes, monkeypatch, fail_bits):
         import weakref
 
-        refs, alive_at_pass, alive_at_decode = [], [], []
-        quantize = experiments.apply_quantization
+        # per stage, weak references to its LayerStats and to the arrays of its GPTQ factor memo
+        refs, factored, alive_at_pass, alive_at_decode = [], [], [], []
+        quantize = pipeline.apply_quantization
         stages, connector, decoder = pipeline.calibration_stages, pipeline.run_connector, pipeline.decode_hidden
         generate = pipeline.greedy_generate
 
-        def failing(weights, sel, method, k, *args):
+        def failing(weights, sel, method, k, calib, group_size, factors):
             if k == fail_bits:
                 raise RuntimeError("synthetic failure")
-            return quantize(weights, sel, method, k, *args)
+            result = quantize(weights, sel, method, k, calib, group_size, factors)
+            refs[-1].extend(weakref.ref(upper) for upper in factors.values())
+            factored.append(len(factors))
+            return result
 
         def staged(*args):
             for comp, calib in stages(*args):
-                refs.append(weakref.ref(calib))
+                refs.append([weakref.ref(stats) for stats in calib.values()])
                 yield comp, calib
                 del calib  # hold no stage while the next tower runs
+
+        def alive():
+            return [any(ref() is not None for ref in stage) for stage in refs]
 
         def calibrating(tower):
             def wrapped(*args, **kwargs):
                 if kwargs.get("recorder") is not None:
-                    alive_at_pass.append([ref() is not None for ref in refs])
+                    alive_at_pass.append(alive())
                 return tower(*args, **kwargs)
 
             return wrapped
 
         def decoding(*args, **kwargs):
-            alive_at_decode.append([ref() is not None for ref in refs])
+            alive_at_decode.append(alive())
             return generate(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "calibration_stages", staged)
         monkeypatch.setattr(pipeline, "run_connector", calibrating(connector))
         monkeypatch.setattr(pipeline, "decode_hidden", calibrating(decoder))
         monkeypatch.setattr(pipeline, "greedy_generate", decoding)
-        monkeypatch.setattr(experiments, "apply_quantization", failing)
+        monkeypatch.setattr(pipeline, "apply_quantization", failing)
         rows, failures = grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.VQA,), seeds=(3, 4), eval_pairs=4),
             Method.GPTQ,
         )
         assert len(refs) == 6 and bool(failures) == (fail_bits is not None)
+        assert factored and all(factored)  # every stage's memo held factors
         # the connector and decoder passes of each seed's calibration run with
         # every earlier stage, with its memoised factors, already dead
         assert alive_at_pass == [[False] * n for n in (1, 2, 4, 5)]
@@ -276,14 +281,14 @@ class TestSotaGrid:
     def test_components_quantized_in_turn_and_freed(self, tiny_spec, tiny_probes, monkeypatch):
         component_of = {a.name: a.component for a in build_model(tiny_spec).addresses}
         calls = []
-        quantize = experiments.apply_quantization
+        quantize = pipeline.apply_quantization
 
         def recording(weights, sel, method, k, calib, *args):
             (comp,) = sel.components
-            calls.append((comp, k, {component_of[name] for name in calib.layers}))
+            calls.append((comp, k, {component_of[name] for name in calib}))
             return quantize(weights, sel, method, k, calib, *args)
 
-        monkeypatch.setattr(experiments, "apply_quantization", recording)
+        monkeypatch.setattr(pipeline, "apply_quantization", recording)
         grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
@@ -364,7 +369,7 @@ class TestMemo:
     def test_sota_reference_once_per_seed_and_task_prefix_once_per_bits(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
         decodes = record(pipeline, "greedy_generate")
-        quantized = record(experiments, "apply_quantization")
+        quantized = record(pipeline, "apply_quantization")
         visions = record(pipeline, "encode_vision")
         connectors = record(pipeline, "run_connector")
         texts = record(experiments, "text_embeddings")
@@ -393,7 +398,7 @@ class TestMemo:
     def test_uniform_reference_once_per_seed_and_task(self, tiny_spec, tiny_probes, record):
         models = record(experiments, "_seeded_model")
         decodes = record(pipeline, "greedy_generate")
-        quantized = record(experiments, "apply_quantization")
+        quantized = record(pipeline, "apply_quantization")
         visions = record(pipeline, "encode_vision")
         connectors = record(pipeline, "run_connector")
         texts = record(experiments, "text_embeddings")
@@ -525,7 +530,7 @@ class TestEquivalence:
         calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, tiny_probes)
         group_size = 0 if method is Method.UNIFORM else grid.group_size
         for row in rows:
-            weights, ledger = fp, QuantizationLedger()
+            weights, ledger = fp, []
             bits = {
                 ComponentId.VISION: row.vision_bits,
                 ComponentId.CONNECTOR: row.connector_bits,
@@ -535,7 +540,7 @@ class TestEquivalence:
                 if k < 16:
                     sel = Selector.make((comp,), row.groups, row.layer_types)
                     weights, part = apply_quantization(weights, sel, method, k, calib, grid.group_size)
-                    ledger.entries.extend(part.entries)
+                    ledger.extend(part)
             run_id = make_run_id(
                 method=method, task=row.task, vision_bits=row.vision_bits, connector_bits=row.connector_bits,
                 language_bits=row.language_bits, groups=row.groups, layer_types=row.layer_types,

@@ -44,7 +44,7 @@ from helpers import (
     vision_prefix,
 )
 from mmqlab.numerics import NotPositiveDefiniteError
-from mmqlab.quantizers import CalibrationSet, LayerStats, Method, awq_quantize, dequantize
+from mmqlab.quantizers import LayerStats, Method, awq_quantize, dequantize
 
 GOLDEN_CAPTION_SEED7_PROBE11 = [26, 182, 60, 88, 171, 214, 247, 26, 182, 3, 12, 253, 244, 89, 18, 205]
 
@@ -346,24 +346,24 @@ class TestCachedDecode:
 class TestCalibration:
     def test_in_features_match_layer_cols(self, default_model, calibration):
         for addr in default_model.addresses:
-            stats = calibration.layers[addr.name]
+            stats = calibration[addr.name]
             assert stats.gram.shape[1] == default_model.layers[addr.name].shape[1]
 
     def test_single_probe_rows_equal_tokens(self, default_model, probe_set):
         calib = collect_calibration(default_model, probe_set.take(1))
         spec = default_model.spec
-        assert calib.layers["vision.block0.attn.q_proj"].rows == spec.patch_count
-        assert calib.layers["connector.block0.attn.q_proj"].rows == 8
+        assert calib["vision.block0.attn.q_proj"].rows == spec.patch_count
+        assert calib["connector.block0.attn.q_proj"].rows == 8
         # language sequence: 8 connector queries + BOS + 8 text tokens
-        assert calib.layers["language.block0.attn.q_proj"].rows == 8 + 1 + 8
+        assert calib["language.block0.attn.q_proj"].rows == 8 + 1 + 8
 
     def test_golden_row_counts_at_128_pairs(self, calibration):
         # vision: 128*16 = 2048; connector queries: 128*8 = 1024;
         # connector cross k/v see 2048 vision rows; language: 128*17 capped to 2048
-        assert calibration.layers["vision.block2.ff.up"].rows == 2048
-        assert calibration.layers["connector.block0.attn.q_proj"].rows == 1024
-        assert calibration.layers["connector.block0.attn.k_proj"].rows == 2048
-        assert calibration.layers["language.block5.ff.down"].rows == 2048
+        assert calibration["vision.block2.ff.up"].rows == 2048
+        assert calibration["connector.block0.attn.q_proj"].rows == 1024
+        assert calibration["connector.block0.attn.k_proj"].rows == 2048
+        assert calibration["language.block5.ff.down"].rows == 2048
 
     @pytest.mark.parametrize("model", ["default", "linear-projector"])
     def test_stages_match_single_pass_oracle(self, request, probe_set, calibration, tiny_probes, model):
@@ -372,14 +372,14 @@ class TestCalibration:
         else:
             weights, probes = build_model(_projector_spec()), tiny_probes
             merged = collect_calibration(weights, probes)
-        expected = oracle_collect_calibration(weights, probes).layers
+        expected = oracle_collect_calibration(weights, probes)
         stages = list(calibration_stages(weights, probes))
         # one stage per component, in order, each holding exactly that component's layers
         assert [comp for comp, _ in stages] == list(pipeline.COMPONENT_ORDER)
         for comp, stage in stages:
-            assert list(stage.layers) == [a.name for a in weights.addresses if a.component is comp]
-        assert (model == "linear-projector") == (stages[1][1].layers == {})
-        for layers in (merged.layers, {k: v for _, stage in stages for k, v in stage.layers.items()}):
+            assert list(stage) == [a.name for a in weights.addresses if a.component is comp]
+        assert (model == "linear-projector") == (stages[1][1] == {})
+        for layers in (merged, {k: v for _, stage in stages for k, v in stage.items()}):
             assert list(layers) == list(expected)
             for name, want in expected.items():
                 got = layers[name]
@@ -390,15 +390,15 @@ class TestCalibration:
     def test_deterministic(self, default_model, probe_set, calibration):
         again = collect_calibration(default_model, probe_set)
         name = "language.block0.ff.up"
-        assert np.array_equal(again.layers[name].gram, calibration.layers[name].gram)
-        assert np.array_equal(again.layers[name].magnitude, calibration.layers[name].magnitude)
+        assert np.array_equal(again[name].gram, calibration[name].gram)
+        assert np.array_equal(again[name].magnitude, calibration[name].magnitude)
 
 
 class TestApplyQuantization:
     def test_empty_selector_is_identity(self, default_model):
         sel = Selector(frozenset(), frozenset(BlockGroup), frozenset(LayerType))
         qw, ledger = apply_quantization(default_model, sel, Method.UNIFORM, 4)
-        assert ledger.entries == []
+        assert ledger == []
         assert all(qw.layers[k] is default_model.layers[k] for k in qw.layers)
 
     def test_sixteen_bit_outputs_close_to_fp(self, default_model, probe_set):
@@ -413,8 +413,8 @@ class TestApplyQuantization:
     def test_language_only_gptq_isolates_vision(self, default_model, probe_set, calibration):
         sel = Selector.make(components=(ComponentId.LANGUAGE,))
         qw, ledger = apply_quantization(default_model, sel, Method.GPTQ, 4, calib=calibration)
-        assert len(ledger.entries) == default_model.spec.language_blocks * 6
-        assert all(e.layer.startswith("language.") for e in ledger.entries)
+        assert len(ledger) == default_model.spec.language_blocks * 6
+        assert all(e.layer.startswith("language.") for e in ledger)
         images = probe_set.images[:4]
         assert np.array_equal(encode_vision(default_model, images), encode_vision(qw, images))
 
@@ -457,7 +457,7 @@ class TestStackedGptqPipeline:
         h = hashlib.sha256()
         for k in range(2, 9):
             qw, ledger = apply_quantization(model, Selector.make(), Method.GPTQ, k, calib, group_size=group_size)
-            for e in ledger.entries:
+            for e in ledger:
                 h.update(e.layer.encode())
                 h.update(qw.layers[e.layer].tobytes())
                 h.update(float(e.proxy_error).hex().encode())
@@ -469,29 +469,30 @@ class TestStackedGptqPipeline:
         sel = Selector.make(groups=(BlockGroup.FRONT, BlockGroup.END))
         qw, ledger = apply_quantization(model, sel, Method.GPTQ, bits, calib, group_size=12)
         names = [a.name for a in enumerate_layers(model, sel)]
-        assert [e.layer for e in ledger.entries] == names
+        assert [e.layer for e in ledger] == names
         assert len({model.layers[name].shape for name in names}) == 3
-        for e in ledger.entries:
-            qm, loss = oracle_gptq_quantize(model.layers[e.layer], calib.layers[e.layer], bits, group_size=12)
+        for e in ledger:
+            qm, loss = oracle_gptq_quantize(model.layers[e.layer], calib[e.layer], bits, group_size=12)
             assert qw.layers[e.layer].tobytes() == dequantize(qm).tobytes()
             assert float(e.proxy_error).hex() == float(loss).hex()
 
     def test_memo_factors_equal_fresh(self, tiny_spec, tiny_probes):
         model = build_model(tiny_spec)
         calib = collect_calibration(model, tiny_probes)
+        factors = {}
         for k in (2, 4):
-            apply_quantization(model, Selector.make(), Method.GPTQ, k, calib, group_size=16)
-        assert sorted(calib.factors) == sorted(a.name for a in model.addresses)
-        for name, upper in calib.factors.items():
-            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(calib.layers[name]), 0.01)
+            apply_quantization(model, Selector.make(), Method.GPTQ, k, calib, group_size=16, factors=factors)
+        assert sorted(factors) == sorted(a.name for a in model.addresses)
+        for name, upper in factors.items():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(calib[name]), 0.01)
             assert (upper.dtype, upper.shape, upper.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
 
     def test_indefinite_layer_named(self, tiny):
         model, calib = tiny
         name = "connector.block1.attn.k_proj"
-        stats = calib.layers[name]
-        broken = CalibrationSet(layers=dict(calib.layers))
-        broken.layers[name] = LayerStats(gram=-stats.gram, magnitude=stats.magnitude, rows=stats.rows)
+        stats = calib[name]
+        broken = dict(calib)
+        broken[name] = LayerStats(gram=-stats.gram, magnitude=stats.magnitude, rows=stats.rows)
         sel = Selector.make(components=(ComponentId.CONNECTOR,))
         with pytest.raises(NotPositiveDefiniteError, match=f"layer {name}, column 0"):
             apply_quantization(model, sel, Method.GPTQ, 4, broken)
@@ -515,7 +516,7 @@ class TestChunkedAwqPipeline:
         h = hashlib.sha256()
         for k in range(2, 9):
             for addr in model.addresses:
-                q, alpha, loss = awq_quantize(model.layers[addr.name], calib.layers[addr.name], k, group_size)
+                q, alpha, loss = awq_quantize(model.layers[addr.name], calib[addr.name], k, group_size)
                 h.update(addr.name.encode())
                 h.update(dequantize(q).tobytes())
                 h.update(float(loss).hex().encode())

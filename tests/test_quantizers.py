@@ -9,6 +9,7 @@ from helpers import (
     assert_same_quantization,
     brute_force_proxy_min,
     oracle_awq_quantize,
+    oracle_dequantize,
     oracle_gptq_hessian,
     oracle_gptq_quantize,
     oracle_inverse_hessian_factor,
@@ -18,7 +19,6 @@ import mmqlab.quantizers as quantizers
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, _invert_spd64, derive_seed, randn_matrix
 from mmqlab.pipeline import CALIBRATION_ROW_CAP
 from mmqlab.quantizers import (
-    GridScheme,
     LayerStats,
     awq_quantize,
     dequantize,
@@ -84,6 +84,35 @@ class TestDequantize:
         assert out[0, 0] == np.float32(-1.0)
         assert out[0, 2] == np.float32(1.0)
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_one_gather_matches_two_branch_oracle(self, k):
+        # the oracle reads a per-tensor grid's two scalars; dequantize gathers column group 0
+        rng = np.random.default_rng(k)
+        w = rng.standard_normal((6, 12)).astype(np.float32)
+        x = rng.standard_normal((20, 12)).astype(np.float32)
+        x[:, 7] *= 200.0
+        stats = LayerStats.from_activations(x)
+        per_tensor = {
+            "uniform": uniform_quantize(w, k),
+            "gptq": gptq_quantize(w, stats, k, group_size=1 << 30)[0],
+        }
+        per_group = {  # groups of 4 tile the 12 columns; groups of 5 leave a tail of 2
+            "rtn-g4": rtn_group_quantize(w, k, 4),
+            "rtn-g5": rtn_group_quantize(w, k, 5),
+            "gptq-g4": gptq_quantize(w, stats, k, group_size=4)[0],
+            "gptq-g5": gptq_quantize(w, stats, k, group_size=5)[0],
+        }
+        per_channel = {  # AWQ's folded grids, from a per-group and a per-tensor scaled matrix
+            "awq-g5": awq_quantize(w, stats, k, group_size=5)[0],
+            "awq-per-tensor": awq_quantize(w, stats, k, group_size=1 << 30)[0],
+        }
+        assert all(q.grid_lo.shape == (1, 1) for q in per_tensor.values())
+        assert all(q.grid_lo.shape == (6, 3) for q in per_group.values())
+        assert all((q.group_size, q.grid_lo.shape) == (1, (6, 12)) for q in per_channel.values())
+        for name, q in {**per_tensor, **per_group, **per_channel}.items():
+            got, want = dequantize(q), oracle_dequantize(q)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+
 
 class TestRtnGroup:
     def test_group_size_numel_reduces_to_uniform(self):
@@ -91,7 +120,7 @@ class TestRtnGroup:
         grouped = rtn_group_quantize(w, 3, w.size)
         plain = uniform_quantize(w, 3)
         assert np.array_equal(grouped.codes, plain.codes)
-        assert grouped.scheme is GridScheme.PER_TENSOR
+        assert grouped.group_size == w.size and grouped.grid_lo.shape == (1, 1)
 
     def test_per_row_groups_recover_endpoints(self):
         w = np.array([[0.0, 1.0], [10.0, 11.0]], dtype=np.float32)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from helpers import oracle_score_task, vision_prefix
-from mmqlab.experiments import GridSpec, run_grid
+from mmqlab.cli import main
 from mmqlab.pipeline import (
     ComponentId,
     Selector,
@@ -70,9 +72,15 @@ class TestScoring:
         for task in TaskKind:
             assert oracle_score_task(default_model, default_model, small, task) == 1.0
 
-    def test_retrieval_needs_two_pairs(self, default_model, probe_set):
-        with pytest.raises(ValueError, match="2 probe pairs"):
-            list(run_grid(default_model.spec, probe_set.take(1), GridSpec(tasks=(TaskKind.RETRIEVAL,)), Method.UNIFORM))
+    def test_retrieval_needs_two_pairs(self, tmp_path, capsys):
+        # no grid.eval_pairs, so a retrieval grid would score all of its one probe pair
+        cfg = tmp_path / "one-pair.json"
+        cfg.write_text(json.dumps({"grid": {"tasks": ["retrieval"]}, "probes": {"seed": 11, "n_pairs": 1}}))
+        out = tmp_path / "x.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config error at probes.n_pairs: must be >= 2 when grid.tasks includes retrieval, got 1\n"
+        assert not out.exists()
 
     def test_horizon_one_is_first_token_match(self, default_model, probe_set):
         small = probe_set.take(8)
