@@ -80,7 +80,7 @@ METHOD_COLORS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -95,6 +95,11 @@ class ProbeConfig:
     n_pairs: int = 128
     text_len: int = 8
     question_len: int = 4
+
+    def __post_init__(self):
+        for key, low in (("n_pairs", 1), ("text_len", 0), ("question_len", 0)):
+            if (value := getattr(self, key)) < low:
+                raise SpecError(key, f"must be >= {low}, got {value}")
 
 
 @dataclass
@@ -165,13 +170,7 @@ def load_config(path: str) -> Config:
     _check_keys(raw, {"pipeline", "grid", "probes", "output_dir", "workers"}, "<root>")
     pipeline = _section(PipelineSpec, raw, "pipeline")
     grid = _section(GridSpec, raw, "grid")
-    probes = None
-    if "probes" in raw:
-        probes = _section(ProbeConfig, raw, "probes")
-        for key, low in (("n_pairs", 1), ("text_len", 0), ("question_len", 0)):
-            value = getattr(probes, key)
-            if value < low:
-                raise ConfigError(f"config error at probes.{key}: must be >= {low}, got {value}")
+    probes = _section(ProbeConfig, raw, "probes") if "probes" in raw else None
     _check_size(pipeline, probes.n_pairs if probes is not None else DEFAULT_EVAL_PAIRS)
     _expect(raw.get("output_dir", "."), str, "output_dir")  # accepted but not read: --out names every output
     workers = _expect(raw.get("workers", 1), int, "workers")  # accepted but not read: grids run in one thread
@@ -211,9 +210,21 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
     projector's prefix that leaves a task no room names
     ``pipeline.patch_count``, and a grid's ``eval_pairs`` above the probe
     count, or below 2 for retrieval, names its key, before any model is built.
+    So does a GPTQ/AWQ grid's subset list other than the one subset of every
+    member: its cross product quantizes every layer of a component.
     """
     spec = config.pipeline
     calibrates = method in (Method.GPTQ, Method.AWQ)
+    for key, members in (
+        ("component_subsets", ComponentId), ("group_subsets", BlockGroup), ("layer_type_subsets", LayerType),
+    ):
+        subsets = getattr(config.grid, key)
+        if calibrates and tasks and subsets is not None and (len(subsets) != 1 or set(subsets[0]) != set(members)):
+            every = json.dumps([[m.value for m in members]])
+            raise ConfigError(
+                f"config error at grid.{key}: must be unset or {every} for a {method.value} grid, "
+                f"which quantizes whole components, got {json.dumps(subsets, default=lambda m: m.value)}"
+            )
     if config.probes is None:
         if calibrates:
             raise ConfigError("calibration probes required: add a 'probes' section to the config")
@@ -534,10 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,9 @@ quantization (simulated quantization: the replaced weights stay float32
 inside the full-precision graph).
 
 Block layout is uniform everywhere: four attention projections plus two
-feed-forward matrices per block, pre-norm residual wiring. Embeddings, layer
-norms, learned queries and the output head are never quantized.
+feed-forward matrices per block, pre-norm residual wiring. Layer norms have
+no parameters. Embeddings, learned queries and the output head are never
+quantized.
 """
 
 from __future__ import annotations
@@ -234,30 +235,16 @@ def _enumerate_addresses(spec: PipelineSpec) -> tuple[LayerAddress, ...]:
     return tuple(addresses)
 
 
-_BLOCK_NORMS = ("norm1.scale", "norm1.bias", "norm2.scale", "norm2.bias")
-
-
-def _extra_shapes(spec: PipelineSpec, per_block: bool = True) -> dict[str, tuple[int, ...]]:
-    """Shapes of the parameters that are not addressable layers; without
-    ``per_block``, the shapes of those that are not in a block."""
+def _extra_shapes(spec: PipelineSpec) -> dict[str, tuple[int, int]]:
+    """Shapes of the parameters that are not addressable layers, none of them in a block."""
     d = spec.d_model
-    shapes: dict[str, tuple[int, ...]] = {"vision.patch_embed": (d, d)}
-    for component in COMPONENT_ORDER if per_block else ():
-        for block in range(spec.blocks_of(component)):
-            for norm in _BLOCK_NORMS:
-                shapes[f"{component.value}.block{block}.{norm}"] = (d,)
-    shapes["vision.final_norm.scale"] = (d,)
-    shapes["vision.final_norm.bias"] = (d,)
+    shapes = {"vision.patch_embed": (d, d)}
     if spec.connector_kind is ConnectorKind.QUERY_CROSS_ATTENTION:
         shapes["connector.queries"] = (NUM_QUERIES, d)
-        shapes["connector.final_norm.scale"] = (d,)
-        shapes["connector.final_norm.bias"] = (d,)
     else:
         shapes["connector.proj"] = (d, d)
     shapes["language.token_embedding"] = (spec.vocab, d)
     shapes["language.pos_embedding"] = (MAX_SEQ, d)
-    shapes["language.final_norm.scale"] = (d,)
-    shapes["language.final_norm.bias"] = (d,)
     shapes["language.output_head"] = (spec.vocab, d)
     return shapes
 
@@ -275,17 +262,10 @@ def build_model(spec: PipelineSpec) -> ModelWeights:
             w = (w / math.sqrt(2.0 * spec.blocks_of(addr.component))).astype(np.float32)
         layers[addr.name] = w
 
-    extras: dict[str, np.ndarray] = {}
-    for name, shape in _extra_shapes(spec).items():
-        if name.endswith(".scale"):
-            extras[name] = np.ones(shape, dtype=np.float32)
-        elif name.endswith(".bias"):
-            extras[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            stream = RngStream(derive_seed(spec.seed, "weights", name))
-            rows = shape[0] if len(shape) == 2 else 1
-            cols = shape[-1]
-            extras[name] = randn_matrix(stream, rows, cols, std=INIT_STD).reshape(shape)
+    extras = {
+        name: randn_matrix(RngStream(derive_seed(spec.seed, "weights", name)), *shape, std=INIT_STD)
+        for name, shape in _extra_shapes(spec).items()
+    }
     return ModelWeights(spec=spec, layers=layers, extras=extras, addresses=addresses)
 
 
@@ -296,14 +276,13 @@ def element_count(spec, pairs: int) -> int:
     feed-forward hidden state, attention scores) or of its calibration (the
     float64 Gram of the widest layer input).
 
-    It is counted from the shape tables, reading only ``spec``'s fields (the
-    block norms counted, not listed), so nothing is allocated and any object
-    with those fields will do.
+    It is counted from the shape tables, reading only ``spec``'s fields, so
+    nothing is allocated and any object with those fields will do.
     """
     d, f = spec.d_model, spec.ffn_mult * spec.d_model
-    per_block = sum(math.prod(shape) for shape in _sublayer_shapes(spec).values()) + len(_BLOCK_NORMS) * d
+    per_block = sum(math.prod(shape) for shape in _sublayer_shapes(spec).values())
     blocks = spec.vision_blocks + spec.connector_blocks + spec.language_blocks
-    weights = blocks * per_block + sum(math.prod(shape) for shape in _extra_shapes(spec, per_block=False).values())
+    weights = blocks * per_block + sum(math.prod(shape) for shape in _extra_shapes(spec).values())
     seq = max(spec.patch_count, MAX_SEQ)  # the longest sequence a tower runs
     return max(weights, pairs * seq * max(d, f, spec.heads * seq), 2 * f * f)
 
@@ -331,13 +310,12 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _layer_norm(x: np.ndarray) -> np.ndarray:
+    """Each row over the last axis to zero mean and unit variance."""
     centered = x - _mean_last(x)
     var = _mean_last(np.square(centered))
     var += np.float32(LN_EPS)
     centered /= np.sqrt(var, out=var)
-    centered *= scale
-    centered += bias
     return centered
 
 
@@ -425,11 +403,9 @@ def _block(
     recorder: Recorder | None,
     cache: KVCache | None = None,
 ) -> np.ndarray:
-    extras = weights.extras
-    normed = _layer_norm(x, extras[f"{base}.norm1.scale"], extras[f"{base}.norm1.bias"])
+    normed = _layer_norm(x)
     x = x + _attention(weights, base, normed, normed if kv is None else kv, causal, recorder, cache)
-    normed = _layer_norm(x, extras[f"{base}.norm2.scale"], extras[f"{base}.norm2.bias"])
-    return x + _feed_forward(weights, base, normed, recorder)
+    return x + _feed_forward(weights, base, _layer_norm(x), recorder)
 
 
 @dataclass
@@ -477,7 +453,6 @@ def _tower(
         base = f"{component.value}.block{i}"
         if reuse:
             arrays = tuple(weights.layers[f"{base}.{s}"] for s in ATTN_SUBLAYERS + FF_SUBLAYERS)
-            arrays += tuple(weights.extras[f"{base}.{n}"] for n in _BLOCK_NORMS)
             if i < len(path.blocks) and _same(path.blocks[i][0], arrays):
                 x = path.blocks[i][1]
                 continue
@@ -485,8 +460,7 @@ def _tower(
         x = _block(weights, base, x, kv, causal, recorder, cache)
         if reuse:
             path.blocks.append((arrays, x))
-    name = component.value
-    return _layer_norm(x, weights.extras[f"{name}.final_norm.scale"], weights.extras[f"{name}.final_norm.bias"])
+    return _layer_norm(x)
 
 
 def encode_vision(

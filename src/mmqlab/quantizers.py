@@ -178,29 +178,17 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
 
 
 def uniform_quantize(w: np.ndarray, k: int) -> QuantizedMatrix:
-    """Per-tensor min/max quantization to k bits."""
-    w = _check_weight(w)
-    k = _check_bits(k)
-    lo = np.float32(w.min())
-    hi = np.float32(w.max())
-    codes = _encode(w.astype(np.float64), np.float64(lo), np.float64(hi), (1 << k) - 1)
-    return QuantizedMatrix(
-        codes=codes,
-        bits=k,
-        group_size=w.size,
-        grid_lo=np.full((1, 1), lo, dtype=np.float32),
-        grid_hi=np.full((1, 1), hi, dtype=np.float32),
-    )
+    """Per-tensor min/max quantization to k bits: grouped rounding with one group."""
+    return rtn_group_quantize(w, k, np.asarray(w).size)
 
 
 def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatrix:
-    """Round-to-nearest with per-row min/max grids over input-channel groups."""
+    """Round-to-nearest with per-row min/max grids over input-channel groups; a
+    ``group_size`` of at least the weight count, kept as given, is one per-tensor grid."""
     w = _check_weight(w)
     k = _check_bits(k)
     if group_size <= 0:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    if group_size >= w.size:  # one group: the per-tensor grid
-        return uniform_quantize(w, k)
 
     levels = (1 << k) - 1
     codes = np.empty((1, *w.shape), dtype=np.uint16)

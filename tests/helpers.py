@@ -427,11 +427,18 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
 
 
-def oracle_layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def oracle_layer_norm(x: np.ndarray) -> np.ndarray:
     """Layer norm as plain expressions, the form the in-place one must match bit for bit."""
     mean = x.mean(axis=-1, keepdims=True)
     var = np.square(x - mean).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + np.float32(LN_EPS)) * scale + bias
+    return (x - mean) / np.sqrt(var + np.float32(LN_EPS))
+
+
+def oracle_affine_layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Layer norm with a per-channel scale and bias, as plain expressions: at
+    unit scale and zero bias it gives the parameter-free norm's bits, except
+    that adding the zero bias turns -0.0 into +0.0."""
+    return oracle_layer_norm(x) * scale + bias
 
 
 def oracle_gelu(x: np.ndarray) -> np.ndarray:

@@ -43,20 +43,21 @@ TINY_PIPELINE = {
 }
 
 
+BASE_GRID = {
+    "bits": [2, 8],
+    "tasks": ["retrieval"],
+    "seeds": [3],
+    "component_subsets": [["vision"], ["language"]],
+    "group_subsets": [["front", "middle", "end"]],
+    "layer_type_subsets": [["attn", "ff"]],
+    "eval_pairs": 4,
+}
+# a GPTQ/AWQ grid quantizes whole components, so its base lists no component subsets
+SOTA_GRID = {key: value for key, value in BASE_GRID.items() if key != "component_subsets"}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
-    cfg = {
-        "pipeline": TINY_PIPELINE,
-        "grid": {
-            "bits": [2, 8],
-            "tasks": ["retrieval"],
-            "seeds": [3],
-            "component_subsets": [["vision"], ["language"]],
-            "group_subsets": [["front", "middle", "end"]],
-            "layer_type_subsets": [["attn", "ff"]],
-            "eval_pairs": 4,
-        },
-        "probes": {"seed": 3, "n_pairs": 8},
-    }
+    cfg = {"pipeline": TINY_PIPELINE, "grid": BASE_GRID, "probes": {"seed": 3, "n_pairs": 8}}
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -291,6 +292,14 @@ def _planned_rows(raw: dict, method: str) -> int:
     return cells * len(grid["tasks"]) * len(grid["seeds"])
 
 
+def _for_method(raw: dict, method: str) -> dict:
+    """``raw`` as a ``method`` grid runs it: a GPTQ grid, which quantizes whole
+    components, without the base's component subsets unless they were mutated."""
+    if method == "gptq" and raw["grid"].get("component_subsets") == FUZZ_BASE["grid"]["component_subsets"]:
+        raw = {**raw, "grid": {k: v for k, v in raw["grid"].items() if k != "component_subsets"}}
+    return raw
+
+
 class TestConfigFuzz:
     """A checked-in config with one field mutated runs its planned grid, or
     exits 1 with one line naming a config key: never a traceback, a partial
@@ -299,11 +308,18 @@ class TestConfigFuzz:
     def test_base_sets_every_key(self):
         assert {field for field in FUZZ_FIELDS if len(field) == 2} == set(SECTION_KEYS)
 
+    @pytest.mark.parametrize("method", ["uniform", "gptq"])
+    def test_unmutated_base_runs(self, tmp_path, capsys, method):
+        cfg, out = tmp_path / "base.json", tmp_path / "base.csv"
+        cfg.write_text(json.dumps(_for_method(FUZZ_BASE, method)))
+        assert main(["grid", "--config", str(cfg), "--method", method, "--out", str(out)]) == 0, capsys.readouterr().err
+        assert len(load_results(out)) == _planned_rows(FUZZ_BASE, method)
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(raw=_mutated_config(), method=st.sampled_from(["uniform", "gptq"]))
     def test_one_field_mutated(self, tmp_path, capsys, raw, method):
         cfg, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
-        cfg.write_text(json.dumps(raw))
+        cfg.write_text(json.dumps(_for_method(raw, method)))
         out.unlink(missing_ok=True)
         code = main(["grid", "--config", str(cfg), "--method", method, "--out", str(out)])
         captured = capsys.readouterr()
@@ -332,7 +348,10 @@ class TestProbeLengthBounds:
         for module in (cli, experiments):
             real = module.build_model
             monkeypatch.setattr(module, "build_model", lambda spec, real=real: built.append(spec) or real(spec))
-        cfg = write_config(tmp_path, pipeline=pipeline or TINY_PIPELINE, probes={"seed": 3, "n_pairs": 8, **probes})
+        cfg = write_config(
+            tmp_path, pipeline=pipeline or TINY_PIPELINE, probes={"seed": 3, "n_pairs": 8, **probes},
+            grid=BASE_GRID if "uniform" in argv else SOTA_GRID,
+        )
         raw = json.loads(cfg.read_text())
         raw["grid"].update(tasks=tasks, bits=[8])
         cfg.write_text(json.dumps(raw))
@@ -429,7 +448,7 @@ class TestGridCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_gptq_without_probes_exits_one(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, grid=SOTA_GRID)
         raw = json.loads(cfg.read_text())
         del raw["probes"]
         cfg.write_text(json.dumps(raw))
@@ -519,7 +538,7 @@ class TestGridCommand:
 
         calibrated = []
         monkeypatch.setattr(experiments, "calibration_stages", lambda *args, **kwargs: calibrated.append(args))
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, grid=SOTA_GRID)
         raw = json.loads(cfg.read_text())
         raw["grid"]["eval_pairs"] = 1
         cfg.write_text(json.dumps(raw))
@@ -583,6 +602,38 @@ class TestGridCommand:
         reason = "be empty" if value == [] else "hold an empty subset"
         assert f"config error at grid.{field}: must not {reason}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, field, value",
+        [
+            pytest.param("gptq", "component_subsets", [["language"]], id="component_subsets"),
+            pytest.param("awq", "group_subsets", [["end"]], id="group_subsets"),
+            pytest.param("gptq", "layer_type_subsets", [["attn"], ["ff", "attn"]], id="layer_type_subsets"),
+        ],
+    )
+    def test_partial_subsets_on_calibrated_grid_exit_one(self, tmp_path, monkeypatch, capsys, method, field, value):
+        # the GPTQ/AWQ cross product quantizes whole components and never reads the subset lists
+        import mmqlab.experiments as experiments
+
+        calibrated = []
+        monkeypatch.setattr(experiments, "calibration_stages", lambda *args, **kwargs: calibrated.append(args))
+        cfg = write_config(tmp_path, grid={**SOTA_GRID, field: value})
+        out = tmp_path / "partial.csv"
+        code = main(["grid", "--config", str(cfg), "--method", method, "--out", str(out)])
+        assert code == 1
+        assert f"config error at grid.{field}: must be unset or [[" in capsys.readouterr().err
+        assert not calibrated and not out.exists()
+
+    def test_one_subset_of_every_member_on_calibrated_grid_runs_as_unset(self, tmp_path):
+        every = {
+            "component_subsets": [["language", "vision", "connector"]], "group_subsets": [["end", "front", "middle"]],
+        }
+        outputs = []
+        for name, grid in (("unset", SOTA_GRID), ("every", {**SOTA_GRID, **every})):
+            cfg, out = write_config(tmp_path, f"{name}.json", grid=grid), tmp_path / f"{name}.csv"
+            assert main(["grid", "--config", str(cfg), "--method", "gptq", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_quick_grid_digest_pinned(self, tmp_path):
         out = tmp_path / "quick.csv"
@@ -840,7 +891,7 @@ class TestQuantizeCommand:
 
 class TestGridBitsDefaults:
     def _bits_seen(self, tmp_path, method, bits=None):
-        cfg = write_config(tmp_path, pipeline={
+        cfg = write_config(tmp_path, grid=BASE_GRID if method == "uniform" else SOTA_GRID, pipeline={
             **TINY_PIPELINE, "connector_blocks": 0, "connector_kind": "linear_projector",
         })
         raw = json.loads(cfg.read_text())

@@ -26,6 +26,7 @@ from mmqlab.pipeline import (
     encode_vision,
     enumerate_layers,
     greedy_generate,
+    element_count,
     group_of,
     image_embeddings,
     run_connector,
@@ -33,6 +34,7 @@ from mmqlab.pipeline import (
 )
 from helpers import (
     assert_same_quantization,
+    oracle_affine_layer_norm,
     oracle_attention,
     oracle_collect_calibration,
     oracle_gelu,
@@ -85,14 +87,23 @@ class TestBuildModel:
         assert quantizable_count == quantizable
         extras = (
             d * d  # patch embed
-            + blocks * 4 * d  # two layer norms (scale+bias) per block
-            + 3 * 2 * d  # final norms per component
             + 8 * d  # learned queries
             + default_spec.vocab * d  # token embedding
             + 64 * d  # positional embedding
             + default_spec.vocab * d  # output head
         )
-        assert quantizable_count + sum(a.size for a in default_model.extras.values()) == quantizable + extras
+        total = quantizable_count + sum(a.size for a in default_model.extras.values())
+        assert total == quantizable + extras
+        # the weights are the largest thing the default spec makes the lab hold
+        assert element_count(default_spec, 0) == total
+        # layer norms have no parameters, so no extra lives in a block
+        shared = {"vision.patch_embed", "language.token_embedding", "language.pos_embedding", "language.output_head"}
+        assert set(default_model.extras) == shared | {"connector.queries"}
+        projector = build_model(
+            replace(default_spec, connector_kind=ConnectorKind.LINEAR_PROJECTOR, connector_blocks=0)
+        )
+        assert set(projector.extras) == shared | {"connector.proj"}
+        assert all(a.ndim == 2 for model in (default_model, projector) for a in model.extras.values())
 
     def test_residual_projections_scaled_down(self, default_model, default_spec):
         # out_proj std should be ~1/sqrt(2*blocks) of the q_proj std
@@ -186,14 +197,27 @@ class TestBlockOps:
         rng = np.random.default_rng(0)
         for rows in self.ROWS:
             x = (3 * rng.standard_normal((2, rows, 64)) + 1).astype(np.float32)
-            scale = rng.standard_normal(64).astype(np.float32)
-            bias = rng.standard_normal(64).astype(np.float32)
             before = x.copy()
-            assert same_bits(pipeline._layer_norm(x, scale, bias), oracle_layer_norm(x, scale, bias)), rows
+            assert same_bits(pipeline._layer_norm(x), oracle_layer_norm(x)), rows
             assert same_bits(x, before)  # layer norm does not write its input
             out = x.copy()
             assert pipeline._gelu(out) is out  # gelu overwrites its argument
             assert same_bits(out, oracle_gelu(x)), rows
+
+    def test_layer_norm_is_the_affine_norm_at_unit_scale_and_zero_bias(self):
+        rng = np.random.default_rng(2)
+        ones, zeros = np.ones(64, dtype=np.float32), np.zeros(64, dtype=np.float32)
+        signed_zero = np.zeros((1, 64), dtype=np.float32)
+        signed_zero[0, 5] = -0.0  # the one entry its zero mean leaves at -0.0
+        for rows in self.ROWS:
+            x = np.concatenate([
+                (3 * rng.standard_normal((rows, 64)) + 1).astype(np.float32),
+                np.full((1, 64), 2.5, dtype=np.float32),  # a constant row
+                signed_zero,
+            ])
+            normed = pipeline._layer_norm(x)
+            assert np.signbit(normed[-1, 5])
+            assert same_bits(normed + np.float32(0), oracle_affine_layer_norm(x, ones, zeros)), rows
 
     @pytest.mark.parametrize("causal", [False, True], ids=["cross", "causal"])
     def test_attention(self, default_model, causal):
