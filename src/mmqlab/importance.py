@@ -17,9 +17,9 @@ linear fit captures the same data.
 The features take only their observed values, so the forest is tabulated once
 on the lattice of those values (at most 15^3 points for integer bits in
 [2, 16]); permutation and Shapley look rows up in that table instead of
-walking the trees. All trees of a forest are grown together, level by level.
-Both give the same numbers, bit for bit, as predicting every row and growing
-each tree depth-first.
+walking the trees. All trees of a forest are grown together, level by level,
+and walked together to predict. All of this gives the same numbers, bit for
+bit, as predicting every row tree by tree and growing each tree depth-first.
 """
 
 from __future__ import annotations
@@ -98,17 +98,6 @@ class RegressionTree:
     value: np.ndarray
     gain: np.ndarray  # per-node variance reduction, already divided by root sample count
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.int32)
-        while True:
-            at_leaf = self.feature[node] < 0
-            if at_leaf.all():
-                return self.value[node]
-            feat = np.maximum(self.feature[node], 0)
-            go_left = x[np.arange(x.shape[0]), feat] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(at_leaf, node, nxt).astype(np.int32)
-
     def feature_gains(self, n_features: int) -> np.ndarray:
         sums = np.zeros(n_features)
         internal = self.feature >= 0
@@ -123,19 +112,77 @@ class ForestModel:
     feature_names: tuple[str, ...]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Mean of the trees' predictions. All trees are walked together, one
+        step per depth over every (tree, row) pair; the per-tree values are
+        then added in tree order, as summing tree by tree would."""
         x = np.asarray(x, dtype=np.float64)
+        trees = self.trees
+        sizes = [tree.feature.size for tree in trees]
+        base = np.cumsum(sizes) - sizes  # each tree's first node in the concatenated arrays
+        feature = np.concatenate([tree.feature for tree in trees])
+        threshold = np.concatenate([tree.threshold for tree in trees])
+        value = np.concatenate([tree.value for tree in trees])
+        left = np.concatenate([tree.left + b for tree, b in zip(trees, base)])
+        right = np.concatenate([tree.right + b for tree, b in zip(trees, base)])
+        node = np.repeat(base[:, None], x.shape[0], axis=1)  # [tree, row]
+        row = np.arange(x.shape[0])
+        while True:
+            feat = feature[node]
+            at_leaf = feat < 0
+            if at_leaf.all():
+                break
+            go_left = x[row, np.maximum(feat, 0)] <= threshold[node]
+            node = np.where(at_leaf, node, np.where(go_left, left[node], right[node]))
         out = np.zeros(x.shape[0])
-        for tree in self.trees:
-            out += tree.predict(x)
-        return out / len(self.trees)
+        for per_tree in value[node]:
+            out += per_tree
+        return out / len(trees)
 
 
 def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """values[seg].sum() per contiguous segment. numpy sums pairwise, so a
-    running or reduceat sum would round differently; np.add.reduce is the
-    reduction ndarray.sum runs."""
-    ends = np.cumsum(lens).tolist()
-    return np.array([np.add.reduce(values[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+    """The node sums of a whole tree level in one pass: values[seg].sum(axis=0)
+    per contiguous segment of rows, bit for bit.
+
+    np.add.reduce on a contiguous float64 slice, the reduction ndarray.sum
+    runs, is numpy's pairwise sum added to the identity +0.0 (so a sum of
+    -0.0s is +0.0). A running or reduceat sum would round differently, so
+    this reproduces the pairwise order. The equivalence test against
+    np.add.reduce is what fails if a numpy upgrade changes that order.
+    """
+    return 0.0 + _pairwise_sums(values, np.cumsum(lens) - lens, lens)
+
+
+def _pairwise_sums(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of values[s:s + n] per (s, n): above 128 rows,
+    halve at a multiple of 8 and add the halves; from 8 to 128, eight
+    running sums over blocks of eight, combined as a tree, then the rest one
+    by one; below 8, one by one from +0.0."""
+    out = np.empty((lens.size, values.shape[1]))
+    halve = lens > 128
+    if halve.any():
+        s, n = starts[halve], lens[halve]
+        left = n // 2 - n // 2 % 8
+        sums = _pairwise_sums(values, np.concatenate([s, s + left]), np.concatenate([left, n - left]))
+        out[halve] = sums[: s.size] + sums[s.size :]
+    # Most blocks first, so the segments still adding block b are a prefix.
+    order = np.flatnonzero(~halve)[np.argsort(-(lens[~halve] // 8))]
+    s, n = starts[order], lens[order]
+    blocks = n // 8
+    res = np.zeros((s.size, values.shape[1]))
+    eight = np.arange(8)
+    some = int(np.count_nonzero(blocks))
+    acc = values[s[:some, None] + eight]
+    for b in range(1, int(blocks.max(initial=0))):
+        still = int(np.count_nonzero(blocks > b))
+        acc[:still] += values[s[:still, None] + 8 * b + eight]
+    r = acc.transpose(1, 0, 2)
+    res[:some] = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    tail = s + 8 * blocks
+    for i in range(7):
+        more = np.flatnonzero(n % 8 > i)
+        res[more] += values[tail[more] + i]
+    out[order] = res
+    return out
 
 
 def fit_random_forest(
@@ -181,8 +228,7 @@ def fit_random_forest(
         nodes = lens.size
         yr = y[rows]
         yy = yr * yr
-        total = _segment_sums(yr, lens)
-        total_sq = _segment_sums(yy, lens)
+        total, total_sq = _segment_sums(np.stack([yr, yy], axis=1), lens).T
         sse = total_sq - total * total / lens
         open_ = (lens >= 2 * min_leaf) & (sse > _GAIN_RTOL * np.maximum(total_sq, 1e-300))
         slot = np.repeat(np.arange(nodes), lens)

@@ -186,11 +186,33 @@ def recursive_forest_trees(data, n_trees=100, min_leaf=2, seed=0, bootstrap=True
     return trees
 
 
+def _tree_predict(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    node = np.zeros(x.shape[0], dtype=np.int32)
+    while True:
+        at_leaf = tree.feature[node] < 0
+        if at_leaf.all():
+            return tree.value[node]
+        feat = np.maximum(tree.feature[node], 0)
+        go_left = x[np.arange(x.shape[0]), feat] <= tree.threshold[node]
+        nxt = np.where(go_left, tree.left[node], tree.right[node])
+        node = np.where(at_leaf, node, nxt).astype(np.int32)
+
+
+def oracle_forest_predict(forest, x: np.ndarray) -> np.ndarray:
+    """ForestModel.predict one tree at a time: each tree walks every row, and
+    its values are added to a running sum started at zeros."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(x.shape[0])
+    for tree in forest.trees:
+        out += _tree_predict(tree, x)
+    return out / len(forest.trees)
+
+
 def predict_permutation_importance(forest, data, n_repeats=50, seed=0) -> ImportanceReport:
     """permutation_importance by predicting every shuffled matrix."""
     x = data.features
     n, m = x.shape
-    base_pred = forest.predict(x)
+    base_pred = oracle_forest_predict(forest, x)
     base_mse = float(np.mean((base_pred - data.target) ** 2))
     increases = np.zeros((m, n_repeats))
     for j in range(m):
@@ -198,7 +220,7 @@ def predict_permutation_importance(forest, data, n_repeats=50, seed=0) -> Import
             stream = RngStream(derive_seed(seed, "perm", j, rep))
             shuffled = x.copy()
             shuffled[:, j] = x[stream.permutation(n), j]
-            mse = float(np.mean((forest.predict(shuffled) - data.target) ** 2))
+            mse = float(np.mean((oracle_forest_predict(forest, shuffled) - data.target) ** 2))
             increases[j, rep] = mse - base_mse
     mean = increases.mean(axis=1)
     if n_repeats > 1:
@@ -218,14 +240,14 @@ def predict_interventional_value(forest, x: np.ndarray, subset: tuple[int, ...])
     background row b), deduplicated with np.unique."""
     n, m = x.shape
     if not subset:
-        return np.full(n, float(forest.predict(x).mean()))
+        return np.full(n, float(oracle_forest_predict(forest, x).mean()))
     if len(subset) == m:
-        return forest.predict(x)
+        return oracle_forest_predict(forest, x)
     synth = np.tile(x, (n, 1))  # row-major blocks: block i = backgrounds for row i
     for j in subset:
         synth[:, j] = np.repeat(x[:, j], n)
     compact, inverse = np.unique(synth, axis=0, return_inverse=True)
-    preds = forest.predict(compact)[inverse]
+    preds = oracle_forest_predict(forest, compact)[inverse]
     return preds.reshape(n, n).mean(axis=1)
 
 

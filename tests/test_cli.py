@@ -755,6 +755,17 @@ class TestAnalyzeCommand:
             "3c6438ec8c07597d33d799d5170ae2c14ee204fbdf79e4d7423ef60d43ee187c"
         )
 
+    def test_fixture_reports_pinned(self, tmp_path):
+        """The forest's output on real grid rows: only the reports are hashed,
+        since linear_r2 moves with the BLAS kernel."""
+        out = tmp_path / "report.json"
+        csv = REPO / "perfbench" / "fixtures" / "gptq_vqa_343.csv"
+        assert main(["analyze", str(csv), "--task", "vqa", "--out", str(out), "--boot", "2"]) == 0
+        reports = json.loads(out.read_text())["methods"]["gptq"]["reports"]
+        assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
+            "f21d67d4872894cf5c5670e1cd746f645681e1d2a90ed3793e305ef871dc8722"
+        )
+
     def test_rerun_byte_identical(self, tmp_path):
         csv = tmp_path / "inj.csv"
         synthetic_results(csv, lambda v, c, l: 1.0 if l >= 4 else 0.1)

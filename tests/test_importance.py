@@ -3,7 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import predict_interventional_value, predict_permutation_importance, recursive_forest_trees
+from helpers import (
+    oracle_forest_predict,
+    predict_interventional_value,
+    predict_permutation_importance,
+    recursive_forest_trees,
+)
 
 from mmqlab.experiments import RunRecord, load_results
 from mmqlab.importance import (
@@ -12,6 +17,7 @@ from mmqlab.importance import (
     ImportanceReport,
     _interventional_value,
     _lattice,
+    _segment_sums,
     bootstrap_importance_ci,
     consensus_csv_row,
     consensus_ranking,
@@ -31,6 +37,11 @@ NAMES = ("vision", "connector", "language")
 
 def full_lattice():
     return np.array(list(itertools.product(BIT_VALUES, repeat=3)), dtype=np.float64)
+
+
+def integer_lattice():
+    """Every point of integer bits in [2, 16], as a results CSV may hold them: 15^3 points."""
+    return np.array(list(itertools.product(range(2, 17), repeat=3)), dtype=np.float64)
 
 
 def lattice_data(target_fn):
@@ -182,6 +193,11 @@ class TestLockstepFit:
         data = lattice_data(lambda g: np.full(len(g), 0.5))
         assert_same_trees(fit_random_forest(data, n_trees=5, seed=1), recursive_forest_trees(data, 5, seed=1))
 
+    def test_negative_zero_target(self):
+        # load_results accepts a score of -0.0; np.add.reduce sums all -0.0s to +0.0
+        data = lattice_data(lambda g: np.full(len(g), -0.0))
+        assert_same_trees(fit_random_forest(data, n_trees=5, seed=1), recursive_forest_trees(data, 5, seed=1))
+
     def test_min_leaf_one_without_bootstrap(self):
         grid = full_lattice()
         data = AttributionDataset(grid, np.cos(np.arange(len(grid), dtype=np.float64)), NAMES)
@@ -202,6 +218,44 @@ class TestLockstepFit:
         forest = fit_random_forest(data, n_trees=1, min_leaf=1, bootstrap=False)
         assert_same_trees(forest, recursive_forest_trees(data, 1, min_leaf=1, bootstrap=False))
         assert (forest.trees[0].feature[0], forest.trees[0].threshold[0]) == (0, 2.0)
+
+
+class TestSegmentSums:
+    def test_matches_add_reduce_per_segment(self):
+        """Both columns of every segment against np.add.reduce on that segment
+        alone, bit for bit: every length from 1 to 1,100 in one call, then the
+        block-size boundaries again with every value -0.0."""
+        rng = np.random.default_rng(0)
+        boundaries = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257]
+        lens = np.array(list(range(1, 1101)) + boundaries)
+        values = rng.standard_normal((lens.sum(), 2)) * 10.0 ** rng.integers(-8, 9, (lens.sum(), 2))
+        values[-sum(boundaries):] = -0.0
+        starts = np.cumsum(lens) - lens
+        want = np.array([
+            [np.add.reduce(np.ascontiguousarray(values[a : a + n, c])) for c in range(2)]
+            for a, n in zip(starts, lens)
+        ])
+        bad = np.any(_segment_sums(values, lens).view(np.uint64) != want.view(np.uint64), axis=1)
+        assert not bad.any(), (
+            f"numpy {np.__version__} sums segments of lengths {lens[bad][:10].tolist()} in an order "
+            "_segment_sums does not reproduce"
+        )
+
+
+class TestForestPredict:
+    """All trees walked together against one tree at a time, bit for bit."""
+
+    @pytest.mark.parametrize("make, points", [
+        (fixture_data, lambda data: data.features),
+        (lambda: resampled(fixture_data(), 5), lambda data: data.features),
+        (fixture_data, lambda data: integer_lattice()),
+        (lambda: lattice_data(lambda g: np.full(len(g), 0.5)), lambda data: data.features[::7]),
+    ], ids=["fixture", "resample", "integer-lattice", "single-leaf-trees"])
+    def test_matches_tree_by_tree_walk(self, make, points):
+        data = make()
+        forest = fit_random_forest(data, seed=9)
+        x = points(data)
+        assert forest.predict(x).tobytes() == oracle_forest_predict(forest, x).tobytes()
 
 
 class TestLatticeTable:
