@@ -39,6 +39,7 @@ from .experiments import (
 from .importance import (
     AttributionDataset,
     CONSENSUS_CSV_HEADER,
+    MIN_FOREST_ROWS,
     bootstrap_importance_ci,
     consensus_csv_row,
     consensus_ranking,
@@ -344,14 +345,20 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--boot must be >= 1, got {args.boot}")
     task = TaskKind(args.task)
     task_rows = [r for r in load_results(args.results) if r.task is task]
-    if len(task_rows) < 10:
-        print(f"error: need at least 10 rows for task {task.value!r}, have {len(task_rows)}", file=sys.stderr)
-        return 1
+    if len(task_rows) < MIN_FOREST_ROWS:
+        raise ConfigError(f"need at least {MIN_FOREST_ROWS} rows for task {task.value!r}, have {len(task_rows)}")
     methods = sorted({r.method for r in task_rows}, key=lambda m: m.value)
+    datasets = {}  # every method's rows are checked before any forest is fit
+    for method in methods:
+        datasets[method] = data = AttributionDataset.from_results(task_rows, task, method=method)
+        if len(data) < MIN_FOREST_ROWS:
+            raise ConfigError(
+                f"need at least {MIN_FOREST_ROWS} rows with a finite score to fit a forest for task "
+                f"{task.value!r}, method {method.value!r}, have {len(data)}"
+            )
     payload = {"task": task.value, "methods": {}}
     consensus_lines = [CONSENSUS_CSV_HEADER]
-    for method in methods:
-        data = AttributionDataset.from_results(task_rows, task, method=method)
+    for method, data in datasets.items():
         forest = fit_random_forest(data, seed=args.seed)
         impurity = bootstrap_importance_ci(data, n_boot=args.boot, seed=args.seed)
         permutation = permutation_importance(forest, data, seed=args.seed)
@@ -447,12 +454,7 @@ def render_plot_svg(rows: list[RunRecord], task: TaskKind) -> str:
 
 
 def cmd_plot(args) -> int:
-    rows = load_results(args.results)
-    try:
-        svg = render_plot_svg(rows, TaskKind(args.task))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    svg = render_plot_svg(load_results(args.results), TaskKind(args.task))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
@@ -544,6 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (folder := os.path.dirname(getattr(args, "out", ""))) and not os.path.isdir(folder):
+            raise ConfigError(f"--out {args.out}: directory {folder} does not exist")  # before any work
         return args.func(args)
     except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)

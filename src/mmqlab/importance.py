@@ -18,8 +18,11 @@ The features take only their observed values, so the forest is tabulated once
 on the lattice of those values (at most 15^3 points for integer bits in
 [2, 16]); permutation and Shapley look rows up in that table instead of
 walking the trees. All trees of a forest are grown together, level by level,
-and walked together to predict. All of this gives the same numbers, bit for
-bit, as predicting every row tree by tree and growing each tree depth-first.
+and kept as one set of node arrays: the trees end to end, each in preorder,
+with child indices into the whole arrays. Prediction walks all trees
+together, and impurity adds every node's gain in one np.add.at. All of this
+gives the same numbers, bit for bit, as growing each tree depth-first, then
+predicting and adding gains tree by tree.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .numerics import RngStream, derive_seed
 from .pipeline import COMPONENT_ORDER, FP_BITS, TaskKind
 
 _GAIN_RTOL = 1e-12
+MIN_FOREST_ROWS = 10  # a bootstrapped forest needs at least this many rows
 
 
 @dataclass
@@ -63,13 +67,14 @@ class AttributionDataset:
     def from_results(cls, rows, task: TaskKind, method=None) -> "AttributionDataset":
         """Build from the finished results rows of one task (and method, if
         given); components never quantized (bits constant at 16 across all
-        rows) are dropped as absent."""
+        rows) are dropped as absent. Errors name the slice."""
+        where = f"task {task.value!r}" + ("" if method is None else f", method {method.value!r}")
         rows = [
             r for r in rows
             if r.task is task and (method is None or r.method is method) and np.isfinite(r.score)
         ]
         if not rows:
-            raise ValueError(f"no usable rows for task {task.value!r}")
+            raise ValueError(f"no usable rows for {where}")
         all_bits = np.array(
             [[r.vision_bits, r.connector_bits, r.language_bits] for r in rows], dtype=np.float64
         )
@@ -79,7 +84,7 @@ class AttributionDataset:
             if not np.all(all_bits[:, i] == FP_BITS)
         ]
         if not keep:
-            raise ValueError("every component is unquantized in this slice")
+            raise ValueError(f"every component is unquantized for {where}")
         return cls(
             features=all_bits[:, keep],
             target=np.array([r.score for r in rows], dtype=np.float64),
@@ -88,27 +93,22 @@ class AttributionDataset:
 
 
 @dataclass
-class RegressionTree:
-    """Flat binary tree in preorder; feature < 0 marks a leaf. value is the node's mean target."""
+class ForestModel:
+    """Every tree's nodes end to end, each tree in preorder (a node, its left
+    subtree, then its right subtree), the order a depth-first builder uses.
+
+    trees holds each tree's root; left and right index the whole arrays;
+    feature < 0 marks a leaf. value is a node's mean target and gain its
+    variance reduction, already divided by the root's row count.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    gain: np.ndarray  # per-node variance reduction, already divided by root sample count
-
-    def feature_gains(self, n_features: int) -> np.ndarray:
-        sums = np.zeros(n_features)
-        internal = self.feature >= 0
-        np.add.at(sums, self.feature[internal], self.gain[internal])
-        return sums
-
-
-@dataclass
-class ForestModel:
-    trees: list[RegressionTree]
-    n_features: int
+    gain: np.ndarray
+    trees: np.ndarray
     feature_names: tuple[str, ...]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -116,27 +116,19 @@ class ForestModel:
         step per depth over every (tree, row) pair; the per-tree values are
         then added in tree order, as summing tree by tree would."""
         x = np.asarray(x, dtype=np.float64)
-        trees = self.trees
-        sizes = [tree.feature.size for tree in trees]
-        base = np.cumsum(sizes) - sizes  # each tree's first node in the concatenated arrays
-        feature = np.concatenate([tree.feature for tree in trees])
-        threshold = np.concatenate([tree.threshold for tree in trees])
-        value = np.concatenate([tree.value for tree in trees])
-        left = np.concatenate([tree.left + b for tree, b in zip(trees, base)])
-        right = np.concatenate([tree.right + b for tree, b in zip(trees, base)])
-        node = np.repeat(base[:, None], x.shape[0], axis=1)  # [tree, row]
+        node = np.repeat(self.trees[:, None], x.shape[0], axis=1)  # [tree, row]
         row = np.arange(x.shape[0])
         while True:
-            feat = feature[node]
+            feat = self.feature[node]
             at_leaf = feat < 0
             if at_leaf.all():
                 break
-            go_left = x[row, np.maximum(feat, 0)] <= threshold[node]
-            node = np.where(at_leaf, node, np.where(go_left, left[node], right[node]))
+            go_left = x[row, np.maximum(feat, 0)] <= self.threshold[node]
+            node = np.where(at_leaf, node, np.where(go_left, self.left[node], self.right[node]))
         out = np.zeros(x.shape[0])
-        for per_tree in value[node]:
+        for per_tree in self.value[node]:
             out += per_tree
-        return out / len(trees)
+        return out / len(self.trees)
 
 
 def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -204,8 +196,8 @@ def fit_random_forest(
     node splits on the first feature with the strictly largest gain, at
     that feature's first best threshold.
     """
-    if len(data) < 10 and bootstrap:
-        raise ValueError(f"need at least 10 rows to fit a forest, have {len(data)}")
+    if len(data) < MIN_FOREST_ROWS and bootstrap:
+        raise ValueError(f"need at least {MIN_FOREST_ROWS} rows to fit a forest, have {len(data)}")
     x, y = data.features, data.target
     n, m = x.shape
     uniques = [np.unique(x[:, j]) for j in range(m)]
@@ -222,8 +214,7 @@ def fit_random_forest(
 
     rows = np.concatenate(roots)
     lens = np.full(n_trees, n, dtype=np.int64)  # rows per node of the level
-    tree = np.arange(n_trees, dtype=np.int64)
-    levels, splits = [], []  # per level: (tree, value, feature, threshold, gain) and the split mask
+    levels, splits = [], []  # per level: (value, feature, threshold, gain) and the split mask
     while lens.size:
         nodes = lens.size
         yr = y[rows]
@@ -268,7 +259,7 @@ def fit_random_forest(
         for j in range(m):
             on_j = best_feature == j
             threshold[on_j] = uniques[j][best_code[on_j]]
-        levels.append((tree, total / lens, best_feature, threshold, np.where(split, best_gain / n, 0.0)))
+        levels.append((total / lens, best_feature, threshold, np.where(split, best_gain / n, 0.0)))
         splits.append(split)
 
         # The next level holds each split node's left then right child; a
@@ -278,15 +269,13 @@ def fit_random_forest(
         child = 2 * (np.cumsum(split) - 1)[slot] + (codes[rows, best_feature[slot]] > best_code[slot])
         rows = rows[np.argsort(child, kind="stable")]
         lens = np.bincount(child, minlength=2 * int(split.sum()))
-        tree = np.repeat(tree[split], 2)
-    return ForestModel(
-        trees=_preorder_trees(levels, splits, n_trees), n_features=m, feature_names=data.feature_names
-    )
+    return ForestModel(**_preorder(levels, splits), feature_names=data.feature_names)
 
 
-def _preorder_trees(levels: list[tuple], splits: list[np.ndarray], n_trees: int) -> list[RegressionTree]:
-    """Renumber breadth-first levels to per-tree preorder (a node, its left
-    subtree, then its right subtree), the order a depth-first builder uses."""
+def _preorder(levels: list[tuple], splits: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """ForestModel's node columns from breadth-first levels: every node
+    renumbered to its place with each tree in preorder and the trees end to
+    end, and trees, each tree's root."""
     left_size = [None] * len(splits)
     size = np.zeros(0, dtype=np.int64)
     for d in reversed(range(len(splits))):
@@ -294,7 +283,8 @@ def _preorder_trees(levels: list[tuple], splits: list[np.ndarray], n_trees: int)
         below = size
         size = np.ones(splits[d].size, dtype=np.int64)
         size[splits[d]] += below[0::2] + below[1::2]
-    pre = np.zeros(n_trees, dtype=np.int64)  # size now holds each tree's node count
+    roots = np.cumsum(size) - size  # size now holds each tree's node count
+    pre = roots
     pres, lefts, rights = [], [], []
     for d, split in enumerate(splits):
         left = np.full(split.size, -1, dtype=np.int64)
@@ -306,22 +296,14 @@ def _preorder_trees(levels: list[tuple], splits: list[np.ndarray], n_trees: int)
         rights.append(right)
         pre = np.stack([left[split], right[split]], axis=1).ravel()
 
-    tree, value, feature, threshold, gain = (np.concatenate(col) for col in zip(*levels))
-    place = np.concatenate([[0], np.cumsum(size)[:-1]])[tree] + np.concatenate(pres)
-    columns = {
-        "feature": (feature, np.int32),
-        "threshold": (threshold, np.float64),
-        "left": (np.concatenate(lefts), np.int32),
-        "right": (np.concatenate(rights), np.int32),
-        "value": (value, np.float64),
-        "gain": (gain, np.float64),
+    place = np.concatenate(pres)
+    order = np.empty_like(place)
+    order[place] = np.arange(place.size)  # the level-order node at each preorder place
+    value, feature, threshold, gain = (np.concatenate(col)[order] for col in zip(*levels))
+    return {
+        "feature": feature, "threshold": threshold, "left": np.concatenate(lefts)[order],
+        "right": np.concatenate(rights)[order], "value": value, "gain": gain, "trees": roots,
     }
-    per_tree = {}
-    for name, (col, dtype) in columns.items():
-        flat = np.empty(place.size, dtype=dtype)
-        flat[place] = col
-        per_tree[name] = np.split(flat, np.cumsum(size)[:-1])
-    return [RegressionTree(**{name: cols[t] for name, cols in per_tree.items()}) for t in range(n_trees)]
 
 
 @dataclass
@@ -374,14 +356,23 @@ def _shares(values: np.ndarray) -> np.ndarray:
 
 
 def impurity_importance(forest: ForestModel) -> ImportanceReport:
-    """Mean per-feature variance reduction across trees, normalized to sum 1."""
-    sums = np.zeros(forest.n_features)
-    for tree in forest.trees:
-        sums += tree.feature_gains(forest.n_features)
-    sums /= len(forest.trees)
+    """Mean per-feature variance reduction across trees, normalized to sum 1.
+
+    Each tree's gains are added per feature in preorder, then the trees in
+    tree order, as summing tree by tree would.
+    """
+    n_trees, m = len(forest.trees), len(forest.feature_names)
+    tree = np.repeat(np.arange(n_trees), np.diff(forest.trees, append=forest.feature.size))
+    internal = forest.feature >= 0
+    per_tree = np.zeros((n_trees, m))
+    np.add.at(per_tree, (tree[internal], forest.feature[internal]), forest.gain[internal])
+    sums = np.zeros(m)
+    for row in per_tree:
+        sums += row
+    sums /= n_trees
     shares = _shares(sums)
     pct, degenerate = _normalize_pct(sums)
-    nan = np.full(forest.n_features, np.nan)
+    nan = np.full(m, np.nan)
     return ImportanceReport(
         method="impurity", feature_names=forest.feature_names,
         importance=shares, ci_low=nan, ci_high=nan, pct=pct, degenerate=degenerate,

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from mmqlab.experiments import run_grid
-from mmqlab.importance import _GAIN_RTOL, ImportanceReport, RegressionTree, _normalize_pct
+from mmqlab.importance import _GAIN_RTOL, ImportanceReport, _normalize_pct, _shares
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
 from mmqlab.pipeline import (
     CALIBRATION_PAIRS,
@@ -85,6 +86,18 @@ def spearman_rho(x, y) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
+class OracleTree(NamedTuple):
+    """One tree as the recursive builder lays it out, in preorder; left and
+    right index this tree's own arrays and feature < 0 marks a leaf."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    gain: np.ndarray
+
+
 class _TreeBuilder:
     """Single-tree fit: exhaustive scan over unique feature values per node."""
 
@@ -153,19 +166,19 @@ class _TreeBuilder:
         self.cols["gain"][nid] = gain_val / n_root
         return nid
 
-    def finish(self) -> RegressionTree:
+    def finish(self) -> OracleTree:
         c = self.cols
-        return RegressionTree(
+        return OracleTree(
             feature=np.array(c["feature"], dtype=np.int32),
             threshold=np.array(c["threshold"], dtype=np.float64),
-            left=np.array(c["left"], dtype=np.int32),
-            right=np.array(c["right"], dtype=np.int32),
+            left=np.array(c["left"], dtype=np.int64),
+            right=np.array(c["right"], dtype=np.int64),
             value=np.array(c["value"], dtype=np.float64),
             gain=np.array(c["gain"], dtype=np.float64),
         )
 
 
-def recursive_forest_trees(data, n_trees=100, min_leaf=2, seed=0, bootstrap=True) -> list[RegressionTree]:
+def recursive_forest_trees(data, n_trees=100, min_leaf=2, seed=0, bootstrap=True) -> list[OracleTree]:
     """The trees of fit_random_forest, grown one at a time depth-first by recursion."""
     x = data.features
     n, m = x.shape
@@ -186,26 +199,46 @@ def recursive_forest_trees(data, n_trees=100, min_leaf=2, seed=0, bootstrap=True
     return trees
 
 
-def _tree_predict(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    node = np.zeros(x.shape[0], dtype=np.int32)
+def _tree_predict(forest, root: int, x: np.ndarray) -> np.ndarray:
+    """One tree's predictions: every row walks down from the tree's root."""
+    node = np.full(x.shape[0], root)
     while True:
-        at_leaf = tree.feature[node] < 0
+        at_leaf = forest.feature[node] < 0
         if at_leaf.all():
-            return tree.value[node]
-        feat = np.maximum(tree.feature[node], 0)
-        go_left = x[np.arange(x.shape[0]), feat] <= tree.threshold[node]
-        nxt = np.where(go_left, tree.left[node], tree.right[node])
-        node = np.where(at_leaf, node, nxt).astype(np.int32)
+            return forest.value[node]
+        feat = np.maximum(forest.feature[node], 0)
+        go_left = x[np.arange(x.shape[0]), feat] <= forest.threshold[node]
+        node = np.where(at_leaf, node, np.where(go_left, forest.left[node], forest.right[node]))
 
 
 def oracle_forest_predict(forest, x: np.ndarray) -> np.ndarray:
-    """ForestModel.predict one tree at a time: each tree walks every row, and
-    its values are added to a running sum started at zeros."""
+    """ForestModel.predict one tree at a time: each tree walks every row from
+    its root, and its values are added to a running sum started at zeros."""
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros(x.shape[0])
-    for tree in forest.trees:
-        out += _tree_predict(tree, x)
+    for root in forest.trees:
+        out += _tree_predict(forest, root, x)
     return out / len(forest.trees)
+
+
+def oracle_impurity_importance(trees: list[OracleTree], feature_names) -> ImportanceReport:
+    """impurity_importance tree by tree: each tree's gains added per feature
+    with np.add.at over its internal nodes in preorder, then the trees added
+    in order to a running sum started at zeros."""
+    m = len(feature_names)
+    sums = np.zeros(m)
+    for tree in trees:
+        per_tree = np.zeros(m)
+        internal = tree.feature >= 0
+        np.add.at(per_tree, tree.feature[internal], tree.gain[internal])
+        sums += per_tree
+    sums /= len(trees)
+    pct, degenerate = _normalize_pct(sums)
+    nan = np.full(m, np.nan)
+    return ImportanceReport(
+        method="impurity", feature_names=tuple(feature_names),
+        importance=_shares(sums), ci_low=nan, ci_high=nan, pct=pct, degenerate=degenerate,
+    )
 
 
 def predict_permutation_importance(forest, data, n_repeats=50, seed=0) -> ImportanceReport:

@@ -208,9 +208,7 @@ def test_criterion_06_shapley_exactness():
         phi, fx, base = shapley_values(forest, data)
         if np.max(np.abs(phi.sum(axis=1) - (fx - base))) > 1e-9:
             efficiency_ok = False
-        split_on = set()
-        for tree in forest.trees:
-            split_on.update(int(f) for f in tree.feature[tree.feature >= 0])
+        split_on = set(forest.feature[forest.feature >= 0].tolist())
         for j in range(m):
             if j not in split_on and np.any(phi[:, j] != 0.0):
                 null_ok = False

@@ -728,6 +728,31 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "at least 10 rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("awq_rows, message", [
+        ([(4, 4, 2 + i % 3, 0.5) for i in range(3)], "need at least 10 rows with a finite score to fit a forest"),
+        ([(16, 16, 16, 0.05 * i) for i in range(12)], "every component is unquantized"),
+        ([(4, 4, 2 + i % 3, float("nan")) for i in range(12)], "no usable rows"),
+    ], ids=["three-rows", "unquantized", "no-finite-score"])
+    def test_unfittable_method_names_method_and_task(self, tmp_path, capsys, awq_rows, message):
+        """20 fittable GPTQ rows beside AWQ rows a forest cannot be fit to."""
+        gptq_rows = [(2 + i % 5, 4, 2 + i // 5, 0.03 * i) for i in range(20)]
+        rows = [
+            RunRecord(
+                run_id=f"{method.value}{i:02d}", method=method, task=TaskKind.VQA,
+                vision_bits=v, connector_bits=c, language_bits=l,
+                groups=frozenset(BlockGroup), layer_types=frozenset(LayerType),
+                group_size=128, bpw=(v + c + l) / 3, score=score, seed=7, wall_ms=0,
+            )
+            for method, specs in ((Method.GPTQ, gptq_rows), (Method.AWQ, awq_rows))
+            for i, (v, c, l, score) in enumerate(specs)
+        ]
+        csv, out = tmp_path / "mixed.csv", tmp_path / "r.json"
+        save_results(rows, csv)
+        assert main(["analyze", str(csv), "--task", "vqa", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "task 'vqa'" in err and "method 'awq'" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("boot", ["0", "-3"])
     def test_boot_below_one_exits_one(self, tmp_path, capsys, boot):
         csv = tmp_path / "inj.csv"
@@ -787,6 +812,26 @@ class TestUnreadableResults:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read results {path}: ")
         assert not out.exists()
+
+
+class TestMissingOutDirectory:
+    @pytest.mark.parametrize("command", ["grid", "analyze", "plot"])
+    def test_exits_one_naming_out_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        import mmqlab.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        for name in ("load_config", "load_results", "run_grid"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "missing" / "out"
+        if command == "grid":
+            argv = ["grid", "--config", str(write_config(tmp_path)), "--method", "uniform", "--out", str(out)]
+        else:
+            argv = [command, str(tmp_path / "results.csv"), "--task", "vqa", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: directory {out.parent} does not exist\n"
+        assert not out.parent.exists()
 
 
 class TestPlotCommand:

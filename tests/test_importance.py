@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     oracle_forest_predict,
+    oracle_impurity_importance,
     predict_interventional_value,
     predict_permutation_importance,
     recursive_forest_trees,
@@ -110,7 +111,7 @@ class TestForest:
     def test_constant_target_gives_single_leaf_trees(self):
         data = lattice_data(lambda g: np.full(len(g), 0.5))
         forest = fit_random_forest(data, n_trees=10, seed=1)
-        assert all(len(t.feature) == 1 for t in forest.trees)
+        assert forest.feature.size == len(forest.trees) == 10 and np.all(forest.feature < 0)
         assert np.allclose(forest.predict(data.features), 0.5)
 
     def test_step_signal_beats_linear_fit(self):
@@ -132,18 +133,15 @@ class TestForest:
     def test_every_internal_node_reduces_variance(self):
         data = lattice_data(lambda g: 0.1 * g[:, 2] + 0.05 * g[:, 0] * (g[:, 1] >= 4))
         forest = fit_random_forest(data, n_trees=20, seed=3)
-        for tree in forest.trees:
-            internal = tree.feature >= 0
-            assert np.all(tree.gain[internal] > 0)
+        assert np.all(forest.gain[forest.feature >= 0] > 0)
 
     def test_leaf_value_is_training_mean(self):
         grid = full_lattice()
         target = (grid[:, 1] >= 5).astype(np.float64) * 0.25 + 0.5
         data = AttributionDataset(grid, target, NAMES)
         forest = fit_random_forest(data, n_trees=1, min_leaf=1, bootstrap=False, seed=0)
-        tree = forest.trees[0]
-        leaves = tree.feature < 0
-        assert set(np.round(tree.value[leaves], 10)) <= {0.5, 0.75}
+        leaves = forest.feature < 0
+        assert set(np.round(forest.value[leaves], 10)) <= {0.5, 0.75}
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="at least 10 rows"):
@@ -159,12 +157,18 @@ class TestForest:
 
 
 def assert_same_trees(forest, oracle_trees):
-    assert len(forest.trees) == len(oracle_trees)
-    for tree, want in zip(forest.trees, oracle_trees):
-        for name in ("feature", "threshold", "left", "right", "value", "gain"):
-            got, exp = getattr(tree, name), getattr(want, name)
-            assert got.dtype == exp.dtype and got.shape == exp.shape, name
-            assert got.tobytes() == exp.tobytes(), name
+    """The forest's node arrays against the oracle's trees laid end to end,
+    with each tree's child indices moved by the tree's first node."""
+    sizes = [tree.feature.size for tree in oracle_trees]
+    roots = np.cumsum(sizes) - sizes
+    assert forest.trees.tobytes() == roots.tobytes()
+    for name in ("feature", "threshold", "left", "right", "value", "gain"):
+        cols = [getattr(tree, name) for tree in oracle_trees]
+        if name in ("left", "right"):
+            cols = [np.where(col >= 0, col + root, col) for col, root in zip(cols, roots)]
+        got, exp = getattr(forest, name), np.concatenate(cols)
+        assert got.dtype == exp.dtype and got.shape == exp.shape, name
+        assert got.tobytes() == exp.tobytes(), name
 
 
 class TestLockstepFit:
@@ -210,14 +214,14 @@ class TestLockstepFit:
         data = AttributionDataset(grid, ((grid[:, 0] == 4) | (grid[:, 2] == 5)).astype(np.float64), NAMES)
         forest = fit_random_forest(data, n_trees=20, seed=4)
         assert_same_trees(forest, recursive_forest_trees(data, 20, seed=4))
-        assert not any(np.any(tree.feature == 1) for tree in forest.trees)
+        assert not np.any(forest.feature == 1)
 
         # A middle spike: splitting below or above it gains exactly the same.
         x = np.repeat(np.array([[2.0, 2.0, 4.0], [3.0, 3.0, 4.0], [4.0, 4.0, 4.0]]), 4, axis=0)
         data = AttributionDataset(x, (x[:, 0] == 3).astype(np.float64), NAMES)
         forest = fit_random_forest(data, n_trees=1, min_leaf=1, bootstrap=False)
         assert_same_trees(forest, recursive_forest_trees(data, 1, min_leaf=1, bootstrap=False))
-        assert (forest.trees[0].feature[0], forest.trees[0].threshold[0]) == (0, 2.0)
+        assert (forest.feature[0], forest.threshold[0]) == (0, 2.0)
 
 
 class TestSegmentSums:
@@ -308,6 +312,25 @@ class TestImpurity:
         assert report.importance.sum() == pytest.approx(1.0, abs=1e-9)
         assert report.pct.sum() == pytest.approx(100.0, abs=1e-9)
 
+    @pytest.mark.parametrize("make", [
+        fixture_data,
+        lambda: resampled(fixture_data(), 2),
+        lambda: lattice_data(step_on_feature0),
+        lambda: lattice_data(lambda g: np.sin(g.sum(axis=1)) + 0.1 * g[:, 1]),
+        lambda: lattice_data(lambda g: np.full(len(g), 0.5)),
+    ], ids=["fixture", "resample", "lattice-step", "lattice-sine", "single-leaf-trees"])
+    def test_matches_tree_by_tree_sums(self, make):
+        """One np.add.at over the whole forest against the recursive oracle's
+        trees summed one at a time, bit for bit."""
+        data = make()
+        got = impurity_importance(fit_random_forest(data, n_trees=40, seed=11))
+        want = oracle_impurity_importance(recursive_forest_trees(data, 40, seed=11), data.feature_names)
+        for name in ("importance", "pct"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.degenerate == want.degenerate
+        if np.ptp(data.target) == 0:
+            assert got.degenerate and np.all(got.importance == 0.0)
+
     def test_degenerate_reports_uniform(self):
         report = impurity_importance(fit_random_forest(lattice_data(lambda g: np.zeros(len(g))), n_trees=5, seed=0))
         assert report.degenerate
@@ -351,9 +374,7 @@ class TestPermutation:
     def test_feature_outside_all_split_sets_is_exactly_zero(self):
         data = lattice_data(step_on_feature0)
         forest = fit_random_forest(data, seed=7)
-        split_on = set()
-        for tree in forest.trees:
-            split_on.update(int(f) for f in tree.feature[tree.feature >= 0])
+        split_on = set(forest.feature[forest.feature >= 0].tolist())
         report = permutation_importance(forest, data, seed=7)
         for j in range(3):
             if j not in split_on:
