@@ -501,6 +501,10 @@ def load_results(path) -> list[RunRecord]:
                 raise ValueError(f"line {line_no}: {name} must lie in [2, {FP_BITS}], got {getattr(row, name)}")
         if not (np.isnan(row.score) or 0.0 <= row.score <= 1.0):
             raise ValueError(f"line {line_no}: score must be nan or lie in [0, 1], got {text['score']}")
+        if not (np.isnan(row.bpw) or 0.0 < row.bpw < np.inf):
+            raise ValueError(f"line {line_no}: bpw must be nan or a positive finite number, got {text['bpw']}")
+        if row.group_size < 0:
+            raise ValueError(f"line {line_no}: group_size must be >= 0, got {text['group_size']}")
         if row.run_id in seen:
             raise ValueError(f"line {line_no}: run_id {row.run_id} repeats line {seen[row.run_id]}")
         seen[row.run_id] = line_no

