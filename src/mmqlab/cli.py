@@ -35,6 +35,7 @@ from .experiments import (
     pareto_frontier,
     run_grid,
     save_results,
+    write_atomic,
 )
 from .importance import (
     AttributionDataset,
@@ -312,26 +313,20 @@ def cmd_grid(args) -> int:
         if error is not None:
             failures.append((row.run_id, error))
     rows.sort(key=lambda r: r.run_id)
-    try:
-        save_results(rows, args.out)
-        manifest = {
-            "config_sha256": config_hash,
-            "versions": {
-                "mmqlab": __version__,
-                "numpy": np.__version__,
-                "python": ".".join(str(v) for v in sys.version_info[:3]),
-            },
-            "method": method.value,
-            "seeds": list(config.grid.seeds),
-            "rows": len(rows),
-            "failures": dict(failures),  # sort_keys orders it by run_id
-        }
-        with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    save_results(rows, args.out)
+    manifest = {
+        "config_sha256": config_hash,
+        "versions": {
+            "mmqlab": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(str(v) for v in sys.version_info[:3]),
+        },
+        "method": method.value,
+        "seeds": list(config.grid.seeds),
+        "rows": len(rows),
+        "failures": dict(failures),  # sort_keys orders it by run_id
+    }
+    write_atomic(str(args.out) + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if failures:
         for run_id, message in failures:
             print(f"failed cell {run_id}: {message}", file=sys.stderr)
@@ -370,13 +365,7 @@ def cmd_analyze(args) -> int:
             "reports": [r.to_dict() for r in (impurity, permutation, shapley, consensus)],
         }
         consensus_lines.append(consensus_csv_row("toy-pipeline", method.value, task.value, consensus))
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print("\n".join(consensus_lines))
     return 0
 
@@ -454,13 +443,7 @@ def render_plot_svg(rows: list[RunRecord], task: TaskKind) -> str:
 
 
 def cmd_plot(args) -> int:
-    svg = render_plot_svg(load_results(args.results), TaskKind(args.task))
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    write_atomic(args.out, render_plot_svg(load_results(args.results), TaskKind(args.task)))
     return 0
 
 
@@ -551,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # inputs that cannot be read raise ValueError, so this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

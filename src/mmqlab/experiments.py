@@ -35,6 +35,7 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -446,10 +447,21 @@ def run_grid(
 # --- persistence -------------------------------------------------------------
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary sibling, then move it onto ``path``: a failed write keeps the old file."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:  # a full disk may fail the write or only the flush at close
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_results(rows: list[RunRecord], path) -> None:
-    lines = [CSV_HEADER] + [r.to_csv_row() for r in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join([CSV_HEADER] + [r.to_csv_row() for r in rows]) + "\n")
 
 
 def _parse_tokens(raw: str, enum_cls):

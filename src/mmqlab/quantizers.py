@@ -5,15 +5,16 @@ matrices and return only the stored ``QuantizedMatrix``:
 
 * ``rtn_group_quantize`` - per-row min/max grids over input-channel groups,
   round to nearest level; one group of the whole matrix is per-tensor
-  uniform. This is the inner grid shared by the calibrated methods.
+  uniform. This is the inner grid shared by the calibrated methods, and its
+  rounding pair ``_round``/``_unround`` serves every method and ``dequantize``.
 * ``gptq_quantize``      - sequential column quantization of a stack of
   same-shape layers, where the not yet quantized columns absorb the rounding
   error, driven by the Cholesky factor of the damped inverse Gram matrix.
 * ``awq_quantize``       - grid search over a per-channel scaling exponent,
   scaling salient input channels up before rounding and folding the scales
   back into the stored grids. The alphas are scored together in chunks of
-  about CHUNK_BYTES per array, in place, with the arithmetic of the grouped
-  rounding, ``dequantize`` and ``proxy_loss``; only the winner is stored.
+  about CHUNK_BYTES per array, in place, through the same rounding pair and
+  with ``proxy_loss``'s arithmetic; only the winner is stored.
 
 Calibration enters only through a layer's ``LayerStats``: the Gram matrix
 X^T X of its input activations X and their mean |x| per channel. GPTQ reads
@@ -71,6 +72,8 @@ class QuantizedMatrix:
     def __post_init__(self):
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
         if int(self.codes.max(initial=0)) > (1 << self.bits) - 1:
             raise ValueError(f"code exceeds 2^{self.bits}-1")
         if np.any(self.grid_lo > self.grid_hi):
@@ -156,11 +159,22 @@ def _group_views(a: np.ndarray, group_size: int) -> list[np.ndarray]:
     return views
 
 
-def _encode(w64: np.ndarray, lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
-    """Round-half-to-even codes against a (lo, hi) grid, clipped to range."""
-    span = hi - lo
-    ratio = np.where(span > 0, (w64 - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return np.clip(np.rint(levels * ratio), 0, levels).astype(np.uint16)
+def _round(v: np.ndarray, lo: np.ndarray, span: np.ndarray, levels: int) -> np.ndarray:
+    """Float64 ``v`` in place as its round-half-to-even codes on the grid ``lo + span * code / levels``,
+    clipped to [0, levels]; a zero span divides by inf, so values on or off such a grid get code 0."""
+    v -= lo
+    v /= np.where(span > 0, span, np.inf)
+    v *= levels
+    np.rint(v, out=v)
+    return np.clip(v, 0, levels, out=v)
+
+
+def _unround(c: np.ndarray, lo: np.ndarray, span: np.ndarray, levels: int) -> np.ndarray:
+    """Float64 codes ``c`` in place as the weights ``span * (c / levels) + lo`` they stand for."""
+    c /= levels
+    c *= span
+    c += lo
+    return c
 
 
 def _grid_columns(q: QuantizedMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +185,8 @@ def _grid_columns(q: QuantizedMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Map codes back to weights: (hi - lo) * code / (2^k - 1) + lo."""
-    levels = (1 << q.bits) - 1
     lo, hi = _grid_columns(q)
-    return ((hi - lo) * (q.codes.astype(np.float64) / levels) + lo).astype(np.float32)
+    return _unround(q.codes.astype(np.float64), lo, hi - lo, (1 << q.bits) - 1).astype(np.float32)
 
 
 def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatrix:
@@ -190,7 +203,8 @@ def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatri
     for v, c in zip(_group_views(w[None], group_size), _group_views(codes, group_size)):
         lo = v.min(axis=3, keepdims=True)
         hi = v.max(axis=3, keepdims=True)
-        c[...] = _encode(v.astype(np.float64), lo.astype(np.float64), hi.astype(np.float64), levels)
+        lo64 = lo.astype(np.float64)
+        c[...] = _round(v.astype(np.float64), lo64, hi.astype(np.float64) - lo64, levels)
         lows.append(lo[0, :, :, 0])
         highs.append(hi[0, :, :, 0])
     return QuantizedMatrix(
@@ -231,7 +245,7 @@ def _raise_first(failed: dict[int, NotPositiveDefiniteError], names: Sequence[st
 
 
 def _inverse_hessian_factor(hessians: np.ndarray, damping: float, names: Sequence[str | None]) -> np.ndarray:
-    """Upper factors U with (H + lambda I)^-1 = U^T U for a stack of Hessians.
+    """Lower factors L with (H + lambda I)^-1 = L L^T for a stack of Hessians.
 
     Only the slices that fail are retried, once, at 10x damping; a failure
     after that raises with the slice's layer name.
@@ -244,7 +258,7 @@ def _inverse_hessian_factor(hessians: np.ndarray, damping: float, names: Sequenc
         inv[retry] = inv_retry
     lower, failed = _cholesky64(inv)
     _raise_first(failed, names)
-    return np.swapaxes(lower, 1, 2)
+    return lower
 
 
 def _gptq_hessians(stats: Sequence[LayerStats]) -> np.ndarray:
@@ -258,31 +272,22 @@ def _gptq_hessians(stats: Sequence[LayerStats]) -> np.ndarray:
 
 
 def _gptq_factors(stats: Sequence[LayerStats], names: Sequence[str | None], memo: dict | None) -> np.ndarray:
-    """The stack's upper factors; with a ``memo``, each layer name is factored once.
+    """The stack's upper factors U = L^T; with a ``memo``, each layer name is factored once.
 
     Missing factors are computed in stacked chunks of about CHUNK_BYTES
-    per array, which bounds the memory a factorization holds at once, and the
-    memo keeps views of the returned stack rather than copies.
+    per array, which bounds the memory a factorization holds at once. The
+    memo keeps each lower factor as the factorization returns it.
     """
     keys = list(names) if memo is not None else list(range(len(stats)))
     memo = {} if memo is None else memo
-    n = stats[0].gram.shape[0]
-    lower = np.empty((len(stats), n, n), dtype=np.float64)
-    missing = []
-    for s, key in enumerate(keys):
-        if key in memo:
-            lower[s] = memo[key].T
-        else:
-            missing.append(s)
+    missing = [s for s, key in enumerate(keys) if key not in memo]
     chunk = max(1, CHUNK_BYTES // stats[0].gram.nbytes)
     for c0 in range(0, len(missing), chunk):
         part = missing[c0 : c0 + chunk]
         hessians = _gptq_hessians([stats[s] for s in part])
-        lower[part] = np.swapaxes(_inverse_hessian_factor(hessians, GPTQ_DAMPING, [names[s] for s in part]), 1, 2)
-    # the transpose of a C-ordered lower stack: each slice has the layout of a fresh factor
-    upper = np.swapaxes(lower, 1, 2)
-    memo.update((keys[s], upper[s]) for s in missing)
-    return upper
+        lower = _inverse_hessian_factor(hessians, GPTQ_DAMPING, [names[s] for s in part])
+        memo.update(zip([keys[s] for s in part], lower))
+    return np.swapaxes(np.stack([memo[key] for key in keys]), 1, 2)
 
 
 def gptq_quantize(
@@ -303,8 +308,9 @@ def gptq_quantize(
     boundary. Layers are independent, so every column step runs elementwise
     over the stack and the block update is one matmul per layer with the same
     shapes as a single layer's. ``names`` label errors; with them, ``factors``
-    memoises the inverse-Hessian factors by layer name. They do not depend on
-    the bit width, so a grid passes one memo to every bit width of a stage.
+    memoises the inverse-Hessian factors by layer name, each as the lower
+    factor L = U^T that the Cholesky factorization returns. They do not depend
+    on the bit width, so a grid passes one memo to every bit width of a stage.
     """
     ws = [_check_weight(w) for w in ws]
     k = _check_bits(k)
@@ -331,7 +337,7 @@ def gptq_quantize(
         grid_lo = work.reshape(count, -1).min(axis=1).astype(np.float32).reshape(count, 1, 1)
         grid_hi = work.reshape(count, -1).max(axis=1).astype(np.float32).reshape(count, 1, 1)
         lo = grid_lo[:, :, 0].astype(np.float64)
-        hi = grid_hi[:, :, 0].astype(np.float64)
+        span = grid_hi[:, :, 0].astype(np.float64) - lo
     else:
         grid_lo = np.zeros((count, rows, _group_count(cols, group_size)), dtype=np.float32)
         grid_hi = np.zeros_like(grid_lo)
@@ -346,12 +352,11 @@ def gptq_quantize(
                 grid_lo[:, :, g] = work[:, :, col:g1].min(axis=2).astype(np.float32)
                 grid_hi[:, :, g] = work[:, :, col:g1].max(axis=2).astype(np.float32)
                 lo = grid_lo[:, :, g].astype(np.float64)
-                hi = grid_hi[:, :, g].astype(np.float64)
+                span = grid_hi[:, :, g].astype(np.float64) - lo
             w_col = work[:, :, col]
-            c = _encode(w_col, lo, hi, levels)
+            c = _round(w_col.copy(), lo, span, levels)
             codes[:, :, col] = c
-            dq = (hi - lo) * (c.astype(np.float64) / levels) + lo
-            err = (w_col - dq) / upper[:, col, col, None]
+            err = (w_col - _unround(c, lo, span, levels)) / upper[:, col, col, None]
             if col + 1 < b1:
                 work[:, :, col + 1 : b1] -= err[:, :, None] * upper[:, col, None, col + 1 : b1]
             err_block[:, :, col - b0] = err
@@ -418,15 +423,8 @@ def _awq_losses(w: np.ndarray, gram: np.ndarray, k: int, group_size: int, table:
             # an overflowed entry is its group's min or max, so its span is not finite
             if not np.all(np.isfinite(span)):
                 raise ValueError("weight matrix contains non-finite entries")
-            v -= lo  # a zero-span group is constant, so this leaves it exactly 0
-            v /= np.where(span > 0, span, 1.0)
-            v *= levels
-            np.rint(v, out=v)
-            np.clip(v, 0, levels, out=v)
             # dequantize from the float codes, which are exact integers
-            v /= levels
-            v *= span
-            v += lo
+            _unround(_round(v, lo, span, levels), lo, span, levels)
         np.copyto(x32, x)  # dequantize returns float32
         np.copyto(x, x32)
         x /= scales

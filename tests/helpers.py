@@ -32,7 +32,6 @@ from mmqlab.quantizers import (
     _check_bits,
     _check_stats,
     _check_weight,
-    _encode,
     _group_count,
     dequantize,
     proxy_loss,
@@ -341,6 +340,20 @@ def oracle_collect_calibration(weights, probes) -> dict:
     return layers
 
 
+def oracle_encode(w64: np.ndarray, lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
+    """Round-half-to-even uint16 codes against a (lo, hi) grid, clipped to
+    range, with code 0 wherever the span is 0: the rounding rule, written
+    apart from the package's."""
+    span = hi - lo
+    ratio = np.where(span > 0, (w64 - lo) / np.where(span > 0, span, 1.0), 0.0)
+    return np.clip(np.rint(levels * ratio), 0, levels).astype(np.uint16)
+
+
+def oracle_decode(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
+    """The float64 weights codes stand for: (hi - lo) * (code / levels) + lo."""
+    return (hi - lo) * (codes.astype(np.float64) / levels) + lo
+
+
 def oracle_gptq_hessian(stats) -> np.ndarray:
     """H = 2 X^T X with a unit diagonal on dead input channels."""
     hessian = 2.0 * stats.gram
@@ -386,10 +399,9 @@ def oracle_gptq_quantize(w, stats, k, group_size=128, damping=0.01, block_size=3
                 lo = grid_lo[:, col // group_size].astype(np.float64)
                 hi = grid_hi[:, col // group_size].astype(np.float64)
             w_col = work[:, col]
-            c = _encode(w_col, lo, hi, levels)
+            c = oracle_encode(w_col, lo, hi, levels)
             codes[:, col] = c
-            dq = (hi - lo) * (c.astype(np.float64) / levels) + lo
-            err = (w_col - dq) / upper[col, col]
+            err = (w_col - oracle_decode(c, lo, hi, levels)) / upper[col, col]
             if col + 1 < b1:
                 work[:, col + 1 : b1] -= np.outer(err, upper[col, col + 1 : b1])
             err_block[:, col - b0] = err
@@ -409,8 +421,6 @@ def oracle_gptq_quantize(w, stats, k, group_size=128, damping=0.01, block_size=3
 def oracle_dequantize(q) -> np.ndarray:
     """dequantize with a branch per grid layout: a per-tensor grid's two
     scalars, else each column's group gathered from the per-row grids."""
-    levels = (1 << q.bits) - 1
-    codes = q.codes.astype(np.float64)
     rows, cols = q.codes.shape
     if q.group_size >= rows * cols:
         lo = np.float64(q.grid_lo[0, 0])
@@ -419,7 +429,7 @@ def oracle_dequantize(q) -> np.ndarray:
         col_group = np.arange(cols) // q.group_size
         lo = q.grid_lo.astype(np.float64)[:, col_group]
         hi = q.grid_hi.astype(np.float64)[:, col_group]
-    return ((hi - lo) * (codes / levels) + lo).astype(np.float32)
+    return oracle_decode(q.codes, lo, hi, (1 << q.bits) - 1).astype(np.float32)
 
 
 def assert_same_quantization(got, expected):

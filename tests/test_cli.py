@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import itertools
 import json
@@ -832,6 +834,50 @@ class TestMissingOutDirectory:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: --out {out}: directory {out.parent} does not exist\n"
         assert not out.parent.exists()
+
+
+class TestFailedWriteKeepsOldOutput:
+    """A rerun whose writes fail, here on a full disk, exits 1 and leaves the
+    earlier outputs whole, with no temporary file beside them."""
+
+    @pytest.mark.parametrize("command", ["grid", "analyze", "plot"])
+    def test_full_disk(self, tmp_path, monkeypatch, capsys, command):
+        import mmqlab.cli as cli
+        import mmqlab.experiments as experiments
+
+        out = tmp_path / "out"
+        if command == "grid":  # a resumed grid rewrites its CSV and manifest
+            argv = ["grid", "--config", str(write_config(tmp_path)), "--method", "uniform", "--out", str(out)]
+            outputs = [out, tmp_path / "out.manifest.json"]
+        else:
+            synthetic_results(tmp_path / "results.csv", lambda v, c, l: min(v, c, l) / 16)
+            argv = [command, str(tmp_path / "results.csv"), "--task", "vqa", "--out", str(out)]
+            argv += ["--boot", "1"] if command == "analyze" else []
+            outputs = [out]
+        rerun = argv + ["--resume"] if command == "grid" else argv
+        assert main(argv) == 0
+        before = {path: path.read_bytes() for path in outputs}
+        listing = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+
+        def full_open(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            if "w" in mode:
+                def write(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = write
+            return fh
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "open", full_open, raising=False)
+        assert main(rerun) == 1
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+        assert {path: path.read_bytes() for path in outputs} == before
+        assert sorted(tmp_path.iterdir()) == listing
+        monkeypatch.undo()
+        assert main(rerun) == 0  # a resumed grid still finds every row
+        assert {path: path.read_bytes() for path in outputs} == before
 
 
 class TestPlotCommand:

@@ -234,7 +234,7 @@ class TestSotaGrid:
             if k == fail_bits:
                 raise RuntimeError("synthetic failure")
             result = quantize(weights, sel, method, k, calib, group_size, factors)
-            refs[-1].extend(weakref.ref(upper) for upper in factors.values())
+            refs[-1].extend(weakref.ref(lower) for lower in factors.values())
             factored.append(len(factors))
             return result
 

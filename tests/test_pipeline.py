@@ -507,9 +507,9 @@ class TestStackedGptqPipeline:
         for k in (2, 4):
             apply_quantization(model, Selector.make(), Method.GPTQ, k, calib, group_size=16, factors=factors)
         assert sorted(factors) == sorted(a.name for a in model.addresses)
-        for name, upper in factors.items():
-            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(calib[name]), 0.01)
-            assert (upper.dtype, upper.shape, upper.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+        for name, lower in factors.items():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(calib[name]), 0.01).T
+            assert (lower.dtype, lower.shape, lower.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
 
     def test_indefinite_layer_named(self, tiny):
         model, calib = tiny

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -9,7 +9,9 @@ from helpers import (
     assert_same_quantization,
     brute_force_proxy_min,
     oracle_awq_quantize,
+    oracle_decode,
     oracle_dequantize,
+    oracle_encode,
     oracle_gptq_hessian,
     oracle_gptq_quantize,
     oracle_inverse_hessian_factor,
@@ -125,6 +127,14 @@ class TestQuantizedMatrix:
         with pytest.raises(ValueError, match=rf"^bits must be in \[2, 16\], got {bits}$"):
             QuantizedMatrix(codes=np.zeros((2, 2), np.uint16), bits=bits, group_size=4, grid_lo=grid, grid_hi=grid)
 
+    @pytest.mark.parametrize("group_size", [0, -3])
+    def test_group_size_below_one_named(self, group_size):
+        grid = np.zeros((1, 1), np.float32)
+        with pytest.raises(ValueError, match=rf"^group_size must be >= 1, got {group_size}$"):
+            QuantizedMatrix(
+                codes=np.zeros((2, 2), np.uint16), bits=4, group_size=group_size, grid_lo=grid, grid_hi=grid
+            )
+
 
 class TestRtnGroup:
     def test_group_size_numel_reduces_to_uniform(self):
@@ -132,7 +142,7 @@ class TestRtnGroup:
         w = randn_matrix(RngStream(6), 4, 8, 1.0)
         grouped = rtn_group_quantize(w, 3, w.size)
         lo, hi = np.float64(w.min()), np.float64(w.max())
-        assert np.array_equal(grouped.codes, quantizers._encode(w.astype(np.float64), lo, hi, 7))
+        assert np.array_equal(grouped.codes, oracle_encode(w.astype(np.float64), lo, hi, 7))
         assert grouped.group_size == w.size and grouped.grid_lo.shape == (1, 1)
         assert (grouped.grid_lo[0, 0], grouped.grid_hi[0, 0]) == (w.min(), w.max())
 
@@ -168,7 +178,7 @@ class TestRtnGroup:
             lo, hi = w[:, c0:c1].min(axis=1), w[:, c0:c1].max(axis=1)
             assert np.array_equal(q.grid_lo[:, g], lo) and np.array_equal(q.grid_hi[:, g], hi)
             lo64, hi64 = lo[:, None].astype(np.float64), hi[:, None].astype(np.float64)
-            expect = quantizers._encode(w[:, c0:c1].astype(np.float64), lo64, hi64, 7)
+            expect = oracle_encode(w[:, c0:c1].astype(np.float64), lo64, hi64, 7)
             assert np.array_equal(q.codes[:, c0:c1], expect)
 
     def test_zero_group_size_rejected(self):
@@ -330,7 +340,7 @@ class TestStackedGptq:
         for (w, _), st, name, q in zip(layers, stats, "abc", got):
             assert_same_quantization(_scored(w, st, q), oracle_gptq_quantize(w, st, 8, group_size=3))
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
-            assert memo[name].tobytes() == fresh.tobytes()
+            assert memo[name].tobytes() == fresh.T.tobytes()
 
     def test_factor_memo_reused_and_equal_to_fresh(self):
         layers = [_layer(i, 5, 12, dead=(4,) if i == 1 else ()) for i in range(4)]
@@ -345,9 +355,9 @@ class TestStackedGptq:
             assert_same_quantization(_scored(w, st, a), oracle_gptq_quantize(w, st, 2, group_size=4))
         for w, st, b in zip(ws, stats, second):
             assert_same_quantization(_scored(w, st, b), oracle_gptq_quantize(w, st, 4, group_size=4))
-        for name, upper in memo.items():
-            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats[names.index(name)]), 0.01)
-            assert (upper.dtype, upper.shape, upper.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+        for name, lower in memo.items():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats[names.index(name)]), 0.01).T
+            assert (lower.dtype, lower.shape, lower.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
 
     def test_chunked_factorization_matches_oracle(self, monkeypatch):
         # chunks of 5 over a stack of 24: the last chunk is ragged, and the
@@ -363,7 +373,7 @@ class TestStackedGptq:
         for (w, _), st, name, q in zip(layers, stats, names, got):
             assert_same_quantization(_scored(w, st, q), oracle_gptq_quantize(w, st, 6, group_size=4))
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
-            assert memo[name].tobytes() == fresh.tobytes()
+            assert memo[name].tobytes() == fresh.T.tobytes()
 
     def test_rejects_bad_stacks(self):
         (w, st), (w2, _) = _layer(1, 4, 6), _layer(2, 5, 6)
@@ -690,6 +700,59 @@ def adversarial_matrices(draw):
         )
     )
     return np.array(values, dtype=np.float32).reshape(rows, cols)
+
+
+@st.composite
+def rounding_cases(draw):
+    """(values, lo, hi, levels) for the rounding pair: a float64 grid from
+    float32 endpoints, per tensor or one (lo, hi) per row and group, some
+    groups of zero span, and values on, between and off the grid points, as
+    GPTQ's compensated columns have them."""
+    levels = (1 << draw(st.integers(2, 16))) - 1
+    rows, groups, width = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    grid = (1, 1, 1) if draw(st.booleans()) else (rows, groups, 1)
+    count = grid[0] * grid[1]
+    ends = st.floats(-1e6, 1e6, width=32)
+    lo, hi = [], []
+    for a, b, flat in draw(st.lists(st.tuples(ends, ends, st.booleans()), min_size=count, max_size=count)):
+        lo.append(min(a, b))
+        hi.append(min(a, b) if flat else max(a, b))
+    lo = np.array(lo, np.float32).astype(np.float64).reshape(grid)
+    hi = np.array(hi, np.float32).astype(np.float64).reshape(grid)
+    shape = (rows, groups, width)
+    spot = st.one_of(
+        st.floats(-0.5, 1.5).map(lambda t: (True, t)),  # a share of the way from lo to hi
+        st.integers(0, levels - 1).map(lambda j: (True, (j + 0.5) / levels)),  # near a tie
+        st.floats(-2e6, 2e6).map(lambda x: (False, x)),  # anywhere
+    )
+    spots = draw(st.lists(spot, min_size=rows * groups * width, max_size=rows * groups * width))
+    ends = zip(np.broadcast_to(lo, shape).ravel(), np.broadcast_to(hi, shape).ravel())
+    values = [a + t * (b - a) if share else t for (share, t), (a, b) in zip(spots, ends)]
+    return np.array(values, np.float64).reshape(shape), lo, hi, levels
+
+
+class TestRoundingPair:
+    """_round and _unround against the helpers' own copies of the rounding rule
+    and of dequantize's formula, bit for bit."""
+
+    @given(rounding_cases())
+    # a zero-span group with values off it, and a per-tensor grid, at both ends of the bit range
+    @example((np.array([[[0.25, -3.0, 0.25, 7.5]]]), np.full((1, 1, 1), 0.25), np.full((1, 1, 1), 0.25), 65535))
+    @example((np.array([[[-2.0, 0.0], [0.5, 9.0]]]), np.full((1, 1, 1), -1.0), np.full((1, 1, 1), 1.0), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, case):
+        values, lo, hi, levels = case
+        want = oracle_encode(values, lo, hi, levels)
+        codes = quantizers._round(values, lo, hi - lo, levels)
+        assert codes is values and codes.dtype == np.float64  # in place
+        # exact integers in [0, levels], stored as the oracle's uint16 bytes
+        assert np.array_equal(codes, want) and codes.astype(np.uint16).tobytes() == want.tobytes()
+        decoded = oracle_decode(want, lo, hi, levels)
+        stored = want.astype(np.float64)
+        assert quantizers._unround(stored, lo, hi - lo, levels).tobytes() == decoded.tobytes()
+        # from the float codes, as GPTQ and AWQ call it: _round may leave a
+        # code of -0.0, which only the sign of a weight of 0 can show
+        np.testing.assert_array_equal(quantizers._unround(codes, lo, hi - lo, levels), decoded)
 
 
 class TestCodeRangeSafety:
