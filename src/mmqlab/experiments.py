@@ -348,22 +348,21 @@ def run_grid(
         if fragment_keys and method is not Method.UNIFORM:
             stages = calibration_stages(fp, probes)
 
-        def quantize(key, calib, factors):
+        def quantize(key, calib):
             comp, k = key
             qw, ledger = pipeline.apply_quantization(
-                fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size, factors
+                fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size
             )
             return {e.layer: (qw.layers[e.layer], e) for e in ledger}
 
         # one component at a time, all its bit widths, from its calibration
-        # stage and one GPTQ factor memo, which its bit widths share; both go
-        # before the next tower runs
+        # stage, whose LayerStats keep the GPTQ factors its bit widths share;
+        # the stage goes, factors and all, before the next tower runs
         fragments = {}
         for comp, calib in stages:
             keys = [key for key in fragment_keys if key[0] is comp]
-            factors = {}
-            fragments.update(_memo(functools.partial(quantize, calib=calib, factors=factors), keys))
-            calib = factors = None  # before the generator runs the next tower
+            fragments.update(_memo(functools.partial(quantize, calib=calib), keys))
+            calib = None  # before the generator runs the next tower
 
         def assemble(parts) -> tuple[ModelWeights, list[LedgerEntry]]:
             layers, ledger = dict(fp.layers), []

@@ -383,8 +383,6 @@ def bootstrap_importance_ci(
     data: AttributionDataset,
     n_boot: int = 100,
     seed: int = 0,
-    n_trees: int = 100,
-    min_leaf: int = 2,
 ) -> ImportanceReport:
     """Impurity importance with 95% CIs from row-resampled forest refits.
 
@@ -392,9 +390,7 @@ def bootstrap_importance_ci(
     interval is the 2.5/97.5 percentile of each feature's importance share
     over n_boot resamples.
     """
-    point = impurity_importance(
-        fit_random_forest(data, n_trees=n_trees, min_leaf=min_leaf, seed=derive_seed(seed, "point"))
-    )
+    point = impurity_importance(fit_random_forest(data, seed=derive_seed(seed, "point")))
     n = len(data)
     boot_shares = np.zeros((n_boot, data.features.shape[1]))
     for b in range(n_boot):
@@ -404,9 +400,7 @@ def bootstrap_importance_ci(
             features=data.features[idx], target=data.target[idx],
             feature_names=data.feature_names,
         )
-        refit = fit_random_forest(
-            resample, n_trees=n_trees, min_leaf=min_leaf, seed=derive_seed(seed, "boot-fit", b)
-        )
+        refit = fit_random_forest(resample, seed=derive_seed(seed, "boot-fit", b))
         boot_shares[b] = impurity_importance(refit).importance
     ci_low = np.percentile(boot_shares, 2.5, axis=0)
     ci_high = np.percentile(boot_shares, 97.5, axis=0)

@@ -653,7 +653,6 @@ def apply_quantization(
     k: int,
     calib: dict[str, LayerStats] | None = None,
     group_size: int = 128,
-    factors: dict[str, np.ndarray] | None = None,
 ) -> tuple[ModelWeights, list[LedgerEntry]]:
     """Replace selected layers with their dequantized quantization.
 
@@ -662,7 +661,8 @@ def apply_quantization(
     matrix is dequantized once and scored once by ``proxy_loss``; uniform is
     grouped rounding with one group of the whole layer. GPTQ/AWQ require
     calibration covering every selected layer; the proxy error for
-    Uniform/RTN is NaN without it. ``factors`` is ``gptq_quantize``'s memo.
+    Uniform/RTN is NaN without it. GPTQ keeps each layer's factor on its
+    ``LayerStats``, so later bit widths from the same ``calib`` reuse it.
     """
     names = [addr.name for addr in enumerate_layers(weights, sel)]
     calibrated = calib if calib is not None else {}
@@ -679,7 +679,7 @@ def apply_quantization(
         for stack in by_shape.values():
             results = gptq_quantize(
                 [weights.layers[name] for name in stack], [calibrated[name] for name in stack], k,
-                group_size=group_size, names=stack, factors=factors,
+                group_size=group_size, names=stack,
             )
             gptq.update(zip(stack, results))
 

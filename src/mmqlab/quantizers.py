@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -89,12 +89,16 @@ class LayerStats:
     """Sufficient calibration statistics of one layer's input activations X.
 
     ``gram`` is X^T X in float64, ``magnitude`` the mean |x| per input channel
-    and ``rows`` the number of activation rows they summarise.
+    and ``rows`` the number of activation rows they summarise. ``lower`` is
+    GPTQ's lower factor L of the damped inverse Hessian, which depends on
+    ``gram`` alone: ``gptq_quantize`` sets it on first use, so every bit width
+    quantized from these statistics reuses it, and it goes with them.
     """
 
     gram: np.ndarray
     magnitude: np.ndarray
     rows: int
+    lower: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_activations(cls, x: np.ndarray, rows: np.ndarray | None = None) -> "LayerStats":
@@ -271,23 +275,22 @@ def _gptq_hessians(stats: Sequence[LayerStats]) -> np.ndarray:
     return hessians
 
 
-def _gptq_factors(stats: Sequence[LayerStats], names: Sequence[str | None], memo: dict | None) -> np.ndarray:
-    """The stack's upper factors U = L^T; with a ``memo``, each layer name is factored once.
+def _gptq_factors(stats: Sequence[LayerStats], names: Sequence[str | None]) -> np.ndarray:
+    """The stack's upper factors U = L^T, each layer's L factored once and kept on its stats.
 
-    Missing factors are computed in stacked chunks of about CHUNK_BYTES
-    per array, which bounds the memory a factorization holds at once. The
-    memo keeps each lower factor as the factorization returns it.
+    Stats without a factor are factored in stacked chunks of about
+    CHUNK_BYTES per array, which bounds the memory a factorization holds at
+    once; each lower factor is stored as the factorization returns it.
     """
-    keys = list(names) if memo is not None else list(range(len(stats)))
-    memo = {} if memo is None else memo
-    missing = [s for s, key in enumerate(keys) if key not in memo]
+    missing = [s for s, st in enumerate(stats) if st.lower is None]
     chunk = max(1, CHUNK_BYTES // stats[0].gram.nbytes)
     for c0 in range(0, len(missing), chunk):
         part = missing[c0 : c0 + chunk]
         hessians = _gptq_hessians([stats[s] for s in part])
         lower = _inverse_hessian_factor(hessians, GPTQ_DAMPING, [names[s] for s in part])
-        memo.update(zip([keys[s] for s in part], lower))
-    return np.swapaxes(np.stack([memo[key] for key in keys]), 1, 2)
+        for s, factor in zip(part, lower):
+            object.__setattr__(stats[s], "lower", factor)  # the one write to a frozen LayerStats
+    return np.swapaxes(np.stack([st.lower for st in stats]), 1, 2)
 
 
 def gptq_quantize(
@@ -296,7 +299,6 @@ def gptq_quantize(
     k: int,
     group_size: int = 128,
     names: Sequence[str] | None = None,
-    factors: dict | None = None,
 ) -> list[QuantizedMatrix]:
     """Quantize columns left to right, compensating error into later columns,
     over a stack of same-shape layers at once, one stored matrix per layer.
@@ -307,10 +309,10 @@ def gptq_quantize(
     input-channel groups, computed from the compensated weights at each group
     boundary. Layers are independent, so every column step runs elementwise
     over the stack and the block update is one matmul per layer with the same
-    shapes as a single layer's. ``names`` label errors; with them, ``factors``
-    memoises the inverse-Hessian factors by layer name, each as the lower
-    factor L = U^T that the Cholesky factorization returns. They do not depend
-    on the bit width, so a grid passes one memo to every bit width of a stage.
+    shapes as a single layer's. ``names`` label errors. The factors do not
+    depend on the bit width: each is computed once per ``LayerStats`` and kept
+    there as ``lower`` (L = U^T), so later bit widths of the same statistics
+    reuse it.
     """
     ws = [_check_weight(w) for w in ws]
     k = _check_bits(k)
@@ -320,8 +322,6 @@ def gptq_quantize(
         raise ValueError("a GPTQ stack needs one LayerStats per weight and weights of one shape")
     for w, st in zip(ws, stats):
         _check_stats(st, w)
-    if factors is not None and names is None:
-        raise ValueError("a factor memo needs layer names")
     count = len(ws)
     rows, cols = ws[0].shape
     levels = (1 << k) - 1
@@ -330,7 +330,7 @@ def gptq_quantize(
     work = np.stack(ws).astype(np.float64)
     for s, st in enumerate(stats):
         work[s][:, np.diag(st.gram) == 0.0] = 0.0
-    upper = _gptq_factors(stats, [None] * count if names is None else names, factors)
+    upper = _gptq_factors(stats, [None] * count if names is None else names)
 
     codes = np.empty((count, rows, cols), dtype=np.uint16)
     if per_tensor:

@@ -215,27 +215,30 @@ class TestSotaGrid:
         monkeypatch.setattr(quantizers, "_inverse_hessian_factor", counting)
         grid_rows(
             tiny_spec, tiny_probes,
-            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3,), eval_pairs=4),
+            GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL,), seeds=(3, 4), eval_pairs=4),
             Method.GPTQ,
         )
-        assert sorted(factored) == sorted(a.name for a in build_model(tiny_spec).addresses)
+        # the seeds run in turn, each factoring every layer of its own calibration once
+        names = sorted(a.name for a in build_model(tiny_spec).addresses)
+        assert sorted(factored[: len(names)]) == names and sorted(factored[len(names) :]) == names
 
     @pytest.mark.parametrize("fail_bits", [None, 2], ids=["ok", "failed-fragment"])
     def test_calibration_freed_before_decode(self, tiny_spec, tiny_probes, monkeypatch, fail_bits):
         import weakref
 
-        # per stage, weak references to its LayerStats and to the arrays of its GPTQ factor memo
+        # per stage, weak references to its LayerStats and to the GPTQ factors kept on them
         refs, factored, alive_at_pass, alive_at_decode = [], [], [], []
         quantize = pipeline.apply_quantization
         stages, connector, decoder = pipeline.calibration_stages, pipeline.run_connector, pipeline.decode_hidden
         generate = pipeline.greedy_generate
 
-        def failing(weights, sel, method, k, calib, group_size, factors):
+        def failing(weights, sel, method, k, calib, group_size):
             if k == fail_bits:
                 raise RuntimeError("synthetic failure")
-            result = quantize(weights, sel, method, k, calib, group_size, factors)
-            refs[-1].extend(weakref.ref(lower) for lower in factors.values())
-            factored.append(len(factors))
+            result = quantize(weights, sel, method, k, calib, group_size)
+            lowers = [stats.lower for stats in calib.values() if stats.lower is not None]
+            refs[-1].extend(weakref.ref(lower) for lower in lowers)
+            factored.append(len(lowers))
             return result
 
         def staged(*args):
@@ -270,9 +273,9 @@ class TestSotaGrid:
             Method.GPTQ,
         )
         assert len(refs) == 6 and bool(failures) == (fail_bits is not None)
-        assert factored and all(factored)  # every stage's memo held factors
+        assert factored and all(factored)  # every stage's statistics held factors
         # the connector and decoder passes of each seed's calibration run with
-        # every earlier stage, with its memoised factors, already dead
+        # every earlier stage, with its factors, already dead
         assert alive_at_pass == [[False] * n for n in (1, 2, 4, 5)]
         # and each seed's stages are all dead when that seed decodes
         assert alive_at_decode[0] == [False] * 3

@@ -47,6 +47,7 @@ from helpers import (
 )
 from mmqlab.numerics import NotPositiveDefiniteError
 from mmqlab.quantizers import LayerStats, Method, awq_quantize, dequantize, proxy_loss
+from mmqlab.tasks import make_probe_set
 
 GOLDEN_CAPTION_SEED7_PROBE11 = [26, 182, 60, 88, 171, 214, 247, 26, 182, 3, 12, 253, 244, 89, 18, 205]
 
@@ -500,16 +501,44 @@ class TestStackedGptqPipeline:
             assert qw.layers[e.layer].tobytes() == dequantize(qm).tobytes()
             assert float(e.proxy_error).hex() == float(loss).hex()
 
-    def test_memo_factors_equal_fresh(self, tiny_spec, tiny_probes):
+    def test_memo_factors_equal_fresh(self, tiny_spec, tiny_probes, monkeypatch):
+        import mmqlab.quantizers as quantizers
+
         model = build_model(tiny_spec)
         calib = collect_calibration(model, tiny_probes)
-        factors = {}
+        factored = []
+        original = quantizers._inverse_hessian_factor
+
+        def counting(hessians, damping, names):
+            factored.extend(names)
+            return original(hessians, damping, names)
+
+        monkeypatch.setattr(quantizers, "_inverse_hessian_factor", counting)
+        # two bit widths from one calibration: each layer is factored once
         for k in (2, 4):
-            apply_quantization(model, Selector.make(), Method.GPTQ, k, calib, group_size=16, factors=factors)
-        assert sorted(factors) == sorted(a.name for a in model.addresses)
-        for name, lower in factors.items():
-            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(calib[name]), 0.01).T
+            qw, ledger = apply_quantization(model, Selector.make(), Method.GPTQ, k, calib, group_size=16)
+            for e in ledger:
+                qm, loss = oracle_gptq_quantize(model.layers[e.layer], calib[e.layer], k, group_size=16)
+                assert qw.layers[e.layer].tobytes() == dequantize(qm).tobytes()
+                assert float(e.proxy_error).hex() == float(loss).hex()
+        assert sorted(factored) == sorted(calib) == sorted(a.name for a in model.addresses)
+        for stats in calib.values():
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats), 0.01).T
+            lower = stats.lower
             assert (lower.dtype, lower.shape, lower.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+    def test_second_calibration_does_not_reuse_first_factors(self, tiny_spec, tiny_probes):
+        model = build_model(tiny_spec)
+        other = make_probe_set(4, 8, patch_count=8, d_input=32, vocab=64)
+        sel = Selector.make(components=(ComponentId.VISION,))
+        first, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, tiny_probes), group_size=16)
+        second, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, other), group_size=16)
+        fresh, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, other), group_size=16)
+        names = [a.name for a in enumerate_layers(model, sel)]
+        # the calibrations differ on every layer, so stale factors would show
+        assert all(second.layers[name].tobytes() != first.layers[name].tobytes() for name in names)
+        for name in names:
+            assert second.layers[name].tobytes() == fresh.layers[name].tobytes()
 
     def test_indefinite_layer_named(self, tiny):
         model, calib = tiny

@@ -335,29 +335,45 @@ class TestStackedGptq:
         hessian = 2.0 * retry.gram[None]
         assert _invert_spd64(hessian, 0.01)[1] and not _invert_spd64(hessian, 0.1)[1]
         stats = [layers[0][1], retry, layers[2][1]]
-        memo = {}
-        got = gptq_quantize([w for w, _ in layers], stats, 8, group_size=3, names=["a", "b", "c"], factors=memo)
-        for (w, _), st, name, q in zip(layers, stats, "abc", got):
+        got = gptq_quantize([w for w, _ in layers], stats, 8, group_size=3, names=["a", "b", "c"])
+        for (w, _), st, q in zip(layers, stats, got):
             assert_same_quantization(_scored(w, st, q), oracle_gptq_quantize(w, st, 8, group_size=3))
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
-            assert memo[name].tobytes() == fresh.T.tobytes()
+            assert st.lower.tobytes() == fresh.T.tobytes()
 
-    def test_factor_memo_reused_and_equal_to_fresh(self):
+    def test_factor_memo_reused_and_equal_to_fresh(self, monkeypatch):
         layers = [_layer(i, 5, 12, dead=(4,) if i == 1 else ()) for i in range(4)]
         ws, stats, names = [w for w, _ in layers], [st for _, st in layers], ["p", "q", "r", "s"]
-        memo = {}
-        first = gptq_quantize(ws[:2], stats[:2], 2, group_size=4, names=names[:2], factors=memo)
-        assert sorted(memo) == ["p", "q"]
-        kept = dict(memo)
-        second = gptq_quantize(ws, stats, 4, group_size=4, names=names, factors=memo)
-        assert all(memo[key] is kept[key] for key in kept) and len(memo) == 4
+        assert all(st.lower is None for st in stats)
+        factored = []
+        original = quantizers._inverse_hessian_factor
+
+        def counting(hessians, damping, labels):
+            factored.append(list(labels))
+            return original(hessians, damping, labels)
+
+        monkeypatch.setattr(quantizers, "_inverse_hessian_factor", counting)
+        first = gptq_quantize(ws[:2], stats[:2], 2, group_size=4, names=names[:2])
+        assert factored == [["p", "q"]] and [st.lower is None for st in stats] == [False, False, True, True]
+        kept = [st.lower for st in stats[:2]]
+        second = gptq_quantize(ws, stats, 4, group_size=4, names=names)
+        # the second call keeps the first call's arrays and factors only the two new stats
+        assert factored == [["p", "q"], ["r", "s"]]
+        assert all(st.lower is lower for st, lower in zip(stats, kept))
         for w, st, a in zip(ws, stats, first):
             assert_same_quantization(_scored(w, st, a), oracle_gptq_quantize(w, st, 2, group_size=4))
         for w, st, b in zip(ws, stats, second):
             assert_same_quantization(_scored(w, st, b), oracle_gptq_quantize(w, st, 4, group_size=4))
-        for name, lower in memo.items():
-            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(stats[names.index(name)]), 0.01).T
-            assert (lower.dtype, lower.shape, lower.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+        for st in stats:
+            fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01).T
+            assert (st.lower.dtype, st.lower.shape, st.lower.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+    def test_factor_cannot_be_set_at_construction(self):
+        _, st = _layer(1, 4, 6)
+        with pytest.raises(TypeError):
+            LayerStats(gram=st.gram, magnitude=st.magnitude, rows=st.rows, lower=np.eye(6))
+        with pytest.raises(AttributeError):
+            st.gram = st.gram
 
     def test_chunked_factorization_matches_oracle(self, monkeypatch):
         # chunks of 5 over a stack of 24: the last chunk is ragged, and the
@@ -368,12 +384,11 @@ class TestStackedGptq:
         stats = [st for _, st in layers]
         stats[12] = retry
         names = [f"layer{i}" for i in range(24)]
-        memo = {}
-        got = gptq_quantize([w for w, _ in layers], stats, 6, group_size=4, names=names, factors=memo)
-        for (w, _), st, name, q in zip(layers, stats, names, got):
+        got = gptq_quantize([w for w, _ in layers], stats, 6, group_size=4, names=names)
+        for (w, _), st, q in zip(layers, stats, got):
             assert_same_quantization(_scored(w, st, q), oracle_gptq_quantize(w, st, 6, group_size=4))
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01)
-            assert memo[name].tobytes() == fresh.T.tobytes()
+            assert st.lower.tobytes() == fresh.T.tobytes()
 
     def test_rejects_bad_stacks(self):
         (w, st), (w2, _) = _layer(1, 4, 6), _layer(2, 5, 6)
@@ -381,8 +396,6 @@ class TestStackedGptq:
             gptq_quantize([w, w2], [st, st], 4)
         with pytest.raises(ValueError, match="one LayerStats per weight"):
             gptq_quantize([w, w], [st], 4)
-        with pytest.raises(ValueError, match="layer names"):
-            gptq_quantize([w], [st], 4, factors={})
         with pytest.raises(ValueError, match="non-finite"):
             gptq_quantize([w, np.full_like(w, np.nan)], [st, st], 4)
         with pytest.raises(ValueError, match="in_features"):
