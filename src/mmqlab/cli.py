@@ -45,6 +45,7 @@ from .importance import (
     consensus_csv_row,
     consensus_ranking,
     fit_random_forest,
+    lattice_table,
     linear_baseline_r2,
     permutation_importance,
     shapley_importance,
@@ -354,10 +355,10 @@ def cmd_analyze(args) -> int:
     payload = {"task": task.value, "methods": {}}
     consensus_lines = [CONSENSUS_CSV_HEADER]
     for method, data in datasets.items():
-        forest = fit_random_forest(data, seed=args.seed)
+        table = lattice_table(fit_random_forest(data, seed=args.seed), data)
         impurity = bootstrap_importance_ci(data, n_boot=args.boot, seed=args.seed)
-        permutation = permutation_importance(forest, data, seed=args.seed)
-        shapley = shapley_importance(forest, data)
+        permutation = permutation_importance(table, data, seed=args.seed)
+        shapley = shapley_importance(table, data)
         consensus = consensus_ranking([impurity, permutation, shapley])
         payload["methods"][method.value] = {
             "linear_r2": linear_baseline_r2(data),

@@ -14,22 +14,22 @@ Each method's importances normalize to 100%; the consensus report averages
 the three. A damped ordinary-least-squares baseline documents how poorly a
 linear fit captures the same data.
 
-The features take only their observed values, so the forest is tabulated once
-on the lattice of those values (at most 15^3 points for integer bits in
-[2, 16]); permutation and Shapley look rows up in that table instead of
-walking the trees. All trees of a forest are grown together, level by level,
-and kept as one set of node arrays: the trees end to end, each in preorder,
-with child indices into the whole arrays. Prediction walks all trees
-together, and impurity adds every node's gain in one np.add.at. All of this
-gives the same numbers, bit for bit, as growing each tree depth-first, then
-predicting and adding gains tree by tree.
+A dataset codes its features once. They take only their observed values, so
+the forest is tabulated once on the lattice of those values (at most 15^3
+points for integer bits in [2, 16]); permutation and Shapley look rows up in
+that table instead of walking the trees. All trees of a forest are grown
+together, level by level, and kept as one set of node arrays: the trees end
+to end, each in preorder, with child indices into the whole arrays.
+Prediction walks all trees together, and impurity adds every node's gain in
+one np.add.at. All of this gives the same numbers, bit for bit, as growing
+each tree depth-first, then predicting and adding gains tree by tree.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,13 @@ MIN_FOREST_ROWS = 10  # a bootstrapped forest needs at least this many rows
 
 @dataclass
 class AttributionDataset:
-    """Feature matrix of per-component bits against the fidelity score."""
+    """Feature matrix of per-component bits against the fidelity score, coded once."""
 
     features: np.ndarray
     target: np.ndarray
     feature_names: tuple[str, ...]
+    observed: list[np.ndarray] = field(init=False, repr=False, compare=False)  # per column, sorted distinct values
+    codes: np.ndarray = field(init=False, repr=False, compare=False)  # features[i, j] == observed[j][codes[i, j]]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -59,6 +61,10 @@ class AttributionDataset:
             raise ValueError("target contains missing values")
         if self.features.size and (self.features.min() < 2 or self.features.max() > 16):
             raise ValueError("bit features must lie in [2, 16]")
+        self.observed = [np.unique(col) for col in self.features.T]
+        self.codes = np.zeros(self.features.shape, dtype=np.int64)
+        for j, values in enumerate(self.observed):
+            self.codes[:, j] = np.searchsorted(values, self.features[:, j])
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -198,12 +204,8 @@ def fit_random_forest(
     """
     if len(data) < MIN_FOREST_ROWS and bootstrap:
         raise ValueError(f"need at least {MIN_FOREST_ROWS} rows to fit a forest, have {len(data)}")
-    x, y = data.features, data.target
-    n, m = x.shape
-    uniques = [np.unique(x[:, j]) for j in range(m)]
-    codes = np.stack(
-        [np.searchsorted(uniques[j], x[:, j]).astype(np.int64) for j in range(m)], axis=1
-    )
+    observed, codes, y = data.observed, data.codes, data.target
+    n, m = codes.shape
     roots = []
     for t in range(n_trees):
         if bootstrap:
@@ -228,7 +230,7 @@ def fit_random_forest(
         best_feature = np.full(nodes, -1, dtype=np.int32)
         best_code = np.zeros(nodes, dtype=np.int64)
         for j in range(m):
-            k = uniques[j].shape[0]
+            k = observed[j].shape[0]
             if k < 2:
                 continue
             key = slot * k + codes[rows, j]
@@ -258,7 +260,7 @@ def fit_random_forest(
         threshold = np.full(nodes, np.nan)
         for j in range(m):
             on_j = best_feature == j
-            threshold[on_j] = uniques[j][best_code[on_j]]
+            threshold[on_j] = observed[j][best_code[on_j]]
         levels.append((total / lens, best_feature, threshold, np.where(split, best_gain / n, 0.0)))
         splits.append(split)
 
@@ -411,38 +413,37 @@ def bootstrap_importance_ci(
     )
 
 
-def _lattice(forest: ForestModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate the forest on the Cartesian product of each column's observed values.
-
-    Returns (table, parts): table holds forest.predict over the product in C
-    order, and parts[i, j] = code_j(x[i, j]) * stride_j, so row i's point is
-    table[parts[i].sum()]. Any row recombining observed values column by
+def lattice_table(forest: ForestModel, data: AttributionDataset) -> np.ndarray:
+    """forest.predict over the Cartesian product of data.observed, in C order:
+    prod(k_j) points for k_j observed values per column, 343 on grids of seven
+    bit widths per component. Any row recombining observed values column by
     column is a lattice point, and predictions are per row, so a lookup equals
-    predicting that row. The table has prod(k_j) points for k_j observed values
-    per column: 343 on grids of seven bit widths per component, and at most
-    15^3 for a results CSV, whose bits are integers in [2, 16].
-    """
-    uniques = [np.unique(x[:, j]) for j in range(x.shape[1])]
-    shape = tuple(u.shape[0] for u in uniques)
+    predicting that row."""
+    points = np.stack(np.meshgrid(*data.observed, indexing="ij"), axis=-1)
+    return forest.predict(points.reshape(-1, len(data.observed)))
+
+
+def _lattice_parts(table: np.ndarray, data: AttributionDataset) -> np.ndarray:
+    """parts[i, j] = codes[i, j] * stride_j, so row i's point is table[parts[i].sum()]."""
+    shape = [values.shape[0] for values in data.observed]
+    if table.shape != (math.prod(shape),):
+        raise ValueError(f"table has shape {table.shape}, but the lattice has {math.prod(shape)} points")
     strides = np.array([math.prod(shape[j + 1:]) for j in range(len(shape))], dtype=np.int64)
-    points = np.indices(shape).reshape(len(shape), -1)
-    grid = np.stack([u[c] for u, c in zip(uniques, points)], axis=1)
-    codes = np.stack([np.searchsorted(u, x[:, j]) for j, u in enumerate(uniques)], axis=1)
-    return forest.predict(grid), codes * strides
+    return data.codes * strides
 
 
 def permutation_importance(
-    forest: ForestModel, data: AttributionDataset, n_repeats: int = 50, seed: int = 0
+    table: np.ndarray, data: AttributionDataset, n_repeats: int = 50, seed: int = 0
 ) -> ImportanceReport:
-    """Mean squared-error increase when one feature column is shuffled.
+    """Mean squared-error increase when one feature column is shuffled, from a forest's ``lattice_table``.
 
-    A shuffled row is a lattice point, so its prediction is a table lookup.
+    A shuffled row is a lattice point, so its prediction is a lookup in table.
     Raw (possibly negative) averages are kept in ``importance``; percentages
     use the negatives clamped to zero. The CI is a normal approximation over
     the repeat values.
     """
     n, m = data.features.shape
-    table, parts = _lattice(forest, data.features)
+    parts = _lattice_parts(table, data)
     flat = parts.sum(axis=1)
     base_mse = float(np.mean((table[flat] - data.target) ** 2))
     increases = np.zeros((m, n_repeats))
@@ -479,8 +480,8 @@ def _interventional_value(table: np.ndarray, parts: np.ndarray, subset: tuple[in
     return table[fixed[:, None] + free[None, :]].mean(axis=1)  # [i, b]: row i over background b
 
 
-def shapley_values(forest: ForestModel, data: AttributionDataset) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact per-row Shapley attributions by subset enumeration over the lattice table.
+def shapley_values(table: np.ndarray, data: AttributionDataset) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exact per-row Shapley attributions by subset enumeration over a forest's ``lattice_table``.
 
     Returns (phi, prediction, base) with phi of shape (rows, features);
     rows satisfy sum_j phi_j = f(x) - base exactly up to float rounding.
@@ -491,7 +492,7 @@ def shapley_values(forest: ForestModel, data: AttributionDataset) -> tuple[np.nd
             f"exact enumeration supports at most 8 features, got {m}; "
             "use a sampling approximation instead"
         )
-    table, parts = _lattice(forest, data.features)
+    parts = _lattice_parts(table, data)
     values: dict[int, np.ndarray] = {}
     for mask in range(1 << m):
         subset = tuple(j for j in range(m) if mask >> j & 1)
@@ -508,9 +509,9 @@ def shapley_values(forest: ForestModel, data: AttributionDataset) -> tuple[np.nd
     return phi, values[(1 << m) - 1], float(values[0][0])
 
 
-def shapley_importance(forest: ForestModel, data: AttributionDataset) -> ImportanceReport:
+def shapley_importance(table: np.ndarray, data: AttributionDataset) -> ImportanceReport:
     """Global importance as the mean |phi_j| over rows, normalized to percent."""
-    phi, _, _ = shapley_values(forest, data)
+    phi, _, _ = shapley_values(table, data)
     mean_abs = np.mean(np.abs(phi), axis=0)
     pct, degenerate = _normalize_pct(mean_abs)
     nan = np.full(data.features.shape[1], np.nan)

@@ -35,8 +35,8 @@ class ProbeSet:
 
 
 def _tokens_from_latent(latent: np.ndarray, length: int, vocab: int, stride: int, offset: int) -> np.ndarray:
-    dims = (offset + stride * np.arange(length)) % latent.shape[0]
-    values = np.clip((latent[dims] + 4.0) / 8.0, 0.0, 1.0)
+    dims = (offset + stride * np.arange(length)) % latent.shape[1]
+    values = np.clip((latent[:, dims] + 4.0) / 8.0, 0.0, 1.0)
     return np.minimum((values * vocab).astype(np.int64), vocab - 1)
 
 
@@ -49,24 +49,20 @@ def make_probe_set(
     text_len: int = 8,
     question_len: int = 4,
 ) -> ProbeSet:
-    """Deterministic probe pairs whose image and text views share a latent."""
+    """Deterministic probe pairs whose image and text views share a latent.
+    One draw holds each pair's latent, image, text and patch noise in turn."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     for name, length in (("text_len", text_len), ("question_len", question_len)):
         if length < 0:
             raise ValueError(f"{name} must be >= 0, got {length}")
-    stream = RngStream(seed)
-    images = np.empty((n_pairs, patch_count, d_input), dtype=np.float32)
-    texts = np.empty((n_pairs, text_len), dtype=np.int64)
-    questions = np.empty((n_pairs, question_len), dtype=np.int64)
-    for i in range(n_pairs):
-        latent = stream.normals(d_input)
-        image_latent = latent + 0.5 * stream.normals(d_input)
-        text_latent = latent + 0.5 * stream.normals(d_input)
-        patch_noise = stream.normals(patch_count * d_input).reshape(patch_count, d_input)
-        images[i] = image_latent[None, :] + 0.35 * patch_noise
-        texts[i] = _tokens_from_latent(text_latent, text_len, vocab, stride=1, offset=0)
-        questions[i] = _tokens_from_latent(text_latent, question_len, vocab, stride=7, offset=3)
+    draws = RngStream(seed).normals(n_pairs * (3 + patch_count) * d_input).reshape(n_pairs, 3 + patch_count, d_input)
+    latent = draws[:, 0]
+    image_latent = latent + 0.5 * draws[:, 1]
+    text_latent = latent + 0.5 * draws[:, 2]
+    images = (image_latent[:, None, :] + 0.35 * draws[:, 3:]).astype(np.float32)
+    texts = _tokens_from_latent(text_latent, text_len, vocab, stride=1, offset=0)
+    questions = _tokens_from_latent(text_latent, question_len, vocab, stride=7, offset=3)
     return ProbeSet(images, texts, questions)
 
 

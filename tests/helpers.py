@@ -37,7 +37,7 @@ from mmqlab.quantizers import (
     proxy_loss,
     rtn_group_quantize,
 )
-from mmqlab.tasks import agreement
+from mmqlab.tasks import ProbeSet, agreement
 
 
 def activation_proxy_loss(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
@@ -537,6 +537,30 @@ def oracle_attention(weights, base, x_q, x_kv, causal, cache=None) -> np.ndarray
     probs = probs / probs.sum(axis=-1, keepdims=True)
     ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
     return ctx @ weights.layers[f"{base}.attn.out_proj"].T
+
+
+def _oracle_tokens(latent: np.ndarray, length: int, vocab: int, stride: int, offset: int) -> np.ndarray:
+    dims = (offset + stride * np.arange(length)) % latent.shape[0]
+    values = np.clip((latent[dims] + 4.0) / 8.0, 0.0, 1.0)
+    return np.minimum((values * vocab).astype(np.int64), vocab - 1)
+
+
+def oracle_make_probe_set(seed, n_pairs, patch_count=16, d_input=64, vocab=256, text_len=8, question_len=4):
+    """make_probe_set one pair at a time: four draws per pair (latent, image
+    noise, text noise, patch noise) written into preallocated arrays."""
+    stream = RngStream(seed)
+    images = np.empty((n_pairs, patch_count, d_input), dtype=np.float32)
+    texts = np.empty((n_pairs, text_len), dtype=np.int64)
+    questions = np.empty((n_pairs, question_len), dtype=np.int64)
+    for i in range(n_pairs):
+        latent = stream.normals(d_input)
+        image_latent = latent + 0.5 * stream.normals(d_input)
+        text_latent = latent + 0.5 * stream.normals(d_input)
+        patch_noise = stream.normals(patch_count * d_input).reshape(patch_count, d_input)
+        images[i] = image_latent[None, :] + 0.35 * patch_noise
+        texts[i] = _oracle_tokens(text_latent, text_len, vocab, stride=1, offset=0)
+        questions[i] = _oracle_tokens(text_latent, question_len, vocab, stride=7, offset=3)
+    return ProbeSet(images, texts, questions)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -22,6 +22,7 @@ from mmqlab.importance import (
     consensus_ranking,
     fit_random_forest,
     impurity_importance,
+    lattice_table,
     linear_baseline_r2,
     permutation_importance,
     shapley_importance,
@@ -205,7 +206,7 @@ def test_criterion_06_shapley_exactness():
         target = stream.uniforms(n_rows)
         data = AttributionDataset(features, target, ("f0", "f1", "f2"))
         forest = fit_random_forest(data, n_trees=15, seed=derive_seed(6, "fit", i))
-        phi, fx, base = shapley_values(forest, data)
+        phi, fx, base = shapley_values(lattice_table(forest, data), data)
         if np.max(np.abs(phi.sum(axis=1) - (fx - base))) > 1e-9:
             efficiency_ok = False
         split_on = set(forest.feature[forest.feature >= 0].tolist())
@@ -222,10 +223,11 @@ def test_criterion_07_planted_signal_recovery():
     target = (grid[:, 1] >= 5).astype(np.float64)
     data = AttributionDataset(grid, target, ("vision", "connector", "language"))
     forest = fit_random_forest(data, seed=70)
+    table = lattice_table(forest, data)
     shares = {
         "impurity": impurity_importance(forest).pct[1],
-        "permutation": permutation_importance(forest, data, seed=70).pct[1],
-        "shapley": shapley_importance(forest, data).pct[1],
+        "permutation": permutation_importance(table, data, seed=70).pct[1],
+        "shapley": shapley_importance(table, data).pct[1],
     }
     ci = bootstrap_importance_ci(data, n_boot=100, seed=70)
     separated = ci.ci_low[1] > max(ci.ci_high[0], ci.ci_high[2])
@@ -245,11 +247,12 @@ def test_criterion_08_consensus_contract_and_seed_stability(probes128):
         )
         data = AttributionDataset.from_results(rows, TaskKind.VQA, method=Method.GPTQ)
         forest = fit_random_forest(data, seed=0)
+        table = lattice_table(forest, data)
         consensus = consensus_ranking(
             [
                 impurity_importance(forest),
-                permutation_importance(forest, data, seed=0),
-                shapley_importance(forest, data),
+                permutation_importance(table, data, seed=0),
+                shapley_importance(table, data),
             ]
         )
         if abs(float(consensus.pct.sum()) - 100.0) > 0.01:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mmqlab.cli import ELEMENT_LIMIT, ConfigError, ProbeConfig, load_config, main, render_plot_svg
 from mmqlab.experiments import GridSpec, RunRecord, load_results, save_results
+from mmqlab.importance import ForestModel
 from mmqlab.pipeline import (
     CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, PipelineSpec, TaskKind, element_count,
 )
@@ -792,6 +793,25 @@ class TestAnalyzeCommand:
         assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
             "f21d67d4872894cf5c5670e1cd746f645681e1d2a90ed3793e305ef871dc8722"
         )
+
+    def test_predicts_once_per_method(self, tmp_path, monkeypatch):
+        """Each method's forest is tabulated on the lattice once; permutation
+        and Shapley both read that table."""
+        gptq, awq, csv = tmp_path / "gptq.csv", tmp_path / "awq.csv", tmp_path / "both.csv"
+        synthetic_results(gptq, lambda v, c, l: 0.05 * v + 0.01 * l)
+        synthetic_results(awq, lambda v, c, l: 0.02 * c, method=Method.AWQ)
+        awq_rows = [replace(row, run_id=row.run_id + "a") for row in load_results(awq)]
+        save_results(load_results(gptq) + awq_rows, csv)
+        predicted = []
+        predict = ForestModel.predict
+
+        def counting_predict(forest, x):
+            predicted.append(len(x))
+            return predict(forest, x)
+
+        monkeypatch.setattr(ForestModel, "predict", counting_predict)
+        assert main(["analyze", str(csv), "--task", "vqa", "--out", str(tmp_path / "r.json"), "--boot", "1"]) == 0
+        assert predicted == [5**3, 5**3]  # one lattice of five bit widths per component, per method
 
     def test_rerun_byte_identical(self, tmp_path):
         csv = tmp_path / "inj.csv"

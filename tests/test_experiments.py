@@ -502,6 +502,11 @@ class TestBlockReuse:
             assert runs[component] == len(prefixes) < len(models) * n, component
 
 
+def _some(items, at_most: int):
+    """A tuple of 1 to at_most distinct items."""
+    return st.lists(st.sampled_from(items), min_size=1, max_size=at_most, unique=True).map(tuple)
+
+
 class TestEquivalence:
     """run_grid against the slow path it replaces: quantize each cell from
     scratch, one component at a time, and score it with ``oracle_score_task``."""
@@ -528,29 +533,72 @@ class TestEquivalence:
         grid = replace(grid, tasks=(TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA), seeds=(3,), eval_pairs=4)
         rows, failures = grid_rows(tiny_spec, tiny_probes, grid, method)
         assert len(rows) == 3 * cells and not failures
+        self.assert_rows_match_per_cell_path(tiny_spec, tiny_probes, grid, method, rows)
 
-        fp = experiments._seeded_model(tiny_spec, 3)
-        calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, tiny_probes)
+    @staticmethod
+    def assert_rows_match_per_cell_path(spec, probes, grid, method, rows):
+        """Each row's (run_id, bpw, score) from quantizing its cell from scratch,
+        one component at a time, and scoring each task with ``oracle_score_task``."""
         group_size = 0 if method is Method.UNIFORM else grid.group_size
+        cells = {}  # the rows of each (seed, bits, groups, layer types), one per task
         for row in rows:
-            weights, ledger = fp, []
-            bits = {
-                ComponentId.VISION: row.vision_bits,
-                ComponentId.CONNECTOR: row.connector_bits,
-                ComponentId.LANGUAGE: row.language_bits,
+            key = (row.seed, row.vision_bits, row.connector_bits, row.language_bits, row.groups, row.layer_types)
+            cells.setdefault(key, []).append(row)
+        for seed in grid.seeds:
+            fp = experiments._seeded_model(spec, seed)
+            calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, probes)
+            for (_, *bits, groups, layer_types), cell_rows in cells.items():
+                if cell_rows[0].seed != seed:
+                    continue
+                weights, ledger = fp, []
+                for comp, k in zip(pipeline.COMPONENT_ORDER, bits):
+                    if k < 16:
+                        sel = Selector.make((comp,), groups, layer_types)
+                        weights, part = apply_quantization(weights, sel, method, k, calib, grid.group_size)
+                        ledger.extend(part)
+                bpw = compute_bpw(ledger, layer_sizes(fp))
+                for row in cell_rows:
+                    run_id = make_run_id(
+                        method=method, task=row.task, vision_bits=row.vision_bits,
+                        connector_bits=row.connector_bits, language_bits=row.language_bits, groups=groups,
+                        layer_types=layer_types, group_size=group_size, seed=seed,
+                    )
+                    score = oracle_score_task(weights, fp, probes.take(grid.eval_pairs), row.task)
+                    assert (row.run_id, row.bpw, row.score) == (run_id, bpw, score)
+
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_grid_matches_per_cell_path_and_resumes(self, tiny_spec, tiny_probes, data):
+        """A drawn grid's rows equal the per-cell path's, and a run that skips a
+        drawn set of run_ids yields the full run's other rows, byte for byte."""
+        method = data.draw(st.sampled_from([Method.UNIFORM, Method.GPTQ, Method.AWQ]), label="method")
+        tasks = data.draw(st.permutations(list(TaskKind)), label="tasks")[: data.draw(st.integers(1, 3))]
+        if method is Method.UNIFORM:  # low bits, so a wrongly reused block shows in the scores
+            bits = data.draw(_some(range(2, 5), 2), label="bits")
+            subsets = {
+                "component_subsets": data.draw(_some(experiments._nonempty_subsets(pipeline.COMPONENT_ORDER), 2)),
+                "group_subsets": data.draw(_some(experiments._nonempty_subsets(pipeline.GROUP_ORDER), 2)),
+                "layer_type_subsets": data.draw(_some(experiments._nonempty_subsets(pipeline.LAYER_TYPE_ORDER), 2)),
             }
-            for comp, k in bits.items():
-                if k < 16:
-                    sel = Selector.make((comp,), row.groups, row.layer_types)
-                    weights, part = apply_quantization(weights, sel, method, k, calib, grid.group_size)
-                    ledger.extend(part)
-            run_id = make_run_id(
-                method=method, task=row.task, vision_bits=row.vision_bits, connector_bits=row.connector_bits,
-                language_bits=row.language_bits, groups=row.groups, layer_types=row.layer_types,
-                group_size=group_size, seed=3,
-            )
-            score = oracle_score_task(weights, fp, tiny_probes.take(4), row.task)
-            assert (row.run_id, row.bpw, row.score) == (run_id, compute_bpw(ledger, layer_sizes(fp)), score)
+        else:  # one bit width: 2^3 cells per seed and task
+            bits, subsets = data.draw(_some([2, 3, 4, 8], 1), label="bits"), {}
+        grid = GridSpec(
+            bits=bits, tasks=tuple(tasks), seeds=data.draw(_some(range(10), 2), label="seeds"),
+            eval_pairs=data.draw(st.integers(2, len(tiny_probes)), label="eval_pairs"),
+            group_size=data.draw(st.sampled_from([4, 12, 32, 128]), label="group_size"),
+            **subsets,
+        )
+        full = list(run_grid(tiny_spec, tiny_probes, grid, method))
+        assert all(error is None for _, error in full)
+        self.assert_rows_match_per_cell_path(tiny_spec, tiny_probes, grid, method, [row for row, _ in full])
+
+        skip = frozenset(data.draw(st.lists(st.sampled_from([row.run_id for row, _ in full]), unique=True)))
+        resumed = list(run_grid(tiny_spec, tiny_probes, grid, method, skip_run_ids=skip))
+
+        def exact(rows):
+            return [(row.to_csv_row(), row.bpw.hex(), row.score.hex(), error) for row, error in rows]
+
+        assert exact(resumed) == exact((row, error) for row, error in full if row.run_id not in skip)
 
 
 class TestPersistence:

@@ -17,13 +17,14 @@ from mmqlab.importance import (
     CONSENSUS_CSV_HEADER,
     ImportanceReport,
     _interventional_value,
-    _lattice,
+    _lattice_parts,
     _segment_sums,
     bootstrap_importance_ci,
     consensus_csv_row,
     consensus_ranking,
     fit_random_forest,
     impurity_importance,
+    lattice_table,
     linear_baseline_r2,
     permutation_importance,
     shapley_importance,
@@ -105,6 +106,13 @@ class TestAttributionDataset:
         data = AttributionDataset.from_results([good, bad], TaskKind.VQA)
         assert len(data) == 1
         assert data.target.tolist() == [0.5]
+
+    def test_features_coded_by_sorted_observed_values(self):
+        data = resampled(fixture_data(), 3)
+        assert data.codes.dtype == np.int64 and data.codes.shape == data.features.shape
+        for j, values in enumerate(data.observed):
+            assert np.array_equal(values, np.unique(data.features[:, j]))
+            assert np.array_equal(values[data.codes[:, j]], data.features[:, j])
 
 
 class TestForest:
@@ -269,7 +277,7 @@ class TestLatticeTable:
     def test_permutation_matches_predicting_shuffled_rows(self, make):
         data = make()
         forest = fit_random_forest(data, n_trees=20, seed=6)
-        got = permutation_importance(forest, data, n_repeats=10, seed=6)
+        got = permutation_importance(lattice_table(forest, data), data, n_repeats=10, seed=6)
         want = predict_permutation_importance(forest, data, n_repeats=10, seed=6)
         for name in ("importance", "ci_low", "ci_high", "pct"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -278,7 +286,9 @@ class TestLatticeTable:
         data = resampled(fixture_data(), 4)
         x = data.features[:150]  # a partial grid: the table holds points no row has
         forest = fit_random_forest(data, n_trees=20, seed=7)
-        table, parts = _lattice(forest, x)
+        part = AttributionDataset(x, data.target[:150], data.feature_names)
+        table = lattice_table(forest, part)
+        parts = _lattice_parts(table, part)
         for r in range(4):
             for subset in itertools.combinations(range(3), r):
                 assert np.array_equal(
@@ -288,9 +298,18 @@ class TestLatticeTable:
     def test_table_rows_are_predictions_in_c_order(self):
         data = lattice_data(lambda g: 0.1 * g[:, 0] - 0.01 * g[:, 1] * g[:, 2])
         forest = fit_random_forest(data, n_trees=10, seed=8)
-        table, parts = _lattice(forest, data.features[::-1])
+        reversed_data = AttributionDataset(data.features[::-1], data.target[::-1], NAMES)
+        table = lattice_table(forest, reversed_data)
+        parts = _lattice_parts(table, reversed_data)
         assert np.array_equal(table, forest.predict(full_lattice()))
         assert np.array_equal(table[parts.sum(axis=1)], forest.predict(data.features[::-1]))
+
+    def test_rejects_another_datasets_table(self):
+        data = lattice_data(step_on_feature0)
+        forest = fit_random_forest(data, n_trees=5, seed=1)
+        other = AttributionDataset(data.features[:20], data.target[:20], NAMES)  # 1 x 3 x 7 points
+        with pytest.raises(ValueError, match="the lattice has 21 points"):
+            permutation_importance(lattice_table(forest, data), other)
 
 
 class TestImpurity:
@@ -360,13 +379,13 @@ class TestPermutation:
         target = (grid[:, 0] >= 4).astype(np.float64)
         data = AttributionDataset(grid, target, NAMES)
         forest = fit_random_forest(data, seed=6)
-        report = permutation_importance(forest, data, seed=6)
+        report = permutation_importance(lattice_table(forest, data), data, seed=6)
         assert report.importance[1] == 0.0
 
     def test_signal_feature_dominates(self):
         data = lattice_data(step_on_feature0)
         forest = fit_random_forest(data, seed=7)
-        report = permutation_importance(forest, data, seed=7)
+        report = permutation_importance(lattice_table(forest, data), data, seed=7)
         assert report.importance[0] > 0
         assert abs(report.importance[1]) <= 0.05 * report.importance[0]
         assert abs(report.importance[2]) <= 0.05 * report.importance[0]
@@ -375,7 +394,7 @@ class TestPermutation:
         data = lattice_data(step_on_feature0)
         forest = fit_random_forest(data, seed=7)
         split_on = set(forest.feature[forest.feature >= 0].tolist())
-        report = permutation_importance(forest, data, seed=7)
+        report = permutation_importance(lattice_table(forest, data), data, seed=7)
         for j in range(3):
             if j not in split_on:
                 assert report.importance[j] == 0.0
@@ -398,18 +417,19 @@ class TestShapley:
     def test_efficiency_axiom(self):
         data = lattice_data(lambda g: 0.05 * g[:, 0] * (g[:, 2] >= 4) + 0.01 * g[:, 1])
         forest = fit_random_forest(data, n_trees=20, seed=8)
-        phi, fx, base = shapley_values(forest, data)
+        phi, fx, base = shapley_values(lattice_table(forest, data), data)
         assert np.max(np.abs(phi.sum(axis=1) - (fx - base))) <= 1e-9
 
     def test_null_player_axiom_exact(self):
-        forest = fit_random_forest(lattice_data(step_on_feature0), seed=9)
-        phi, _, _ = shapley_values(forest, lattice_data(step_on_feature0))
+        data = lattice_data(step_on_feature0)
+        forest = fit_random_forest(data, seed=9)
+        phi, _, _ = shapley_values(lattice_table(forest, data), data)
         assert np.all(phi[:, 1] == 0.0)
         assert np.all(phi[:, 2] == 0.0)
 
     def test_single_feature_share(self):
         data = lattice_data(step_on_feature0)
-        report = shapley_importance(fit_random_forest(data, seed=10), data)
+        report = shapley_importance(lattice_table(fit_random_forest(data, seed=10), data), data)
         assert report.pct[0] >= 95.0
 
     def test_feature_count_limit(self):
@@ -417,7 +437,7 @@ class TestShapley:
         data = AttributionDataset(features, np.zeros(12), tuple(f"f{i}" for i in range(9)))
         forest = fit_random_forest(data, n_trees=2, seed=0)
         with pytest.raises(ValueError, match="sampling"):
-            shapley_values(forest, data)
+            shapley_values(lattice_table(forest, data), data)
 
 
 class TestScaleRobustness:
@@ -430,12 +450,13 @@ class TestScaleRobustness:
         imp1, imp2 = impurity_importance(f1), impurity_importance(f2)
         assert np.allclose(imp1.pct, imp2.pct, atol=1e-6)
 
-        perm1 = permutation_importance(f1, data, n_repeats=10, seed=11)
-        perm2 = permutation_importance(f2, scaled, n_repeats=10, seed=11)
+        t1, t2 = lattice_table(f1, data), lattice_table(f2, scaled)
+        perm1 = permutation_importance(t1, data, n_repeats=10, seed=11)
+        perm2 = permutation_importance(t2, scaled, n_repeats=10, seed=11)
         assert np.allclose(perm2.importance, perm1.importance * 9.0, rtol=1e-9)
         assert np.allclose(perm1.pct, perm2.pct, atol=1e-6)
 
-        shap1, shap2 = shapley_importance(f1, data), shapley_importance(f2, scaled)
+        shap1, shap2 = shapley_importance(t1, data), shapley_importance(t2, scaled)
         assert np.allclose(shap2.importance, shap1.importance * 3.0, rtol=1e-9)
         assert np.allclose(shap1.pct, shap2.pct, atol=1e-6)
 

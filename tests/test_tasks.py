@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import oracle_score_task, vision_prefix
+from helpers import oracle_make_probe_set, oracle_score_task, vision_prefix
 from mmqlab.cli import main
 from mmqlab.pipeline import (
     ComponentId,
@@ -59,6 +59,27 @@ class TestProbeSet:
     def test_negative_length_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
             make_probe_set(1, 2, **{key: -1})
+
+    @pytest.mark.parametrize(
+        "n_pairs, shape",
+        [
+            (1, {}),
+            (128, {}),
+            (5, {"text_len": 0}),
+            (5, {"question_len": 0}),
+            (7, {"patch_count": 1}),
+            (6, {"d_input": 2}),
+            (3, {"patch_count": 8, "d_input": 32, "vocab": 64}),
+        ],
+        ids=["one-pair", "128-pairs", "no-text", "no-question", "one-patch", "d-input-2", "tiny"],
+    )
+    def test_one_draw_matches_per_pair_oracle(self, n_pairs, shape):
+        got = make_probe_set(11, n_pairs, **shape)
+        want = oracle_make_probe_set(11, n_pairs, **shape)
+        for name in ("images", "texts", "questions"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
 
     def test_take_prefix(self, probe_set):
         sub = probe_set.take(16)
