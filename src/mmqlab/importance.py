@@ -59,12 +59,13 @@ class AttributionDataset:
             raise ValueError("feature_names length does not match feature columns")
         if not np.all(np.isfinite(self.target)):
             raise ValueError("target contains missing values")
-        if self.features.size and (self.features.min() < 2 or self.features.max() > 16):
+        if not np.all((self.features >= 2) & (self.features <= 16)):  # NaN fails both
             raise ValueError("bit features must lie in [2, 16]")
-        self.observed = [np.unique(col) for col in self.features.T]
-        self.codes = np.zeros(self.features.shape, dtype=np.int64)
-        for j, values in enumerate(self.observed):
-            self.codes[:, j] = np.searchsorted(values, self.features[:, j])
+        self.observed = []
+        self.codes = np.empty(self.features.shape, dtype=np.int64)
+        for j, col in enumerate(self.features.T):
+            values, self.codes[:, j] = np.unique(col, return_inverse=True)
+            self.observed.append(values)
 
     def __len__(self) -> int:
         return self.features.shape[0]

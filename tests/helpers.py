@@ -493,7 +493,7 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
 
 
 def oracle_layer_norm(x: np.ndarray) -> np.ndarray:
-    """Layer norm as plain expressions, the form the in-place one must match bit for bit."""
+    """Layer norm as plain expressions, the form the pipeline's must match bit for bit."""
     mean = x.mean(axis=-1, keepdims=True)
     var = np.square(x - mean).mean(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + np.float32(LN_EPS))

@@ -570,7 +570,15 @@ class TestEquivalence:
     @given(data=st.data())
     def test_fuzzed_grid_matches_per_cell_path_and_resumes(self, tiny_spec, tiny_probes, data):
         """A drawn grid's rows equal the per-cell path's, and a run that skips a
-        drawn set of run_ids yields the full run's other rows, byte for byte."""
+        drawn set of run_ids yields the full run's other rows, byte for byte.
+
+        The spec is the tiny one or its linear-projector variant, whose
+        connector has no blocks. That variant takes ``run_connector``'s
+        projection branch, which no checked-in config reaches, and its
+        connector-only uniform cells collapse into the baseline."""
+        spec = tiny_spec
+        if data.draw(st.booleans(), label="linear projector"):
+            spec = replace(tiny_spec, connector_kind=ConnectorKind.LINEAR_PROJECTOR, connector_blocks=0)
         method = data.draw(st.sampled_from([Method.UNIFORM, Method.GPTQ, Method.AWQ]), label="method")
         tasks = data.draw(st.permutations(list(TaskKind)), label="tasks")[: data.draw(st.integers(1, 3))]
         if method is Method.UNIFORM:  # low bits, so a wrongly reused block shows in the scores
@@ -588,12 +596,12 @@ class TestEquivalence:
             group_size=data.draw(st.sampled_from([4, 12, 32, 128]), label="group_size"),
             **subsets,
         )
-        full = list(run_grid(tiny_spec, tiny_probes, grid, method))
+        full = list(run_grid(spec, tiny_probes, grid, method))
         assert all(error is None for _, error in full)
-        self.assert_rows_match_per_cell_path(tiny_spec, tiny_probes, grid, method, [row for row, _ in full])
+        self.assert_rows_match_per_cell_path(spec, tiny_probes, grid, method, [row for row, _ in full])
 
         skip = frozenset(data.draw(st.lists(st.sampled_from([row.run_id for row, _ in full]), unique=True)))
-        resumed = list(run_grid(tiny_spec, tiny_probes, grid, method, skip_run_ids=skip))
+        resumed = list(run_grid(spec, tiny_probes, grid, method, skip_run_ids=skip))
 
         def exact(rows):
             return [(row.to_csv_row(), row.bpw.hex(), row.score.hex(), error) for row, error in rows]

@@ -72,6 +72,12 @@ class TestAttributionDataset:
         with pytest.raises(ValueError, match="bit features"):
             AttributionDataset(np.array([[1.0, 4.0]]), np.array([0.5]), ("a", "b"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_bit_column(self, bad):
+        features = np.array([[4.0, bad], [8.0, bad]])
+        with pytest.raises(ValueError, match=r"bit features must lie in \[2, 16\]"):
+            AttributionDataset(features, np.array([0.5, 0.25]), ("a", "b"))
+
     def test_rejects_missing_targets(self):
         with pytest.raises(ValueError, match="missing"):
             AttributionDataset(np.array([[4.0]]), np.array([np.nan]), ("a",))

@@ -189,8 +189,8 @@ class TestForward:
 
 
 class TestBlockOps:
-    """The in-place block ops against the plain expressions they replace
-    (kept in helpers), bit for bit, on random inputs of 1 to 40 rows."""
+    """The block ops against the plain expressions kept in helpers, bit for
+    bit, on random inputs of 1 to 40 rows."""
 
     ROWS = range(1, 41)
 
@@ -366,6 +366,43 @@ class TestCachedDecode:
         with pytest.raises(ValueError, match=rf"prefix length 8 \+ prompt length 5 \+ horizon {horizon}"):
             greedy_generate(default_model, prefix, prompt, horizon)
         assert calls == []
+
+
+class TestBatchIndependence:
+    """Each row of a batched forward pass is the bytes of that row run alone,
+    so splitting or stacking probe batches moves no output."""
+
+    PAIRS = 32
+
+    @pytest.fixture(scope="class")
+    def batch(self, default_model, probe_set):
+        probes = probe_set.take(self.PAIRS)
+        return probes, vision_prefix(default_model, probes.images)
+
+    def test_encode_vision(self, default_model, batch):
+        images = batch[0].images
+        stacked = encode_vision(default_model, images)
+        for i in range(self.PAIRS):
+            assert same_bits(stacked[i : i + 1], encode_vision(default_model, images[i : i + 1])), i
+
+    def test_decode_hidden_without_cache(self, default_model, batch):
+        probes, prefix = batch
+        prompt = bos_prompt(probes.texts)
+        stacked = decode_hidden(default_model, prefix, prompt)
+        for i in range(self.PAIRS):
+            alone = decode_hidden(default_model, prefix[i : i + 1], prompt[i : i + 1])
+            assert same_bits(stacked[i : i + 1], alone), i
+
+    @pytest.mark.parametrize("mode", [TaskKind.CAPTION, TaskKind.VQA])
+    def test_greedy_generate(self, default_model, batch, mode):
+        probes, prefix = batch
+        prompt = bos_prompt(probes.questions if mode is TaskKind.VQA else probes.questions[:, :0])
+        horizon = CAPTION_HORIZON if mode is TaskKind.CAPTION else VQA_HORIZON
+        stacked = greedy_generate(default_model, prefix, prompt, horizon)
+        assert stacked.shape == (self.PAIRS, horizon)
+        for i in range(self.PAIRS):
+            alone = greedy_generate(default_model, prefix[i : i + 1], prompt[i : i + 1], horizon)
+            assert np.array_equal(stacked[i : i + 1], alone), i
 
 
 class TestCalibration:
