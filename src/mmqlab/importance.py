@@ -18,11 +18,15 @@ A dataset codes its features once. They take only their observed values, so
 the forest is tabulated once on the lattice of those values (at most 15^3
 points for integer bits in [2, 16]); permutation and Shapley look rows up in
 that table instead of walking the trees. All trees of a forest are grown
-together, level by level, and kept as one set of node arrays: the trees end
-to end, each in preorder, with child indices into the whole arrays.
-Prediction walks all trees together, and impurity adds every node's gain in
-one np.add.at. All of this gives the same numbers, bit for bit, as growing
-each tree depth-first, then predicting and adding gains tree by tree.
+together, level by level: bincounts over eight lanes give a level's node
+sums in numpy's pairwise order, and only the open nodes are searched, over
+one (node, feature, code) block. A forest is one set of node arrays: the
+trees end to end, each in preorder, with child indices into the whole
+arrays. Prediction walks all trees together, and impurity adds every node's
+gain in one np.add.at. The seeds of all bootstrap draws and permutations
+of one call are derived as one array, and the draws made as one block. All
+of this gives the same numbers, bit for bit, as growing each tree
+depth-first, then predicting and adding gains tree by tree.
 """
 
 from __future__ import annotations
@@ -148,14 +152,22 @@ def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
     this reproduces the pairwise order. The equivalence test against
     np.add.reduce is what fails if a numpy upgrade changes that order.
     """
-    return 0.0 + _pairwise_sums(values, np.cumsum(lens) - lens, lens)
+    return _pairwise_sums(values, np.cumsum(lens) - lens, lens)
 
 
 def _pairwise_sums(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """numpy's pairwise sum of values[s:s + n] per (s, n): above 128 rows,
     halve at a multiple of 8 and add the halves; from 8 to 128, eight
     running sums over blocks of eight, combined as a tree, then the rest one
-    by one; below 8, one by one from +0.0."""
+    by one; below 8, one by one.
+
+    Running sum i adds rows i, i + 8, ... in order, so one bincount per
+    column over (segment, row offset mod 8) keys gives every segment's eight
+    at once, and a second adds each segment's tree total, then its rows
+    after the blocks. A bincount starts from +0.0 where numpy starts from
+    the first value. That changes only a sum of -0.0s, to +0.0, which is
+    what np.add.reduce's identity makes of it too.
+    """
     out = np.empty((lens.size, values.shape[1]))
     halve = lens > 128
     if halve.any():
@@ -163,25 +175,58 @@ def _pairwise_sums(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> 
         left = n // 2 - n // 2 % 8
         sums = _pairwise_sums(values, np.concatenate([s, s + left]), np.concatenate([left, n - left]))
         out[halve] = sums[: s.size] + sums[s.size :]
-    # Most blocks first, so the segments still adding block b are a prefix.
-    order = np.flatnonzero(~halve)[np.argsort(-(lens[~halve] // 8))]
-    s, n = starts[order], lens[order]
-    blocks = n // 8
-    res = np.zeros((s.size, values.shape[1]))
+    s, n = starts[~halve], lens[~halve]
+    blocks, rest = n // 8, n % 8
     eight = np.arange(8)
-    some = int(np.count_nonzero(blocks))
-    acc = values[s[:some, None] + eight]
-    for b in range(1, int(blocks.max(initial=0))):
-        still = int(np.count_nonzero(blocks > b))
-        acc[:still] += values[s[:still, None] + 8 * b + eight]
-    r = acc.transpose(1, 0, 2)
-    res[:some] = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    tail = s + 8 * blocks
-    for i in range(7):
-        more = np.flatnonzero(n % 8 > i)
-        res[more] += values[tail[more] + i]
-    out[order] = res
+    lane = ((8 * np.repeat(np.arange(s.size), blocks))[:, None] + eight).ravel()
+    first = np.repeat(s - 8 * (np.cumsum(blocks) - blocks), blocks) + 8 * np.arange(blocks.sum())
+    at = (first[:, None] + eight).ravel()
+    seg = np.concatenate([np.arange(s.size), np.repeat(np.arange(s.size), rest)])
+    after = np.repeat(s + 8 * blocks - (np.cumsum(rest) - rest), rest) + np.arange(rest.sum())
+    for c, col in enumerate(values.T):
+        r = np.bincount(lane, col[at], minlength=8 * s.size).reshape(-1, 8).T
+        lanes = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        out[~halve, c] = np.bincount(seg, np.concatenate([lanes, col[after]]), minlength=s.size)
     return out
+
+
+def _resample(seeds: np.ndarray, n: int) -> np.ndarray:
+    """One same-size bootstrap draw of row indices per seed, shape (seeds, n)."""
+    return np.minimum((RngStream(seeds[:, None]).uniforms(n) * n).astype(np.int64), n - 1)
+
+
+def _code_sums(columns: np.ndarray, width: int, y: np.ndarray, rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Row count, sum of y and sum of y^2 per (node, feature, code), shape
+    (3, nodes, features, width), for nodes whose rows lie back to back. One
+    bincount per feature and sum adds each bucket's rows in their order."""
+    at = np.repeat(np.arange(lens.size) * width, lens)
+    ys = y[rows]
+    weights = (None, ys, ys * ys)
+    sums = np.zeros((3, lens.size, columns.shape[0], width))
+    for j, col in enumerate(columns):
+        key = at + col[rows]
+        for part, w in zip(sums, weights):
+            part[:, j] = np.bincount(key, w, minlength=lens.size * width).reshape(-1, width)
+    return sums
+
+
+def _best_splits(
+    sums: np.ndarray, min_leaf: int, lens, total, total_sq, sse
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's first largest gain over its _code_sums block in
+    feature-major order, as the index feature * (width - 1) + code, and the
+    gain. A padded code holds all of its node's rows on the left, so
+    min_leaf rules it out."""
+    lcnt, lsy, lsyy = np.cumsum(sums, axis=3, out=sums)[..., :-1]
+    lens, total, total_sq, sse = (a[:, None, None] for a in (lens, total, total_sq, sse))
+    rcnt = lens - lcnt
+    safe_l = np.maximum(lcnt, 1.0)  # counts are whole numbers: lcnt where lcnt > 0
+    safe_r = np.maximum(rcnt, 1.0)
+    gain = sse - (lsyy - lsy * lsy / safe_l) - ((total_sq - lsyy) - (total - lsy) ** 2 / safe_r)
+    gain[(lcnt < min_leaf) | (rcnt < min_leaf)] = -np.inf
+    gain = gain.reshape(len(gain), math.prod(gain.shape[1:]))
+    best = np.argmax(gain, axis=1)
+    return best, gain[np.arange(best.size), best]
 
 
 def fit_random_forest(
@@ -198,80 +243,69 @@ def fit_random_forest(
 
     All trees grow together, breadth-first. A level holds the rows of each of
     its nodes back to back, in the order a depth-first builder would pass
-    them, so one bincount per feature over (node, code) keys adds every
-    bucket in that builder's order, and node totals are summed per node. A
-    node splits on the first feature with the strictly largest gain, at
-    that feature's first best threshold.
+    them, and node totals are summed per node. Only open nodes, which may
+    still split, are searched: one bincount per feature and sum over (node,
+    code) keys adds every bucket in that depth-first order into one (open
+    node, feature, code) block, each feature padded to the widest one's code
+    count, and the cumsums, gains and argmax then run once over the block. A
+    node splits at its first largest gain in feature-major order, if that
+    gain exceeds _GAIN_RTOL * sse: the first feature with the strictly
+    largest gain, at that feature's first best threshold, as a sequential
+    scan over features picks.
     """
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    if min_leaf < 1:
+        raise ValueError(f"min_leaf must be at least 1, got {min_leaf}")
     if len(data) < MIN_FOREST_ROWS and bootstrap:
         raise ValueError(f"need at least {MIN_FOREST_ROWS} rows to fit a forest, have {len(data)}")
     observed, codes, y = data.observed, data.codes, data.target
     n, m = codes.shape
-    roots = []
-    for t in range(n_trees):
-        if bootstrap:
-            stream = RngStream(derive_seed(seed, "tree", t))
-            roots.append(np.minimum((stream.uniforms(n) * n).astype(np.int64), n - 1))
-        else:
-            roots.append(np.arange(n, dtype=np.int64))
-
-    rows = np.concatenate(roots)
+    width = max(max(values.size for values in observed), 2)  # codes per feature in the search block
+    columns = codes.T.copy()
+    cuts = np.full((m, width - 1), np.nan)  # threshold of each (feature, code) the search indexes
+    for j, values in enumerate(observed):
+        cuts[j, : values.size - 1] = values[:-1]
+    cuts = cuts.ravel()
+    if bootstrap:
+        rows = _resample(derive_seed(seed, "tree", np.arange(n_trees)), n).ravel()
+    else:
+        rows = np.tile(np.arange(n), n_trees)
     lens = np.full(n_trees, n, dtype=np.int64)  # rows per node of the level
     levels, splits = [], []  # per level: (value, feature, threshold, gain) and the split mask
     while lens.size:
         nodes = lens.size
         yr = y[rows]
-        yy = yr * yr
-        total, total_sq = _segment_sums(np.stack([yr, yy], axis=1), lens).T
+        total, total_sq = _segment_sums(np.stack([yr, yr * yr], axis=1), lens).T
         sse = total_sq - total * total / lens
-        open_ = (lens >= 2 * min_leaf) & (sse > _GAIN_RTOL * np.maximum(total_sq, 1e-300))
-        slot = np.repeat(np.arange(nodes), lens)
+        is_open = (lens >= 2 * min_leaf) & (sse > _GAIN_RTOL * np.maximum(total_sq, 1e-300))
+        open_ = np.flatnonzero(is_open)
 
-        best_gain = np.full(nodes, -np.inf)
+        best, g = _best_splits(
+            _code_sums(columns, width, y, rows[np.repeat(is_open, lens)], lens[open_]),
+            min_leaf, *(a[open_] for a in (lens, total, total_sq, sse)),
+        )
+        wins = g > _GAIN_RTOL * sse[open_]
+        won = open_[wins]
+
         best_feature = np.full(nodes, -1, dtype=np.int32)
-        best_code = np.zeros(nodes, dtype=np.int64)
-        for j in range(m):
-            k = observed[j].shape[0]
-            if k < 2:
-                continue
-            key = slot * k + codes[rows, j]
-            cnt = np.bincount(key, minlength=nodes * k).reshape(nodes, k).astype(np.float64)
-            sy = np.bincount(key, weights=yr, minlength=nodes * k).reshape(nodes, k)
-            syy = np.bincount(key, weights=yy, minlength=nodes * k).reshape(nodes, k)
-            lcnt = np.cumsum(cnt, axis=1)[:, :-1]
-            rcnt = lens[:, None] - lcnt
-            valid = (lcnt >= min_leaf) & (rcnt >= min_leaf)
-            lsy = np.cumsum(sy, axis=1)[:, :-1]
-            lsyy = np.cumsum(syy, axis=1)[:, :-1]
-            safe_l = np.where(lcnt > 0, lcnt, 1.0)
-            safe_r = np.where(rcnt > 0, rcnt, 1.0)
-            gain = (
-                sse[:, None] - (lsyy - lsy * lsy / safe_l)
-                - ((total_sq[:, None] - lsyy) - (total[:, None] - lsy) ** 2 / safe_r)
-            )
-            gain[~valid] = -np.inf
-            t = np.argmax(gain, axis=1)
-            g = gain[np.arange(nodes), t]
-            better = open_ & (g > _GAIN_RTOL * sse) & (g > best_gain)
-            best_gain = np.where(better, g, best_gain)
-            best_feature[better] = j
-            best_code[better] = t[better]
-
+        best_feature[won], code = np.divmod(best[wins], width - 1)
         split = best_feature >= 0
         threshold = np.full(nodes, np.nan)
-        for j in range(m):
-            on_j = best_feature == j
-            threshold[on_j] = observed[j][best_code[on_j]]
-        levels.append((total / lens, best_feature, threshold, np.where(split, best_gain / n, 0.0)))
+        threshold[won] = cuts[best[wins]]
+        best_gain = np.zeros(nodes)
+        best_gain[won] = g[wins] / n
+        levels.append((total / lens, best_feature, threshold, best_gain))
         splits.append(split)
 
         # The next level holds each split node's left then right child; a
-        # stable sort keeps every child's rows in their current order.
-        keep = split[slot]
-        rows, slot = rows[keep], slot[keep]
-        child = 2 * (np.cumsum(split) - 1)[slot] + (codes[rows, best_feature[slot]] > best_code[slot])
-        rows = rows[np.argsort(child, kind="stable")]
-        lens = np.bincount(child, minlength=2 * int(split.sum()))
+        # stable sort keeps every child's rows in their current order (a
+        # radix sort, on keys of 16 bits or fewer).
+        rows, grown = rows[np.repeat(split, lens)], lens[won]
+        coded = columns.ravel()[np.repeat(best_feature[won] * n, grown) + rows]  # on the node's feature
+        child = np.repeat(2 * np.arange(won.size), grown) + (coded > np.repeat(code, grown))
+        rows = rows[np.argsort(child.astype(np.min_scalar_type(2 * won.size)), kind="stable")]
+        lens = np.bincount(child, minlength=2 * won.size)
     return ForestModel(**_preorder(levels, splits), feature_names=data.feature_names)
 
 
@@ -393,12 +427,11 @@ def bootstrap_importance_ci(
     interval is the 2.5/97.5 percentile of each feature's importance share
     over n_boot resamples.
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     point = impurity_importance(fit_random_forest(data, seed=derive_seed(seed, "point")))
-    n = len(data)
     boot_shares = np.zeros((n_boot, data.features.shape[1]))
-    for b in range(n_boot):
-        stream = RngStream(derive_seed(seed, "boot", b))
-        idx = np.minimum((stream.uniforms(n) * n).astype(np.int64), n - 1)
+    for b, idx in enumerate(_resample(derive_seed(seed, "boot", np.arange(n_boot)), len(data))):
         resample = AttributionDataset(
             features=data.features[idx], target=data.target[idx],
             feature_names=data.feature_names,
@@ -441,19 +474,18 @@ def permutation_importance(
     A shuffled row is a lattice point, so its prediction is a lookup in table.
     Raw (possibly negative) averages are kept in ``importance``; percentages
     use the negatives clamped to zero. The CI is a normal approximation over
-    the repeat values.
+    the repeat values. Every (feature, repeat) permutation is drawn at once.
     """
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be at least 1, got {n_repeats}")
     n, m = data.features.shape
     parts = _lattice_parts(table, data)
     flat = parts.sum(axis=1)
     base_mse = float(np.mean((table[flat] - data.target) ** 2))
-    increases = np.zeros((m, n_repeats))
-    for j in range(m):
-        rest = flat - parts[:, j]
-        for rep in range(n_repeats):
-            stream = RngStream(derive_seed(seed, "perm", j, rep))
-            shuffled = table[rest + parts[stream.permutation(n), j]]
-            increases[j, rep] = float(np.mean((shuffled - data.target) ** 2)) - base_mse
+    feature = np.arange(m)[:, None]
+    perms = RngStream(derive_seed(seed, "perm", feature, np.arange(n_repeats))[..., None]).permutation(n)
+    shuffled = table[(flat - parts.T)[:, None] + parts[perms, feature[..., None]]]  # [feature, repeat, row]
+    increases = np.mean((shuffled - data.target) ** 2, axis=2) - base_mse
     mean = increases.mean(axis=1)
     if n_repeats > 1:
         half = 1.96 * increases.std(axis=1, ddof=1) / math.sqrt(n_repeats)

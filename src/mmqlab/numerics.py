@@ -46,22 +46,28 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_seed(seed: int, *tags: int | str) -> int:
+def derive_seed(seed: int, *tags: int | str | np.ndarray) -> int | np.ndarray:
     """Fold string/int tags into a seed to get an independent substream key.
 
     Pure integer arithmetic (no ``hash()``), so derived seeds are stable
-    across processes and platforms.
+    across processes and platforms. A tag may be an integer array: the result
+    is then the uint64 array of the seeds for each of its values (array tags
+    broadcast together), folded in exact uint64 arithmetic.
     """
     h = mix64((seed & _MASK64) ^ 0x5CA1AB1E5EED0001)
+    mix = mix64
     for tag in tags:
         if isinstance(tag, str):
             data = tag.encode("utf-8")
+        elif isinstance(tag, np.ndarray):
+            tag, mix = tag.astype(np.uint64), _mix64_array
+            data = [tag >> 8 * i & 255 for i in range(8)]  # little-endian bytes
         else:
             data = (int(tag) & _MASK64).to_bytes(8, "little")
         for b in data:
-            h = mix64(h ^ b)
+            h = mix(h ^ b)
             h = (h * _GOLDEN) & _MASK64
-    return mix64(h)
+    return mix(h)
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
@@ -79,10 +85,11 @@ class RngStream:
     """Counter-based random stream: value ``i`` is ``mix64(seed + (i+1)*GOLDEN)``.
 
     The counter advances as values are drawn; constructing two streams with
-    the same (seed, counter) always replays the same sequence.
+    the same (seed, counter) always replays the same sequence. A column of
+    uint64 seeds, shape (s, 1), draws s streams at once, one row per seed.
     """
 
-    seed: int
+    seed: int | np.ndarray
     counter: int = 0
 
     def raw64(self, n: int) -> np.ndarray:

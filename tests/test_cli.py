@@ -794,6 +794,18 @@ class TestAnalyzeCommand:
             "f21d67d4872894cf5c5670e1cd746f645681e1d2a90ed3793e305ef871dc8722"
         )
 
+    def test_fixture_default_bootstrap_reports_pinned(self, tmp_path):
+        """The paper's attribution at analyze's default --boot 100 on the same
+        rows; the digest was recorded before the level loop and the seed
+        draws were vectorized."""
+        out = tmp_path / "report.json"
+        csv = REPO / "perfbench" / "fixtures" / "gptq_vqa_343.csv"
+        assert main(["analyze", str(csv), "--task", "vqa", "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())["methods"]["gptq"]["reports"]
+        assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
+            "d361645c797333f97af40a7714f63e91fa11fc6c01dadade1939e8a21a6c5612"
+        )
+
     def test_predicts_once_per_method(self, tmp_path, monkeypatch):
         """Each method's forest is tabulated on the lattice once; permutation
         and Shapley both read that table."""

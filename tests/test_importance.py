@@ -163,6 +163,15 @@ class TestForest:
                 AttributionDataset(np.full((4, 2), 4.0), np.zeros(4), ("a", "b"))
             )
 
+    def test_no_trees_rejected(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            fit_random_forest(lattice_data(step_on_feature0), n_trees=0)
+
+    @pytest.mark.parametrize("min_leaf", [0, -1])
+    def test_min_leaf_below_one_rejected(self, min_leaf):
+        with pytest.raises(ValueError, match="min_leaf"):
+            fit_random_forest(lattice_data(step_on_feature0), n_trees=2, min_leaf=min_leaf)
+
     def test_deterministic_given_seed(self):
         data = lattice_data(step_on_feature0)
         a = fit_random_forest(data, n_trees=5, seed=9)
@@ -238,6 +247,53 @@ class TestLockstepFit:
         assert (forest.feature[0], forest.threshold[0]) == (0, 2.0)
 
 
+class TestPaddedSearch:
+    """The search block pads every feature to the widest one's code count;
+    against the recursive oracle, bit for bit, on the cases padding touches."""
+
+    @staticmethod
+    def uneven_data(order):
+        """Features with 2, 5 and 7 observed values, in the given column order."""
+        values = [(2, 8), (2, 3, 4, 6, 8), BIT_VALUES]
+        grid = np.array(list(itertools.product(*(values[i] for i in order))), dtype=np.float64)
+        x = grid[:, np.argsort(order)]  # columns back in 2, 5, 7 order for the target
+        target = 0.3 * (x[:, 0] == 8) + 0.02 * x[:, 1] * (x[:, 2] >= 4) + np.sin(x[:, 2])
+        return AttributionDataset(grid, target, NAMES)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_features_of_different_widths(self, order):
+        data = self.uneven_data(order)
+        assert [v.size for v in data.observed] == [(2, 5, 7)[i] for i in order]
+        assert_same_trees(fit_random_forest(data, n_trees=30, seed=8), recursive_forest_trees(data, 30, seed=8))
+
+    def test_constant_feature(self):
+        grid = full_lattice()
+        grid[:, 1] = 4.0
+        data = AttributionDataset(grid, 0.1 * grid[:, 0] + (grid[:, 2] >= 5), NAMES)
+        forest = fit_random_forest(data, n_trees=20, seed=2)
+        assert_same_trees(forest, recursive_forest_trees(data, 20, seed=2))
+        assert not np.any(forest.feature == 1)
+
+    @pytest.mark.parametrize("wide_first", [False, True])
+    def test_gain_tied_across_features_of_different_widths(self, wide_first):
+        """The 2-value feature and the 7-value one at <= 4 cut the rows the
+        same way, at different codes, and every sum is exact, so their gains
+        tie exactly: the first feature wins every tie."""
+        grid = full_lattice()
+        grid[:, 0] = np.where(grid[:, 1] <= 4, 2.0, 3.0)
+        target = (grid[:, 1] <= 4) + 0.25 * (grid[:, 2] >= 5)
+        data = AttributionDataset(grid[:, [1, 0, 2]] if wide_first else grid, target, NAMES)
+        forest = fit_random_forest(data, n_trees=20, seed=5)
+        assert_same_trees(forest, recursive_forest_trees(data, 20, seed=5))
+        assert not np.any(forest.feature == 1)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_min_leaf_with_bootstrap(self, min_leaf):
+        data = self.uneven_data((0, 1, 2))
+        forest = fit_random_forest(data, n_trees=20, min_leaf=min_leaf, seed=4)
+        assert_same_trees(forest, recursive_forest_trees(data, 20, min_leaf=min_leaf, seed=4))
+
+
 class TestSegmentSums:
     def test_matches_add_reduce_per_segment(self):
         """Both columns of every segment against np.add.reduce on that segment
@@ -258,6 +314,22 @@ class TestSegmentSums:
             f"numpy {np.__version__} sums segments of lengths {lens[bad][:10].tolist()} in an order "
             "_segment_sums does not reproduce"
         )
+
+    @pytest.mark.parametrize("lane", [0, 3, 7])
+    def test_one_lane_of_negative_zeros(self, lane):
+        """In segments of 8 to 128 rows, one of the eight running sums adds
+        only -0.0s and the others do not; the bincount lanes start from +0.0."""
+        rng = np.random.default_rng(lane)
+        lens = np.array([8, 9, 16, 23, 64, 127, 128])
+        values = rng.standard_normal((lens.sum(), 2))
+        for a, n in zip(np.cumsum(lens) - lens, lens):
+            values[a + lane : a + n - n % 8 : 8] = -0.0
+        starts = np.cumsum(lens) - lens
+        want = np.array([
+            [np.add.reduce(np.ascontiguousarray(values[a : a + n, c])) for c in range(2)]
+            for a, n in zip(starts, lens)
+        ])
+        assert _segment_sums(values, lens).tobytes() == want.tobytes()
 
 
 class TestForestPredict:
@@ -372,6 +444,10 @@ class TestBootstrapCi:
         report = bootstrap_importance_ci(lattice_data(step_on_feature0), n_boot=1, seed=4)
         assert np.array_equal(report.ci_low, report.ci_high)
 
+    def test_no_resamples_rejected(self):
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_importance_ci(lattice_data(step_on_feature0), n_boot=0)
+
     def test_deterministic(self):
         a = bootstrap_importance_ci(lattice_data(step_on_feature0), n_boot=10, seed=5)
         b = bootstrap_importance_ci(lattice_data(step_on_feature0), n_boot=10, seed=5)
@@ -404,6 +480,12 @@ class TestPermutation:
         for j in range(3):
             if j not in split_on:
                 assert report.importance[j] == 0.0
+
+    def test_no_repeats_rejected(self):
+        data = lattice_data(step_on_feature0)
+        table = lattice_table(fit_random_forest(data, n_trees=2), data)
+        with pytest.raises(ValueError, match="n_repeats"):
+            permutation_importance(table, data, n_repeats=0)
 
     def test_default_repeat_count(self):
         import inspect

@@ -68,6 +68,36 @@ class TestRngStream:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
 
 
+class TestSeedArrays:
+    """An integer array tag folds every value at once, and a column of seeds
+    draws one stream per row: each equals the one-at-a-time path, byte for byte."""
+
+    SEEDS = [0, 1, -3, 2**63 + 5, 2**64 + 7]
+    TAGS = np.arange(301)  # 256 and up need a second byte
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("tags", [("tree",), ("perm", 2), ()])
+    def test_derived_seeds_match_one_at_a_time(self, seed, tags):
+        got = derive_seed(seed, *tags, self.TAGS)
+        want = np.array([derive_seed(seed, *tags, int(t)) for t in self.TAGS], dtype=np.uint64)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+
+    def test_two_array_tags_broadcast(self):
+        got = derive_seed(4, "perm", np.arange(3)[:, None], np.arange(5))
+        want = [[derive_seed(4, "perm", j, r) for r in range(5)] for j in range(3)]
+        assert got.tobytes() == np.array(want, dtype=np.uint64).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_match_single_streams(self, seed):
+        seeds = derive_seed(seed, "tree", self.TAGS)
+        uniforms = RngStream(seeds[:, None]).uniforms(37)
+        perms = RngStream(seeds[:, None]).permutation(37)
+        assert uniforms.shape == perms.shape == (self.TAGS.size, 37)
+        for s, u, p in zip(seeds, uniforms, perms):
+            assert u.tobytes() == RngStream(int(s)).uniforms(37).tobytes()
+            assert p.tobytes() == RngStream(int(s)).permutation(37).tobytes()
+
+
 class TestRandnMatrix:
     def test_deterministic(self):
         a = randn_matrix(RngStream(1), 2, 2, 1.0)
