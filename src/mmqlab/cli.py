@@ -302,6 +302,8 @@ def _resumable_rows(args, config_hash: str):
 
 
 def cmd_grid(args) -> int:
+    """Run a grid and write its CSV, whose rows, resumed ones included, are
+    sorted by run_id once here, and its manifest; exit 2 if a cell failed."""
     config = load_config(args.config)
     method = Method(args.method)
     config_hash = _config_sha256(args.config)

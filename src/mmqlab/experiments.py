@@ -10,15 +10,18 @@ plus the block groups and layer types it quantizes:
   layer types, where 16 encodes "leave unquantized".
 
 Calibration runs once per seed, one tower at a time, and each component is
-quantized once per bit width from its own calibration stage, which is freed
-after its last bit width and before the next tower's pass; a cell takes the
+quantized once per bit width from its own calibration stage, which is freed,
+GPTQ factors and all, after its last bit width and before the next tower's
+pass, so a grid holds one component's statistics at a time; a cell takes the
 layers its selector picks from those fragments. The vision tower, the
 connector and the retrieval text embeddings are memoised per part, on the
 fragments they read, and one closure derives every model's task outputs
-from those memos. Each of those three stages runs its distinct parts sorted
-by the layers they quantize per block, through one ``BlockPath``: a part
-reuses the outputs of the leading blocks it shares with the part before it,
-so a shared front or middle prefix runs once. The full-precision reference
+from those memos, decoding with ``greedy_generate`` from each generation
+task's prompt and horizon, which are built once per grid. Each of those
+three stages runs its distinct parts sorted by the layers they quantize per
+block, through one ``BlockPath``: a part reuses the outputs of the leading
+blocks it shares with the part before it, so a shared front or middle
+prefix runs once. The full-precision reference
 is the model that reads no fragment: its stage outputs are the memos'
 all-None entries.
 

@@ -10,8 +10,9 @@ inside the full-precision graph).
 
 Block layout is uniform everywhere: four attention projections plus two
 feed-forward matrices per block, pre-norm residual wiring. Layer norms have
-no parameters. Embeddings, learned queries and the output head are never
-quantized.
+no parameters. The only other parameters are the patch embedding, the
+connector's learned queries or projector, the token and position embeddings
+and the output head, and none of them is ever quantized.
 """
 
 from __future__ import annotations
@@ -310,7 +311,9 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     It works in place, in the operation order of the plain expression, whose
     bits it matches: the plain form's temporaries, each the size of the
     feed-forward hidden state, raised a grid's peak traced memory by 9–10%
-    and made each call at least a third slower.
+    and made each call at least a third slower. It is the only block op that
+    does: ``_layer_norm`` and ``_attention`` are their plain expressions, and
+    the causal mask is built per call.
     """
     inner = np.float32(0.044715) * x
     inner *= x
@@ -524,8 +527,9 @@ def greedy_generate(
 ) -> np.ndarray:
     """Greedy decode `horizon` tokens; argmax breaks ties toward the lower id.
 
-    [prefix, prompt] is decoded once into a key/value cache, then each step
-    decodes only the token the previous step chose.
+    This is the one decoder of caption and VQA tokens. [prefix, prompt] is
+    decoded once into a per-block key/value cache, then each step decodes
+    only the token the previous step chose.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -560,7 +564,9 @@ def image_embeddings(prefix: np.ndarray) -> np.ndarray:
 
 
 def bos_prompt(ids: np.ndarray) -> np.ndarray:
-    """The decoder prompt [BOS, ids] per row, as int64."""
+    """The decoder prompt [BOS, ids] per row, as int64: every prompt is built
+    here, for retrieval and calibration text, VQA questions and a caption's
+    bare BOS."""
     ids = np.asarray(ids, dtype=np.int64)
     return np.concatenate([np.full((ids.shape[0], 1), BOS_ID, dtype=np.int64), ids], axis=1)
 
@@ -620,7 +626,9 @@ def calibration_stages(
 
 
 def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> dict[str, LayerStats]:
-    """Every addressable layer's statistics at once: the merged ``calibration_stages``."""
+    """Every addressable layer's statistics at once: the merged
+    ``calibration_stages``, for the ``quantize`` command, which quantizes any
+    selection of layers in one call."""
     layers: dict[str, LayerStats] = {}
     for _, stage in calibration_stages(weights, probes):
         layers.update(stage)
@@ -640,13 +648,15 @@ def apply_quantization(
 ) -> tuple[ModelWeights, list[LedgerEntry]]:
     """Replace selected layers with their dequantized quantization.
 
-    Returns a new ModelWeights sharing unselected tensors, plus a ledger with
-    one entry per quantized layer, in address order. Each layer's stored
-    matrix is dequantized once and scored once by ``proxy_loss``; uniform is
-    grouped rounding with one group of the whole layer. GPTQ/AWQ require
-    calibration covering every selected layer; the proxy error for
-    Uniform/RTN is NaN without it. GPTQ keeps each layer's factor on its
-    ``LayerStats``, so later bit widths from the same ``calib`` reuse it.
+    This is the one place that turns a quantizer's stored matrix into
+    weights, a proxy loss and a ledger entry. Returns a new ModelWeights
+    sharing unselected tensors, plus a ledger with one entry per quantized
+    layer, in address order. Each layer's stored matrix is dequantized once
+    and scored once by ``proxy_loss``; uniform is grouped rounding with one
+    group of the whole layer. GPTQ/AWQ require calibration covering every
+    selected layer; the proxy error for Uniform/RTN is NaN without it. GPTQ
+    keeps each layer's factor on its ``LayerStats``, so later bit widths
+    from the same ``calib`` reuse it.
     """
     names = [addr.name for addr in enumerate_layers(weights, sel)]
     calibrated = calib if calib is not None else {}

@@ -91,8 +91,9 @@ class LayerStats:
     ``gram`` is X^T X in float64, ``magnitude`` the mean |x| per input channel
     and ``rows`` the number of activation rows they summarise. ``lower`` is
     GPTQ's lower factor L of the damped inverse Hessian, which depends on
-    ``gram`` alone: ``gptq_quantize`` sets it on first use, so every bit width
-    quantized from these statistics reuses it, and it goes with them.
+    ``gram`` alone: never set at construction, ``gptq_quantize`` sets it on
+    first use, so every bit width quantized from these statistics reuses it,
+    and it goes with them.
     """
 
     gram: np.ndarray

@@ -3,7 +3,10 @@ import errno
 import hashlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mmqlab
 from mmqlab.cli import ELEMENT_LIMIT, ConfigError, ProbeConfig, load_config, main, render_plot_svg
 from mmqlab.experiments import GridSpec, RunRecord, load_results, save_results
 from mmqlab.importance import ForestModel
@@ -832,6 +836,33 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(csv), "--task", "vqa", "--out", str(a), "--boot", "10"]) == 0
         assert main(["analyze", str(csv), "--task", "vqa", "--out", str(b), "--boot", "10"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestHashSeedIndependence:
+    def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
+        """The quick grid's CSV and manifest and the fixture's report, written
+        in fresh interpreters under two PYTHONHASHSEED values: a set or dict
+        order that reached an output would differ between them."""
+        script = (
+            "import sys\n"
+            "from mmqlab.cli import main\n"
+            "repo, out = sys.argv[1:]\n"
+            "assert main(['grid', '--config', repo + '/configs/quick.json', '--method', 'uniform',\n"
+            "             '--out', out + '/quick.csv']) == 0\n"
+            "assert main(['analyze', repo + '/perfbench/fixtures/gptq_vqa_343.csv', '--task', 'vqa',\n"
+            "             '--boot', '1', '--out', out + '/report.json']) == 0\n"
+        )
+        src = str(Path(mmqlab.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "12345"):
+            out = tmp_path / seed
+            out.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run([sys.executable, "-c", script, str(REPO), str(out)], env=env, check=True, timeout=300)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["quick.csv", "quick.csv.manifest.json", "report.json"]
+        assert outputs[0] == outputs[1]
 
 
 class TestUnreadableResults:
