@@ -416,6 +416,28 @@ def impurity_importance(forest: ForestModel) -> ImportanceReport:
     )
 
 
+def _percentile_sorted(cols: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(cols, q, axis=0)`` bit for bit on finite columns sorted
+    ascending along axis 0, without the import of ``numpy.ma`` that numpy's
+    first percentile call makes (13–15 ms).
+
+    This is numpy's default linear method: the position (n - 1) q / 100 falls
+    between two order statistics, blended in numpy's order of operations; at
+    or past the last position both are the last one, with weight pos + 1.
+    """
+    n = len(cols)
+    pos = (n - 1) * (q / 100)
+    if pos < n - 1:
+        below = math.floor(pos)
+        above = below + 1
+    else:
+        below = above = -1
+    t = pos - below
+    lo, hi = cols[below], cols[above]
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
+
+
 def bootstrap_importance_ci(
     data: AttributionDataset,
     n_boot: int = 100,
@@ -438,8 +460,9 @@ def bootstrap_importance_ci(
         )
         refit = fit_random_forest(resample, seed=derive_seed(seed, "boot-fit", b))
         boot_shares[b] = impurity_importance(refit).importance
-    ci_low = np.percentile(boot_shares, 2.5, axis=0)
-    ci_high = np.percentile(boot_shares, 97.5, axis=0)
+    boot_shares.sort(axis=0)
+    ci_low = _percentile_sorted(boot_shares, 2.5)
+    ci_high = _percentile_sorted(boot_shares, 97.5)
     return ImportanceReport(
         method="impurity", feature_names=data.feature_names,
         importance=point.importance, ci_low=ci_low, ci_high=ci_high,

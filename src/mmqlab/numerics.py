@@ -107,7 +107,7 @@ class RngStream:
     def normals(self, n: int, std: float = 1.0) -> np.ndarray:
         """``n`` float64 normals via Box-Muller (two uniforms per value)."""
         u = self.uniforms(2 * n)
-        u1, u2 = u[0::2], u[1::2]
+        u1, u2 = u[..., 0::2], u[..., 1::2]
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2) * std
 
     def permutation(self, n: int) -> np.ndarray:
@@ -118,7 +118,7 @@ class RngStream:
         """``k`` distinct indices out of ``range(n)``, returned sorted."""
         if k > n:
             raise ValueError(f"cannot choose {k} of {n}")
-        return np.sort(self.permutation(n)[:k])
+        return np.sort(self.permutation(n)[..., :k])
 
 
 def randn_matrix(stream: RngStream, rows: int, cols: int, std: float) -> np.ndarray:
@@ -160,11 +160,18 @@ def _cholesky64(m: np.ndarray) -> tuple[np.ndarray, dict[int, NotPositiveDefinit
 
 
 def _damped(a64: np.ndarray, damping: float) -> np.ndarray:
-    """A + damping*mean(diag A)*I for each slice of a stack."""
+    """A + damping*mean(diag A)*I for each slice of a stack, in one new array.
+
+    The bits are those of ``a64 + lam * I``: off the diagonal each entry gets
+    lam * 0.0 added, which turns a -0.0 into +0.0, and on it lam * 1.0 = lam.
+    """
     if damping < 0:
         raise ValueError("damping must be >= 0")
-    lam = [damping * float(np.mean(np.diag(a))) if damping > 0 else 0.0 for a in a64]
-    return a64 + np.array(lam)[:, None, None] * np.eye(a64.shape[-1], dtype=np.float64)
+    lam = np.array([damping * float(np.mean(np.diag(a))) if damping > 0 else 0.0 for a in a64])
+    out = a64 + (lam * 0.0)[:, None, None]
+    diag = np.arange(a64.shape[-1])
+    out[:, diag, diag] = a64[:, diag, diag] + lam[:, None]
+    return out
 
 
 def _invert_spd64(a64: np.ndarray, damping: float) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError]]:
@@ -174,4 +181,5 @@ def _invert_spd64(a64: np.ndarray, damping: float) -> tuple[np.ndarray, dict[int
     """
     lower, failed = _cholesky64(_damped(a64, damping))
     inv_lower = np.linalg.solve(lower, np.eye(lower.shape[-1], dtype=np.float64))
+    del lower  # before the inverse is formed, which is as large
     return np.swapaxes(inv_lower, 1, 2) @ inv_lower, failed

@@ -336,11 +336,15 @@ def _attention(
     weights: ModelWeights,
     base: str,
     x_q: np.ndarray,
-    x_kv: np.ndarray,
+    x_kv: np.ndarray | None,
     causal: bool,
     recorder: Recorder | None,
     cache: KVCache | None = None,
 ) -> np.ndarray:
+    """Multi-head attention of the queries ``x_q`` over the keys and values
+    ``x_kv``; ``x_kv`` None is self-attention, over ``x_q`` itself."""
+    if x_kv is None:
+        x_kv = x_q
     spec = weights.spec
     heads, d = spec.heads, spec.d_model
     head_dim = d // heads
@@ -372,8 +376,13 @@ def _attention(
 
 
 def _feed_forward(weights: ModelWeights, base: str, x: np.ndarray, recorder: Recorder | None) -> np.ndarray:
+    """The feed-forward sublayer on its normed input ``x``, which it drops
+    once the up-projection exists: the hidden state is ffn_mult times wider,
+    and its recording sets a calibration pass's peak."""
     _record(recorder, f"{base}.ff.up", x)
-    hidden = _gelu(x @ weights.layers[f"{base}.ff.up"].T)
+    hidden = x @ weights.layers[f"{base}.ff.up"].T
+    del x
+    hidden = _gelu(hidden)
     _record(recorder, f"{base}.ff.down", hidden)
     return hidden @ weights.layers[f"{base}.ff.down"].T
 
@@ -387,8 +396,7 @@ def _block(
     recorder: Recorder | None,
     cache: KVCache | None = None,
 ) -> np.ndarray:
-    normed = _layer_norm(x)
-    x = x + _attention(weights, base, normed, normed if kv is None else kv, causal, recorder, cache)
+    x = x + _attention(weights, base, _layer_norm(x), kv, causal, recorder, cache)
     return x + _feed_forward(weights, base, _layer_norm(x), recorder)
 
 
@@ -514,8 +522,10 @@ def decode_hidden(
     appends their keys and values to the cache.
     """
     start = next(iter(cache.values()))[0].shape[2] if cache else 0
-    x = _decoder_input(weights, prefix, token_ids, start)
-    return _tower(weights, ComponentId.LANGUAGE, x, None, recorder, cache)
+    # unnamed, so the tower holds the input's only reference and drops it after block 0
+    return _tower(
+        weights, ComponentId.LANGUAGE, _decoder_input(weights, prefix, token_ids, start), None, recorder, cache
+    )
 
 
 def _empty_prefix(batch: int, d_model: int) -> np.ndarray:
@@ -601,7 +611,10 @@ def calibration_stages(
     next holds one component's statistics at a time. Each layer's rows are
     deterministically subsampled to at most CALIBRATION_ROW_CAP and reduced
     to ``LayerStats`` as they are recorded, in one float64 buffer per layer,
-    so no activations are kept.
+    so no activations are kept. Within a block the forward pass drops each
+    activation once nothing reads it again, so while a feed-forward hidden
+    state is recorded the pass holds that hidden state, the block's residual
+    and input, and the float64 buffer and Gram of the sampled rows.
     """
     n = min(CALIBRATION_PAIRS, len(probes))
     layers: dict[str, LayerStats] = {}

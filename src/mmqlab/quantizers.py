@@ -93,7 +93,8 @@ class LayerStats:
     GPTQ's lower factor L of the damped inverse Hessian, which depends on
     ``gram`` alone: never set at construction, ``gptq_quantize`` sets it on
     first use, so every bit width quantized from these statistics reuses it,
-    and it goes with them.
+    and it goes with them. It is not a copy: it views its slice of the factor
+    stack that the setting call's column sweep read.
     """
 
     gram: np.ndarray
@@ -279,19 +280,28 @@ def _gptq_hessians(stats: Sequence[LayerStats]) -> np.ndarray:
 def _gptq_factors(stats: Sequence[LayerStats], names: Sequence[str | None]) -> np.ndarray:
     """The stack's upper factors U = L^T, each layer's L factored once and kept on its stats.
 
-    Stats without a factor are factored in stacked chunks of about
+    The lower factors fill one (count, n, n) stack, which the column sweep
+    reads through this transposed view. Stats that already hold a factor
+    have it copied in; the others are factored in stacked chunks of about
     CHUNK_BYTES per array, which bounds the memory a factorization holds at
-    once; each lower factor is stored as the factorization returns it.
+    once, and their ``lower`` becomes a view of their slice of the stack.
     """
-    missing = [s for s, st in enumerate(stats) if st.lower is None]
+    n = stats[0].gram.shape[0]
+    lower = np.empty((len(stats), n, n), dtype=np.float64)
+    missing = []
+    for s, st in enumerate(stats):
+        if st.lower is None:
+            missing.append(s)
+        else:
+            lower[s] = st.lower
     chunk = max(1, CHUNK_BYTES // stats[0].gram.nbytes)
     for c0 in range(0, len(missing), chunk):
         part = missing[c0 : c0 + chunk]
         hessians = _gptq_hessians([stats[s] for s in part])
-        lower = _inverse_hessian_factor(hessians, GPTQ_DAMPING, [names[s] for s in part])
-        for s, factor in zip(part, lower):
-            object.__setattr__(stats[s], "lower", factor)  # the one write to a frozen LayerStats
-    return np.swapaxes(np.stack([st.lower for st in stats]), 1, 2)
+        lower[part] = _inverse_hessian_factor(hessians, GPTQ_DAMPING, [names[s] for s in part])
+        for s in part:
+            object.__setattr__(stats[s], "lower", lower[s])  # the one write to a frozen LayerStats
+    return np.swapaxes(lower, 1, 2)
 
 
 def gptq_quantize(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -561,6 +562,18 @@ def oracle_make_probe_set(seed, n_pairs, patch_count=16, d_input=64, vocab=256, 
         texts[i] = _oracle_tokens(text_latent, text_len, vocab, stride=1, offset=0)
         questions[i] = _oracle_tokens(text_latent, question_len, vocab, stride=7, offset=3)
     return ProbeSet(images, texts, questions)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, above what was allocated
+    before it: numpy's array buffers are traced too."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

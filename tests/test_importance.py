@@ -18,6 +18,7 @@ from mmqlab.importance import (
     ImportanceReport,
     _interventional_value,
     _lattice_parts,
+    _percentile_sorted,
     _segment_sums,
     bootstrap_importance_ci,
     consensus_csv_row,
@@ -452,6 +453,19 @@ class TestBootstrapCi:
         a = bootstrap_importance_ci(lattice_data(step_on_feature0), n_boot=10, seed=5)
         b = bootstrap_importance_ci(lattice_data(step_on_feature0), n_boot=10, seed=5)
         assert np.array_equal(a.ci_low, b.ci_low) and np.array_equal(a.ci_high, b.ci_high)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_interval_ends_match_numpy_percentile(self, ties):
+        rng = np.random.default_rng(6)
+        for n_boot in range(1, 301):
+            shares = rng.random((n_boot, 3))
+            if ties:  # a few share values, a constant column and a zero column
+                shares = np.round(shares * 4) / 4
+                shares[:, 1], shares[:, 2] = shares[0, 1], 0.0
+            ordered = np.sort(shares, axis=0)
+            for q in (2.5, 97.5):
+                got, want = _percentile_sorted(ordered, q), np.percentile(shares, q, axis=0)
+                assert got.tobytes() == want.tobytes(), (n_boot, q)
 
 
 class TestPermutation:

@@ -97,6 +97,16 @@ class TestSeedArrays:
             assert u.tobytes() == RngStream(int(s)).uniforms(37).tobytes()
             assert p.tobytes() == RngStream(int(s)).permutation(37).tobytes()
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_normal_and_choice_rows_match_single_streams(self, seed):
+        seeds = derive_seed(seed, "tree", self.TAGS)
+        normals = RngStream(seeds[:, None]).normals(37, std=0.5)
+        picks = RngStream(seeds[:, None]).choice(37, 5)
+        assert normals.shape == (self.TAGS.size, 37) and picks.shape == (self.TAGS.size, 5)
+        for s, z, c in zip(seeds, normals, picks):
+            assert z.tobytes() == RngStream(int(s)).normals(37, std=0.5).tobytes()
+            assert c.tobytes() == RngStream(int(s)).choice(37, 5).tobytes()
+
 
 class TestRandnMatrix:
     def test_deterministic(self):
@@ -219,6 +229,20 @@ class TestStackedFactorization:
         lower, _ = _cholesky64(_damped(stack, 0.5))
         assert np.allclose(lower[0], np.diag([math.sqrt(1.5)] * 2))
         assert np.allclose(lower[1], np.diag([math.sqrt(6.0)] * 2))
+
+    @pytest.mark.parametrize("damping", [0.0, 0.01, 0.5])
+    def test_damped_is_the_plain_sum_bit_for_bit(self, damping):
+        stack = self._stack()
+        stack[1, 0, 3] = stack[4, 5, 2] = -0.0  # off the diagonal, where + lam * 0.0 gives +0.0
+        stack[3] = -np.eye(6)  # a negative mean diagonal: lam * 0.0 is -0.0 and keeps each -0.0
+        stack[3, 1, 4] = -0.0
+        before = stack.copy()
+        lam = np.array([damping * float(np.mean(np.diag(a))) if damping > 0 else 0.0 for a in stack])
+        want = stack + lam[:, None, None] * np.eye(6)
+        got = _damped(stack, damping)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[1, 0, 3]) and np.signbit(got[3, 1, 4]) == (damping > 0)
+        assert stack.tobytes() == before.tobytes()
 
     def test_error_names_layer_when_given(self):
         err = NotPositiveDefiniteError(column=3, pivot=-2.0, layer="vision.block0.ff.up")

@@ -6,6 +6,7 @@ import pytest
 
 import mmqlab.pipeline as pipeline
 from mmqlab.pipeline import (
+    CALIBRATION_ROW_CAP,
     CAPTION_HORIZON,
     MAX_SEQ,
     VQA_HORIZON,
@@ -43,9 +44,10 @@ from helpers import (
     oracle_inverse_hessian_factor,
     oracle_layer_norm,
     same_bits,
+    traced_peak,
     vision_prefix,
 )
-from mmqlab.numerics import NotPositiveDefiniteError
+from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed, randn_matrix
 from mmqlab.quantizers import LayerStats, Method, awq_quantize, dequantize, proxy_loss
 from mmqlab.tasks import make_probe_set
 
@@ -448,6 +450,30 @@ class TestCalibration:
                 assert got.rows == want.rows, name
                 assert np.array_equal(got.gram.view(np.uint64), want.gram.view(np.uint64)), name
                 assert np.array_equal(got.magnitude.view(np.uint64), want.magnitude.view(np.uint64)), name
+
+    def test_recorded_block_holds_no_dropped_activation(self, default_model):
+        # one language block recorded the way calibration_stages records it, on
+        # 256 pairs of 17 positions: its peak is the float64 buffer of the
+        # sampled hidden rows and their Gram, the hidden state and the residual,
+        # plus half a residual for the statistics already recorded; holding
+        # the normed input of attention or feed-forward as well costs a whole
+        # residual more
+        spec = default_model.spec
+        d, f = spec.d_model, spec.ffn_mult * spec.d_model
+        x = randn_matrix(RngStream(derive_seed(8, "block input")), 256 * 17, d, 1.0).reshape(256, 17, d)
+        layers = {}
+
+        def recorder(name, a):
+            rows = None
+            if a.shape[0] > CALIBRATION_ROW_CAP:
+                rows = RngStream(derive_seed(spec.seed, "calibration", name)).choice(a.shape[0], CALIBRATION_ROW_CAP)
+            layers[name] = LayerStats.from_activations(a, rows)
+
+        peak = traced_peak(lambda: pipeline._block(default_model, "language.block5", x, None, True, recorder))
+        assert len(layers) == 6
+        residual = x.size * 4
+        budget = CALIBRATION_ROW_CAP * f * 8 + f * f * 8 + x.size // d * f * 4 + 1.5 * residual
+        assert peak < budget
 
     def test_deterministic(self, default_model, probe_set, calibration):
         again = collect_calibration(default_model, probe_set)

@@ -16,6 +16,7 @@ from helpers import (
     oracle_gptq_quantize,
     oracle_inverse_hessian_factor,
     oracle_layer_stats,
+    traced_peak,
 )
 import mmqlab.quantizers as quantizers
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, _invert_spd64, derive_seed, randn_matrix
@@ -368,6 +369,25 @@ class TestStackedGptq:
             fresh = oracle_inverse_hessian_factor(oracle_gptq_hessian(st), 0.01).T
             assert (st.lower.dtype, st.lower.shape, st.lower.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
 
+    @pytest.mark.parametrize("chunk_slices", [1, 2, 8], ids=["chunks-of-1", "chunks-of-2", "one-chunk"])
+    def test_stats_factors_are_views_of_the_swept_stack(self, monkeypatch, chunk_slices):
+        monkeypatch.setattr(quantizers, "CHUNK_BYTES", chunk_slices * 12 * 12 * 8)
+        layers = [_layer(i, 5, 12) for i in range(5)]
+        stats = [st for _, st in layers]
+        swept = []
+        original = quantizers._gptq_factors
+
+        def recording(*args):
+            swept.append(original(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(quantizers, "_gptq_factors", recording)
+        gptq_quantize([w for w, _ in layers], stats, 4, group_size=4)
+        (upper,) = swept
+        for s, st in enumerate(stats):
+            assert np.shares_memory(st.lower, upper)
+            assert st.lower.tobytes() == np.ascontiguousarray(upper[s].T).tobytes()
+
     def test_factor_cannot_be_set_at_construction(self):
         _, st = _layer(1, 4, 6)
         with pytest.raises(TypeError):
@@ -630,25 +650,14 @@ class TestLayerStats:
         assert LayerStats.from_activations(x, [1]).rows == 1
 
     def test_peak_memory_is_one_float64_buffer(self):
-        import tracemalloc
-
         n, d, k = 2176, 256, CALIBRATION_ROW_CAP
         x = randn_matrix(RngStream(derive_seed(5, "peak")), n, d, 1.0)
         rows = RngStream(derive_seed(5, "peak rows")).choice(n, k)
         bound = 1.5 * k * d * 8
 
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                fn()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
-        assert peak(lambda: LayerStats.from_activations(x, rows)) < bound
+        assert traced_peak(lambda: LayerStats.from_activations(x, rows)) < bound
         # the measure sees numpy's buffers: the plain reduction holds three copies
-        assert peak(lambda: oracle_layer_stats(x, rows)) > bound
+        assert traced_peak(lambda: oracle_layer_stats(x, rows)) > bound
 
     @pytest.mark.parametrize(
         "quantize",
