@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    GRID_METHODS,
     GridSpec,
     RunRecord,
     compute_bpw,
@@ -54,11 +55,9 @@ from .numerics import derive_seed
 from .pipeline import (
     CAPTION_HORIZON,
     MAX_SEQ,
-    NUM_QUERIES,
     VQA_HORIZON,
     BlockGroup,
     ComponentId,
-    ConnectorKind,
     LayerType,
     PipelineSpec,
     Selector,
@@ -69,8 +68,8 @@ from .pipeline import (
     collect_calibration,
     element_count,
 )
-from .quantizers import Method
-from .tasks import make_probe_set
+from .quantizers import Method, per_tensor
+from .tasks import ProbeConfig, make_probe_set
 
 DEFAULT_EVAL_PAIRS = 32
 ELEMENT_LIMIT = 1 << 26  # float32 elements (256 MiB) of the largest thing a config may make the lab hold
@@ -90,19 +89,6 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors map to exit code 1, not argparse's 2
         raise ConfigError(message)
-
-
-@dataclass
-class ProbeConfig:
-    seed: int = 0
-    n_pairs: int = 128
-    text_len: int = 8
-    question_len: int = 4
-
-    def __post_init__(self):
-        for key, low in (("n_pairs", 1), ("text_len", 0), ("question_len", 0)):
-            if (value := getattr(self, key)) < low:
-                raise SpecError(key, f"must be >= {low}, got {value}")
 
 
 @dataclass
@@ -217,28 +203,27 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
     member: its cross product quantizes every layer of a component.
     """
     spec = config.pipeline
-    calibrates = method in (Method.GPTQ, Method.AWQ)
     for key, members in (
         ("component_subsets", ComponentId), ("group_subsets", BlockGroup), ("layer_type_subsets", LayerType),
     ):
         subsets = getattr(config.grid, key)
-        if calibrates and tasks and subsets is not None and (len(subsets) != 1 or set(subsets[0]) != set(members)):
+        if method.calibrated and tasks and subsets is not None and (len(subsets) != 1 or set(subsets[0]) != set(members)):
             every = json.dumps([[m.value for m in members]])
             raise ConfigError(
                 f"config error at grid.{key}: must be unset or {every} for a {method.value} grid, "
                 f"which quantizes whole components, got {json.dumps(subsets, default=lambda m: m.value)}"
             )
     if config.probes is None:
-        if calibrates:
+        if method.calibrated:
             raise ConfigError("calibration probes required: add a 'probes' section to the config")
         probe_cfg = ProbeConfig(seed=derive_seed(spec.seed, "probes"), n_pairs=DEFAULT_EVAL_PAIRS)
     else:
         probe_cfg = config.probes
-    prefix = spec.patch_count if spec.connector_kind is ConnectorKind.LINEAR_PROJECTOR else NUM_QUERIES
+    prefix = spec.prefix_tokens
     # (probe key, what decodes it, the room left for it); the tighter text bound
     # first: calibration decodes [prefix, BOS, text], retrieval [BOS, text]
     bounds = []
-    if calibrates:
+    if method.calibrated:
         bounds.append(("text_len", "calibration", MAX_SEQ - prefix - 1))
     if TaskKind.RETRIEVAL in tasks:
         bounds.append(("text_len", "retrieval", MAX_SEQ - 1))
@@ -263,15 +248,7 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
             raise ConfigError(f"config error at {key}: must be <= the {probe_cfg.n_pairs} probe pairs, got {pairs}")
         if TaskKind.RETRIEVAL in tasks and pairs < 2:
             raise ConfigError(f"config error at {key}: must be >= 2 when grid.tasks includes retrieval, got {pairs}")
-    return make_probe_set(
-        probe_cfg.seed,
-        probe_cfg.n_pairs,
-        patch_count=spec.patch_count,
-        d_input=spec.d_model,
-        vocab=spec.vocab,
-        text_len=probe_cfg.text_len,
-        question_len=probe_cfg.question_len,
-    )
+    return make_probe_set(probe_cfg, spec)
 
 
 def _config_sha256(path: str) -> str:
@@ -429,7 +406,7 @@ def render_plot_svg(rows: list[RunRecord], task: TaskKind) -> str:
         f'<polyline points="{polyline}" fill="none" stroke="#555555" stroke-width="1.5" stroke-dasharray="5,3"/>'
     )
     for r in rows:
-        color = METHOD_COLORS.get(r.method, "#333333")
+        color = METHOD_COLORS[r.method]
         parts.append(
             f'<circle cx="{px(r.bpw):.2f}" cy="{py(r.score):.2f}" r="3.5" fill="{color}" fill-opacity="0.75"/>'
         )
@@ -468,7 +445,7 @@ def cmd_quantize(args) -> int:
         groups=_parse_axis(args.groups, BlockGroup, "--groups"),
         layer_types=_parse_axis(args.layer_types, LayerType, "--layer-types"),
     )
-    probes = _build_probes(config, method, ()) if method in (Method.GPTQ, Method.AWQ) else None
+    probes = _build_probes(config, method, ()) if method.calibrated else None
     weights = build_model(config.pipeline)
     calib = None if probes is None else collect_calibration(weights, probes)
     _, ledger = apply_quantization(
@@ -477,7 +454,7 @@ def cmd_quantize(args) -> int:
     sizes = layer_sizes(weights)
     for entry in ledger:
         numel = sizes[entry.layer]
-        scheme = "per_tensor" if entry.group_size >= numel else "per_group"
+        scheme = "per_tensor" if per_tensor(entry.group_size, numel) else "per_group"
         print(
             f"{entry.layer} method={entry.method.value} bits={entry.bits} "
             f"group_size={entry.group_size} scheme={scheme} "
@@ -494,7 +471,7 @@ def build_parser() -> _Parser:
 
     p_grid = sub.add_parser("grid", help="run a quantization sweep")
     p_grid.add_argument("--config", required=True)
-    p_grid.add_argument("--method", required=True, choices=["uniform", "gptq", "awq"])
+    p_grid.add_argument("--method", required=True, choices=[m.value for m in GRID_METHODS])
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument(
         "--resume", action="store_true",

@@ -71,9 +71,10 @@ from .pipeline import (
     image_embeddings,
     text_embeddings,
 )
-from .quantizers import Method
+from .quantizers import Method, per_tensor
 from .tasks import ProbeSet, agreement
 
+GRID_METHODS = (Method.UNIFORM, Method.GPTQ, Method.AWQ)  # the methods a grid sweeps
 UNIFORM_BITS_DEFAULT = (2, 4, 6, 8)
 SOTA_BITS_DEFAULT = (2, 3, 4, 5, 6, 8)
 
@@ -210,7 +211,7 @@ def compute_bpw(ledger: list[LedgerEntry], sizes: dict[str, int]) -> float:
         entry = by_layer.get(name)
         if entry is None:
             bits += 16.0 * numel
-        elif entry.group_size >= numel:  # one per-tensor grid
+        elif per_tensor(entry.group_size, numel):
             bits += entry.bits * numel + PER_TENSOR_OVERHEAD_BITS
         else:
             bits += entry.bits * numel + GROUP_OVERHEAD_BITS * numel / entry.group_size
@@ -320,7 +321,7 @@ def run_grid(
     is in ``skip_run_ids`` are not run (resume support). Cells are scored on
     the first ``grid.eval_pairs`` probe pairs (all when None), as the CLI checks.
     """
-    if method not in (Method.UNIFORM, Method.GPTQ, Method.AWQ):
+    if method not in GRID_METHODS:
         raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
     group_size = 0 if method is Method.UNIFORM else grid.group_size
     eval_probes = probes.take(grid.eval_pairs) if grid.eval_pairs else probes
@@ -348,7 +349,7 @@ def run_grid(
         # the layers it selects, which is exact as every quantizer is per layer
         fragment_keys = [part[:2] for _, parts, _ in cells for part in parts if part]
         stages = ((comp, None) for comp in COMPONENT_ORDER)
-        if fragment_keys and method is not Method.UNIFORM:
+        if fragment_keys and method.calibrated:
             stages = calibration_stages(fp, probes)
 
         def quantize(key, calib):

@@ -135,6 +135,11 @@ class PipelineSpec:
         """Components that own addressable layers."""
         return tuple(c for c in COMPONENT_ORDER if self.blocks_of(c) > 0)
 
+    @property
+    def prefix_tokens(self) -> int:
+        """Decoder prefix tokens the connector emits: its queries, or a linear projector's patches."""
+        return self.patch_count if self.connector_kind is ConnectorKind.LINEAR_PROJECTOR else NUM_QUERIES
+
 
 def group_of(block_index: int, n_blocks: int) -> BlockGroup:
     third = n_blocks // 3
@@ -491,16 +496,18 @@ def run_connector(
     )
 
 
-def _decoder_input(weights: ModelWeights, prefix: np.ndarray, token_ids: np.ndarray, start: int) -> np.ndarray:
-    """[prefix tokens, embedded token ids] plus the position embeddings from ``start``."""
+def _decoder_input(weights: ModelWeights, prefix: np.ndarray | None, token_ids: np.ndarray, start: int) -> np.ndarray:
+    """[prefix tokens, embedded token ids] plus the position embeddings from
+    ``start``; a ``prefix`` None puts nothing before the token ids."""
     spec = weights.spec
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
         raise ValueError(f"token ids must be (batch, length), got shape {token_ids.shape}")
     if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= spec.vocab):
         raise ValueError("token id out of vocabulary range")
-    tok = weights.extras["language.token_embedding"][token_ids]
-    x = np.concatenate([prefix.astype(np.float32), tok], axis=1)
+    x = weights.extras["language.token_embedding"][token_ids]
+    if prefix is not None:
+        x = np.concatenate([prefix.astype(np.float32), x], axis=1)
     end = start + x.shape[1]
     if end > MAX_SEQ:
         raise ValueError(f"sequence length {end} exceeds maximum {MAX_SEQ}")
@@ -509,12 +516,13 @@ def _decoder_input(weights: ModelWeights, prefix: np.ndarray, token_ids: np.ndar
 
 def decode_hidden(
     weights: ModelWeights,
-    prefix: np.ndarray,
+    prefix: np.ndarray | None,
     token_ids: np.ndarray,
     recorder: Recorder | None = None,
     cache: KVCache | None = None,
 ) -> np.ndarray:
-    """Causal decoder over [prefix tokens, embedded token ids]; returns final hidden states.
+    """Causal decoder over [prefix tokens, embedded token ids], with no prefix
+    tokens when ``prefix`` is None; returns final hidden states.
 
     With a ``cache``, the call continues the sequence whose positions the
     cache holds, from the first position it does not hold (0 for an empty
@@ -526,10 +534,6 @@ def decode_hidden(
     return _tower(
         weights, ComponentId.LANGUAGE, _decoder_input(weights, prefix, token_ids, start), None, recorder, cache
     )
-
-
-def _empty_prefix(batch: int, d_model: int) -> np.ndarray:
-    return np.zeros((batch, 0, d_model), dtype=np.float32)
 
 
 def greedy_generate(
@@ -551,7 +555,6 @@ def greedy_generate(
             f"exceeds maximum sequence length {MAX_SEQ}"
         )
     head = weights.extras["language.output_head"]
-    step_prefix = _empty_prefix(ids.shape[0], weights.spec.d_model)
     cache: KVCache = {}
     hidden = decode_hidden(weights, prefix, ids, cache=cache)
     generated = np.empty((ids.shape[0], horizon), dtype=np.int64)
@@ -559,7 +562,7 @@ def greedy_generate(
         nxt = np.argmax(hidden[:, -1, :] @ head.T, axis=-1)
         generated[:, step] = nxt
         if step + 1 < horizon:
-            hidden = decode_hidden(weights, step_prefix, nxt[:, None], cache=cache)
+            hidden = decode_hidden(weights, None, nxt[:, None], cache=cache)
     return generated
 
 
@@ -588,7 +591,7 @@ def text_embeddings(weights: ModelWeights, text_ids: np.ndarray, path: BlockPath
     reuses the blocks of its last run (see ``BlockPath``).
     """
     prompt = bos_prompt(text_ids)
-    x = _decoder_input(weights, _empty_prefix(prompt.shape[0], weights.spec.d_model), prompt, 0)
+    x = _decoder_input(weights, None, prompt, 0)
     extras = weights.extras
     source = (text_ids, extras["language.token_embedding"], extras["language.pos_embedding"])
     return _unit_mean(_tower(weights, ComponentId.LANGUAGE, x, None, path=path, source=source))
@@ -673,7 +676,7 @@ def apply_quantization(
     """
     names = [addr.name for addr in enumerate_layers(weights, sel)]
     calibrated = calib if calib is not None else {}
-    if method in (Method.GPTQ, Method.AWQ):
+    if method.calibrated:
         for name in names:
             if name not in calibrated:
                 raise ValueError(f"missing calibration statistics for layer {name}")

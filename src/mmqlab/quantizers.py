@@ -53,6 +53,16 @@ class Method(enum.Enum):
     GPTQ = "gptq"
     AWQ = "awq"
 
+    @property
+    def calibrated(self) -> bool:
+        """Whether the method reads calibration statistics (``LayerStats``)."""
+        return self is Method.GPTQ or self is Method.AWQ
+
+
+def per_tensor(group_size: int, numel: int) -> bool:
+    """Whether ``group_size`` puts all ``numel`` weights of a layer on one grid: the per-tensor scheme."""
+    return group_size >= numel
+
 
 @dataclass
 class QuantizedMatrix:
@@ -79,7 +89,7 @@ class QuantizedMatrix:
         if np.any(self.grid_lo > self.grid_hi):
             raise ValueError("grid_lo must be <= grid_hi per group")
         rows, cols = self.codes.shape
-        expect = (1, 1) if self.group_size >= self.codes.size else (rows, _group_count(cols, self.group_size))
+        expect = (1, 1) if per_tensor(self.group_size, self.codes.size) else (rows, _group_count(cols, self.group_size))
         if self.grid_lo.shape != expect or self.grid_hi.shape != expect:
             raise ValueError(f"grid shape {self.grid_lo.shape}, expected {expect}")
 
@@ -155,7 +165,7 @@ def _group_views(a: np.ndarray, group_size: int) -> list[np.ndarray]:
     share.
     """
     count, rows, cols = a.shape
-    if group_size >= rows * cols:
+    if per_tensor(group_size, rows * cols):
         return [a.reshape(count, 1, 1, rows * cols)]
     width = min(group_size, cols)
     full = cols // width * width
@@ -336,7 +346,7 @@ def gptq_quantize(
     count = len(ws)
     rows, cols = ws[0].shape
     levels = (1 << k) - 1
-    per_tensor = group_size >= rows * cols
+    one_grid = per_tensor(group_size, rows * cols)
 
     work = np.stack(ws).astype(np.float64)
     for s, st in enumerate(stats):
@@ -344,7 +354,7 @@ def gptq_quantize(
     upper = _gptq_factors(stats, [None] * count if names is None else names)
 
     codes = np.empty((count, rows, cols), dtype=np.uint16)
-    if per_tensor:
+    if one_grid:
         grid_lo = work.reshape(count, -1).min(axis=1).astype(np.float32).reshape(count, 1, 1)
         grid_hi = work.reshape(count, -1).max(axis=1).astype(np.float32).reshape(count, 1, 1)
         lo = grid_lo[:, :, 0].astype(np.float64)
@@ -357,7 +367,7 @@ def gptq_quantize(
         b1 = min(b0 + GPTQ_BLOCK, cols)
         err_block = np.zeros((count, rows, b1 - b0), dtype=np.float64)
         for col in range(b0, b1):
-            if not per_tensor and col % group_size == 0:
+            if not one_grid and col % group_size == 0:
                 g = col // group_size
                 g1 = min(col + group_size, cols)
                 grid_lo[:, :, g] = work[:, :, col:g1].min(axis=2).astype(np.float32)
@@ -378,7 +388,7 @@ def gptq_quantize(
         QuantizedMatrix(
             codes=codes[s],
             bits=k,
-            group_size=rows * cols if per_tensor else group_size,
+            group_size=rows * cols if one_grid else group_size,
             grid_lo=grid_lo[s],
             grid_hi=grid_hi[s],
         )

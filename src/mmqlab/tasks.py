@@ -9,12 +9,29 @@ always land in [0, 1] with self-comparison at exactly 1.0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .numerics import RngStream
-from .pipeline import TaskKind
+from .pipeline import PipelineSpec, SpecError, TaskKind
+
+
+@dataclass
+class ProbeConfig:
+    """The ``probes`` config section: the seed, the pair count and the text
+    and question lengths of a probe set."""
+
+    seed: int = 0
+    n_pairs: int = 128
+    text_len: int = 8
+    question_len: int = 4
+
+    def __post_init__(self):
+        for key, low in (("n_pairs", 1), ("text_len", 0), ("question_len", 0)):
+            if (value := getattr(self, key)) < low:
+                raise SpecError(key, f"must be >= {low}, got {value}")
 
 
 @dataclass
@@ -40,29 +57,18 @@ def _tokens_from_latent(latent: np.ndarray, length: int, vocab: int, stride: int
     return np.minimum((values * vocab).astype(np.int64), vocab - 1)
 
 
-def make_probe_set(
-    seed: int,
-    n_pairs: int,
-    patch_count: int = 16,
-    d_input: int = 64,
-    vocab: int = 256,
-    text_len: int = 8,
-    question_len: int = 4,
-) -> ProbeSet:
-    """Deterministic probe pairs whose image and text views share a latent.
-    One draw holds each pair's latent, image, text and patch noise in turn."""
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    for name, length in (("text_len", text_len), ("question_len", question_len)):
-        if length < 0:
-            raise ValueError(f"{name} must be >= 0, got {length}")
-    draws = RngStream(seed).normals(n_pairs * (3 + patch_count) * d_input).reshape(n_pairs, 3 + patch_count, d_input)
+def make_probe_set(probes: ProbeConfig, spec: PipelineSpec) -> ProbeSet:
+    """Deterministic probe pairs whose image and text views share a latent,
+    shaped for ``spec``'s patches, model width and vocabulary. One draw holds
+    each pair's latent, image, text and patch noise in turn."""
+    shape = (probes.n_pairs, 3 + spec.patch_count, spec.d_model)
+    draws = RngStream(probes.seed).normals(math.prod(shape)).reshape(shape)
     latent = draws[:, 0]
     image_latent = latent + 0.5 * draws[:, 1]
     text_latent = latent + 0.5 * draws[:, 2]
     images = (image_latent[:, None, :] + 0.35 * draws[:, 3:]).astype(np.float32)
-    texts = _tokens_from_latent(text_latent, text_len, vocab, stride=1, offset=0)
-    questions = _tokens_from_latent(text_latent, question_len, vocab, stride=7, offset=3)
+    texts = _tokens_from_latent(text_latent, probes.text_len, spec.vocab, stride=1, offset=0)
+    questions = _tokens_from_latent(text_latent, probes.question_len, spec.vocab, stride=7, offset=3)
     return ProbeSet(images, texts, questions)
 
 

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mmqlab.pipeline import PipelineSpec, build_model, collect_calibration
-from mmqlab.tasks import make_probe_set
+from mmqlab.tasks import ProbeConfig, make_probe_set
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +21,7 @@ def default_model(default_spec):
 
 @pytest.fixture(scope="session")
 def probe_set():
-    return make_probe_set(11, 128)
+    return make_probe_set(ProbeConfig(seed=11, n_pairs=128), PipelineSpec())
 
 
 @pytest.fixture(scope="session")
@@ -45,4 +45,4 @@ def tiny_spec():
 
 @pytest.fixture(scope="session")
 def tiny_probes(tiny_spec):
-    return make_probe_set(3, 8, patch_count=8, d_input=32, vocab=64)
+    return make_probe_set(ProbeConfig(seed=3, n_pairs=8), tiny_spec)

@@ -7,13 +7,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mmqlab.experiments import run_grid
+from mmqlab.experiments import SOTA_BITS_DEFAULT, UNIFORM_BITS_DEFAULT, make_run_id, run_grid
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, _normalize_pct, _shares
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
 from mmqlab.pipeline import (
     CALIBRATION_PAIRS,
     CALIBRATION_ROW_CAP,
     CAPTION_HORIZON,
+    COMPONENT_ORDER,
+    FP_BITS,
+    GROUP_ORDER,
+    LAYER_TYPE_ORDER,
     LN_EPS,
     VQA_HORIZON,
     TaskKind,
@@ -29,6 +33,7 @@ from mmqlab.quantizers import (
     ALPHA_GRID,
     SCALE_CLAMP,
     LayerStats,
+    Method,
     QuantizedMatrix,
     _check_bits,
     _check_stats,
@@ -612,3 +617,52 @@ def grid_rows(*args, **kwargs):
     rows = list(run_grid(*args, **kwargs))
     failures = [(row.run_id, error) for row, error in rows if error is not None]
     return sorted((row for row, _ in rows), key=lambda r: r.run_id), failures
+
+
+def _subsets(items: tuple) -> list[tuple]:
+    return [subset for size in range(1, len(items) + 1) for subset in itertools.combinations(items, size)]
+
+
+def planned_run_ids(spec, grid, method) -> list[str]:
+    """The run_ids a grid yields, in order, written from the grid's definition.
+
+    Per seed (outer), the full-precision baseline cell, then:
+    * uniform: each bit width (outer), component, group and layer-type subset,
+      the components in the subset at that width and the others at 16,
+      without the cells that select no layer: 16-bit ones, and ones whose
+      components own no block (a linear projector's connector);
+    * GPTQ/AWQ: each active component at one of bits + {16}, in ascending
+      order with the last component fastest, over every group and layer
+      type, without the all-16 cell, which is the baseline.
+    Each cell gives one run_id per task, in ``grid.tasks`` order.
+    """
+    active = spec.active_components()
+    full = {comp: FP_BITS for comp in COMPONENT_ORDER}
+    cells = [(full, GROUP_ORDER, LAYER_TYPE_ORDER)]
+    if method is Method.UNIFORM:
+        group_size = 0
+        cells += [
+            ({**full, **{comp: k for comp in comps}}, groups, layer_types)
+            for k in grid.bits or UNIFORM_BITS_DEFAULT
+            for comps in grid.component_subsets or _subsets(COMPONENT_ORDER)
+            for groups in grid.group_subsets or _subsets(GROUP_ORDER)
+            for layer_types in grid.layer_type_subsets or _subsets(LAYER_TYPE_ORDER)
+            if k < FP_BITS and set(comps) & set(active)
+        ]
+    else:
+        group_size = grid.group_size
+        choices = sorted({*(grid.bits or SOTA_BITS_DEFAULT), FP_BITS})
+        cells += [
+            ({**full, **dict(zip(active, combo))}, GROUP_ORDER, LAYER_TYPE_ORDER)
+            for combo in itertools.product(choices, repeat=len(active))
+            if min(combo) < FP_BITS
+        ]
+    return [
+        make_run_id(
+            method=method, task=task, **{f"{comp.value}_bits": k for comp, k in bits.items()},
+            groups=frozenset(groups), layer_types=frozenset(layer_types), group_size=group_size, seed=seed,
+        )
+        for seed in grid.seeds
+        for bits, groups, layer_types in cells
+        for task in grid.tasks
+    ]

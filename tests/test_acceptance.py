@@ -47,7 +47,7 @@ from mmqlab.quantizers import (
     proxy_loss,
     rtn_group_quantize,
 )
-from mmqlab.tasks import make_probe_set
+from mmqlab.tasks import ProbeConfig, make_probe_set
 
 SEEDS = (7, 8, 9)
 
@@ -60,7 +60,7 @@ def report(number: int, slug: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def probes128():
-    return make_probe_set(11, 128)
+    return make_probe_set(ProbeConfig(seed=11, n_pairs=128), PipelineSpec())
 
 
 @pytest.fixture(scope="module")

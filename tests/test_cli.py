@@ -10,18 +10,21 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mmqlab
-from mmqlab.cli import ELEMENT_LIMIT, ConfigError, ProbeConfig, load_config, main, render_plot_svg
-from mmqlab.experiments import GridSpec, RunRecord, load_results, save_results
+from helpers import planned_run_ids
+from mmqlab.cli import ELEMENT_LIMIT, ConfigError, ProbeConfig, _section, load_config, main, render_plot_svg
+from mmqlab.experiments import GridSpec, RunRecord, compute_bpw, load_results, save_results
 from mmqlab.importance import ForestModel
 from mmqlab.pipeline import (
-    CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, PipelineSpec, TaskKind, element_count,
+    CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, LedgerEntry, PipelineSpec, TaskKind, build_model,
+    element_count,
 )
-from mmqlab.quantizers import Method
+from mmqlab.quantizers import LayerStats, Method, gptq_quantize, rtn_group_quantize
 
 REPO = Path(__file__).resolve().parents[1]
 # every config the repository checks in, the benchmark's included
@@ -289,14 +292,9 @@ def _mutated_config(draw):
 
 
 def _planned_rows(raw: dict, method: str) -> int:
-    """Rows of a grid whose every planned cell quantizes at least one layer."""
-    grid = raw["grid"]
-    if method == "uniform":
-        subsets = [len(grid[key]) for key in ("component_subsets", "group_subsets", "layer_type_subsets")]
-        cells = 1 + len(grid["bits"]) * subsets[0] * subsets[1] * subsets[2]
-    else:  # each of the three components at one of bits + {16}
-        cells = (len(grid["bits"]) + 1) ** 3
-    return cells * len(grid["tasks"]) * len(grid["seeds"])
+    """Rows the grid of ``raw``'s pipeline and grid sections plans."""
+    spec, grid = _section(PipelineSpec, raw, "pipeline"), _section(GridSpec, raw, "grid")
+    return len(planned_run_ids(spec, grid, Method(method)))
 
 
 def _for_method(raw: dict, method: str) -> dict:
@@ -1071,6 +1069,50 @@ class TestQuantizeCommand:
         code = main(["quantize", "--config", str(cfg), "--method", "gptq", "--bits", "4"])
         assert code == 1
         assert "calibration probes required" in capsys.readouterr().err
+
+
+class TestPerTensorBoundary:
+    """For a layer of n weights, group sizes n - 1, n and n + 1: every reader
+    of the group size switches to one per-tensor grid at n, together."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_quantizers_bpw_and_quantize_agree(self, tmp_path, capsys, offset):
+        name = "vision.block0.attn.q_proj"
+        w = build_model(PipelineSpec(**TINY_PIPELINE)).layers[name]
+        n, g = w.size, w.size + offset
+        per_tensor = offset >= 0
+        stats = LayerStats.from_activations(np.random.default_rng(0).normal(size=(64, w.shape[1])))
+        shape = (1, 1) if per_tensor else (w.shape[0], 1)  # a group of n - 1 still spans a whole row
+        assert rtn_group_quantize(w, 4, g).grid_lo.shape == shape
+        assert gptq_quantize([w], [stats], 4, group_size=g)[0].grid_lo.shape == shape
+        overhead = 64 if per_tensor else 32 * n / g
+        entry = LedgerEntry(layer=name, method=Method.RTN, bits=4, group_size=g, proxy_error=float("nan"))
+        assert compute_bpw([entry], {name: n}) == pytest.approx((4 * n + overhead) / n, rel=1e-12)
+        cfg = write_config(tmp_path)
+        argv = ["quantize", "--config", str(cfg), "--method", "rtn", "--bits", "4", "--components", "vision",
+                "--groups", "front", "--layer-types", "attn", "--group-size", str(g)]
+        assert main(argv) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(f"{name} ")]
+        assert f" scheme={'per_tensor' if per_tensor else 'per_group'} " in line
+
+
+class TestPipelineSeed:
+    """A grid seeds its models from grid.seeds, so pipeline.seed changes its
+    rows only through the probes it seeds when the config has no probes section."""
+
+    @pytest.mark.parametrize("with_probes", [True, False], ids=["probes-section", "no-probes-section"])
+    def test_grid_reads_pipeline_seed_only_for_missing_probes(self, tmp_path, with_probes):
+        written = []
+        for seed in (0, 9):
+            cfg = write_config(tmp_path, f"seed{seed}.json", pipeline={**TINY_PIPELINE, "seed": seed})
+            if not with_probes:
+                raw = json.loads(cfg.read_text())
+                del raw["probes"]
+                cfg.write_text(json.dumps(raw))
+            out = tmp_path / f"seed{seed}.csv"
+            assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert (written[0] == written[1]) is with_probes
 
 
 class TestGridBitsDefaults:

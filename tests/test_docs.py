@@ -27,8 +27,10 @@ import pytest
 
 import mmqlab
 from mmqlab.cli import Config, ConfigError, build_parser, load_config
-from mmqlab.experiments import CSV_HEADER
+from mmqlab.experiments import CSV_HEADER, _plan
 from mmqlab.importance import CONSENSUS_CSV_HEADER
+from mmqlab.pipeline import build_model
+from mmqlab.quantizers import Method
 
 REPO = Path(__file__).resolve().parents[1]
 README = (REPO / "README.md").read_text(encoding="utf-8")
@@ -244,6 +246,19 @@ def test_fenced_csv_header_and_default_config_match_the_code():
     assert f"{CSV_HEADER}\n" in blocks
     (config,) = [json.loads(b) for b in blocks if b.lstrip().startswith("{")]
     assert config == json.loads((REPO / "configs" / "default.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "config, method",
+    [("default.json", Method.UNIFORM), ("default.json", Method.GPTQ), ("quick.json", Method.UNIFORM)],
+)
+def test_cell_counts_are_the_plans(config, method):
+    """README gives each checked-in grid's cells per task and rows as ``_plan`` counts them."""
+    loaded = load_config(str(REPO / "configs" / config))
+    cells = len(_plan(build_model(loaded.pipeline), loaded.grid, method, {}))
+    rows = cells * len(loaded.grid.tasks) * len(loaded.grid.seeds)
+    for count in (f"{cells:,} cells per task", f"{rows:,} rows"):
+        assert count in " ".join(PROSE.split()), count
 
 
 @pytest.mark.parametrize(

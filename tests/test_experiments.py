@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
-from helpers import grid_rows, oracle_score_task, same_bits
+from helpers import grid_rows, oracle_score_task, planned_run_ids, same_bits
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
@@ -569,8 +569,9 @@ class TestEquivalence:
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_fuzzed_grid_matches_per_cell_path_and_resumes(self, tiny_spec, tiny_probes, data):
-        """A drawn grid's rows equal the per-cell path's, and a run that skips a
-        drawn set of run_ids yields the full run's other rows, byte for byte.
+        """A drawn grid yields the run_ids its definition plans, in order, with
+        rows equal to the per-cell path's, and a run that skips a drawn set of
+        run_ids yields the full run's other rows, byte for byte.
 
         The spec is the tiny one or its linear-projector variant, whose
         connector has no blocks. That variant takes ``run_connector``'s
@@ -597,11 +598,14 @@ class TestEquivalence:
             **subsets,
         )
         full = list(run_grid(spec, tiny_probes, grid, method))
+        planned = planned_run_ids(spec, grid, method)
+        assert [row.run_id for row, _ in full] == planned
         assert all(error is None for _, error in full)
         self.assert_rows_match_per_cell_path(spec, tiny_probes, grid, method, [row for row, _ in full])
 
         skip = frozenset(data.draw(st.lists(st.sampled_from([row.run_id for row, _ in full]), unique=True)))
         resumed = list(run_grid(spec, tiny_probes, grid, method, skip_run_ids=skip))
+        assert [row.run_id for row, _ in resumed] == [run_id for run_id in planned if run_id not in skip]
 
         def exact(rows):
             return [(row.to_csv_row(), row.bpw.hex(), row.score.hex(), error) for row, error in rows]

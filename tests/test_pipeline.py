@@ -49,7 +49,7 @@ from helpers import (
 )
 from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed, randn_matrix
 from mmqlab.quantizers import LayerStats, Method, awq_quantize, dequantize, proxy_loss
-from mmqlab.tasks import make_probe_set
+from mmqlab.tasks import ProbeConfig, make_probe_set
 
 GOLDEN_CAPTION_SEED7_PROBE11 = [26, 182, 60, 88, 171, 214, 247, 26, 182, 3, 12, 253, 244, 89, 18, 205]
 
@@ -592,7 +592,7 @@ class TestStackedGptqPipeline:
 
     def test_second_calibration_does_not_reuse_first_factors(self, tiny_spec, tiny_probes):
         model = build_model(tiny_spec)
-        other = make_probe_set(4, 8, patch_count=8, d_input=32, vocab=64)
+        other = make_probe_set(ProbeConfig(seed=4, n_pairs=8), tiny_spec)
         sel = Selector.make(components=(ComponentId.VISION,))
         first, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, tiny_probes), group_size=16)
         second, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, other), group_size=16)

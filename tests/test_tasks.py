@@ -7,6 +7,7 @@ from helpers import oracle_make_probe_set, oracle_score_task, vision_prefix
 from mmqlab.cli import main
 from mmqlab.pipeline import (
     ComponentId,
+    PipelineSpec,
     Selector,
     TaskKind,
     apply_quantization,
@@ -14,7 +15,7 @@ from mmqlab.pipeline import (
     greedy_generate,
 )
 from mmqlab.quantizers import Method
-from mmqlab.tasks import ProbeSet, make_probe_set
+from mmqlab.tasks import ProbeConfig, ProbeSet, make_probe_set
 
 # frozen from the reference run: caption fidelity after GPTQ k=2 on one component
 # (default spec seed 7, probes seed 11, 32 eval pairs); decoder-only quantization
@@ -25,8 +26,8 @@ GOLDEN_VISION_ONLY_GPTQ2 = 0.865234375
 
 class TestProbeSet:
     def test_deterministic(self):
-        a = make_probe_set(4, 6)
-        b = make_probe_set(4, 6)
+        a = make_probe_set(ProbeConfig(seed=4, n_pairs=6), PipelineSpec())
+        b = make_probe_set(ProbeConfig(seed=4, n_pairs=6), PipelineSpec())
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.texts, b.texts)
         assert np.array_equal(a.questions, b.questions)
@@ -53,12 +54,12 @@ class TestProbeSet:
 
     def test_n_pairs_validation(self):
         with pytest.raises(ValueError):
-            make_probe_set(1, 0)
+            ProbeConfig(seed=1, n_pairs=0)
 
     @pytest.mark.parametrize("key", ["text_len", "question_len"])
     def test_negative_length_rejected(self, key):
-        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
-            make_probe_set(1, 2, **{key: -1})
+        with pytest.raises(ValueError, match=f"{key}: must be >= 0, got -1"):
+            ProbeConfig(seed=1, n_pairs=2, **{key: -1})
 
     @pytest.mark.parametrize(
         "n_pairs, shape",
@@ -74,7 +75,9 @@ class TestProbeSet:
         ids=["one-pair", "128-pairs", "no-text", "no-question", "one-patch", "d-input-2", "tiny"],
     )
     def test_one_draw_matches_per_pair_oracle(self, n_pairs, shape):
-        got = make_probe_set(11, n_pairs, **shape)
+        lengths = {k: v for k, v in shape.items() if k.endswith("_len")}
+        sizes = {{"d_input": "d_model"}.get(k, k): v for k, v in shape.items() if k not in lengths}
+        got = make_probe_set(ProbeConfig(seed=11, n_pairs=n_pairs, **lengths), PipelineSpec(heads=1, **sizes))
         want = oracle_make_probe_set(11, n_pairs, **shape)
         for name in ("images", "texts", "questions"):
             a, b = getattr(got, name), getattr(want, name)
