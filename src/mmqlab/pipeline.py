@@ -332,9 +332,11 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _record(recorder: Recorder | None, name: str, x: np.ndarray):
+def _linear(weights: ModelWeights, name: str, x: np.ndarray, recorder: Recorder | None) -> np.ndarray:
+    """The linear layer ``name`` applied to ``x``, which ``recorder`` sees first as (rows, in_features)."""
     if recorder is not None:
         recorder(name, x.reshape(-1, x.shape[-1]))
+    return x @ weights.layers[name].T
 
 
 def _attention(
@@ -353,12 +355,9 @@ def _attention(
     spec = weights.spec
     heads, d = spec.heads, spec.d_model
     head_dim = d // heads
-    _record(recorder, f"{base}.attn.q_proj", x_q)
-    _record(recorder, f"{base}.attn.k_proj", x_kv)
-    _record(recorder, f"{base}.attn.v_proj", x_kv)
-    q = x_q @ weights.layers[f"{base}.attn.q_proj"].T
-    k = x_kv @ weights.layers[f"{base}.attn.k_proj"].T
-    v = x_kv @ weights.layers[f"{base}.attn.v_proj"].T
+    q = _linear(weights, f"{base}.attn.q_proj", x_q, recorder)
+    k = _linear(weights, f"{base}.attn.k_proj", x_kv, recorder)
+    v = _linear(weights, f"{base}.attn.v_proj", x_kv, recorder)
 
     b, sq, _ = q.shape
     q = q.reshape(b, sq, heads, head_dim).transpose(0, 2, 1, 3)
@@ -376,20 +375,16 @@ def _attention(
     probs = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     probs = probs / np.add.reduce(probs, axis=-1, keepdims=True)
     ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
-    _record(recorder, f"{base}.attn.out_proj", ctx)
-    return ctx @ weights.layers[f"{base}.attn.out_proj"].T
+    return _linear(weights, f"{base}.attn.out_proj", ctx, recorder)
 
 
 def _feed_forward(weights: ModelWeights, base: str, x: np.ndarray, recorder: Recorder | None) -> np.ndarray:
     """The feed-forward sublayer on its normed input ``x``, which it drops
     once the up-projection exists: the hidden state is ffn_mult times wider,
     and its recording sets a calibration pass's peak."""
-    _record(recorder, f"{base}.ff.up", x)
-    hidden = x @ weights.layers[f"{base}.ff.up"].T
+    hidden = _linear(weights, f"{base}.ff.up", x, recorder)
     del x
-    hidden = _gelu(hidden)
-    _record(recorder, f"{base}.ff.down", hidden)
-    return hidden @ weights.layers[f"{base}.ff.down"].T
+    return _linear(weights, f"{base}.ff.down", _gelu(hidden), recorder)
 
 
 def _block(

@@ -5,8 +5,8 @@ matrices and return only the stored ``QuantizedMatrix``:
 
 * ``rtn_group_quantize`` - per-row min/max grids over input-channel groups,
   round to nearest level; one group of the whole matrix is per-tensor
-  uniform. This is the inner grid shared by the calibrated methods, and its
-  rounding pair ``_round``/``_unround`` serves every method and ``dequantize``.
+  uniform. Its grid step ``_grid`` (a group's min and max) and rounding pair
+  ``_round``/``_unround`` serve every method; ``dequantize`` uses the pair.
 * ``gptq_quantize``      - sequential column quantization of a stack of
   same-shape layers, where the not yet quantized columns absorb the rounding
   error, driven by the Cholesky factor of the damped inverse Gram matrix.
@@ -146,9 +146,12 @@ def _check_weight(w: np.ndarray) -> np.ndarray:
     return w.astype(np.float32, copy=False)
 
 
-def _check_bits(k: int) -> int:
+def _check_grid_args(k: int, group_size: int) -> int:
+    """The bit width ``k`` as an int, after checking it and then ``group_size``."""
     if not (2 <= int(k) <= 16):
         raise ValueError(f"bit width must be in [2, 16], got {k}")
+    if group_size <= 0:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
     return int(k)
 
 
@@ -173,6 +176,15 @@ def _group_views(a: np.ndarray, group_size: int) -> list[np.ndarray]:
     if full < cols:
         views.append(a[:, :, full:].reshape(count, rows, 1, cols - full))
     return views
+
+
+def _grid(v: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 (lo, hi) grid of each group of ``v``: its min and max over ``axis``, dims kept,
+    taken in ``v``'s dtype; with the float64 ``lo`` and ``span`` that ``_round``/``_unround`` read."""
+    lo = v.min(axis=axis, keepdims=True).astype(np.float32, copy=False)
+    hi = v.max(axis=axis, keepdims=True).astype(np.float32, copy=False)
+    lo64 = lo.astype(np.float64)
+    return lo, hi, lo64, hi.astype(np.float64) - lo64
 
 
 def _round(v: np.ndarray, lo: np.ndarray, span: np.ndarray, levels: int) -> np.ndarray:
@@ -209,18 +221,13 @@ def rtn_group_quantize(w: np.ndarray, k: int, group_size: int) -> QuantizedMatri
     """Round-to-nearest with per-row min/max grids over input-channel groups; a
     ``group_size`` of at least the weight count, kept as given, is one per-tensor grid."""
     w = _check_weight(w)
-    k = _check_bits(k)
-    if group_size <= 0:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-
+    k = _check_grid_args(k, group_size)
     levels = (1 << k) - 1
     codes = np.empty((1, *w.shape), dtype=np.uint16)
     lows, highs = [], []
     for v, c in zip(_group_views(w[None], group_size), _group_views(codes, group_size)):
-        lo = v.min(axis=3, keepdims=True)
-        hi = v.max(axis=3, keepdims=True)
-        lo64 = lo.astype(np.float64)
-        c[...] = _round(v.astype(np.float64), lo64, hi.astype(np.float64) - lo64, levels)
+        lo, hi, lo64, span = _grid(v, 3)
+        c[...] = _round(v.astype(np.float64), lo64, span, levels)
         lows.append(lo[0, :, :, 0])
         highs.append(hi[0, :, :, 0])
     return QuantizedMatrix(
@@ -328,17 +335,16 @@ def gptq_quantize(
     ``(w_q - dq_q) / U_qq * U[q, q:]`` where U is the upper Cholesky factor of
     the damped inverse Hessian (H = 2 X^T X). Grids are per-row min/max over
     input-channel groups, computed from the compensated weights at each group
-    boundary. Layers are independent, so every column step runs elementwise
-    over the stack and the block update is one matmul per layer with the same
-    shapes as a single layer's. ``names`` label errors. The factors do not
-    depend on the bit width: each is computed once per ``LayerStats`` and kept
-    there as ``lower`` (L = U^T), so later bit widths of the same statistics
-    reuse it.
+    boundary; a per-tensor grid is the one group of every row and column, so
+    it is taken at column 0, before any error moves. Layers are independent,
+    so every column step runs elementwise over the stack and the block update
+    is one matmul per layer with the same shapes as a single layer's.
+    ``names`` label errors. The factors do not depend on the bit width: each
+    is computed once per ``LayerStats`` and kept there as ``lower``
+    (L = U^T), so later bit widths of the same statistics reuse it.
     """
     ws = [_check_weight(w) for w in ws]
-    k = _check_bits(k)
-    if group_size <= 0:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    k = _check_grid_args(k, group_size)
     if len(ws) != len(stats) or len({w.shape for w in ws}) != 1:
         raise ValueError("a GPTQ stack needs one LayerStats per weight and weights of one shape")
     for w, st in zip(ws, stats):
@@ -347,6 +353,7 @@ def gptq_quantize(
     rows, cols = ws[0].shape
     levels = (1 << k) - 1
     one_grid = per_tensor(group_size, rows * cols)
+    axis = (1, 2) if one_grid else 2
 
     work = np.stack(ws).astype(np.float64)
     for s, st in enumerate(stats):
@@ -354,33 +361,23 @@ def gptq_quantize(
     upper = _gptq_factors(stats, [None] * count if names is None else names)
 
     codes = np.empty((count, rows, cols), dtype=np.uint16)
-    if one_grid:
-        grid_lo = work.reshape(count, -1).min(axis=1).astype(np.float32).reshape(count, 1, 1)
-        grid_hi = work.reshape(count, -1).max(axis=1).astype(np.float32).reshape(count, 1, 1)
-        lo = grid_lo[:, :, 0].astype(np.float64)
-        span = grid_hi[:, :, 0].astype(np.float64) - lo
-    else:
-        grid_lo = np.zeros((count, rows, _group_count(cols, group_size)), dtype=np.float32)
-        grid_hi = np.zeros_like(grid_lo)
+    grid_lo = np.zeros((count, 1 if one_grid else rows, _group_count(cols, group_size)), dtype=np.float32)
+    grid_hi = np.zeros_like(grid_lo)
 
     for b0 in range(0, cols, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, cols)
         err_block = np.zeros((count, rows, b1 - b0), dtype=np.float64)
         for col in range(b0, b1):
-            if not one_grid and col % group_size == 0:
+            if col % group_size == 0:
                 g = col // group_size
-                g1 = min(col + group_size, cols)
-                grid_lo[:, :, g] = work[:, :, col:g1].min(axis=2).astype(np.float32)
-                grid_hi[:, :, g] = work[:, :, col:g1].max(axis=2).astype(np.float32)
-                lo = grid_lo[:, :, g].astype(np.float64)
-                span = grid_hi[:, :, g].astype(np.float64) - lo
-            w_col = work[:, :, col]
+                grid_lo[:, :, g, None], grid_hi[:, :, g, None], lo, span = _grid(work[:, :, col : col + group_size], axis)
+            w_col = work[:, :, col, None]
             c = _round(w_col.copy(), lo, span, levels)
-            codes[:, :, col] = c
-            err = (w_col - _unround(c, lo, span, levels)) / upper[:, col, col, None]
+            codes[:, :, col, None] = c
+            err = (w_col - _unround(c, lo, span, levels)) / upper[:, col, None, col, None]
             if col + 1 < b1:
-                work[:, :, col + 1 : b1] -= err[:, :, None] * upper[:, col, None, col + 1 : b1]
-            err_block[:, :, col - b0] = err
+                work[:, :, col + 1 : b1] -= err * upper[:, col, None, col + 1 : b1]
+            err_block[:, :, col - b0, None] = err
         if b1 < cols:
             work[:, :, b1:] -= err_block @ upper[:, b0:b1, b1:]
 
@@ -388,7 +385,7 @@ def gptq_quantize(
         QuantizedMatrix(
             codes=codes[s],
             bits=k,
-            group_size=rows * cols if one_grid else group_size,
+            group_size=min(group_size, rows * cols),
             grid_lo=grid_lo[s],
             grid_hi=grid_hi[s],
         )
@@ -438,9 +435,7 @@ def _awq_losses(w: np.ndarray, gram: np.ndarray, k: int, group_size: int, table:
         np.copyto(x32, x)  # the scaled float32 weights rtn_group_quantize reads
         np.copyto(x, x32)
         for v, v32 in zip(_group_views(x, group_size), _group_views(x32, group_size)):
-            lo = v32.min(axis=3, keepdims=True).astype(np.float64)
-            hi = v32.max(axis=3, keepdims=True).astype(np.float64)
-            span = hi - lo
+            _, _, lo, span = _grid(v32, 3)
             # an overflowed entry is its group's min or max, so its span is not finite
             if not np.all(np.isfinite(span)):
                 raise ValueError("weight matrix contains non-finite entries")
@@ -469,11 +464,14 @@ def awq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128
     quantized into a ``QuantizedMatrix``. Its scales are folded into the
     stored grids (one (lo, hi) pair per channel) so plain ``dequantize``
     reproduces the effective weights. Returns the stored matrix and its alpha.
+
+    Alpha is chosen on the descaled reconstruction (scaled grids dequantized,
+    then divided by the scales), but the stored matrix dequantizes the folded
+    grids, which round differently: the stored weights' ``proxy_loss`` can
+    differ from the winning loss in its last bits.
     """
     w = _check_weight(w)
-    k = _check_bits(k)
-    if group_size <= 0:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    k = _check_grid_args(k, group_size)
     _check_stats(stats, w)
 
     table = _alpha_scales(stats.magnitude)

@@ -35,7 +35,7 @@ from mmqlab.quantizers import (
     LayerStats,
     Method,
     QuantizedMatrix,
-    _check_bits,
+    _check_grid_args,
     _check_stats,
     _check_weight,
     _group_count,
@@ -371,7 +371,7 @@ def oracle_gptq_hessian(stats) -> np.ndarray:
 def oracle_gptq_quantize(w, stats, k, group_size=128, damping=0.01, block_size=32):
     """gptq_quantize one layer at a time, with its own factor: column by column on 2-D arrays."""
     w = _check_weight(w)
-    k = _check_bits(k)
+    k = _check_grid_args(k, group_size)
     _check_stats(stats, w)
     rows, cols = w.shape
     levels = (1 << k) - 1
@@ -461,9 +461,7 @@ def _channel_scales(magnitude: np.ndarray, alpha: float) -> np.ndarray:
 def oracle_awq_quantize(w, stats, k, group_size=128):
     """awq_quantize one alpha at a time: quantize, dequantize and score each alpha in turn."""
     w = _check_weight(w)
-    k = _check_bits(k)
-    if group_size <= 0:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    k = _check_grid_args(k, group_size)
     _check_stats(stats, w)
 
     best = None

@@ -304,9 +304,13 @@ class TestStackedGptq:
     """gptq_quantize against the per-layer oracle, bit for bit."""
 
     @pytest.mark.parametrize("bits", range(2, 9))
-    @pytest.mark.parametrize("group_size", [6, 20, 1 << 30], ids=["g6-ragged", "g20", "per-tensor"])
+    @pytest.mark.parametrize(
+        "group_size", [6, 20, 25, 100, 1 << 30], ids=["g6-ragged", "g20", "g25-wider-than-row", "g100-all-weights", "per-tensor"]
+    )
     def test_stack_of_24_matches_oracle(self, bits, group_size):
-        # 20 columns: a group of 6 does not divide them; dead channels in some slices only
+        # 20 columns: a group of 6 does not divide them, a group of 25 is one per row
+        # clipped to the row, and 100 = 5 x 20 is the smallest per-tensor group;
+        # dead channels in some slices only
         layers = [_layer(i, 5, 20, dead=(3, 11) if i % 5 == 0 else ()) for i in range(24)]
         got = gptq_quantize([w for w, _ in layers], [st for _, st in layers], bits, group_size=group_size)
         for (w, st), q in zip(layers, got):
