@@ -413,8 +413,9 @@ def run_grid(
             [parts[:2] for parts, _ in models], lambda vc: (blocks_key(vc[0]), blocks_key(vc[1])),
         )
         visions = None  # the connector stage was their only reader
+        text_prompt = bos_prompt(texts)  # one object for the stage: its path compares the prompt by identity
         text_memo = stage(
-            lambda lang, path: text_embeddings(assemble((None, None, lang))[0], texts, path=path),
+            lambda lang, path: text_embeddings(assemble((None, None, lang))[0], text_prompt, path=path),
             [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks], blocks_key,
         )
 

@@ -180,6 +180,6 @@ def _invert_spd64(a64: np.ndarray, damping: float) -> tuple[np.ndarray, dict[int
     Slices whose factorization failed are recorded as in ``_cholesky64``.
     """
     lower, failed = _cholesky64(_damped(a64, damping))
-    inv_lower = np.linalg.solve(lower, np.eye(lower.shape[-1], dtype=np.float64))
+    inv_lower = np.linalg.inv(lower)
     del lower  # before the inverse is formed, which is as large
     return np.swapaxes(inv_lower, 1, 2) @ inv_lower, failed

@@ -515,6 +515,7 @@ def decode_hidden(
     token_ids: np.ndarray,
     recorder: Recorder | None = None,
     cache: KVCache | None = None,
+    path: BlockPath | None = None,
 ) -> np.ndarray:
     """Causal decoder over [prefix tokens, embedded token ids], with no prefix
     tokens when ``prefix`` is None; returns final hidden states.
@@ -522,12 +523,17 @@ def decode_hidden(
     With a ``cache``, the call continues the sequence whose positions the
     cache holds, from the first position it does not hold (0 for an empty
     cache): it returns the hidden states of the new positions only and
-    appends their keys and values to the cache.
+    appends their keys and values to the cache. A ``path`` reuses the blocks
+    of its last run from the same prefix, token ids and embeddings (see
+    ``BlockPath``); alongside a recorder or a cache it is left untouched.
     """
     start = next(iter(cache.values()))[0].shape[2] if cache else 0
+    extras = weights.extras
+    source = (prefix, token_ids, extras["language.token_embedding"], extras["language.pos_embedding"])
     # unnamed, so the tower holds the input's only reference and drops it after block 0
     return _tower(
-        weights, ComponentId.LANGUAGE, _decoder_input(weights, prefix, token_ids, start), None, recorder, cache
+        weights, ComponentId.LANGUAGE, _decoder_input(weights, prefix, token_ids, start), None, recorder, cache,
+        path, source,
     )
 
 
@@ -579,17 +585,10 @@ def bos_prompt(ids: np.ndarray) -> np.ndarray:
     return np.concatenate([np.full((ids.shape[0], 1), BOS_ID, dtype=np.int64), ids], axis=1)
 
 
-def text_embeddings(weights: ModelWeights, text_ids: np.ndarray, path: BlockPath | None = None) -> np.ndarray:
-    """Unit-norm mean-pooled decoder hidden states over [BOS, text].
-
-    This is ``decode_hidden``'s cache-free pass from position 0; a ``path``
-    reuses the blocks of its last run (see ``BlockPath``).
-    """
-    prompt = bos_prompt(text_ids)
-    x = _decoder_input(weights, None, prompt, 0)
-    extras = weights.extras
-    source = (text_ids, extras["language.token_embedding"], extras["language.pos_embedding"])
-    return _unit_mean(_tower(weights, ComponentId.LANGUAGE, x, None, path=path, source=source))
+def text_embeddings(weights: ModelWeights, prompt: np.ndarray, path: BlockPath | None = None) -> np.ndarray:
+    """Unit-norm mean-pooled ``decode_hidden`` states over a [BOS, text]
+    ``prompt`` with no prefix; a ``path`` reuses the blocks of its last run."""
+    return _unit_mean(decode_hidden(weights, None, prompt, path=path))
 
 
 # --- calibration ------------------------------------------------------------

@@ -355,10 +355,11 @@ def gptq_quantize(
     one_grid = per_tensor(group_size, rows * cols)
     axis = (1, 2) if one_grid else 2
 
+    upper = _gptq_factors(stats, [None] * count if names is None else names)
+    # the sweep's float64 copy is stacked after the factors, so no factorization holds it
     work = np.stack(ws).astype(np.float64)
     for s, st in enumerate(stats):
         work[s][:, np.diag(st.gram) == 0.0] = 0.0
-    upper = _gptq_factors(stats, [None] * count if names is None else names)
 
     codes = np.empty((count, rows, cols), dtype=np.uint16)
     grid_lo = np.zeros((count, 1 if one_grid else rows, _group_count(cols, group_size)), dtype=np.float32)
@@ -463,7 +464,9 @@ def awq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128
     are scored together in chunks (``_awq_losses``); only the winner is
     quantized into a ``QuantizedMatrix``. Its scales are folded into the
     stored grids (one (lo, hi) pair per channel) so plain ``dequantize``
-    reproduces the effective weights. Returns the stored matrix and its alpha.
+    reproduces the effective weights; that is the one stored form, and unit
+    scales (alpha 0, flat activations) dequantize to RTN's bytes. Returns the
+    stored matrix and its alpha.
 
     Alpha is chosen on the descaled reconstruction (scaled grids dequantized,
     then divided by the scales), but the stored matrix dequantizes the folded
@@ -483,10 +486,6 @@ def awq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128
             best = i
     alpha, scales = ALPHA_GRID[best], table[best]
     qm_scaled = rtn_group_quantize((w.astype(np.float64) * scales).astype(np.float32), k, group_size)
-    if np.all(scales == 1.0):
-        # alpha = 0 (or flat activations): identical to plain RTN, stored as such.
-        return qm_scaled, alpha
-
     lo_scaled, hi_scaled = (np.broadcast_to(grid, w.shape) for grid in _grid_columns(qm_scaled))
     qm = QuantizedMatrix(
         codes=qm_scaled.codes,

@@ -9,7 +9,7 @@ import numpy as np
 
 from mmqlab.experiments import SOTA_BITS_DEFAULT, UNIFORM_BITS_DEFAULT, make_run_id, run_grid
 from mmqlab.importance import _GAIN_RTOL, ImportanceReport, _normalize_pct, _shares
-from mmqlab.numerics import NotPositiveDefiniteError, RngStream, derive_seed
+from mmqlab.numerics import NotPositiveDefiniteError, RngStream, _cholesky64, _damped, derive_seed
 from mmqlab.pipeline import (
     CALIBRATION_PAIRS,
     CALIBRATION_ROW_CAP,
@@ -475,9 +475,6 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
             best = (loss, alpha, qm_scaled, scales)
 
     loss, alpha, qm_scaled, scales = best
-    if np.all(scales == 1.0):
-        return qm_scaled, alpha, loss
-
     rows, cols = w.shape
     col_group = np.arange(cols) // qm_scaled.group_size
     if qm_scaled.group_size >= qm_scaled.codes.size:  # per tensor
@@ -494,6 +491,14 @@ def oracle_awq_quantize(w, stats, k, group_size=128):
         grid_hi=(hi_scaled / scales).astype(np.float32),
     )
     return qm, alpha, proxy_loss(w, dequantize(qm), stats.gram)
+
+
+def oracle_invert_spd64(a64: np.ndarray, damping: float):
+    """``_invert_spd64`` solving each Cholesky factor against an n x n identity,
+    the form its ``np.linalg.inv`` replaced."""
+    lower, failed = _cholesky64(_damped(a64, damping))
+    inv_lower = np.linalg.solve(lower, np.eye(lower.shape[-1], dtype=np.float64))
+    return np.swapaxes(inv_lower, 1, 2) @ inv_lower, failed
 
 
 def oracle_layer_norm(x: np.ndarray) -> np.ndarray:
@@ -599,7 +604,7 @@ def oracle_score_task(q_weights, fp_weights, probes, task, horizon=None) -> floa
     def outputs(weights):
         prefix = vision_prefix(weights, probes.images)
         if task is TaskKind.RETRIEVAL:
-            return image_embeddings(prefix), text_embeddings(weights, probes.texts)
+            return image_embeddings(prefix), text_embeddings(weights, bos_prompt(probes.texts))
         if task is TaskKind.CAPTION:
             prompt, default = bos_prompt(probes.questions[:, :0]), CAPTION_HORIZON
         else:

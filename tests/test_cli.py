@@ -863,6 +863,55 @@ class TestHashSeedIndependence:
         assert outputs[0] == outputs[1]
 
 
+class TestKernelIndependence:
+    def test_csv_bytes_do_not_depend_on_blas_kernel(self, tmp_path):
+        """The quick uniform grid and a small GPTQ grid, CSVs and manifests,
+        written in fresh interpreters under the machine's OpenBLAS kernel and
+        under OPENBLAS_CORETYPE=Haswell: array-level values move with the
+        kernel, so a byte that read one would differ between them."""
+        cfg = json.loads((REPO / "configs" / "quick.json").read_text())
+        cfg["grid"] = {"bits": [2], "tasks": ["retrieval", "vqa"], "seeds": [7], "eval_pairs": 16}
+        (tmp_path / "gptq.json").write_text(json.dumps(cfg))
+        # the kernel is read from numpy's bundled OpenBLAS, as perfbench/child.py's blas_info reads it
+        script = (
+            "import ctypes, glob, os, sys\n"
+            "import numpy as np\n"
+            "from mmqlab.cli import main\n"
+            "repo, gptq, out = sys.argv[1:]\n"
+            "config = ''\n"
+            "for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, 'numpy.libs', '*openblas*')):\n"
+            "    lib = ctypes.CDLL(path)\n"
+            "    if hasattr(lib, 'scipy_openblas_get_config64_'):\n"
+            "        lib.scipy_openblas_get_config64_.argtypes = []\n"
+            "        lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p\n"
+            "        config = lib.scipy_openblas_get_config64_().decode()\n"
+            "open(out + '/kernel.txt', 'w').write(config)\n"
+            "assert main(['grid', '--config', repo + '/configs/quick.json', '--method', 'uniform',\n"
+            "             '--out', out + '/quick.csv']) == 0\n"
+            "assert main(['grid', '--config', gptq, '--method', 'gptq',\n"
+            "             '--out', out + '/gptq.csv']) == 0\n"
+        )
+        src = str(Path(mmqlab.__file__).resolve().parents[1])
+        kernels, outputs = [], []
+        for coretype in (None, "Haswell"):
+            out = tmp_path / (coretype or "default")
+            out.mkdir()
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-c", script, str(REPO), str(tmp_path / "gptq.json"), str(out)],
+                env=env, check=True, timeout=300,
+            )
+            kernels.append((out / "kernel.txt").read_text().split())
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv*"))})
+        if "Haswell" not in kernels[1] or kernels[0] == kernels[1]:
+            pytest.skip(f"OPENBLAS_CORETYPE=Haswell gave no second kernel: {kernels}")
+        assert sorted(outputs[0]) == ["gptq.csv", "gptq.csv.manifest.json", "quick.csv", "quick.csv.manifest.json"]
+        assert outputs[0] == outputs[1]
+
+
 class TestUnreadableResults:
     @pytest.mark.parametrize("command", ["analyze", "plot"])
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])

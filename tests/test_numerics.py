@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import oracle_invert_spd64
 from mmqlab.numerics import (
     NotPositiveDefiniteError,
     RngStream,
@@ -243,6 +244,20 @@ class TestStackedFactorization:
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[1, 0, 3]) and np.signbit(got[3, 1, 4]) == (damping > 0)
         assert stack.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("count, n", [(1, 256), (2, 256), (24, 64)])
+    def test_inverse_matches_identity_solve_bit_for_bit(self, count, n):
+        mats = [randn_matrix(RngStream(derive_seed(300, count, i)), n, n, 1.0).astype(np.float64) for i in range(count)]
+        stack = np.stack([m @ m.T for m in mats])
+        if count == 24:
+            stack[5] = -np.eye(n)  # fails at column 0 and is inverted as the identity
+        inv, failed = _invert_spd64(stack, 0.01)
+        want, want_failed = oracle_invert_spd64(stack, 0.01)
+        assert inv.tobytes() == want.tobytes()
+        assert {s: (e.column, e.pivot) for s, e in failed.items()} == {
+            s: (e.column, e.pivot) for s, e in want_failed.items()
+        }
+        assert sorted(failed) == ([5] if count == 24 else [])
 
     def test_error_names_layer_when_given(self):
         err = NotPositiveDefiniteError(column=3, pivot=-2.0, layer="vision.block0.ff.up")

@@ -168,7 +168,7 @@ def _vqa(weights, images, questions):
 
 
 def _embeddings(weights, images, texts):
-    return image_embeddings(vision_prefix(weights, images))[0], text_embeddings(weights, texts)[0]
+    return image_embeddings(vision_prefix(weights, images))[0], text_embeddings(weights, bos_prompt(texts))[0]
 
 
 class TestForward:
@@ -264,15 +264,15 @@ class TestBlockPath:
         return calls
 
     def test_equal_copy_of_a_block3_layer_reruns_from_block3(self, default_model, probe_set, block_calls):
-        images, texts = probe_set.images[:4], probe_set.texts[:4]
+        images, prompt = probe_set.images[:4], bos_prompt(probe_set.texts[:4])
         fresh_vision = encode_vision(default_model, images)
-        fresh_text = text_embeddings(default_model, texts)
+        fresh_text = text_embeddings(default_model, prompt)
         paths = {"vision": BlockPath(), "language": BlockPath()}
 
         def run(weights):
             block_calls.clear()
             vision = encode_vision(weights, images, path=paths["vision"])
-            text = text_embeddings(weights, texts, path=paths["language"])
+            text = text_embeddings(weights, prompt, path=paths["language"])
             assert same_bits(vision, fresh_vision) and same_bits(text, fresh_text)
             return list(block_calls)
 
@@ -297,7 +297,6 @@ class TestBlockPath:
         assert same_bits(out, run_connector(default_model, vision))
 
     def test_recorder_neither_reads_nor_changes_the_path(self, default_model, probe_set, block_calls):
-        # (a KV cache only reaches the blocks through decode_hidden, which takes no path)
         images = probe_set.images[:2]
         path = BlockPath()
         encode_vision(default_model, images, path=path)
@@ -307,6 +306,19 @@ class TestBlockPath:
         assert len(block_calls) == 6
         assert all(a is b for a, b in zip(held, (output for _, output in path.blocks)))
         assert len(path.blocks) == 6
+
+    def test_cache_neither_reads_nor_changes_the_path(self, default_model, probe_set, block_calls):
+        prompt = bos_prompt(probe_set.texts[:2])
+        path = BlockPath()
+        decode_hidden(default_model, None, prompt, path=path)
+        source, held = path.source, [output for _, output in path.blocks]
+        block_calls.clear()
+        cache = {}
+        cached = decode_hidden(default_model, None, prompt, cache=cache, path=path)
+        assert len(block_calls) == 6 and len(cache) == 6
+        assert same_bits(cached, decode_hidden(default_model, None, prompt))
+        assert path.source is source and len(path.blocks) == 6
+        assert all(a is b for a, b in zip(held, (output for _, output in path.blocks)))
 
 
 def full_recompute_generate(weights, prefix, prompt_ids, horizon):
