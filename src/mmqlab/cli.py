@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import types
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
@@ -65,7 +65,7 @@ from .pipeline import (
     TaskKind,
     apply_quantization,
     build_model,
-    collect_calibration,
+    calibration_stages,
     element_count,
 )
 from .quantizers import Method, per_tensor
@@ -248,6 +248,8 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
             raise ConfigError(f"config error at {key}: must be <= the {probe_cfg.n_pairs} probe pairs, got {pairs}")
         if TaskKind.RETRIEVAL in tasks and pairs < 2:
             raise ConfigError(f"config error at {key}: must be >= 2 when grid.tasks includes retrieval, got {pairs}")
+        if not method.calibrated:  # nothing reads a later pair, and fewer pairs draw the same first bytes
+            probe_cfg = replace(probe_cfg, n_pairs=pairs)
     return make_probe_set(probe_cfg, spec)
 
 
@@ -433,6 +435,16 @@ def _parse_axis(raw: str | None, enum_cls, flag: str):
     return tuple(_enum_value(enum_cls, token, flag) for token in raw.split(","))
 
 
+def quantize_ledger(weights, selector: Selector, method: Method, bits: int, probes, group_size: int) -> list:
+    """``selector``'s ledger in address order, one ``calibration_stages`` stage at a time, as in ``grid``."""
+    ledger = []
+    for comp, calib in calibration_stages(weights, probes):
+        part = replace(selector, components=selector.components & {comp})
+        ledger += apply_quantization(weights, part, method, bits, calib, group_size)[1]
+        calib = None  # before the generator runs the next tower
+    return ledger
+
+
 def cmd_quantize(args) -> int:
     if not 2 <= args.bits <= 16:
         raise ConfigError(f"--bits must be in [2, 16], got {args.bits}")
@@ -447,10 +459,7 @@ def cmd_quantize(args) -> int:
     )
     probes = _build_probes(config, method, ()) if method.calibrated else None
     weights = build_model(config.pipeline)
-    calib = None if probes is None else collect_calibration(weights, probes)
-    _, ledger = apply_quantization(
-        weights, selector, method, args.bits, calib=calib, group_size=args.group_size
-    )
+    ledger = quantize_ledger(weights, selector, method, args.bits, probes, args.group_size)
     sizes = layer_sizes(weights)
     for entry in ledger:
         numel = sizes[entry.layer]

@@ -348,9 +348,6 @@ def run_grid(
         # fragments: each component quantized once per bit width; a cell takes
         # the layers it selects, which is exact as every quantizer is per layer
         fragment_keys = [part[:2] for _, parts, _ in cells for part in parts if part]
-        stages = ((comp, None) for comp in COMPONENT_ORDER)
-        if fragment_keys and method.calibrated:
-            stages = calibration_stages(fp, probes)
 
         def quantize(key, calib):
             comp, k = key
@@ -363,7 +360,7 @@ def run_grid(
         # stage, whose LayerStats keep the GPTQ factors its bit widths share;
         # the stage goes, factors and all, before the next tower runs
         fragments = {}
-        for comp, calib in stages:
+        for comp, calib in calibration_stages(fp, probes if fragment_keys and method.calibrated else None):
             keys = [key for key in fragment_keys if key[0] is comp]
             fragments.update(_memo(functools.partial(quantize, calib=calib), keys))
             calib = None  # before the generator runs the next tower

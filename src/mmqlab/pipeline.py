@@ -595,24 +595,28 @@ def text_embeddings(weights: ModelWeights, prompt: np.ndarray, path: BlockPath |
 
 
 def calibration_stages(
-    weights: ModelWeights, probes: "ProbeSet"
-) -> Iterator[tuple[ComponentId, dict[str, LayerStats]]]:
-    """Every addressable layer's input statistics on the first
-    min(CALIBRATION_PAIRS, len(probes)) probe pairs, one component at a time.
+    weights: ModelWeights, probes: "ProbeSet | None"
+) -> Iterator[tuple[ComponentId, dict[str, LayerStats] | None]]:
+    """The one walk over the components, which ``grid`` and ``quantize`` take:
+    each of ``COMPONENT_ORDER`` with its layers' input statistics on the first
+    min(CALIBRATION_PAIRS, len(probes)) probe pairs, or with None and no tower
+    run when ``probes`` is None.
 
     One teacher-forced caption-style pass (image prefix + BOS + text) runs a
-    tower at a time, and after each yields (component, its layers'
-    statistics), for every component in ``COMPONENT_ORDER``; a linear
-    projector's connector stage is empty. Between stages only the tower's
-    output is held, so a consumer that drops each stage before asking for the
-    next holds one component's statistics at a time. Each layer's rows are
-    deterministically subsampled to at most CALIBRATION_ROW_CAP and reduced
-    to ``LayerStats`` as they are recorded, in one float64 buffer per layer,
-    so no activations are kept. Within a block the forward pass drops each
-    activation once nothing reads it again, so while a feed-forward hidden
-    state is recorded the pass holds that hidden state, the block's residual
-    and input, and the float64 buffer and Gram of the sampled rows.
+    tower at a time, and after each yields (component, its layers' statistics);
+    a linear projector's connector stage is empty. Between stages only the
+    tower's output is held, so a consumer that drops each stage before asking
+    for the next holds one component's statistics at a time. Each layer's rows
+    are deterministically subsampled to at most CALIBRATION_ROW_CAP and reduced
+    to ``LayerStats`` as they are recorded, in one float64 buffer per layer, so
+    no activations are kept. Within a block the forward pass drops each
+    activation once nothing reads it again, so while a feed-forward hidden state
+    is recorded the pass holds that hidden state, the block's residual and
+    input, and the float64 buffer and Gram of the sampled rows.
     """
+    if probes is None:
+        yield from ((comp, None) for comp in COMPONENT_ORDER)
+        return
     n = min(CALIBRATION_PAIRS, len(probes))
     layers: dict[str, LayerStats] = {}
 
@@ -633,16 +637,6 @@ def calibration_stages(
     decode_hidden(weights, prefix, bos_prompt(probes.texts[:n]), recorder=recorder)
     prefix = None
     yield ComponentId.LANGUAGE, layers
-
-
-def collect_calibration(weights: ModelWeights, probes: "ProbeSet") -> dict[str, LayerStats]:
-    """Every addressable layer's statistics at once: the merged
-    ``calibration_stages``, for the ``quantize`` command, which quantizes any
-    selection of layers in one call."""
-    layers: dict[str, LayerStats] = {}
-    for _, stage in calibration_stages(weights, probes):
-        layers.update(stage)
-    return layers
 
 
 # --- quantization -----------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mmqlab.pipeline import PipelineSpec, build_model, collect_calibration
+from helpers import merged_calibration
+from mmqlab.pipeline import PipelineSpec, build_model
 from mmqlab.tasks import ProbeConfig, make_probe_set
 
 
@@ -26,7 +27,7 @@ def probe_set():
 
 @pytest.fixture(scope="session")
 def calibration(default_model, probe_set):
-    return collect_calibration(default_model, probe_set)
+    return merged_calibration(default_model, probe_set)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,9 @@ from mmqlab.pipeline import (
     LN_EPS,
     VQA_HORIZON,
     TaskKind,
+    apply_quantization,
     bos_prompt,
+    calibration_stages,
     decode_hidden,
     encode_vision,
     greedy_generate,
@@ -325,6 +327,19 @@ def oracle_layer_stats(x: np.ndarray, rows=None) -> LayerStats:
     x = np.asarray(x) if rows is None else np.asarray(x)[rows]
     x64 = x.astype(np.float64)
     return LayerStats(gram=x64.T @ x64, magnitude=np.mean(np.abs(x64), axis=0), rows=x.shape[0])
+
+
+def merged_calibration(weights, probes) -> dict:
+    """Every layer's statistics in one dict: the stages of ``calibration_stages``, merged."""
+    return {name: stats for _, stage in calibration_stages(weights, probes) for name, stats in stage.items()}
+
+
+def oracle_quantize_ledger(weights, selector, method, bits, probes, group_size) -> list:
+    """The ledger of one ``apply_quantization`` call over every selected layer
+    with every stage merged first: the ``quantize`` command before it walked
+    the components (statistics only when ``probes`` is given)."""
+    calib = None if probes is None else merged_calibration(weights, probes)
+    return apply_quantization(weights, selector, method, bits, calib, group_size)[1]
 
 
 def oracle_collect_calibration(weights, probes) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import brute_force_proxy_min, grid_rows, oracle_score_task, spearman_rho
+from helpers import brute_force_proxy_min, grid_rows, merged_calibration, oracle_score_task, spearman_rho
 from mmqlab.cli import main
 from mmqlab.experiments import GridSpec, compute_bpw, layer_sizes
 from mmqlab.importance import (
@@ -36,7 +36,6 @@ from mmqlab.pipeline import (
     TaskKind,
     apply_quantization,
     build_model,
-    collect_calibration,
 )
 from mmqlab.quantizers import (
     LayerStats,
@@ -71,7 +70,7 @@ def models_by_seed():
 
 @pytest.fixture(scope="module")
 def calib_by_seed(models_by_seed, probes128):
-    return {s: collect_calibration(m, probes128) for s, m in models_by_seed.items()}
+    return {s: merged_calibration(m, probes128) for s, m in models_by_seed.items()}
 
 
 def test_criterion_01_uniform_quantizer_fidelity():

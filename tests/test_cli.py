@@ -16,13 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mmqlab
-from helpers import planned_run_ids
-from mmqlab.cli import ELEMENT_LIMIT, ConfigError, ProbeConfig, _section, load_config, main, render_plot_svg
+from helpers import oracle_quantize_ledger, planned_run_ids, traced_peak
+from mmqlab.cli import (
+    ELEMENT_LIMIT, ConfigError, ProbeConfig, _build_probes, _section, load_config, main, quantize_ledger, render_plot_svg,
+)
 from mmqlab.experiments import GridSpec, RunRecord, compute_bpw, load_results, save_results
 from mmqlab.importance import ForestModel
 from mmqlab.pipeline import (
-    CAPTION_HORIZON, VQA_HORIZON, BlockGroup, LayerType, LedgerEntry, PipelineSpec, TaskKind, build_model,
-    element_count,
+    CAPTION_HORIZON, VQA_HORIZON, BlockGroup, ComponentId, ConnectorKind, LayerType, LedgerEntry, PipelineSpec,
+    Selector, TaskKind, build_model, element_count,
 )
 from mmqlab.quantizers import LayerStats, Method, gptq_quantize, rtn_group_quantize
 
@@ -537,6 +539,14 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err == "error: config error at grid.eval_pairs: must be <= the 8 probe pairs, got 9\n"
         assert not out.exists()
+
+    def test_uncalibrated_grid_draws_only_its_eval_pairs(self, tmp_path):
+        config = load_config(write_config(tmp_path, grid=SOTA_GRID))
+        uniform = _build_probes(config, Method.UNIFORM, config.grid.tasks)
+        calibrating = _build_probes(config, Method.GPTQ, config.grid.tasks)
+        assert (len(uniform), len(calibrating)) == (4, 8)
+        for name in ("images", "texts", "questions"):
+            assert getattr(uniform, name).tobytes() == getattr(calibrating, name)[:4].tobytes(), name
 
     def test_retrieval_with_one_eval_pair_exits_one_before_calibration(self, tmp_path, monkeypatch, capsys):
         import mmqlab.experiments as experiments
@@ -1077,6 +1087,39 @@ class TestQuantizeCommand:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == QUANTIZE_STDOUT_SHA256[method]
 
+    @pytest.mark.parametrize("method", ["gptq", "awq"])
+    def test_peak_holds_one_component_of_statistics(self, capsys, method):
+        # every layer's statistics held at once peaked at 28.95 (gptq) and 20.97 MiB (awq)
+        argv = ["quantize", "--config", str(REPO / "configs/default.json"), "--method", method, "--bits", "4"]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        capsys.readouterr()
+        assert codes == [0]
+        assert peak < 18 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize(
+        "selection, projector",
+        [
+            ({}, False),
+            ({"components": (ComponentId.VISION, ComponentId.LANGUAGE)}, False),
+            ({"groups": (BlockGroup.FRONT, BlockGroup.END), "layer_types": (LayerType.FF,)}, False),
+            ({"components": (ComponentId.CONNECTOR,), "layer_types": (LayerType.ATTN,)}, True),
+        ],
+        ids=["every-layer", "vision-language", "front-end-ff", "projector-connector-attn"],
+    )
+    def test_ledger_matches_one_call_over_merged_stages(self, tiny_spec, tiny_probes, method, selection, projector):
+        spec = tiny_spec
+        if projector:  # its connector stage is empty
+            spec = replace(spec, connector_kind=ConnectorKind.LINEAR_PROJECTOR, connector_blocks=0)
+        weights, probes, selector = build_model(spec), tiny_probes if method.calibrated else None, Selector.make(**selection)
+        got = quantize_ledger(weights, selector, method, 4, probes, 16)
+        want = oracle_quantize_ledger(weights, selector, method, 4, probes, 16)
+        assert [e.layer for e in got] == [e.layer for e in want] and (not got) == projector
+        for a, b in zip(got, want):
+            assert (a.method, a.bits, a.group_size) == (b.method, b.bits, b.group_size), a.layer
+            assert np.float64(a.proxy_error).tobytes() == np.float64(b.proxy_error).tobytes(), a.layer
+
     def test_prints_ledger_and_bpw(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(
@@ -1103,7 +1146,7 @@ class TestQuantizeCommand:
         import mmqlab.cli as cli
 
         calibrated = []
-        monkeypatch.setattr(cli, "collect_calibration", lambda *args, **kwargs: calibrated.append(args))
+        monkeypatch.setattr(cli, "calibration_stages", lambda *args, **kwargs: calibrated.append(args))
         cfg = write_config(tmp_path)
         code = main(["quantize", "--config", str(cfg), "--method", "gptq", "--bits", "4", flag, value])
         assert code == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
-from helpers import grid_rows, oracle_score_task, planned_run_ids, same_bits
+from helpers import grid_rows, merged_calibration, oracle_score_task, planned_run_ids, same_bits
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
@@ -546,7 +546,7 @@ class TestEquivalence:
             cells.setdefault(key, []).append(row)
         for seed in grid.seeds:
             fp = experiments._seeded_model(spec, seed)
-            calib = None if method is Method.UNIFORM else pipeline.collect_calibration(fp, probes)
+            calib = None if method is Method.UNIFORM else merged_calibration(fp, probes)
             for (_, *bits, groups, layer_types), cell_rows in cells.items():
                 if cell_rows[0].seed != seed:
                     continue

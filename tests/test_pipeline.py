@@ -22,7 +22,6 @@ from mmqlab.pipeline import (
     bos_prompt,
     build_model,
     calibration_stages,
-    collect_calibration,
     decode_hidden,
     encode_vision,
     enumerate_layers,
@@ -35,6 +34,7 @@ from mmqlab.pipeline import (
 )
 from helpers import (
     assert_same_quantization,
+    merged_calibration,
     oracle_affine_layer_norm,
     oracle_attention,
     oracle_collect_calibration,
@@ -426,7 +426,7 @@ class TestCalibration:
             assert stats.gram.shape[1] == default_model.layers[addr.name].shape[1]
 
     def test_single_probe_rows_equal_tokens(self, default_model, probe_set):
-        calib = collect_calibration(default_model, probe_set.take(1))
+        calib = merged_calibration(default_model, probe_set.take(1))
         spec = default_model.spec
         assert calib["vision.block0.attn.q_proj"].rows == spec.patch_count
         assert calib["connector.block0.attn.q_proj"].rows == 8
@@ -447,7 +447,7 @@ class TestCalibration:
             weights, probes, merged = request.getfixturevalue("default_model"), probe_set, calibration
         else:
             weights, probes = build_model(_projector_spec()), tiny_probes
-            merged = collect_calibration(weights, probes)
+            merged = merged_calibration(weights, probes)
         expected = oracle_collect_calibration(weights, probes)
         stages = list(calibration_stages(weights, probes))
         # one stage per component, in order, each holding exactly that component's layers
@@ -462,6 +462,15 @@ class TestCalibration:
                 assert got.rows == want.rows, name
                 assert np.array_equal(got.gram.view(np.uint64), want.gram.view(np.uint64)), name
                 assert np.array_equal(got.magnitude.view(np.uint64), want.magnitude.view(np.uint64)), name
+
+    def test_stages_without_probes_run_no_tower(self, default_model, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a tower ran")
+
+        for tower in ("encode_vision", "run_connector", "decode_hidden"):
+            monkeypatch.setattr(pipeline, tower, boom)
+        stages = list(calibration_stages(default_model, None))
+        assert stages == [(comp, None) for comp in pipeline.COMPONENT_ORDER]
 
     def test_recorded_block_holds_no_dropped_activation(self, default_model):
         # one language block recorded the way calibration_stages records it, on
@@ -488,7 +497,7 @@ class TestCalibration:
         assert peak < budget
 
     def test_deterministic(self, default_model, probe_set, calibration):
-        again = collect_calibration(default_model, probe_set)
+        again = merged_calibration(default_model, probe_set)
         name = "language.block0.ff.up"
         assert np.array_equal(again[name].gram, calibration[name].gram)
         assert np.array_equal(again[name].magnitude, calibration[name].magnitude)
@@ -549,7 +558,7 @@ class TestStackedGptqPipeline:
     @pytest.fixture(scope="class")
     def tiny(self, tiny_spec, tiny_probes):
         model = build_model(tiny_spec)
-        return model, collect_calibration(model, tiny_probes)
+        return model, merged_calibration(model, tiny_probes)
 
     @pytest.mark.parametrize("group_size", list(TINY_GPTQ_DIGESTS), ids=["g16", "g128", "per-tensor"])
     def test_dequantized_digest_pinned(self, tiny, group_size):
@@ -580,7 +589,7 @@ class TestStackedGptqPipeline:
         import mmqlab.quantizers as quantizers
 
         model = build_model(tiny_spec)
-        calib = collect_calibration(model, tiny_probes)
+        calib = merged_calibration(model, tiny_probes)
         factored = []
         original = quantizers._inverse_hessian_factor
 
@@ -606,9 +615,9 @@ class TestStackedGptqPipeline:
         model = build_model(tiny_spec)
         other = make_probe_set(ProbeConfig(seed=4, n_pairs=8), tiny_spec)
         sel = Selector.make(components=(ComponentId.VISION,))
-        first, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, tiny_probes), group_size=16)
-        second, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, other), group_size=16)
-        fresh, _ = apply_quantization(model, sel, Method.GPTQ, 4, collect_calibration(model, other), group_size=16)
+        first, _ = apply_quantization(model, sel, Method.GPTQ, 4, merged_calibration(model, tiny_probes), group_size=16)
+        second, _ = apply_quantization(model, sel, Method.GPTQ, 4, merged_calibration(model, other), group_size=16)
+        fresh, _ = apply_quantization(model, sel, Method.GPTQ, 4, merged_calibration(model, other), group_size=16)
         names = [a.name for a in enumerate_layers(model, sel)]
         # the calibrations differ on every layer, so stale factors would show
         assert all(second.layers[name].tobytes() != first.layers[name].tobytes() for name in names)
@@ -640,7 +649,7 @@ class TestChunkedAwqPipeline:
     @pytest.mark.parametrize("group_size", list(TINY_AWQ_DIGESTS), ids=["g12", "g128", "per-tensor"])
     def test_dequantized_digest_pinned(self, tiny_spec, tiny_probes, group_size):
         model = build_model(tiny_spec)
-        calib = collect_calibration(model, tiny_probes)
+        calib = merged_calibration(model, tiny_probes)
         h = hashlib.sha256()
         for k in range(2, 9):
             for addr in model.addresses:
@@ -673,7 +682,7 @@ class TestLedgerPinned:
     @pytest.fixture(scope="class")
     def tiny(self, tiny_spec, tiny_probes):
         model = build_model(tiny_spec)
-        return model, collect_calibration(model, tiny_probes)
+        return model, merged_calibration(model, tiny_probes)
 
     @pytest.mark.parametrize(
         "case", list(TINY_LEDGER_DIGESTS),

@@ -84,6 +84,14 @@ class TestProbeSet:
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("n_pairs", [1, 2, 8, 64, 127])
+    def test_smaller_set_is_first_pairs_of_larger(self, probe_set, n_pairs):
+        # the draw is counter-based and pair-major, so an uncalibrated grid may
+        # draw only the pairs it scores and read the bytes a full draw starts with
+        small = make_probe_set(ProbeConfig(seed=11, n_pairs=n_pairs), PipelineSpec())
+        for name in ("images", "texts", "questions"):
+            assert getattr(small, name).tobytes() == getattr(probe_set, name)[:n_pairs].tobytes(), name
+
     def test_take_prefix(self, probe_set):
         sub = probe_set.take(16)
         assert len(sub) == 16
