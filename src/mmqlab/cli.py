@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -54,6 +55,7 @@ from .importance import (
 from .numerics import derive_seed
 from .pipeline import (
     CAPTION_HORIZON,
+    COMPONENT_ORDER,
     MAX_SEQ,
     VQA_HORIZON,
     BlockGroup,
@@ -436,9 +438,11 @@ def _parse_axis(raw: str | None, enum_cls, flag: str):
 
 
 def quantize_ledger(weights, selector: Selector, method: Method, bits: int, probes, group_size: int) -> list:
-    """``selector``'s ledger in address order, one ``calibration_stages`` stage at a time, as in ``grid``."""
+    """``selector``'s ledger in address order, one ``calibration_stages`` stage at a time, as in ``grid``;
+    the walk stops at the last component the selector names, so no later tower runs."""
     ledger = []
-    for comp, calib in calibration_stages(weights, probes):
+    stop = max((COMPONENT_ORDER.index(comp) + 1 for comp in selector.components), default=0)
+    for comp, calib in itertools.islice(calibration_stages(weights, probes), stop):
         part = replace(selector, components=selector.components & {comp})
         ledger += apply_quantization(weights, part, method, bits, calib, group_size)[1]
         calib = None  # before the generator runs the next tower

@@ -9,21 +9,25 @@ plus the block groups and layer types it quantizes:
 * GPTQ/AWQ - the full per-component bit cross product over all groups and
   layer types, where 16 encodes "leave unquantized".
 
-Calibration runs once per seed, one tower at a time, and each component is
-quantized once per bit width from its own calibration stage, which is freed,
-GPTQ factors and all, after its last bit width and before the next tower's
-pass, so a grid holds one component's statistics at a time; a cell takes the
-layers its selector picks from those fragments. The vision tower, the
-connector and the retrieval text embeddings are memoised per part, on the
-fragments they read, and one closure derives every model's task outputs
-from those memos, decoding with ``greedy_generate`` from each generation
-task's prompt and horizon, which are built once per grid. Each of those
-three stages runs its distinct parts sorted by the layers they quantize per
-block, through one ``BlockPath``: a part reuses the outputs of the leading
-blocks it shares with the part before it, so a shared front or middle
-prefix runs once. The full-precision reference
-is the model that reads no fragment: its stage outputs are the memos'
-all-None entries.
+Calibration runs once per seed, one tower at a time, and the stages run
+inside that walk. Each component is quantized once per bit width from its
+own calibration stage, and then its stage runs on the eval probes: the vision
+tower per vision part, the connector per (vision, connector) pair, the
+retrieval text embeddings per language part. The calibration stage is freed,
+GPTQ factors and all, before the next tower's pass, so a grid holds one
+component's statistics at a time. A component's quantized layers go once its
+stage has run, except the language layers, which the decoder reads; its
+ledger entries stay for bpw. A cell takes the layers its selector picks from
+those fragments, and each stage and the decoder read a model holding only the
+part they read, as each tower reads only its own layers and the extras. The
+stage outputs are memoised per part, and one closure derives every model's
+task outputs from those memos, decoding with ``greedy_generate`` from each
+generation task's prompt and horizon, which are built once per grid. Each
+stage runs its distinct parts sorted by the layers they quantize per block,
+through one ``BlockPath``: a part reuses the outputs of the leading blocks it
+shares with the part before it, so a shared front or middle prefix runs
+once. The full-precision reference is the model that reads no fragment: its
+stage outputs are the memos' all-None entries.
 
 ``run_grid`` yields each row as soon as its cell is scored, in plan order,
 as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
@@ -314,12 +318,15 @@ def run_grid(
     Yields one (row, failure message or None) per task of each cell as soon
     as the cell is scored, in plan order: seeds outer, the baseline cell
     first, then the planned cells, with tasks in ``grid.tasks`` order. Rows
-    are not sorted. Each component is quantized once per bit width and each
-    stage output is memoised on the quantized layers it reads. An error fails
-    exactly the cells that depend on it, as NaN rows with a message; a bad
-    argument or a failing full-precision reference raises. Cells whose run_id
-    is in ``skip_run_ids`` are not run (resume support). Cells are scored on
-    the first ``grid.eval_pairs`` probe pairs (all when None), as the CLI checks.
+    are not sorted. Each component is quantized once per bit width, and its
+    stage runs right after, before the next tower is calibrated; each stage
+    output is memoised on the quantized layers it reads. A component's
+    quantized layers are dropped once its stage has run, except the language
+    layers, which live until the decodes. An error fails exactly the cells
+    that depend on it, as NaN rows with a message; a bad argument or a
+    failing full-precision reference raises. Cells whose run_id is in
+    ``skip_run_ids`` are not run (resume support). Cells are scored on the
+    first ``grid.eval_pairs`` probe pairs (all when None), as the CLI checks.
     """
     if method not in GRID_METHODS:
         raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
@@ -348,34 +355,27 @@ def run_grid(
         # fragments: each component quantized once per bit width; a cell takes
         # the layers it selects, which is exact as every quantizer is per layer
         fragment_keys = [part[:2] for _, parts, _ in cells for part in parts if part]
+        ledgers = {}  # (component, bits) -> its ledger entries by layer, or the error that failed it
+        arrays = {}  # (component, bits) -> its dequantized layers by name, until nothing reads them
 
-        def quantize(key, calib):
+        def quantize(key, calib) -> dict[str, LedgerEntry]:
             comp, k = key
             qw, ledger = pipeline.apply_quantization(
                 fp, Selector.make(components=(comp,)), method, k, calib, grid.group_size
             )
-            return {e.layer: (qw.layers[e.layer], e) for e in ledger}
+            arrays[key] = {e.layer: qw.layers[e.layer] for e in ledger}
+            return {e.layer: e for e in ledger}
 
-        # one component at a time, all its bit widths, from its calibration
-        # stage, whose LayerStats keep the GPTQ factors its bit widths share;
-        # the stage goes, factors and all, before the next tower runs
-        fragments = {}
-        for comp, calib in calibration_stages(fp, probes if fragment_keys and method.calibrated else None):
-            keys = [key for key in fragment_keys if key[0] is comp]
-            fragments.update(_memo(functools.partial(quantize, calib=calib), keys))
-            calib = None  # before the generator runs the next tower
-
-        def assemble(parts) -> tuple[ModelWeights, list[LedgerEntry]]:
-            layers, ledger = dict(fp.layers), []
-            for part in parts:
-                if part is None:
-                    continue
-                comp, k, names = part
-                fragment = _ok(fragments[(comp, k)])
-                for name in names:
-                    layers[name], entry = fragment[name]
-                    ledger.append(entry)
-            return replace(fp, layers=layers), ledger
+        def model(part) -> ModelWeights:
+            """The full-precision model with one part's layers quantized: a stage
+            or the decoder reads one part, as each tower reads only its own
+            layers and the extras."""
+            if part is None:
+                return fp
+            comp, k, names = part
+            _ok(ledgers[(comp, k)])
+            fragment = arrays[(comp, k)]
+            return replace(fp, layers={**fp.layers, **{name: fragment[name] for name in names}})
 
         address = {a.name: a for a in fp.addresses}
 
@@ -401,33 +401,47 @@ def run_grid(
         reference_parts = (None, None, None)
         ref_tasks = [task for task in grid.tasks if any(task in pending for *_, pending in cells)]
         models = [(reference_parts, ref_tasks)] + [(parts, pending) for _, parts, pending in cells]
-        visions = stage(
-            lambda v, path: pipeline.encode_vision(assemble((v, None, None))[0], images, path=path),
-            [parts[0] for parts, _ in models], blocks_key,
-        )
-        prefixes = stage(
-            lambda vc, path: pipeline.run_connector(assemble((*vc, None))[0], _ok(visions[vc[0]]), path=path),
-            [parts[:2] for parts, _ in models], lambda vc: (blocks_key(vc[0]), blocks_key(vc[1])),
-        )
-        visions = None  # the connector stage was their only reader
         text_prompt = bos_prompt(texts)  # one object for the stage: its path compares the prompt by identity
-        text_memo = stage(
-            lambda lang, path: text_embeddings(assemble((None, None, lang))[0], text_prompt, path=path),
-            [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks], blocks_key,
-        )
+
+        # one component at a time: all its bit widths from its calibration stage,
+        # whose LayerStats keep the GPTQ factors its bit widths share, then its
+        # tower stage; the statistics go, factors and all, before the generator
+        # runs the next tower, and the quantized layers once the stage has run,
+        # but the language layers, which the decoder reads
+        for comp, calib in calibration_stages(fp, probes if fragment_keys and method.calibrated else None):
+            ledgers.update(_memo(functools.partial(quantize, calib=calib), [k for k in fragment_keys if k[0] is comp]))
+            calib = None
+            if comp is ComponentId.VISION:
+                visions = stage(
+                    lambda v, path: pipeline.encode_vision(model(v), images, path=path),
+                    [parts[0] for parts, _ in models], blocks_key,
+                )
+            elif comp is ComponentId.CONNECTOR:
+                prefixes = stage(
+                    lambda vc, path: pipeline.run_connector(model(vc[1]), _ok(visions[vc[0]]), path=path),
+                    [parts[:2] for parts, _ in models], lambda vc: (blocks_key(vc[0]), blocks_key(vc[1])),
+                )
+                visions = None  # the connector stage was their only reader
+            else:
+                text_memo = stage(
+                    lambda lang, path: text_embeddings(model(lang), text_prompt, path=path),
+                    [parts[2] for parts, tasks in models if TaskKind.RETRIEVAL in tasks], blocks_key,
+                )
+            if comp is not ComponentId.LANGUAGE:
+                arrays.clear()  # its stage was their only reader; the ledger entries stay
 
         def model_outputs(parts, task):
             """A model's outputs on the eval probes, the operand of ``agreement``."""
             prefix = _ok(prefixes[parts[:2]])
             if task is TaskKind.RETRIEVAL:
                 return image_embeddings(prefix), _ok(text_memo[parts[2]])
-            return pipeline.greedy_generate(assemble(parts)[0], prefix, *generation[task])
+            return pipeline.greedy_generate(model(parts[2]), prefix, *generation[task])
 
         reference = {task: model_outputs(reference_parts, task) for task in ref_tasks}
 
         def score(parts, pending):
             try:
-                bpw = compute_bpw(assemble(parts)[1], sizes)
+                bpw = compute_bpw([_ok(ledgers[part[:2]])[name] for part in parts if part for name in part[2]], sizes)
                 scores = {}
                 for task in pending:
                     # a baseline cell is the reference model: read its outputs, do not decode again

@@ -1120,6 +1120,30 @@ class TestQuantizeCommand:
             assert (a.method, a.bits, a.group_size) == (b.method, b.bits, b.group_size), a.layer
             assert np.float64(a.proxy_error).tobytes() == np.float64(b.proxy_error).tobytes(), a.layer
 
+    @pytest.mark.parametrize(
+        "components, towers",
+        [
+            ((ComponentId.VISION,), ["vision"]),
+            ((ComponentId.CONNECTOR,), ["vision", "connector"]),
+            ((ComponentId.VISION, ComponentId.LANGUAGE), ["vision", "connector", "language"]),
+        ],
+        ids=["vision", "connector", "vision-language"],
+    )
+    def test_walk_stops_at_last_selected_component(self, tiny_spec, tiny_probes, monkeypatch, components, towers):
+        import mmqlab.pipeline as pipeline
+
+        ran = []
+        for name, tower in (("encode_vision", "vision"), ("run_connector", "connector"), ("decode_hidden", "language")):
+
+            def counted(*args, original=getattr(pipeline, name), tower=tower, **kwargs):
+                ran.append(tower)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        ledger = quantize_ledger(build_model(tiny_spec), Selector.make(components), Method.GPTQ, 4, tiny_probes, 16)
+        assert ran == towers  # one calibration pass per tower up to the last selected component
+        assert {e.layer.split(".")[0] for e in ledger} == {comp.value for comp in components}
+
     def test_prints_ledger_and_bpw(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(

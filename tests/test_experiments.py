@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mmqlab.experiments as experiments
 import mmqlab.pipeline as pipeline
-from helpers import grid_rows, merged_calibration, oracle_score_task, planned_run_ids, same_bits
+from helpers import grid_rows, merged_calibration, oracle_score_task, planned_run_ids, same_bits, traced_peak
 from mmqlab.experiments import (
     CSV_HEADER,
     GridSpec,
@@ -320,6 +320,85 @@ class TestSotaGrid:
         assert [(r.run_id, r.score) for r in merged] == [(r.run_id, r.score) for r in full]
 
 
+class TestComponentWalk:
+    """Each component's tower stage runs inside the walk over the calibration
+    stages, and its quantized layers go once nothing reads them."""
+
+    def test_uniform_peak_holds_no_stage_finished_layers(self, tiny_spec, tiny_probes):
+        grid = GridSpec(bits=(4,), tasks=(TaskKind.RETRIEVAL,), seeds=(3,))
+        grid_rows(tiny_spec, tiny_probes, grid, Method.UNIFORM)  # warm-up: one-time allocations
+        # 2,008,352 B with every component's quantized layers held through every
+        # stage; 1,702,776 B when each goes once its stage has run
+        assert traced_peak(lambda: list(run_grid(tiny_spec, tiny_probes, grid, Method.UNIFORM))) < 1_850_000
+
+    def test_each_stage_runs_before_the_next_tower_calibrates(self, tiny_spec, tiny_probes, monkeypatch):
+        events = []
+
+        def recorded(module, name, component, stage=True):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                if kwargs.get("recorder") is not None:
+                    events.append(("calibrate", component))
+                elif stage:
+                    events.append(("stage", component))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        recorded(pipeline, "encode_vision", ComponentId.VISION)
+        recorded(pipeline, "run_connector", ComponentId.CONNECTOR)
+        recorded(pipeline, "decode_hidden", ComponentId.LANGUAGE, stage=False)  # the language stage is text_embeddings
+        recorded(experiments, "text_embeddings", ComponentId.LANGUAGE)
+        grid = GridSpec(bits=(4,), tasks=(TaskKind.RETRIEVAL,), seeds=(3, 4), eval_pairs=4)
+        grid_rows(tiny_spec, tiny_probes, grid, Method.GPTQ)
+        runs = [event for i, event in enumerate(events) if i == 0 or events[i - 1] != event]
+        walk = [(kind, comp) for comp in pipeline.COMPONENT_ORDER for kind in ("calibrate", "stage")]
+        assert runs == walk * 2
+
+    def test_quantized_layers_go_once_their_stage_has_run(self, tiny_spec, tiny_probes, monkeypatch):
+        import weakref
+
+        refs = {comp: [] for comp in pipeline.COMPONENT_ORDER}  # weak references to each fragment's layers
+        checks = []  # (event, components with a live quantized layer)
+        quantize = pipeline.apply_quantization
+
+        def recording(weights, sel, *args):
+            qw, ledger = quantize(weights, sel, *args)
+            (comp,) = sel.components
+            refs[comp].extend(weakref.ref(qw.layers[e.layer]) for e in ledger)
+            return qw, ledger
+
+        def live():
+            return {comp for comp, held in refs.items() if any(ref() is not None for ref in held)}
+
+        def checked(event, original):
+            def wrapped(*args, **kwargs):
+                checks.append((event, live()))
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "apply_quantization", recording)
+        monkeypatch.setattr(pipeline, "run_connector", checked("connector", pipeline.run_connector))
+        monkeypatch.setattr(experiments, "text_embeddings", checked("text", experiments.text_embeddings))
+        monkeypatch.setattr(pipeline, "greedy_generate", checked("decode", pipeline.greedy_generate))
+        grid = GridSpec(bits=(2, 4), tasks=(TaskKind.RETRIEVAL, TaskKind.VQA), seeds=(3,), eval_pairs=4)
+        rows, failures = grid_rows(tiny_spec, tiny_probes, grid, Method.GPTQ)
+        assert not failures and all(refs.values())
+        _, connector, language = pipeline.COMPONENT_ORDER
+        # the connector calibration pass and stage: the vision layers have gone,
+        # and the connector's are live until its stage has run
+        assert {frozenset(held) for event, held in checks if event == "connector"} == {
+            frozenset({connector}), frozenset()
+        }
+        # the text stage and every decode: only the language layers are live
+        assert {frozenset(held) for event, held in checks if event != "connector"} == {frozenset({language})}
+        # one decode for the reference and one for each cell but the baseline
+        assert sum(event == "decode" for event, _ in checks) == len(rows) // 2
+        assert not live()  # and nothing once the grid ends
+
+
 class TestStreaming:
     def test_each_row_arrives_before_the_next_cell_decodes(self, tiny_spec, tiny_probes, monkeypatch):
         decodes = []
@@ -348,6 +427,24 @@ class TestStreaming:
 def _reads_only(weights, fp) -> bool:
     """Whether every layer of a model is fp's own array, as in the full-precision reference."""
     return all(weights.layers[name] is layer for name, layer in fp.layers.items())
+
+
+def _fp_prefixes(fp, visions, connectors) -> list:
+    """The outputs of connector calls that read only fp's layers, on vision
+    outputs of calls that read only fp's layers: the reference's prefix, and
+    calibration's, which nothing decodes from. A decoded model holds only its
+    language part, so a cell that leaves the language model at full precision
+    decodes from fp's layers too, but from a prefix of its own."""
+    fp_visions = [out for args, out in visions if _reads_only(args[0], fp)]
+    return [out for args, out in connectors if _reads_only(args[0], fp) and any(args[1] is v for v in fp_visions)]
+
+
+def _reference_decodes(fp, prefixes, decodes, horizon) -> int:
+    """How many recorded decodes of the given horizon decode fp's layers from one of ``prefixes``."""
+    return sum(
+        _reads_only(args[0], fp) and any(args[1] is p for p in prefixes) and args[3] == horizon
+        for args, _ in decodes
+    )
 
 
 class TestMemo:
@@ -383,9 +480,10 @@ class TestMemo:
         assert len(models) == 2
         for _, fp in models:
             assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
+            prefixes = _fp_prefixes(fp, visions, connectors)
             for task in (TaskKind.CAPTION, TaskKind.VQA):
                 horizon = CAPTION_HORIZON if task is TaskKind.CAPTION else VQA_HORIZON
-                assert sum(_reads_only(args[0], fp) and args[3] == horizon for args, _ in decodes) == 1
+                assert _reference_decodes(fp, prefixes, decodes, horizon) == 1
         # per seed: each of the 3 components once per bit width
         assert len(quantized) == 2 * 3 * 2
         # per seed: calibration, full precision and the 2 quantized vision fragments
@@ -414,7 +512,7 @@ class TestMemo:
         assert len(models) == 2
         for _, fp in models:
             assert sum(_reads_only(args[0], fp) for args, _ in texts) == 1
-            assert sum(_reads_only(args[0], fp) and args[3] == VQA_HORIZON for args, _ in decodes) == 1
+            assert _reference_decodes(fp, _fp_prefixes(fp, visions, connectors), decodes, VQA_HORIZON) == 1
         # per seed: each of the 3 components once per bit width, whatever the
         # group subset; cells take their layers from these fragments
         assert len(quantized) == 2 * 3 * 2
