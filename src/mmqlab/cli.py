@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -70,7 +71,7 @@ from .pipeline import (
     calibration_stages,
     element_count,
 )
-from .quantizers import Method, per_tensor
+from .quantizers import DEFAULT_GROUP_SIZE, FP_BITS, MIN_BITS, Method, per_tensor
 from .tasks import ProbeConfig, make_probe_set
 
 DEFAULT_EVAL_PAIRS = 32
@@ -98,6 +99,7 @@ class Config:
     pipeline: PipelineSpec
     grid: GridSpec
     probes: ProbeConfig | None
+    sha256: str  # of the bytes parsed, which a grid's manifest records
 
 
 def _expect(value, kind, path):
@@ -151,8 +153,10 @@ def _section(cls, raw: dict, name: str):
 
 def load_config(path: str) -> Config:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # decoded as a text-mode open decodes: UTF-8, universal newlines
+        raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -167,7 +171,7 @@ def load_config(path: str) -> Config:
     workers = _expect(raw.get("workers", 1), int, "workers")  # accepted but not read: grids run in one thread
     if workers < 1:
         raise ConfigError(f"config error at workers: must be >= 1, got {workers}")
-    return Config(pipeline=pipeline, grid=grid, probes=probes)
+    return Config(pipeline=pipeline, grid=grid, probes=probes, sha256=hashlib.sha256(data).hexdigest())
 
 
 def _check_size(spec: PipelineSpec, pairs: int):
@@ -255,11 +259,6 @@ def _build_probes(config: Config, method: Method, tasks: tuple[TaskKind, ...]):
     return make_probe_set(probe_cfg, spec)
 
 
-def _config_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _resumable_rows(args, config_hash: str):
     """Finished rows from a previous run of the same config, if resuming."""
     if not getattr(args, "resume", False) or not os.path.exists(args.out):
@@ -287,8 +286,7 @@ def cmd_grid(args) -> int:
     sorted by run_id once here, and its manifest; exit 2 if a cell failed."""
     config = load_config(args.config)
     method = Method(args.method)
-    config_hash = _config_sha256(args.config)
-    rows = _resumable_rows(args, config_hash)
+    rows = _resumable_rows(args, config.sha256)
     skip = frozenset(r.run_id for r in rows)
     probes = _build_probes(config, method, config.grid.tasks)
     failures = []  # (run_id, message), in plan order
@@ -299,7 +297,7 @@ def cmd_grid(args) -> int:
     rows.sort(key=lambda r: r.run_id)
     save_results(rows, args.out)
     manifest = {
-        "config_sha256": config_hash,
+        "config_sha256": config.sha256,
         "versions": {
             "mmqlab": __version__,
             "numpy": np.__version__,
@@ -450,8 +448,8 @@ def quantize_ledger(weights, selector: Selector, method: Method, bits: int, prob
 
 
 def cmd_quantize(args) -> int:
-    if not 2 <= args.bits <= 16:
-        raise ConfigError(f"--bits must be in [2, 16], got {args.bits}")
+    if not MIN_BITS <= args.bits <= FP_BITS:
+        raise ConfigError(f"--bits must be in [{MIN_BITS}, {FP_BITS}], got {args.bits}")
     if args.group_size < 1:
         raise ConfigError(f"--group-size must be >= 1, got {args.group_size}")
     config = load_config(args.config)
@@ -513,7 +511,7 @@ def build_parser() -> _Parser:
     p_q.add_argument("--components", default=None, help="comma-separated, e.g. vision,language")
     p_q.add_argument("--groups", default=None, help="comma-separated, e.g. front,end")
     p_q.add_argument("--layer-types", dest="layer_types", default=None, help="e.g. attn")
-    p_q.add_argument("--group-size", dest="group_size", type=int, default=128)
+    p_q.add_argument("--group-size", dest="group_size", type=int, default=DEFAULT_GROUP_SIZE)
     p_q.set_defaults(func=cmd_quantize)
     return parser
 

@@ -9,31 +9,10 @@ plus the block groups and layer types it quantizes:
 * GPTQ/AWQ - the full per-component bit cross product over all groups and
   layer types, where 16 encodes "leave unquantized".
 
-Calibration runs once per seed, one tower at a time, and the stages run
-inside that walk. Each component is quantized once per bit width from its
-own calibration stage, and then its stage runs on the eval probes: the vision
-tower per vision part, the connector per (vision, connector) pair, the
-retrieval text embeddings per language part. The calibration stage is freed,
-GPTQ factors and all, before the next tower's pass, so a grid holds one
-component's statistics at a time. A component's quantized layers go once its
-stage has run, except the language layers, which the decoder reads; its
-ledger entries stay for bpw. A cell takes the layers its selector picks from
-those fragments, and each stage and the decoder read a model holding only the
-part they read, as each tower reads only its own layers and the extras. The
-stage outputs are memoised per part, and one closure derives every model's
-task outputs from those memos, decoding with ``greedy_generate`` from each
-generation task's prompt and horizon, which are built once per grid. Each
-stage runs its distinct parts sorted by the layers they quantize per block,
-through one ``BlockPath``: a part reuses the outputs of the leading blocks it
-shares with the part before it, so a shared front or middle prefix runs
-once. The full-precision reference is the model that reads no fragment: its
-stage outputs are the memos' all-None entries.
-
-``run_grid`` yields each row as soon as its cell is scored, in plan order,
-as a ``RunRecord`` with a stable content-addressed ``run_id`` plus the
-cell's failure message or None. A results set is a plain list of records;
-persistence is a CSV whose columns are ``RunRecord``'s fields and whose
-save/load round-trips exactly.
+Each row is a ``RunRecord`` with a stable content-addressed ``run_id`` and
+the bits per weight ``compute_bpw`` prices. A results set is a plain list of
+records; persistence is a CSV whose columns are ``RunRecord``'s fields and
+whose save/load round-trips exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +34,6 @@ from .numerics import derive_seed
 from .pipeline import (
     CAPTION_HORIZON,
     COMPONENT_ORDER,
-    FP_BITS,
     GROUP_ORDER,
     LAYER_TYPE_ORDER,
     VQA_HORIZON,
@@ -75,7 +53,7 @@ from .pipeline import (
     image_embeddings,
     text_embeddings,
 )
-from .quantizers import Method, per_tensor
+from .quantizers import DEFAULT_GROUP_SIZE, FP_BITS, MIN_BITS, Method, per_tensor
 from .tasks import ProbeSet, agreement
 
 GRID_METHODS = (Method.UNIFORM, Method.GPTQ, Method.AWQ)  # the methods a grid sweeps
@@ -88,6 +66,7 @@ SOTA_BITS_DEFAULT = (2, 3, 4, 5, 6, 8)
 GROUP_OVERHEAD_BITS = 32
 PER_TENSOR_OVERHEAD_BITS = 64
 _TOKEN_ORDER = GROUP_ORDER + LAYER_TYPE_ORDER
+_BITS_FIELDS = tuple(f"{comp.value}_bits" for comp in COMPONENT_ORDER)  # a record's bits, per component
 
 
 def _text(value) -> str:
@@ -123,11 +102,15 @@ class RunRecord:
     wall_ms: int
 
     @property
+    def component_bits(self) -> tuple[int, ...]:
+        """The bit width of each component, in ``COMPONENT_ORDER``."""
+        return tuple(getattr(self, name) for name in _BITS_FIELDS)
+
+    @property
     def is_full_pipeline_star(self) -> bool:
         """Whole-pipeline cell at 8 or 16 bits over all groups and layer types."""
-        bits = {self.vision_bits, self.connector_bits, self.language_bits}
         return (
-            bits in ({8}, {16})
+            set(self.component_bits) in ({8}, {FP_BITS})
             and self.groups == frozenset(GROUP_ORDER)
             and self.layer_types == frozenset(LAYER_TYPE_ORDER)
         )
@@ -139,9 +122,7 @@ class RunRecord:
 _COLUMNS = tuple(f.name for f in fields(RunRecord))
 CSV_HEADER = ",".join(_COLUMNS)
 # the fields a cell's run_id hashes: its configuration and seed
-RUN_KEY = (
-    "method", "task", "vision_bits", "connector_bits", "language_bits", "groups", "layer_types", "group_size", "seed",
-)
+RUN_KEY = ("method", "task", *_BITS_FIELDS, "groups", "layer_types", "group_size", "seed")
 
 
 def make_run_id(**key) -> str:
@@ -159,7 +140,7 @@ class GridSpec:
     bits: tuple[int, ...] | None = None
     tasks: tuple[TaskKind, ...] = (TaskKind.RETRIEVAL, TaskKind.CAPTION, TaskKind.VQA)
     seeds: tuple[int, ...] = (7,)
-    group_size: int = 128
+    group_size: int = DEFAULT_GROUP_SIZE
     component_subsets: tuple[tuple[ComponentId, ...], ...] | None = None
     group_subsets: tuple[tuple[BlockGroup, ...], ...] | None = None
     layer_type_subsets: tuple[tuple[LayerType, ...], ...] | None = None
@@ -167,8 +148,8 @@ class GridSpec:
 
     def __post_init__(self):
         for k in self.bits or ():
-            if not (2 <= k <= 16):
-                raise SpecError("bits", f"must be in [2, 16], got {k}")
+            if not (MIN_BITS <= k <= FP_BITS):
+                raise SpecError("bits", f"must be in [{MIN_BITS}, {FP_BITS}], got {k}")
         if self.group_size < 1:
             raise SpecError("group_size", f"must be >= 1, got {self.group_size}")
         if self.eval_pairs is not None and self.eval_pairs < 1:
@@ -214,7 +195,7 @@ def compute_bpw(ledger: list[LedgerEntry], sizes: dict[str, int]) -> float:
     for name, numel in sizes.items():
         entry = by_layer.get(name)
         if entry is None:
-            bits += 16.0 * numel
+            bits += FP_BITS * numel
         elif per_tensor(entry.group_size, numel):
             bits += entry.bits * numel + PER_TENSOR_OVERHEAD_BITS
         else:
@@ -240,7 +221,7 @@ def _cell(selected, shared: dict, bits: dict[ComponentId, int], groups, layer_ty
         names = selected(comp, groups, layer_types) if bits[comp] < FP_BITS else ()
         parts.append((comp, bits[comp], names) if names else None)
     config = {
-        **shared, **{f"{comp.value}_bits": bits[comp] for comp in COMPONENT_ORDER},
+        **shared, **{name: bits[comp] for comp, name in zip(COMPONENT_ORDER, _BITS_FIELDS)},
         "groups": frozenset(groups), "layer_types": frozenset(layer_types),
     }
     return config, tuple(parts)
@@ -318,15 +299,32 @@ def run_grid(
     Yields one (row, failure message or None) per task of each cell as soon
     as the cell is scored, in plan order: seeds outer, the baseline cell
     first, then the planned cells, with tasks in ``grid.tasks`` order. Rows
-    are not sorted. Each component is quantized once per bit width, and its
-    stage runs right after, before the next tower is calibrated; each stage
-    output is memoised on the quantized layers it reads. A component's
-    quantized layers are dropped once its stage has run, except the language
-    layers, which live until the decodes. An error fails exactly the cells
-    that depend on it, as NaN rows with a message; a bad argument or a
-    failing full-precision reference raises. Cells whose run_id is in
-    ``skip_run_ids`` are not run (resume support). Cells are scored on the
-    first ``grid.eval_pairs`` probe pairs (all when None), as the CLI checks.
+    are not sorted. An error fails exactly the cells that depend on it, as
+    NaN rows with a message; a bad argument or a failing full-precision
+    reference raises. Cells whose run_id is in ``skip_run_ids`` are not run
+    (resume support). Cells are scored on the first ``grid.eval_pairs`` probe
+    pairs (all when None), as the CLI checks.
+
+    Per seed, one walk over ``calibration_stages`` calibrates a tower at a
+    time. Each component is quantized once per bit width from its stage, and
+    then its tower stage runs on the eval probes: the vision tower per vision
+    part, the connector per (vision, connector) pair, the retrieval text
+    embeddings per language part. Only then are the statistics dropped, GPTQ
+    factors and all, and the next tower calibrated, so a grid holds one
+    component's statistics at a time. A component's quantized layers go once
+    its stage has run, except the language layers, which the decodes read;
+    its ledger entries stay for bpw. A cell takes the layers its selector
+    picks from those fragments, which is exact as every quantizer is per
+    layer, and each stage and the decoder read a model holding only the part
+    they read, as each tower reads only its own layers and the extras.
+
+    Each stage output is memoised on the part it reads. A stage runs its
+    distinct parts sorted by the layers they quantize per block, through one
+    ``BlockPath``: a part reuses the outputs of the leading blocks it shares
+    with the part before it, so a shared front or middle prefix runs once.
+    The full-precision reference is the model whose parts are all None, and
+    the generation tasks decode with ``greedy_generate`` from a prompt and
+    horizon built once per grid.
     """
     if method not in GRID_METHODS:
         raise ValueError(f"grid supports uniform or GPTQ/AWQ, got {method.value}")
@@ -352,8 +350,6 @@ def run_grid(
         if not cells:
             continue
 
-        # fragments: each component quantized once per bit width; a cell takes
-        # the layers it selects, which is exact as every quantizer is per layer
         fragment_keys = [part[:2] for _, parts, _ in cells for part in parts if part]
         ledgers = {}  # (component, bits) -> its ledger entries by layer, or the error that failed it
         arrays = {}  # (component, bits) -> its dequantized layers by name, until nothing reads them
@@ -396,18 +392,13 @@ def run_grid(
             path = pipeline.BlockPath()
             return _memo(lambda key: run(key, path), sorted(keys, key=order))
 
-        # stage memos, each keyed on the parts its stage reads; the full-precision
-        # reference is the model whose parts are all None
         reference_parts = (None, None, None)
         ref_tasks = [task for task in grid.tasks if any(task in pending for *_, pending in cells)]
         models = [(reference_parts, ref_tasks)] + [(parts, pending) for _, parts, pending in cells]
         text_prompt = bos_prompt(texts)  # one object for the stage: its path compares the prompt by identity
 
-        # one component at a time: all its bit widths from its calibration stage,
-        # whose LayerStats keep the GPTQ factors its bit widths share, then its
-        # tower stage; the statistics go, factors and all, before the generator
-        # runs the next tower, and the quantized layers once the stage has run,
-        # but the language layers, which the decoder reads
+        # all of a component's bit widths from one stage, whose LayerStats keep the
+        # GPTQ factors they share; dropped before the generator runs the next tower
         for comp, calib in calibration_stages(fp, probes if fragment_keys and method.calibrated else None):
             ledgers.update(_memo(functools.partial(quantize, calib=calib), [k for k in fragment_keys if k[0] is comp]))
             calib = None
@@ -523,9 +514,9 @@ def load_results(path) -> list[RunRecord]:
             row = RunRecord(**{name: parse(text[name]) for name, parse in _PARSERS.items()})
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from exc
-        for name in ("vision_bits", "connector_bits", "language_bits"):
-            if not 2 <= getattr(row, name) <= FP_BITS:
-                raise ValueError(f"line {line_no}: {name} must lie in [2, {FP_BITS}], got {getattr(row, name)}")
+        for name, k in zip(_BITS_FIELDS, row.component_bits):
+            if not MIN_BITS <= k <= FP_BITS:
+                raise ValueError(f"line {line_no}: {name} must lie in [{MIN_BITS}, {FP_BITS}], got {k}")
         if not (np.isnan(row.score) or 0.0 <= row.score <= 1.0):
             raise ValueError(f"line {line_no}: score must be nan or lie in [0, 1], got {text['score']}")
         if not (np.isnan(row.bpw) or 0.0 < row.bpw < np.inf):

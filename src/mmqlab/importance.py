@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import RngStream, derive_seed
-from .pipeline import COMPONENT_ORDER, FP_BITS, TaskKind
+from .pipeline import COMPONENT_ORDER, TaskKind
+from .quantizers import FP_BITS, MIN_BITS
 
 _GAIN_RTOL = 1e-12
 MIN_FOREST_ROWS = 10  # a bootstrapped forest needs at least this many rows
@@ -63,8 +64,8 @@ class AttributionDataset:
             raise ValueError("feature_names length does not match feature columns")
         if not np.all(np.isfinite(self.target)):
             raise ValueError("target contains missing values")
-        if not np.all((self.features >= 2) & (self.features <= 16)):  # NaN fails both
-            raise ValueError("bit features must lie in [2, 16]")
+        if not np.all((self.features >= MIN_BITS) & (self.features <= FP_BITS)):  # NaN fails both
+            raise ValueError(f"bit features must lie in [{MIN_BITS}, {FP_BITS}]")
         self.observed = []
         self.codes = np.empty(self.features.shape, dtype=np.int64)
         for j, col in enumerate(self.features.T):
@@ -86,9 +87,7 @@ class AttributionDataset:
         ]
         if not rows:
             raise ValueError(f"no usable rows for {where}")
-        all_bits = np.array(
-            [[r.vision_bits, r.connector_bits, r.language_bits] for r in rows], dtype=np.float64
-        )
+        all_bits = np.array([r.component_bits for r in rows], dtype=np.float64)
         keep = [
             i
             for i, comp in enumerate(COMPONENT_ORDER)

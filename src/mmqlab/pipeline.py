@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import numpy as np
 
 from .numerics import RngStream, derive_seed, randn_matrix
-from .quantizers import (
+from .quantizers import (  # FP_BITS, unread here, stays importable from this module
+    DEFAULT_GROUP_SIZE,
+    FP_BITS,
     LayerStats,
     Method,
     dequantize,
@@ -47,7 +49,6 @@ CALIBRATION_ROW_CAP = 2048
 CALIBRATION_PAIRS = 128
 CAPTION_HORIZON = 16
 VQA_HORIZON = 4
-FP_BITS = 16  # a component at this bit width is left unquantized
 
 
 class ComponentId(enum.Enum):
@@ -648,7 +649,7 @@ def apply_quantization(
     method: Method,
     k: int,
     calib: dict[str, LayerStats] | None = None,
-    group_size: int = 128,
+    group_size: int = DEFAULT_GROUP_SIZE,
 ) -> tuple[ModelWeights, list[LedgerEntry]]:
     """Replace selected layers with their dequantized quantization.
 

@@ -36,6 +36,10 @@ import numpy as np
 
 from .numerics import NotPositiveDefiniteError, _cholesky64, _invert_spd64
 
+# codes take MIN_BITS to FP_BITS bits; a grid cell at FP_BITS leaves its component unquantized
+MIN_BITS = 2
+FP_BITS = 16
+DEFAULT_GROUP_SIZE = 128  # input channels per grid group
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 SCALE_CLAMP = (1e-4, 1e4)
 # bytes per float64 array of a chunk: calibration rows, GPTQ factors, AWQ alpha scoring
@@ -80,10 +84,7 @@ class QuantizedMatrix:
     grid_hi: np.ndarray
 
     def __post_init__(self):
-        if not (2 <= self.bits <= 16):
-            raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        if self.group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        _check_grid_args(self.bits, self.group_size)
         if int(self.codes.max(initial=0)) > (1 << self.bits) - 1:
             raise ValueError(f"code exceeds 2^{self.bits}-1")
         if np.any(self.grid_lo > self.grid_hi):
@@ -147,9 +148,10 @@ def _check_weight(w: np.ndarray) -> np.ndarray:
 
 
 def _check_grid_args(k: int, group_size: int) -> int:
-    """The bit width ``k`` as an int, after checking it and then ``group_size``."""
-    if not (2 <= int(k) <= 16):
-        raise ValueError(f"bit width must be in [2, 16], got {k}")
+    """The bit width ``k`` as an int, after checking it and then ``group_size``: the one
+    check of a code width, which every quantizer and ``QuantizedMatrix`` make."""
+    if not (MIN_BITS <= int(k) <= FP_BITS):
+        raise ValueError(f"bits must be in [{MIN_BITS}, {FP_BITS}], got {k}")
     if group_size <= 0:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     return int(k)
@@ -325,7 +327,7 @@ def gptq_quantize(
     ws: Sequence[np.ndarray],
     stats: Sequence[LayerStats],
     k: int,
-    group_size: int = 128,
+    group_size: int = DEFAULT_GROUP_SIZE,
     names: Sequence[str] | None = None,
 ) -> list[QuantizedMatrix]:
     """Quantize columns left to right, compensating error into later columns,
@@ -454,7 +456,9 @@ def _awq_losses(w: np.ndarray, gram: np.ndarray, k: int, group_size: int, table:
     return losses
 
 
-def awq_quantize(w: np.ndarray, stats: LayerStats, k: int, group_size: int = 128) -> tuple[QuantizedMatrix, float]:
+def awq_quantize(
+    w: np.ndarray, stats: LayerStats, k: int, group_size: int = DEFAULT_GROUP_SIZE
+) -> tuple[QuantizedMatrix, float]:
     """Activation-aware quantization via per-channel scaling search.
 
     Channels with larger mean |activation| are scaled up by

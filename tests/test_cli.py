@@ -92,6 +92,20 @@ def synthetic_results(path, score_fn, method=Method.GPTQ, task=TaskKind.VQA):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_syntax_error_counts_lines_as_text_mode_does(self, tmp_path, newline):
+        """The config is read as bytes but decoded as a text-mode open decodes
+        it, universal newlines included, so a JSON error names the same line."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(newline.join([b"{", b'  "grid": {', b'    "bits": [2,,]', b"  }", b"}"]))
+        with open(path, "r", encoding="utf-8") as fh:
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.load(fh)
+        assert "line 3 column" in str(expected.value)
+        with pytest.raises(ConfigError) as got:
+            load_config(str(path))
+        assert str(got.value) == f"config {path} is not valid JSON: {expected.value}"
+
     def test_unknown_key_names_path(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"grid": {"bitz": [2]}}))
@@ -446,6 +460,30 @@ class TestGridCommand:
         manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
         assert manifest["method"] == "uniform" and manifest["rows"] == 5
         assert manifest["failures"] == {}
+
+    def test_config_opened_once_and_hashed_as_parsed(self, tmp_path, monkeypatch):
+        """The grid opens --config once, so the manifest's config_sha256 names
+        the bytes it parsed, even when the file is replaced right after."""
+        import mmqlab.cli as cli
+
+        cfg = write_config(tmp_path)
+        parsed = cfg.read_bytes()
+        opened = []
+
+        def replacing_open(path, *args, **kwargs):
+            fh = builtins.open(path, *args, **kwargs)
+            if Path(path) == cfg:
+                opened.append(path)
+                (tmp_path / "next.json").write_bytes(parsed + b"\n")  # the same config, other bytes
+                os.replace(tmp_path / "next.json", cfg)  # the open handle keeps the old file
+            return fh
+
+        monkeypatch.setattr(cli, "open", replacing_open, raising=False)
+        out = tmp_path / "res.csv"
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 0
+        assert len(opened) == 1
+        manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -68,10 +68,12 @@ STRINGS = {
     if isinstance(node, ast.Constant) and isinstance(node.value, str)
 }
 ENUM_VALUES = {member.value for cls in CLASSES if issubclass(cls, enum.Enum) for member in cls}
-# config section -> its dataclass, as Config declares them
+# config section -> its dataclass, as Config declares them; its other fields are not sections
 SECTIONS = {
-    name: next(k for k in (*get_args(kind), kind) if dataclasses.is_dataclass(k))
+    name: k
     for name, kind in get_type_hints(Config).items()
+    for k in (*get_args(kind), kind)
+    if dataclasses.is_dataclass(k)
 }
 NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 CONFIG_KEY = re.compile(r"(?:config error at )?(?P<section>[a-z_]+\.|\.)?(?P<key>[a-z_]+)(?:\[\d+\])*(?:: .*)?")
