@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -36,6 +35,7 @@ from .experiments import (
     layer_sizes,
     load_results,
     pareto_frontier,
+    read_input,
     run_grid,
     save_results,
     write_atomic,
@@ -152,13 +152,9 @@ def _section(cls, raw: dict, name: str):
 
 
 def load_config(path: str) -> Config:
+    data, text = read_input("config", path)
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        # decoded as a text-mode open decodes: UTF-8, universal newlines
-        raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _expect(raw, dict, "<root>")
@@ -265,9 +261,8 @@ def _resumable_rows(args, config_hash: str):
         return []
     manifest_path = str(args.out) + ".manifest.json"
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(read_input("manifest", manifest_path)[1])
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot resume {args.out}: cannot read manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise ConfigError(f"cannot resume {args.out}: manifest {manifest_path} is not a JSON object")

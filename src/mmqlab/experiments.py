@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -453,6 +454,17 @@ def run_grid(
 # --- persistence -------------------------------------------------------------
 
 
+def read_input(what: str, path) -> tuple[bytes, str]:
+    """The bytes of ``path``, read once, and their text as a text-mode open decodes it (UTF-8, universal
+    newlines); an unreadable or undecodable file raises ``cannot read <what> <path>: <reason>``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from None
+
+
 def write_atomic(path, text: str) -> None:
     """Write ``text`` to a temporary sibling, then move it onto ``path``: a failed write keeps the old file."""
     tmp = f"{path}.tmp"
@@ -495,12 +507,9 @@ _PARSERS = {name: _column_parser(kind) for name, kind in get_type_hints(RunRecor
 
 
 def load_results(path) -> list[RunRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # (physical line number, text); blank lines are skipped but still counted
-            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read results {path}: {exc}") from None
+    text = read_input("results", path)[1]
+    # (physical line number, text); blank lines are skipped but still counted
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln.strip() != ""]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"line {lines[0][0] if lines else 1}: bad header, expected {CSV_HEADER!r}")
     rows = []

@@ -84,7 +84,7 @@ class QuantizedMatrix:
     grid_hi: np.ndarray
 
     def __post_init__(self):
-        _check_grid_args(self.bits, self.group_size)
+        self.bits = _check_grid_args(self.bits, self.group_size)
         if int(self.codes.max(initial=0)) > (1 << self.bits) - 1:
             raise ValueError(f"code exceeds 2^{self.bits}-1")
         if np.any(self.grid_lo > self.grid_hi):
@@ -150,6 +150,8 @@ def _check_weight(w: np.ndarray) -> np.ndarray:
 def _check_grid_args(k: int, group_size: int) -> int:
     """The bit width ``k`` as an int, after checking it and then ``group_size``: the one
     check of a code width, which every quantizer and ``QuantizedMatrix`` make."""
+    if not float(k).is_integer():  # also nan and inf, which int() cannot take
+        raise ValueError(f"bits must be an integer, got {k}")
     if not (MIN_BITS <= int(k) <= FP_BITS):
         raise ValueError(f"bits must be in [{MIN_BITS}, {FP_BITS}], got {k}")
     if group_size <= 0:

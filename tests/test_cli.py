@@ -20,7 +20,7 @@ from helpers import oracle_quantize_ledger, planned_run_ids, traced_peak
 from mmqlab.cli import (
     ELEMENT_LIMIT, ConfigError, ProbeConfig, _build_probes, _section, load_config, main, quantize_ledger, render_plot_svg,
 )
-from mmqlab.experiments import GridSpec, RunRecord, compute_bpw, load_results, save_results
+from mmqlab.experiments import CSV_HEADER, GridSpec, RunRecord, compute_bpw, load_results, save_results
 from mmqlab.importance import ForestModel
 from mmqlab.pipeline import (
     CAPTION_HORIZON, VQA_HORIZON, BlockGroup, ComponentId, ConnectorKind, LayerType, LedgerEntry, PipelineSpec,
@@ -105,6 +105,39 @@ class TestConfig:
         with pytest.raises(ConfigError) as got:
             load_config(str(path))
         assert str(got.value) == f"config {path} is not valid JSON: {expected.value}"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_results_lines_count_as_text_mode_does(self, tmp_path, newline):
+        """A results CSV is decoded as a text-mode open decodes it: other line
+        endings give the same rows, and an error the same physical line."""
+        saved = tmp_path / "saved.csv"
+        synthetic_results(saved, lambda v, c, l: (v + c + l) / 48)
+        lines = saved.read_bytes().split(b"\n")
+        path = tmp_path / "other.csv"
+        path.write_bytes(newline.join(lines))
+        assert load_results(path) == load_results(saved)
+        path.write_bytes(newline.join(lines[:3] + [b""] + [b"garbage"] + lines[3:]))  # a blank line counts
+        with open(path, "r", encoding="utf-8") as fh:
+            line_no = next(i for i, line in enumerate(fh, start=1) if line.startswith("garbage"))
+        assert line_no == 5
+        with pytest.raises(ValueError, match=rf"^line {line_no}: expected {CSV_HEADER.count(',') + 1} fields, got 1$"):
+            load_results(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_manifest_syntax_error_counts_lines_as_text_mode_does(self, tmp_path, capsys, newline):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        out.write_text(CSV_HEADER + "\n")
+        manifest = tmp_path / "r.csv.manifest.json"
+        manifest.write_bytes(newline.join([b"{", b'  "method": "uniform",', b'  "rows": ,', b"}"]))
+        with open(manifest, "r", encoding="utf-8") as fh:
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.load(fh)
+        assert "line 3 column" in str(expected.value)
+        assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out), "--resume"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot resume {out}: cannot read manifest {manifest}: {expected.value}\n"
+        )
 
     def test_unknown_key_names_path(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -462,9 +495,10 @@ class TestGridCommand:
         assert manifest["failures"] == {}
 
     def test_config_opened_once_and_hashed_as_parsed(self, tmp_path, monkeypatch):
-        """The grid opens --config once, so the manifest's config_sha256 names
-        the bytes it parsed, even when the file is replaced right after."""
-        import mmqlab.cli as cli
+        """The grid opens --config once, through the reader in ``experiments``, so
+        the manifest's config_sha256 names the bytes it parsed, even when the file
+        is replaced right after."""
+        import mmqlab.experiments as experiments
 
         cfg = write_config(tmp_path)
         parsed = cfg.read_bytes()
@@ -478,7 +512,7 @@ class TestGridCommand:
                 os.replace(tmp_path / "next.json", cfg)  # the open handle keeps the old file
             return fh
 
-        monkeypatch.setattr(cli, "open", replacing_open, raising=False)
+        monkeypatch.setattr(experiments, "open", replacing_open, raising=False)
         out = tmp_path / "res.csv"
         assert main(["grid", "--config", str(cfg), "--method", "uniform", "--out", str(out)]) == 0
         assert len(opened) == 1
@@ -972,6 +1006,40 @@ class TestUnreadableResults:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read results {path}: ")
         assert not out.exists()
+
+
+class TestUnreadableInputs:
+    """Each file a command reads (--config, a results CSV, the resume manifest)
+    exits 1 with one line naming it when it is missing, a directory or not UTF-8,
+    and nothing is written."""
+
+    @pytest.mark.parametrize("command", ["grid", "quantize", "analyze", "plot", "grid --resume"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_exits_one_with_one_line_naming_the_file(self, tmp_path, capsys, command, kind):
+        out = tmp_path / "out.csv"
+        what = {"grid": "config", "quantize": "config", "grid --resume": "manifest"}.get(command, "results")
+        path = tmp_path / ("out.csv.manifest.json" if what == "manifest" else "input")
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"grid": "\xff"}\n')
+        config = str(path if what == "config" else write_config(tmp_path))
+        grid = ["grid", "--config", config, "--method", "uniform", "--out", str(out)]
+        argv = {
+            "grid": grid,
+            "quantize": ["quantize", "--config", config, "--method", "uniform", "--bits", "4"],
+            "analyze": ["analyze", str(path), "--task", "vqa", "--out", str(out)],
+            "plot": ["plot", str(path), "--task", "vqa", "--out", str(out)],
+            "grid --resume": grid + ["--resume"],
+        }[command]
+        if what == "manifest":
+            out.write_text(CSV_HEADER + "\n")  # a CSV to resume, so its manifest is read
+        before = sorted(p.name for p in tmp_path.iterdir()), out.read_bytes() if out.exists() else None
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"error: cannot read {what} {re.escape(str(path))}: [^\n]+\n", captured.err)
+        assert captured.out == ""
+        assert (sorted(p.name for p in tmp_path.iterdir()), out.read_bytes() if out.exists() else None) == before
 
 
 class TestMissingOutDirectory:

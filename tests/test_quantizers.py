@@ -138,6 +138,35 @@ class TestQuantizedMatrix:
             )
 
 
+class TestWholeBits:
+    """A bit width that is not a whole number is rejected, not truncated; a whole
+    one of another type is stored as an int."""
+
+    W = np.linspace(-1.0, 1.0, 32, dtype=np.float32).reshape(4, 8)
+    STATS = LayerStats.from_activations(np.linspace(0.5, 2.0, 48, dtype=np.float32).reshape(6, 8))
+    MAKERS = {
+        "rtn": lambda k: rtn_group_quantize(TestWholeBits.W, k, 4),
+        "gptq": lambda k: gptq_quantize([TestWholeBits.W], [TestWholeBits.STATS], k, 4)[0],
+        "awq": lambda k: awq_quantize(TestWholeBits.W, TestWholeBits.STATS, k, 4)[0],
+        "matrix": lambda k: QuantizedMatrix(
+            codes=np.zeros((4, 8), np.uint16), bits=k, group_size=4,
+            grid_lo=np.zeros((4, 2), np.float32), grid_hi=np.zeros((4, 2), np.float32),
+        ),
+    }
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("bits", [2.5, 3.5, 16.9, float("nan"), float("inf")])
+    def test_fractional_bits_rejected(self, maker, bits):
+        with pytest.raises(ValueError, match=rf"^bits must be an integer, got {bits}$"):
+            self.MAKERS[maker](bits)
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("bits", [np.int64(4), 4.0], ids=["int64", "float"])
+    def test_whole_bits_stored_as_int(self, maker, bits):
+        q = self.MAKERS[maker](bits)
+        assert type(q.bits) is int and q.bits == 4
+
+
 class TestRtnGroup:
     def test_group_size_numel_reduces_to_uniform(self):
         # one per-tensor min/max grid, every weight rounded against it
